@@ -47,7 +47,7 @@ class LawReport:
 class NablaAlgebra:
     """Validated carrier; ``heyting`` is present exactly when the lattice is distributive."""
 
-    __slots__ = ("lat", "nabla", "arrow", "box", "heyting", "_profile")
+    __slots__ = ("lat", "nabla", "arrow", "box", "heyting", "_profile", "_frame")
 
     def __init__(self, lat: FiniteLattice, nabla: np.ndarray, arrow: np.ndarray):
         self.lat = lat
@@ -59,6 +59,7 @@ class NablaAlgebra:
         self.box.setflags(write=False)
         self.heyting = heyting_table(lat)
         self._profile = None
+        self._frame = None      # the prime frame, kept by kripke.prime_frame
 
     @property
     def n(self) -> int:

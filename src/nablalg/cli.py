@@ -12,7 +12,6 @@ from pathlib import Path
 
 from . import gallery, serialize
 from .algebra import (
-    AlgebraMorphism,
     check_implication_axioms,
     check_morphism,
     classify,
@@ -161,17 +160,7 @@ def cmd_check_morphism(args) -> int:
 
 
 def cmd_amalgamate(args) -> int:
-    obj = _read_json(args.file)
-    if obj.get("kind") != "span":
-        raise ShapeError("amalgamate needs a span object")
-    a0 = serialize.algebra_from_json(obj["a0"])
-    a1 = serialize.algebra_from_json(obj["a1"])
-    a2 = serialize.algebra_from_json(obj["a2"])
-    heyting = bool(obj.get("heyting", False))
-    f1 = AlgebraMorphism(a0, a1, tuple(int(v) for v in obj["f1"]),
-                         preserves_heyting=heyting)
-    f2 = AlgebraMorphism(a0, a2, tuple(int(v) for v in obj["f2"]),
-                         preserves_heyting=heyting)
+    a0, a1, a2, f1, f2, heyting = serialize.span_from_json(_read_json(args.file))
     res = amalgamate_algebras(a0, a1, a2, f1, f2, heyting=heyting)
     _emit({
         "kind": "amalgamation",

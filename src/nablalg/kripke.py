@@ -19,6 +19,15 @@ directions compose into the finite representation: the membership map
 ``canonical_frame_embedding`` is an isomorphism on finite distributive
 carriers.  Pullbacks of surjective frame morphisms implement the
 amalgamation of embedding spans.
+
+Both functors work on boolean membership matrices: a family of upsets or of
+prime filters is one k x n matrix, row i holding set i.  nabla(U) is the OR
+of U's R-rows, arrow(U, V) one matrix product of the worlds of U outside V
+with the successor rows, and a computed set is looked up among the family's
+rows by its packed bits.  Each functor keeps its result on its immutable
+input, the prime frame on the algebra and the upset algebra (with its upset
+family) on the frame, so a pipeline that meets an input again reuses what
+was built; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from .errors import (
     ShapeError,
     ensure,
 )
-from .lattice import all_upsets, prime_filters, upset_lattice, validate_partial_order
+from .lattice import FiniteLattice, prime_filters, upset_lattice, validate_partial_order
 
 FRAME_FLAGS = ("N", "R", "L", "Fa", "Fu")
 
@@ -55,7 +64,7 @@ FRAME_FLAGS = ("N", "R", "L", "Fa", "Fu")
 class KripkeFrame:
     """Worlds 0..n-1 with order ``leq`` and compatible relation ``r``."""
 
-    __slots__ = ("n", "leq", "r", "pi", "pi_failure", "_profile")
+    __slots__ = ("n", "leq", "r", "pi", "pi_failure", "_profile", "_upsets")
 
     def __init__(self, leq, r, pi, pi_failure):
         self.n = int(leq.shape[0])
@@ -66,6 +75,7 @@ class KripkeFrame:
         self.pi = pi
         self.pi_failure = pi_failure
         self._profile = None
+        self._upsets = None
 
     def __repr__(self):
         return f"KripkeFrame(n={self.n})"
@@ -332,31 +342,57 @@ def frames_equal(a: KripkeFrame, b: KripkeFrame) -> bool:
 # --- frames to algebras -------------------------------------------------------
 
 
+def _locate(family: np.ndarray, rows: np.ndarray):
+    """Position of each boolean row of ``rows`` among the distinct rows of
+    ``family``, and whether it is really there (the position is arbitrary
+    where it is not).  ``family`` is empty only when ``rows`` is."""
+
+    def keys(a):
+        # a leading set bit keeps every key at least one byte long, also
+        # for the rows of the zero-world frame
+        bits = np.ones((a.shape[0], a.shape[1] + 1), dtype=bool)
+        bits[:, 1:] = a
+        packed = np.packbits(bits, axis=1)
+        return packed.view(f"V{packed.shape[1]}").ravel()
+
+    fam = keys(family)
+    order = np.argsort(fam)
+    pos = np.searchsorted(fam[order], keys(rows))
+    idx = order[np.minimum(pos, len(order) - 1)]
+    return idx, (family[idx] == rows).all(axis=1)
+
+
 def upset_algebra(frame: KripkeFrame) -> NablaAlgebra:
     """Algebra of upsets; always carries the Heyting table, and every frame
-    flag transfers to the corresponding algebra flag (checked)."""
+    flag transfers to the corresponding algebra flag (checked).  Built once
+    per frame and kept on it."""
+    if frame._upsets is None:
+        frame._upsets = _build_upset_algebra(frame)
+    return frame._upsets[1]
+
+
+def _upset_dual(frame: KripkeFrame):
+    """The frame's upset family and its upset algebra, built together."""
+    alg = upset_algebra(frame)
+    return frame._upsets[0], alg
+
+
+def _build_upset_algebra(frame: KripkeFrame):
     fam = upset_lattice(frame.leq)
-    ups = fam.upsets
-    index = {u: i for i, u in enumerate(ups)}
-    k = len(ups)
-    nabla = np.zeros(k, dtype=np.int64)
-    arrow = np.zeros((k, k), dtype=np.int64)
-    for i, u in enumerate(ups):
-        img = frozenset(
-            x for x in range(frame.n) if any(frame.r[y, x] for y in u)
-        )
-        ensure(img in index, "relation image of an upset must be an upset")
-        nabla[i] = index[img]
-    for i, u in enumerate(ups):
-        for j, v in enumerate(ups):
-            guard = frozenset(
-                x for x in range(frame.n)
-                if all(not frame.r[x, y] or y not in u or y in v
-                       for y in range(frame.n))
-            )
-            ensure(guard in index, "arrow of upsets must be an upset")
-            arrow[i, j] = index[guard]
-    alg = build_algebra(fam.lattice, nabla, arrow)
+    ups = fam.members
+    k, n = ups.shape
+    # float32 products count worlds exactly and run on BLAS
+    rel = frame.r.astype(np.float32)
+    # nabla(U): the worlds some member of U relates to, the OR of U's R-rows
+    image = (ups.astype(np.float32) @ rel) > 0
+    nabla, found = _locate(ups, image)
+    ensure(found.all(), "relation image of an upset must be an upset")
+    # arrow(U, V): the worlds with no R-successor in U outside V
+    escape = (ups[:, None, :] & ~ups[None, :, :]).reshape(k * k, n)
+    guard = (escape.astype(np.float32) @ rel.T) == 0
+    arrow, found = _locate(ups, guard)
+    ensure(found.all(), "arrow of upsets must be an upset")
+    alg = build_algebra(fam.lattice, nabla, arrow.reshape(k, k))
     profile = classify(alg)
     ensure(profile.H, "upset algebras always carry the Heyting structure")
     fprof = frame_profile(frame)
@@ -364,7 +400,7 @@ def upset_algebra(frame: KripkeFrame) -> NablaAlgebra:
         if getattr(fprof, flag):
             ensure(getattr(profile, flag),
                    f"frame flag {flag} must transfer to the upset algebra")
-    return alg
+    return fam, alg
 
 
 def inverse_image_morphism(f: FrameMorphism) -> AlgebraMorphism:
@@ -373,18 +409,14 @@ def inverse_image_morphism(f: FrameMorphism) -> AlgebraMorphism:
     if not rep.ok:
         raise NotKripkeMorphism("preimages only respect the pair along a frame morphism",
                                 witness=rep.violations[0].witness if rep.violations else None)
-    src_alg = upset_algebra(f.target)
-    tgt_alg = upset_algebra(f.source)
-    ups_target = all_upsets(f.target.leq)
-    ups_source = all_upsets(f.source.leq)
-    index = {u: i for i, u in enumerate(ups_source)}
-    fmap = np.asarray(f.map)
-    out = []
-    for u in ups_target:
-        pre = frozenset(int(x) for x in range(f.source.n) if int(fmap[x]) in u)
-        ensure(pre in index, "preimage of an upset must be an upset")
-        out.append(index[pre])
-    morphism = AlgebraMorphism(source=src_alg, target=tgt_alg, map=tuple(out),
+    src_fam, src_alg = _upset_dual(f.target)
+    tgt_fam, tgt_alg = _upset_dual(f.source)
+    # x lies in the preimage of U iff f(x) lies in U
+    pre = src_fam.members[:, np.asarray(f.map, dtype=np.int64)]
+    out, found = _locate(tgt_fam.members, pre)
+    ensure(found.all(), "preimage of an upset must be an upset")
+    morphism = AlgebraMorphism(source=src_alg, target=tgt_alg,
+                               map=tuple(int(v) for v in out),
                                preserves_heyting=bool(f.heyting and rep.heyting_ok))
     mrep = check_morphism(morphism)
     ensure(mrep.ok, "preimage map must be an algebra morphism")
@@ -396,30 +428,44 @@ def inverse_image_morphism(f: FrameMorphism) -> AlgebraMorphism:
 # --- algebras to frames -------------------------------------------------------
 
 
+def _prime_rows(lat: FiniteLattice) -> np.ndarray:
+    """Membership matrix of the prime filters: row i is filter i, column a element a."""
+    primes = prime_filters(lat)
+    rows = np.zeros((len(primes), lat.n), dtype=bool)
+    for i, p in enumerate(primes):
+        rows[i, list(p)] = True
+    return rows
+
+
 def prime_frame(alg: NablaAlgebra) -> KripkeFrame:
     """Prime filters under inclusion with the image-containment relation.
 
     The relation is computed as "nabla image of P inside Q" and
     cross-checked against the definitional detachment form; a mismatch is a
-    hard failure, not a report.
+    hard failure, not a report.  Built once per algebra and kept on it.
     """
+    if alg._frame is None:
+        alg._frame = _build_prime_frame(alg)
+    return alg._frame
+
+
+def _build_prime_frame(alg: NablaAlgebra) -> KripkeFrame:
     if not classify(alg).D:
         raise NotDistributive("prime filter frames need a distributive carrier")
-    primes = prime_filters(alg.lat)
-    k = len(primes)
-    leq = np.zeros((k, k), dtype=bool)
-    rel = np.zeros((k, k), dtype=bool)
-    for i, p in enumerate(primes):
-        for j, q in enumerate(primes):
-            leq[i, j] = p <= q
-            rel[i, j] = all(int(alg.nabla[x]) in q for x in p)
-            definitional = all(
-                b in q
-                for a in range(alg.n) for b in range(alg.n)
-                if int(alg.arrow[a, b]) in p and a in q
-            )
-            ensure(bool(rel[i, j]) == definitional,
-                   "relation characterizations disagree on prime filters")
+    primes = _prime_rows(alg.lat)
+    k, n = primes.shape
+    # float32 products count elements exactly and run on BLAS
+    inside = primes.astype(np.float32)
+    outside = 1 - inside
+    leq = (inside @ outside.T) == 0
+    # rel[P, Q]: no x in P has nabla(x) outside Q
+    rel = (inside @ outside[:, alg.nabla].T) == 0
+    # definitional[P, Q]: no (a, b) has arrow(a, b) in P, a in Q and b outside Q
+    detach = inside[:, alg.arrow].reshape(k, n * n)
+    escape = (inside[:, :, None] * outside[:, None, :]).reshape(k, n * n)
+    definitional = (detach @ escape.T) == 0
+    ensure((rel == definitional).all(),
+           "relation characterizations disagree on prime filters")
     frame = build_frame(leq, rel)
     aprof = classify(alg)
     fprof = frame_profile(frame)
@@ -433,17 +479,11 @@ def prime_frame(alg: NablaAlgebra) -> KripkeFrame:
 def canonical_frame_embedding(alg: NablaAlgebra) -> AlgebraMorphism:
     """Membership map into the upsets of the prime frame; an isomorphism here
     because every carrier is finite."""
-    frame = prime_frame(alg)
-    target = upset_algebra(frame)
-    primes = prime_filters(alg.lat)
-    ups = all_upsets(frame.leq)
-    index = {u: i for i, u in enumerate(ups)}
-    out = []
-    for a in range(alg.n):
-        u = frozenset(i for i, p in enumerate(primes) if a in p)
-        ensure(u in index, "membership image must be an upset of the prime frame")
-        out.append(index[u])
-    morphism = AlgebraMorphism(source=alg, target=target, map=tuple(out),
+    fam, target = _upset_dual(prime_frame(alg))
+    # row a: the prime filters containing a
+    out, found = _locate(fam.members, _prime_rows(alg.lat).T)
+    ensure(found.all(), "membership image must be an upset of the prime frame")
+    morphism = AlgebraMorphism(source=alg, target=target, map=tuple(int(v) for v in out),
                                preserves_heyting=classify(alg).H)
     rep = check_morphism(morphism)
     ensure(rep.ok and rep.injective, "membership map must be an embedding")
@@ -461,15 +501,11 @@ def prime_inverse_morphism(f: AlgebraMorphism) -> FrameMorphism:
         raise InvalidMorphism("prime preimages need a validated algebra morphism")
     src_frame = prime_frame(f.target)
     tgt_frame = prime_frame(f.source)
-    primes_b = prime_filters(f.target.lat)
-    primes_a = prime_filters(f.source.lat)
-    index = {p: i for i, p in enumerate(primes_a)}
-    out = []
-    for q in primes_b:
-        pre = frozenset(x for x in range(f.source.n) if int(f.map[x]) in q)
-        ensure(pre in index, "preimage of a prime filter must be prime")
-        out.append(index[pre])
-    fm = FrameMorphism(source=src_frame, target=tgt_frame, map=tuple(out),
+    # x lies in the preimage of Q iff f(x) lies in Q
+    pre = _prime_rows(f.target.lat)[:, np.asarray(f.map, dtype=np.int64)]
+    out, found = _locate(_prime_rows(f.source.lat), pre)
+    ensure(found.all(), "preimage of a prime filter must be prime")
+    fm = FrameMorphism(source=src_frame, target=tgt_frame, map=tuple(int(v) for v in out),
                        heyting=bool(f.preserves_heyting))
     frep = check_frame_morphism(fm)
     ensure(frep.ok, "prime preimage map must be a frame morphism")
@@ -484,6 +520,26 @@ def prime_inverse_morphism(f: AlgebraMorphism) -> FrameMorphism:
 AMALGAMATION_FLAGS = frozenset({"R", "L", "Fa"})
 
 
+def _flag_class(carried: dict, flags, lacking: str) -> frozenset:
+    """The flag class an amalgamation must preserve.
+
+    ``carried`` maps each input's name to its flag set.  Without a request
+    the class is the amalgamation flags every input carries; a request must
+    lie inside {R, L, Fa} and be carried by every input, else ``lacking``
+    (formatted with the input's name) is raised.
+    """
+    if flags is None:
+        return frozenset.intersection(*carried.values()) & AMALGAMATION_FLAGS
+    cls = frozenset(flags)
+    if not cls <= AMALGAMATION_FLAGS:
+        raise FlagMismatch(
+            f"flag class must lie inside {sorted(AMALGAMATION_FLAGS)}, got {sorted(cls)}")
+    for name, have in carried.items():
+        if not cls <= have:
+            raise FlagMismatch(lacking.format(name=name))
+    return cls
+
+
 def amalgamate_frames(k0: KripkeFrame, k1: KripkeFrame, k2: KripkeFrame,
                       f: FrameMorphism, g: FrameMorphism, flags=None):
     """Pullback of two surjective frame morphisms onto a shared base.
@@ -494,21 +550,12 @@ def amalgamate_frames(k0: KripkeFrame, k1: KripkeFrame, k2: KripkeFrame,
     rejected up front) transfer to the pullback, and both projections are
     surjective frame morphisms.
     """
-    profiles = [frame_profile(k) for k in (k0, k1, k2)]
-    for p in profiles:
+    profiles = {name: frame_profile(k) for name, k in (("k0", k0), ("k1", k1), ("k2", k2))}
+    for p in profiles.values():
         if not p.N:
             raise NotNormal("amalgamation needs normal frames")
-    if flags is None:
-        shared = profiles[0].flags() & profiles[1].flags() & profiles[2].flags()
-        cls = frozenset(shared) & AMALGAMATION_FLAGS
-    else:
-        cls = frozenset(flags)
-        if not cls <= AMALGAMATION_FLAGS:
-            raise FlagMismatch(
-                f"flag class must lie inside {sorted(AMALGAMATION_FLAGS)}, got {sorted(cls)}")
-        for p in profiles:
-            if not cls <= p.flags():
-                raise FlagMismatch("every frame must carry the requested flag class")
+    cls = _flag_class({name: p.flags() for name, p in profiles.items()}, flags,
+                      "every frame must carry the requested flag class")
     for name, m, tgt in (("first", f, k1), ("second", g, k2)):
         if not frames_equal(m.target, k0):
             raise InvalidMorphism(f"{name} leg must land in the shared base")
@@ -520,29 +567,24 @@ def amalgamate_frames(k0: KripkeFrame, k1: KripkeFrame, k2: KripkeFrame,
         if not rep.surjective:
             raise NotSurjective(f"{name} leg must be surjective")
 
-    worlds = [(y, z) for y in range(k1.n) for z in range(k2.n)
-              if f.map[y] == g.map[z]]
-    k = len(worlds)
-    leq = np.zeros((k, k), dtype=bool)
-    rel = np.zeros((k, k), dtype=bool)
-    for i, (y, z) in enumerate(worlds):
-        for j, (yp, zp) in enumerate(worlds):
-            leq[i, j] = k1.leq[y, yp] and k2.leq[z, zp]
-            rel[i, j] = k1.r[y, yp] and k2.r[z, zp]
+    # worlds: the pairs (y, z) with f(y) = g(z), y-major
+    ys, zs = np.nonzero(np.asarray(f.map)[:, None] == np.asarray(g.map)[None, :])
+    leq = k1.leq[np.ix_(ys, ys)] & k2.leq[np.ix_(zs, zs)]
+    rel = k1.r[np.ix_(ys, ys)] & k2.r[np.ix_(zs, zs)]
     pullback = build_frame(leq, rel)
     pprof = frame_profile(pullback)
     ensure(pprof.N, "pullback of normal frames must be normal")
-    windex = {w: i for i, w in enumerate(worlds)}
-    expected_pi = [windex[(int(k1.pi[y]), int(k2.pi[z]))] for (y, z) in worlds]
-    ensure(list(pullback.pi) == expected_pi,
+    windex = np.full((k1.n, k2.n), -1, dtype=np.int64)
+    windex[ys, zs] = np.arange(len(ys))
+    ensure((pullback.pi == windex[k1.pi[ys], k2.pi[zs]]).all(),
            "pullback witness must be the componentwise witness pair")
     ensure(cls <= pprof.flags(), "pullback must inherit the shared flag class")
 
     heyting = f.heyting and g.heyting
     p = FrameMorphism(source=pullback, target=k1,
-                      map=tuple(y for y, _ in worlds), heyting=heyting)
+                      map=tuple(int(y) for y in ys), heyting=heyting)
     q = FrameMorphism(source=pullback, target=k2,
-                      map=tuple(z for _, z in worlds), heyting=heyting)
+                      map=tuple(int(z) for z in zs), heyting=heyting)
     for name, proj in (("first", p), ("second", q)):
         rep = check_frame_morphism(proj)
         ensure(rep.ok, f"{name} projection must be a frame morphism")
@@ -574,27 +616,17 @@ def amalgamate_algebras(a0: NablaAlgebra, a1: NablaAlgebra, a2: NablaAlgebra,
     """
     from .errors import NotEmbedding
 
-    profiles = {}
+    carried = {}
     for name, alg in (("a0", a0), ("a1", a1), ("a2", a2)):
         profile = classify(alg)
-        profiles[name] = profile
+        carried[name] = profile.flags()
         if not profile.N:
             raise NotNormal(f"{name} must be normal")
         if not profile.D:
             raise NotDistributive(f"{name} must be distributive")
         if heyting and not profile.H:
             raise FlagMismatch(f"{name} must carry the Heyting structure")
-    if flags is None:
-        shared = profiles["a0"].flags() & profiles["a1"].flags() & profiles["a2"].flags()
-        cls = frozenset(shared) & AMALGAMATION_FLAGS
-    else:
-        cls = frozenset(flags)
-        if not cls <= AMALGAMATION_FLAGS:
-            raise FlagMismatch(
-                f"flag class must lie inside {sorted(AMALGAMATION_FLAGS)}, got {sorted(cls)}")
-        for name, profile in profiles.items():
-            if not cls <= profile.flags():
-                raise FlagMismatch(f"{name} must carry the requested flag class")
+    cls = _flag_class(carried, flags, "{name} must carry the requested flag class")
     for name, m, tgt in (("f1", f1, a1), ("f2", f2, a2)):
         if not (tables_equal(m.source, a0) and tables_equal(m.target, tgt)):
             raise InvalidMorphism(f"{name} must map the shared algebra into its leg")

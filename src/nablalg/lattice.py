@@ -85,7 +85,7 @@ class FiniteLattice:
     """Validated bounded lattice; immutable after construction."""
 
     __slots__ = ("n", "leq", "meet", "join", "bot", "top",
-                 "_distributive", "_dist_witness", "_heyting", "_heyting_known")
+                 "_distributive", "_dist_witness", "_heyting", "_heyting_known", "_primes")
 
     def __init__(self, leq, meet, join, bot, top):
         self.n = int(leq.shape[0])
@@ -98,6 +98,7 @@ class FiniteLattice:
         self._dist_witness = None
         self._heyting = None
         self._heyting_known = False
+        self._primes = None
 
     def le(self, a: int, b: int) -> bool:
         return bool(self.leq[a, b])
@@ -260,26 +261,29 @@ def prime_filters(lat: FiniteLattice) -> list[frozenset]:
     its members), so the prime filters are exactly the principal filters of
     join-prime elements.  Each result is re-checked against the primality
     predicate, and on distributive lattices the count is cross-checked
-    against the number of join-irreducibles.
+    against the number of join-irreducibles.  The filters are computed once
+    per lattice and kept on it.
     """
-    out = [lat.upset_of(a) for a in _join_primes(lat)]
-    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    for f in out:
-        ensure(is_prime_filter(lat, f), "enumerated set is not a prime filter")
-    if is_distributive(lat):
-        ensure(len(out) == len(join_irreducibles(lat)),
-               "prime filter count must match join-irreducibles on distributive lattices")
-    return out
+    if lat._primes is None:
+        out = [lat.upset_of(a) for a in _join_primes(lat)]
+        out.sort(key=lambda s: (len(s), tuple(sorted(s))))
+        for f in out:
+            ensure(is_prime_filter(lat, f), "enumerated set is not a prime filter")
+        if is_distributive(lat):
+            ensure(len(out) == len(join_irreducibles(lat)),
+                   "prime filter count must match join-irreducibles on distributive lattices")
+        lat._primes = tuple(out)
+    return list(lat._primes)
 
 
-def all_upsets(leq) -> list[frozenset]:
-    """All upward-closed subsets, ordered by (size, members).
+def _upset_masks(arr: np.ndarray) -> list[int]:
+    """All upsets of a validated order as bitmasks (bit w is element w),
+    ordered by (size, members).
 
     Every upset is a union of principal upsets, so breadth-first closure of
     the empty set under "union one more principal upset" is exhaustive and
     output-sensitive.
     """
-    arr = validate_partial_order(leq)
     n = arr.shape[0]
     principal = [int(sum(1 << v for v in np.flatnonzero(arr[w]))) for w in range(n)]
     seen = {0}
@@ -294,18 +298,37 @@ def all_upsets(leq) -> list[frozenset]:
                         seen.add(t)
                         nxt.append(t)
         frontier = nxt
-    sets = [frozenset(w for w in range(n) if (mask >> w) & 1) for mask in seen]
-    sets.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return sets
+    return sorted(seen, key=lambda m: (m.bit_count(),
+                                       tuple(w for w in range(n) if (m >> w) & 1)))
+
+
+def _mask_rows(masks: list[int], n: int) -> np.ndarray:
+    """Boolean membership matrix with one row per bitmask and one column per element."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+    return bits.astype(bool)
+
+
+def all_upsets(leq) -> list[frozenset]:
+    """All upward-closed subsets, ordered by (size, members)."""
+    arr = validate_partial_order(leq)
+    n = arr.shape[0]
+    return [frozenset(w for w in range(n) if (m >> w) & 1) for m in _upset_masks(arr)]
 
 
 @dataclass(frozen=True)
 class UpSetFamily:
-    """The lattice of all upsets of a poset, with the upsets themselves."""
+    """The lattice of all upsets of a poset, with the upsets themselves.
+
+    ``members`` holds the same upsets as ``upsets``, as a read-only boolean
+    matrix: row i is upset i, column w is element w of the poset.
+    """
 
     lattice: FiniteLattice
     upsets: tuple
     base_leq: np.ndarray
+    members: np.ndarray
 
     def index_of(self, members) -> int:
         return self.upsets.index(frozenset(members))
@@ -314,21 +337,21 @@ class UpSetFamily:
 def upset_lattice(poset_leq) -> UpSetFamily:
     """Lattice of all upsets ordered by inclusion; meet is intersection, join union."""
     arr = validate_partial_order(poset_leq)
-    ups = all_upsets(arr)
-    k = len(ups)
-    incl = np.zeros((k, k), dtype=bool)
-    for i, a in enumerate(ups):
-        for j, b in enumerate(ups):
-            incl[i, j] = a <= b
+    rows = _mask_rows(_upset_masks(arr), arr.shape[0])
+    # incl[i, j]: no element lies in upset i and outside upset j; float32
+    # products count those elements exactly and run on BLAS
+    inside = rows.astype(np.float32)
+    incl = (inside @ (1 - inside).T) == 0
     lat = build_lattice(incl)
-    index = {u: i for i, u in enumerate(ups)}
-    for i, a in enumerate(ups):
-        for j, b in enumerate(ups):
-            ensure(int(lat.meet[i, j]) == index[a & b], "upset meet is not intersection")
-            ensure(int(lat.join[i, j]) == index[a | b], "upset join is not union")
+    ensure((rows[lat.meet] == (rows[:, None, :] & rows[None, :, :])).all(),
+           "upset meet is not intersection")
+    ensure((rows[lat.join] == (rows[:, None, :] | rows[None, :, :])).all(),
+           "upset join is not union")
     ensure(is_distributive(lat), "upset lattice must be distributive")
     ensure(heyting_table(lat) is not None, "upset lattice must carry pseudocomplements")
-    return UpSetFamily(lattice=lat, upsets=tuple(ups), base_leq=_freeze(arr.copy()))
+    ups = tuple(frozenset(np.flatnonzero(row).tolist()) for row in rows)
+    return UpSetFamily(lattice=lat, upsets=ups, base_leq=_freeze(arr.copy()),
+                       members=_freeze(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,11 @@ def frame_to_json(frame: KripkeFrame) -> dict:
 
 def frame_from_json(obj: dict) -> KripkeFrame:
     _expect_kind(obj, "kripke-frame")
-    return build_frame(np.array(obj["leq"], dtype=bool).reshape(obj["n"], obj["n"]),
-                       np.array(obj["r"], dtype=bool).reshape(obj["n"], obj["n"]))
+    n = _require(obj, "n")
+    if not _is_index(n):
+        raise ShapeError("frame size n must be a non-negative integer")
+    return build_frame(np.array(_require(obj, "leq"), dtype=bool).reshape(n, n),
+                       np.array(_require(obj, "r"), dtype=bool).reshape(n, n))
 
 
 def morphism_to_json(m) -> dict:
@@ -102,10 +105,10 @@ def morphism_from_json(obj: dict, loader=None):
             return loader(value)
         return value
 
-    src = resolve(obj["source"])
-    tgt = resolve(obj["target"])
-    heyting = bool(obj.get("heyting", False))
-    mapping = tuple(int(v) for v in obj["map"])
+    src = resolve(_require(obj, "source"))
+    tgt = resolve(_require(obj, "target"))
+    heyting = _heyting_claim(obj)
+    mapping = _index_list(obj, "map")
     kinds = (src.get("kind"), tgt.get("kind"))
     if kinds == ("nabla-algebra", "nabla-algebra"):
         return AlgebraMorphism(source=algebra_from_json(src),
@@ -116,6 +119,17 @@ def morphism_from_json(obj: dict, loader=None):
                              target=frame_from_json(tgt),
                              map=mapping, heyting=heyting)
     raise ShapeError(f"morphism endpoints must both be algebras or both frames, got {kinds}")
+
+
+def span_from_json(obj: dict):
+    """A span of algebra maps f1: a0 -> a1, f2: a0 -> a2, and the Heyting claim
+    shared by both maps; nothing beyond the shapes is validated here."""
+    _expect_kind(obj, "span")
+    a0, a1, a2 = (algebra_from_json(_require(obj, key)) for key in ("a0", "a1", "a2"))
+    heyting = _heyting_claim(obj)
+    f1 = AlgebraMorphism(a0, a1, _index_list(obj, "f1"), preserves_heyting=heyting)
+    f2 = AlgebraMorphism(a0, a2, _index_list(obj, "f2"), preserves_heyting=heyting)
+    return a0, a1, a2, f1, f2, heyting
 
 
 def completed_to_json(comp: CompletedAlgebra) -> dict:
@@ -146,3 +160,28 @@ def dumps(obj: dict) -> str:
 def _expect_kind(obj, kind: str) -> None:
     if not isinstance(obj, dict) or obj.get("kind") != kind:
         raise ShapeError(f"expected a {kind} object")
+
+
+def _require(obj: dict, key: str):
+    if key not in obj:
+        raise ShapeError(f"{obj['kind']} object lacks {key!r}")
+    return obj[key]
+
+
+def _is_index(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not indices
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _index_list(obj: dict, key: str) -> tuple:
+    values = _require(obj, key)
+    if not isinstance(values, list) or not all(_is_index(v) for v in values):
+        raise ShapeError(f"{key!r} must be a list of non-negative integers")
+    return tuple(values)
+
+
+def _heyting_claim(obj: dict) -> bool:
+    claim = obj.get("heyting", False)
+    if not isinstance(claim, bool):
+        raise ShapeError("'heyting' must be true or false")
+    return claim

@@ -206,3 +206,31 @@ def test_validate_from_stdin(capsys, monkeypatch, x1):
     monkeypatch.setattr("sys.stdin", io.StringIO(dumps(algebra_to_json(x1))))
     code, obj = run_json(capsys, "validate", "-")
     assert code == 0 and obj["ok"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("a0", None),            # None drops the key
+    ("f1", None),
+    ("f2", [0, 1, "2"]),
+    ("f2", [0, 1, 2.7]),
+    ("heyting", "no"),
+], ids=["no-a0", "no-f1", "f2-string", "f2-float", "heyting-string"])
+def test_amalgamate_malformed_span_is_exit_two(tmp_path, capsys, h3, key, value):
+    # the identity span on the three-chain: coercing the bad value would pass
+    span = {"kind": "span", "a0": algebra_to_json(h3), "a1": algebra_to_json(h3),
+            "a2": algebra_to_json(h3), "f1": [0, 1, 2], "f2": [0, 1, 2], "heyting": False}
+    if value is None:
+        del span[key]
+    else:
+        span[key] = value
+    code, out = run_json(capsys, "amalgamate", write(tmp_path, "span.json", span))
+    assert code == 2 and out["error"]["error"] == "shape"
+
+
+def test_upset_algebra_frame_without_size_is_exit_two(tmp_path, capsys, x1):
+    from nablalg.kripke import prime_frame
+
+    frame = frame_to_json(prime_frame(x1))
+    del frame["n"]
+    code, out = run_json(capsys, "upset-algebra", write(tmp_path, "frame.json", frame))
+    assert code == 2 and out["error"]["error"] == "shape"

@@ -17,6 +17,7 @@ from nablalg.errors import (
     NotKripkeMorphism,
     NotSurjective,
 )
+import nablalg.kripke as kripke
 from nablalg.gallery import gen_heyting, gen_trivial
 from nablalg.kripke import (
     FrameMorphism,
@@ -33,6 +34,7 @@ from nablalg.kripke import (
     prime_inverse_morphism,
     upset_algebra,
 )
+from nablalg.lattice import all_upsets, prime_filters
 
 from conftest import boolean_square, chain, chain_matrix
 
@@ -55,6 +57,46 @@ def frames_isomorphic(a, b):
         if (a.leq == b.leq[np.ix_(p, p)]).all() and (a.r == b.r[np.ix_(p, p)]).all():
             return True
     return False
+
+
+def random_frame(rng, n):
+    """A random poset on n worlds with a compatible R = leq ; S ; leq."""
+    leq = np.eye(n, dtype=bool) | np.triu(rng.random((n, n)) < 0.4, 1)
+    for _ in range(n):
+        leq = leq | ((leq.astype(int) @ leq.astype(int)) > 0)
+    perm = rng.permutation(n)
+    leq = leq[np.ix_(perm, perm)]
+    seed = rng.random((n, n)) < rng.random()
+    rel = (leq.astype(int) @ seed.astype(int) @ leq.astype(int)) > 0
+    return build_frame(leq, rel)
+
+
+def oracle_upset_algebra_tables(frame):
+    """Order, nabla and arrow of the upset algebra by direct set evaluation."""
+    ups = all_upsets(frame.leq)
+    index = {u: i for i, u in enumerate(ups)}
+    worlds = range(frame.n)
+    leq = [[u <= v for v in ups] for u in ups]
+    nabla = [index[frozenset(x for x in worlds if any(frame.r[y, x] for y in u))]
+             for u in ups]
+    arrow = [[index[frozenset(x for x in worlds
+                              if all(not frame.r[x, y] or y not in u or y in v
+                                     for y in worlds))]
+              for v in ups] for u in ups]
+    return leq, nabla, arrow
+
+
+def oracle_prime_relations(alg):
+    """Per pair of prime filters: inclusion, nabla-image containment, and the
+    definitional form (arrow(a, b) in P and a in Q force b in Q)."""
+    primes = prime_filters(alg.lat)
+    elems = range(alg.n)
+    leq = [[p <= q for q in primes] for p in primes]
+    image = [[all(int(alg.nabla[x]) in q for x in p) for q in primes] for p in primes]
+    definitional = [[all(b in q for a in elems for b in elems
+                         if int(alg.arrow[a, b]) in p and a in q)
+                     for q in primes] for p in primes]
+    return leq, image, definitional
 
 
 # --- construction ------------------------------------------------------------
@@ -184,6 +226,18 @@ def test_upset_algebra_flag_transport():
             assert getattr(aprof, flag)
 
 
+def test_upset_algebra_matches_set_oracle():
+    rng = np.random.default_rng(20240517)
+    frames = [random_frame(rng, n) for n in (0, 1, 1) + tuple(rng.integers(2, 6, 60))]
+    assert any(k.pi is None for k in frames) and any(k.pi is not None for k in frames)
+    for k in frames:
+        alg = upset_algebra(k)
+        leq, nabla, arrow = oracle_upset_algebra_tables(k)
+        assert alg.lat.leq.tolist() == leq
+        assert alg.nabla.tolist() == nabla
+        assert alg.arrow.tolist() == arrow
+
+
 def test_inverse_image_of_collapse_embeds_booleans(b2, h3):
     f = FrameMorphism(two_chain_frame(), one_point_frame(), (0, 0), heyting=True)
     m = inverse_image_morphism(f)
@@ -247,6 +301,17 @@ def test_prime_frame_flag_transport(full_catalog):
         for flag in ("N", "R", "L", "Fa", "Fu"):
             if getattr(profile, flag):
                 assert getattr(fprof, flag)
+
+
+def test_prime_frame_matches_set_oracle(full_catalog):
+    rng = np.random.default_rng(7)
+    algebras = [alg for alg in full_catalog if classify(alg).D]
+    algebras += [upset_algebra(random_frame(rng, n)) for n in rng.integers(2, 6, 20)]
+    for alg in algebras:
+        k = prime_frame(alg)
+        leq, image, definitional = oracle_prime_relations(alg)
+        assert image == definitional
+        assert k.leq.tolist() == leq and k.r.tolist() == image
 
 
 def test_prime_inverse_of_bound_embedding(b2, h3):
@@ -380,3 +445,34 @@ def test_amalgamate_algebras_bound_span_gives_grid_upsets(b2, h3):
 def test_amalgamate_algebras_x1_identity_span(x1):
     res = amalgamate_algebras(x1, x1, x1, identity_morphism(x1), identity_morphism(x1))
     assert algebra_iso(res.b, x1) is not None
+
+
+# --- built once ----------------------------------------------------------------
+
+
+def test_functors_cache_on_their_input():
+    alg = gen_heyting(chain(4))
+    assert prime_frame(alg) is prime_frame(alg)
+    k = prime_frame(alg)
+    assert upset_algebra(k) is upset_algebra(k)
+
+
+def test_amalgamation_builds_each_frame_and_upset_algebra_once(monkeypatch):
+    built = {"frames": 0, "upsets": 0}
+
+    def spy(key, builder):
+        def counted(arg):
+            built[key] += 1
+            return builder(arg)
+        return counted
+
+    monkeypatch.setattr(kripke, "_build_prime_frame",
+                        spy("frames", kripke._build_prime_frame))
+    monkeypatch.setattr(kripke, "_build_upset_algebra",
+                        spy("upsets", kripke._build_upset_algebra))
+    a0, a1, a2 = gen_heyting(chain(2)), gen_heyting(chain(5)), gen_heyting(chain(5))
+    f1 = AlgebraMorphism(a0, a1, (0, 4), preserves_heyting=True)
+    f2 = AlgebraMorphism(a0, a2, (0, 4), preserves_heyting=True)
+    res = amalgamate_algebras(a0, a1, a2, f1, f2, heyting=True)
+    assert res.b.n == 70
+    assert built == {"frames": 3, "upsets": 3}

@@ -23,7 +23,14 @@ from .errors import (
     ShapeError,
     ensure,
 )
-from .lattice import FiniteLattice, heyting_table, is_distributive
+from .lattice import (
+    FiniteLattice,
+    _greatest,
+    _order_iso,
+    _signatures,
+    heyting_table,
+    is_distributive,
+)
 
 
 @dataclass(frozen=True)
@@ -145,13 +152,10 @@ def derive_arrow(lat: FiniteLattice, nabla):
     nab = np.asarray(nabla, dtype=np.int64)
     if nab.shape != (lat.n,) or nab.min() < 0 or nab.max() >= lat.n:
         raise ShapeError("nabla table has wrong shape or entries out of range")
-    cand = lat.leq[lat.meet[nab]]            # cand[c, a, b]: nabla(c) & a <= b
-    counts = cand.sum(axis=0)
-    cov = np.tensordot(lat.leq.astype(np.int64), cand.astype(np.int64), axes=([0], [0]))
-    is_max = cand & (cov == counts[None, :, :])
-    if not is_max.any(axis=0).all():
+    # cand[c, a, b]: nabla(c) & a <= b
+    arrow, found = _greatest(lat.leq, lat.leq[lat.meet[nab]])
+    if not found.all():
         return None
-    arrow = is_max.argmax(axis=0).astype(np.int64)
     left, right = _adjunction_sides(lat, nab, arrow)
     if (left != right).any():
         return None
@@ -443,12 +447,8 @@ def nabla_from_strong(cand: StrongAlgebraCandidate) -> AdjointSearch:
         return AdjointSearch(False, witness=_first_false(ok),
                              reason="arrow differs from boxed Heyting implication")
     # box preserves meets, so {b : a <= box(b)} has a minimum: the adjoint value
-    nabla = np.zeros(lat.n, dtype=np.int64)
-    for a in range(lat.n):
-        s = np.flatnonzero(lat.leq[a, box])
-        mins = [m for m in s if lat.leq[m, s].all()]
-        ensure(len(mins) == 1, "meet-preserving box must admit a pointwise adjoint")
-        nabla[a] = mins[0]
+    nabla, found = _greatest(lat.leq.T, lat.leq[:, box].T)
+    ensure(found.all(), "meet-preserving box must admit a pointwise adjoint")
     alg = build_algebra(lat, nabla, arr)
     return AdjointSearch(True, nabla=alg.nabla)
 
@@ -535,48 +535,16 @@ def tables_equal(a: NablaAlgebra, b: NablaAlgebra) -> bool:
 
 
 def algebra_iso(a: NablaAlgebra, b: NablaAlgebra):
-    """An isomorphism map tuple or None; brute force over signature-pruned bijections."""
-    if a.n != b.n:
-        return None
-    siga = [(int(a.lat.leq[:, i].sum()), int(a.lat.leq[i].sum()), int(a.nabla[i] == i))
-            for i in range(a.n)]
-    sigb = [(int(b.lat.leq[:, i].sum()), int(b.lat.leq[i].sum()), int(b.nabla[i] == i))
-            for i in range(b.n)]
-    if sorted(siga) != sorted(sigb):
-        return None
-    cands = [[j for j in range(b.n) if sigb[j] == siga[i]] for i in range(a.n)]
-    assign = [-1] * a.n
-    used = [False] * b.n
+    """An isomorphism map tuple or None.
 
-    def consistent(i, j):
-        for k in range(a.n):
-            if assign[k] < 0:
-                continue
-            if a.lat.leq[i, k] != b.lat.leq[j, assign[k]]:
-                return False
-            if a.lat.leq[k, i] != b.lat.leq[assign[k], j]:
-                return False
-        return True
+    The lattice backtracker, with nabla's fixpoints added to the signatures
+    and nabla and arrow checked on every complete map.
+    """
+    def sigs(alg):
+        return [s + (int(alg.nabla[i] == i),) for i, s in enumerate(_signatures(alg.lat.leq))]
 
-    def back(i):
-        if i == a.n:
-            f = np.array(assign)
-            if (f[a.nabla] != b.nabla[f]).any():
-                return False
-            if (f[a.arrow] != b.arrow[f[:, None], f[None, :]]).any():
-                return False
-            return True
-        for j in cands[i]:
-            if used[j] or not consistent(i, j):
-                continue
-            assign[i] = j
-            used[j] = True
-            if back(i + 1):
-                return True
-            used[j] = False
-            assign[i] = -1
-        return False
+    def accept(f):
+        return bool((f[a.nabla] == b.nabla[f]).all()
+                    and (f[a.arrow] == b.arrow[f[:, None], f[None, :]]).all())
 
-    if back(0):
-        return tuple(assign)
-    return None
+    return _order_iso(a.lat.leq, b.lat.leq, sigs(a), sigs(b), accept)

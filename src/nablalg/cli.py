@@ -1,6 +1,7 @@
 """Command-line front end: thin dispatch, JSON on stdout, summaries on stderr.
 
-Exit codes: 0 valid/true, 1 invalid/false (with a report), 2 input error.
+Exit codes: 0 valid/true, 1 invalid/false (with a report), 2 input error,
+3 internal error (a failed cross-check, which means a library bug).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .congruence import (
     is_simple,
     is_subdirectly_irreducible,
 )
-from .errors import NablalgError, OutOfRange, ShapeError
+from .errors import CrossCheckError, NablalgError, OutOfRange, ShapeError
 from .kripke import FrameMorphism, amalgamate_algebras, check_frame_morphism
 
 
@@ -55,7 +56,7 @@ KNOWN_KINDS = ("lattice", "nabla-algebra", "kripke-frame", "strong-candidate", "
 
 def cmd_validate(args) -> int:
     obj = _read_json(args.file)
-    kind = obj.get("kind")
+    kind = serialize.kind_of(obj)
     if kind not in KNOWN_KINDS:
         raise ShapeError(f"unknown kind {kind!r}")
     try:
@@ -266,6 +267,9 @@ def main(argv=None) -> int:
         # a well-formed input rejected by the operation's preconditions
         _emit({"ok": False, "error": err.to_json()})
         return 1
+    except CrossCheckError as err:
+        _emit({"ok": False, "error": {"error": "internal", "message": str(err)}})
+        return 3
 
 
 def entry() -> None:

@@ -7,9 +7,19 @@ meet, nabla and box) correspond one-to-one with the congruences via
     beta(theta) = {x : (x, top) in theta}
 
 and the simplicity / subdirect-irreducibility verdicts reduce to
-membership tests in generated modal filters.  A congruence oracle that
-never mentions filters (principal congruences closed under partition
-joins) keeps the two routes independently checkable.
+membership tests in generated modal filters.
+
+Every filter of a finite lattice is principal, and [a) is closed under
+nabla iff a <= nabla(a) and under box iff nabla(a) <= a.  So the modal
+filters are the [f) with nabla(f) = f, and the one table g[x], the
+greatest fixpoint of nabla below x, gives them all: the closure of a seed
+is [g[meet of the seed]), the algebra is simple iff g[x] = bot for every
+x != top, and subdirectly irreducible iff the join of those g[x] is not
+top.  g comes from the lattice module's greatest-element kernel, and every
+principal filter is re-checked against the full modal-filter predicate.  A
+congruence oracle that never mentions filters (principal congruences
+closed under partition joins) keeps the two routes independently
+checkable.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from .errors import (
     Trivial,
     ensure,
 )
+from .lattice import _greatest
 
 ORACLE_BOUND = 10
 
@@ -87,40 +98,41 @@ def _require_distributive(alg: NablaAlgebra) -> None:
 
 
 def is_modal_filter(alg: NablaAlgebra, members) -> bool:
-    s = frozenset(members)
+    """Contains top, upward closed, closed under meet, nabla and box."""
     lat = alg.lat
-    if lat.top not in s:
-        return False
-    for x in s:
-        if not lat.upset_of(x) <= s:
-            return False
-        if int(alg.nabla[x]) not in s or int(alg.box[x]) not in s:
-            return False
-        for y in s:
-            if int(lat.meet[x, y]) not in s:
-                return False
-    return True
+    inside = np.zeros(alg.n, dtype=bool)
+    inside[list(members)] = True
+    idx = np.flatnonzero(inside)
+    return bool(inside[lat.top]
+                and (lat.leq[idx] <= inside).all()
+                and inside[alg.nabla[idx]].all() and inside[alg.box[idx]].all()
+                and inside[lat.meet[idx[:, None], idx]].all())
+
+
+def _greatest_fixpoints(alg: NablaAlgebra) -> np.ndarray:
+    """g[x]: the greatest fixpoint of nabla below x.
+
+    nabla fixes bottom and preserves joins, so the fixpoints below x have
+    a join and it is again a fixpoint.  Every filter of a finite lattice is
+    principal, and [a) is closed under nabla iff a <= nabla(a) and under box
+    iff nabla(a) <= a; that equivalence is re-checked on every element.
+    """
+    lat = alg.lat
+    fixed = alg.nabla == np.arange(alg.n)
+    for a in range(alg.n):
+        ensure(is_modal_filter(alg, np.flatnonzero(lat.leq[a])) == fixed[a],
+               "principal modal filters must be the filters of nabla's fixpoints")
+    g, found = _greatest(lat.leq, fixed[:, None] & lat.leq)
+    ensure(found.all(), "the fixpoints of nabla below an element must have a greatest one")
+    return g
 
 
 def modal_filter_closure(alg: NablaAlgebra, seed) -> ModalFilter:
-    """Least modal filter containing ``seed``, by fixpoint iteration."""
+    """Least modal filter containing ``seed``: [g), for g the greatest
+    fixpoint of nabla below the meet of the seed."""
     _require_normal(alg)
     lat = alg.lat
-    mask = np.zeros(alg.n, dtype=bool)
-    for x in seed:
-        mask[int(x)] = True
-    mask[lat.top] = True
-    while True:
-        new = mask | lat.leq[mask].any(axis=0)
-        idx = np.flatnonzero(new)
-        new[lat.meet[np.ix_(idx, idx)].ravel()] = True
-        idx = np.flatnonzero(new)
-        new[alg.nabla[idx]] = True
-        new[alg.box[idx]] = True
-        if (new == mask).all():
-            break
-        mask = new
-    f = ModalFilter(alg, frozenset(int(x) for x in np.flatnonzero(mask)))
+    f = ModalFilter(alg, lat.upset_of(_greatest_fixpoints(alg)[lat.meet_all(seed)]))
     ensure(is_modal_filter(alg, f.members), "closure must produce a modal filter")
     return f
 
@@ -128,17 +140,12 @@ def modal_filter_closure(alg: NablaAlgebra, seed) -> ModalFilter:
 def all_modal_filters(alg: NablaAlgebra) -> list:
     """Every modal filter, ordered by (size, members).
 
-    A filter of a finite lattice contains the meet of its members, hence is
-    principal; so scanning principal filters and keeping those closed under
-    nabla and box is exhaustive.  Each candidate is re-checked against the
-    full predicate rather than a shortcut criterion.
+    These are the principal filters of nabla's fixpoints; the equivalence is
+    re-checked against the full predicate on every principal filter.
     """
     _require_normal(alg)
-    out = []
-    for a in range(alg.n):
-        members = alg.lat.upset_of(a)
-        if is_modal_filter(alg, members):
-            out.append(ModalFilter(alg, members))
+    g = _greatest_fixpoints(alg)
+    out = [ModalFilter(alg, alg.lat.upset_of(a)) for a in range(alg.n) if g[a] == a]
     out.sort(key=lambda f: (len(f.members), tuple(sorted(f.members))))
     return out
 
@@ -176,23 +183,38 @@ def congruence_from_filter(alg: NablaAlgebra, f: ModalFilter) -> Congruence:
     return theta
 
 
+class _UnionFind:
+    """Disjoint classes of 0..n-1, each rooted at its least element."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, v: int) -> int:
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the classes of a and b; True when they were apart."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+    def blocks(self) -> tuple:
+        return canonical_blocks(self.find(v) for v in range(len(self.parent)))
+
+
 def _blocks_from_relation(rel: np.ndarray) -> tuple:
-    n = rel.shape[0]
     ensure(bool(rel.diagonal().all()) and (rel == rel.T).all(),
            "filter biimplication relation must be reflexive and symmetric")
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    classes = _UnionFind(rel.shape[0])
     for x, y in np.argwhere(rel):
-        rx, ry = find(int(x)), find(int(y))
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    return canonical_blocks(find(x) for x in range(n))
+        classes.union(int(x), int(y))
+    return classes.blocks()
 
 
 def filter_from_congruence(alg: NablaAlgebra, theta: Congruence) -> ModalFilter:
@@ -209,21 +231,8 @@ def filter_from_congruence(alg: NablaAlgebra, theta: Congruence) -> ModalFilter:
 def principal_congruence(alg: NablaAlgebra, x: int, y: int) -> Congruence:
     """Least congruence identifying x and y, by operation-respecting closure."""
     n = alg.n
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            return True
-        return False
-
+    classes = _UnionFind(n)
+    union = classes.union
     union(x, y)
     tables = (alg.lat.meet, alg.lat.join, alg.arrow)
     changed = True
@@ -231,7 +240,7 @@ def principal_congruence(alg: NablaAlgebra, x: int, y: int) -> Congruence:
         changed = False
         groups = {}
         for v in range(n):
-            groups.setdefault(find(v), []).append(v)
+            groups.setdefault(classes.find(v), []).append(v)
         for group in groups.values():
             u = group[0]
             for v in group[1:]:
@@ -243,30 +252,16 @@ def principal_congruence(alg: NablaAlgebra, x: int, y: int) -> Congruence:
                             changed = True
                         if union(int(t[z, u]), int(t[z, v])):
                             changed = True
-    return Congruence(alg, canonical_blocks(find(v) for v in range(n)))
+    return Congruence(alg, classes.blocks())
 
 
 def join_congruences(alg: NablaAlgebra, a: Congruence, b: Congruence) -> Congruence:
-    n = alg.n
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    classes = _UnionFind(alg.n)
     for blocks in (a.blocks, b.blocks):
         firsts = {}
-        for v in range(n):
-            key = blocks[v]
-            if key in firsts:
-                ra, rb = find(firsts[key]), find(v)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-            else:
-                firsts[key] = v
-    out = Congruence(alg, canonical_blocks(find(v) for v in range(n)))
+        for v in range(alg.n):
+            classes.union(firsts.setdefault(blocks[v], v), v)
+    out = Congruence(alg, classes.blocks())
     ensure(is_congruence(alg, out.blocks), "join of congruences must stay a congruence")
     return out
 
@@ -326,19 +321,20 @@ def _orbit(table: np.ndarray, x: int) -> list:
 def is_subdirectly_irreducible(alg: NablaAlgebra) -> Verdict:
     """True when some x != top lies in every modal filter generated by a y != top.
 
-    On left (resp. right) algebras the verdict is cross-checked against the
+    Those filters are [g(y)), for g(y) the greatest fixpoint of nabla below
+    y, so their common part is [j) for j the join of all g(y).  On left
+    (resp. right) algebras the verdict is cross-checked against the
     nabla-power (resp. box-power) criterion.
     """
     _require_normal(alg)
     _require_distributive(alg)
     if alg.n == 1:
         raise Trivial("verdict undefined on the one-element algebra")
-    top = alg.lat.top
+    lat = alg.lat
+    top = lat.top
     others = [y for y in range(alg.n) if y != top]
-    common = None
-    for y in others:
-        members = modal_filter_closure(alg, {y}).members
-        common = members if common is None else (common & members)
+    g = _greatest_fixpoints(alg)
+    common = lat.upset_of(lat.join_all(g[others]))
     candidates = sorted(common - {top})
     flag = bool(candidates)
     # canonical witness: a maximal candidate (the second-largest element in
@@ -346,14 +342,14 @@ def is_subdirectly_irreducible(alg: NablaAlgebra) -> Verdict:
     witness = None
     if flag:
         witness = next(x for x in candidates
-                       if not any(alg.lat.leq[x, y] and x != y for y in candidates))
+                       if not any(lat.leq[x, y] and x != y for y in candidates))
 
     profile = classify(alg)
     for flagged, table in ((profile.L, alg.nabla), (profile.R, alg.box)):
         if not flagged:
             continue
         power = any(
-            all(any(alg.lat.leq[v, x] for v in _orbit(table, y)) for y in others)
+            all(any(lat.leq[v, x] for v in _orbit(table, y)) for y in others)
             for x in others
         )
         ensure(power == flag, "power criterion disagrees with closure-membership verdict")
@@ -361,7 +357,8 @@ def is_subdirectly_irreducible(alg: NablaAlgebra) -> Verdict:
 
 
 def is_simple(alg: NablaAlgebra) -> Verdict:
-    """True when every singleton-generated modal filter reaches bottom.
+    """True when every singleton-generated modal filter reaches bottom, that
+    is, when bottom is the only fixpoint of nabla below any x != top.
 
     Cross-checked against the congruence count (exactly two on non-trivial
     simple algebras) whenever the oracle bound allows, and against the
@@ -371,8 +368,8 @@ def is_simple(alg: NablaAlgebra) -> Verdict:
     _require_distributive(alg)
     top, bot = alg.lat.top, alg.lat.bot
     others = [x for x in range(alg.n) if x != top]
-    failing = [x for x in others
-               if bot not in modal_filter_closure(alg, {x}).members]
+    g = _greatest_fixpoints(alg)
+    failing = [x for x in others if g[x] != bot]
     flag = not failing
     witness = None if flag else failing[0]
 

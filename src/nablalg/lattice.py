@@ -62,23 +62,33 @@ def validate_partial_order(leq) -> np.ndarray:
     return arr
 
 
+def _greatest(order: np.ndarray, cand: np.ndarray):
+    """Greatest candidate at every position, and where one exists.
+
+    ``order[x, y]`` says x lies below y; ``cand[c, ...]`` says c is a
+    candidate at a position.  A greatest candidate has a strictly larger
+    principal downset than every other candidate, so only the candidate with
+    the largest downset needs testing: ``found`` marks the positions that
+    have a candidate and where every candidate lies below it.  Pass
+    ``leq.T`` as the order to find least elements.
+    """
+    rank = np.argsort(-order.sum(axis=0), kind="stable")
+    table = rank[cand[rank].argmax(axis=0)]
+    found = cand.any(axis=0) & (cand <= order[:, table]).all(axis=0)
+    return table, found
+
+
 def _bound_table(leq: np.ndarray, lower: bool) -> np.ndarray:
     """All-pairs greatest lower bounds (``lower=True``) or least upper bounds."""
-    n = leq.shape[0]
     rel = leq if lower else leq.T
     # bnd[x, a, b]: x is a common (lower/upper) bound of a and b
-    bnd = rel[:, :, None] & rel[:, None, :]
-    counts = bnd.sum(axis=0)
-    # cov[m, a, b] = number of bounds of (a, b) that lie (below/above) m
-    cov = np.tensordot(rel.astype(np.int64), bnd.astype(np.int64), axes=([0], [0]))
-    is_extremum = bnd & (cov == counts[None, :, :])
-    found = is_extremum.any(axis=0)
+    table, found = _greatest(rel, rel[:, :, None] & rel[:, None, :])
     if not found.all():
         a, b = (int(v) for v in np.argwhere(~found)[0])
         if lower:
             raise NoMeet(f"elements {a} and {b} have no meet", witness=(a, b))
         raise NoJoin(f"elements {a} and {b} have no join", witness=(a, b))
-    return is_extremum.argmax(axis=0).astype(np.int64)
+    return table
 
 
 class FiniteLattice:
@@ -191,15 +201,10 @@ def heyting_table(lat: FiniteLattice):
     equivalence is re-checked on every call path.
     """
     if not lat._heyting_known:
-        n = lat.n
         # cand[c, a, b]: c & a <= b
-        cand = lat.leq[lat.meet][:, :, :]
-        counts = cand.sum(axis=0)
-        cov = np.tensordot(lat.leq.astype(np.int64), cand.astype(np.int64), axes=([0], [0]))
-        is_max = cand & (cov == counts[None, :, :])
-        found = is_max.any(axis=0)
+        cand = lat.leq[lat.meet]
+        table, found = _greatest(lat.leq, cand)
         if found.all():
-            table = is_max.argmax(axis=0).astype(np.int64)
             # residuation: c <= (a -> b) iff c & a <= b
             ensure((lat.leq[:, table] == cand).all(), "pseudocomplement not residuated")
             lat._heyting = _freeze(table)
@@ -441,33 +446,36 @@ def all_lattices(max_n: int) -> list[FiniteLattice]:
     return reps
 
 
-def lattice_iso(a: FiniteLattice, b: FiniteLattice):
-    """An order isomorphism a -> b as an index tuple, or None.
+def _signatures(leq: np.ndarray) -> list:
+    return [(int(leq[:, i].sum()), int(leq[i, :].sum())) for i in range(leq.shape[0])]
 
-    Backtracking over bijections, pruned by (downset size, upset size)
-    signatures; fine for the n <= 20 instances this library targets.
+
+def _order_iso(leq_a: np.ndarray, leq_b: np.ndarray, sig_a: list, sig_b: list, accept=None):
+    """An order isomorphism as an index tuple, or None.
+
+    Backtracking over bijections that keep the per-element signatures
+    ``sig_a[i] == sig_b[f(i)]``, placing the elements with the fewest
+    candidates first; ``accept(f)``, when given, must also hold of the
+    complete map.  Fine for the n <= 20 instances this library targets.
     """
-    if a.n != b.n:
+    n = leq_a.shape[0]
+    if n != leq_b.shape[0] or sorted(sig_a) != sorted(sig_b):
         return None
-    siga = [(int(a.leq[:, i].sum()), int(a.leq[i, :].sum())) for i in range(a.n)]
-    sigb = [(int(b.leq[:, i].sum()), int(b.leq[i, :].sum())) for i in range(b.n)]
-    if sorted(siga) != sorted(sigb):
-        return None
-    cands = [[j for j in range(b.n) if sigb[j] == siga[i]] for i in range(a.n)]
-    order = sorted(range(a.n), key=lambda i: len(cands[i]))
-    assign = [-1] * a.n
-    used = [False] * b.n
+    cands = [[j for j in range(n) if sig_b[j] == sig_a[i]] for i in range(n)]
+    order = sorted(range(n), key=lambda i: len(cands[i]))
+    assign = [-1] * n
+    used = [False] * n
 
     def back(pos: int):
-        if pos == a.n:
-            return True
+        if pos == n:
+            return accept is None or accept(np.array(assign))
         i = order[pos]
         for j in cands[i]:
             if used[j]:
                 continue
             ok = True
             for k in order[:pos]:
-                if a.leq[i, k] != b.leq[j, assign[k]] or a.leq[k, i] != b.leq[assign[k], j]:
+                if leq_a[i, k] != leq_b[j, assign[k]] or leq_a[k, i] != leq_b[assign[k], j]:
                     ok = False
                     break
             if ok:
@@ -482,3 +490,11 @@ def lattice_iso(a: FiniteLattice, b: FiniteLattice):
     if back(0):
         return tuple(assign)
     return None
+
+
+def lattice_iso(a: FiniteLattice, b: FiniteLattice):
+    """An order isomorphism a -> b as an index tuple, or None.
+
+    Signatures are (downset size, upset size).
+    """
+    return _order_iso(a.leq, b.leq, _signatures(a.leq), _signatures(b.leq))

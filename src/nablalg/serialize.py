@@ -29,7 +29,7 @@ def lattice_to_json(lat: FiniteLattice) -> dict:
 
 def lattice_from_json(obj: dict) -> FiniteLattice:
     _expect_kind(obj, "lattice")
-    return build_lattice(np.array(obj["leq"], dtype=bool))
+    return build_lattice(_bool_table(obj, "leq", _size(obj)))
 
 
 def algebra_to_json(alg: NablaAlgebra) -> dict:
@@ -43,9 +43,9 @@ def algebra_to_json(alg: NablaAlgebra) -> dict:
 
 def algebra_from_json(obj: dict) -> NablaAlgebra:
     _expect_kind(obj, "nabla-algebra")
-    lat = lattice_from_json(obj["lattice"])
-    return build_algebra(lat, np.array(obj["nabla"], dtype=np.int64),
-                         np.array(obj["arrow"], dtype=np.int64))
+    lat = lattice_from_json(_require(obj, "lattice"))
+    return build_algebra(lat, _index_table(obj, "nabla", lat.n, 1),
+                         _index_table(obj, "arrow", lat.n, 2))
 
 
 def strong_candidate_to_json(cand: StrongAlgebraCandidate) -> dict:
@@ -58,11 +58,8 @@ def strong_candidate_to_json(cand: StrongAlgebraCandidate) -> dict:
 
 def strong_candidate_from_json(obj: dict) -> StrongAlgebraCandidate:
     _expect_kind(obj, "strong-candidate")
-    lat = lattice_from_json(obj["lattice"])
-    arrow = np.array(obj["arrow"], dtype=np.int64)
-    if arrow.shape != (lat.n, lat.n):
-        raise ShapeError("arrow table has the wrong shape")
-    return StrongAlgebraCandidate(lat=lat, arrow=arrow)
+    lat = lattice_from_json(_require(obj, "lattice"))
+    return StrongAlgebraCandidate(lat=lat, arrow=_index_table(obj, "arrow", lat.n, 2))
 
 
 def frame_to_json(frame: KripkeFrame) -> dict:
@@ -76,11 +73,8 @@ def frame_to_json(frame: KripkeFrame) -> dict:
 
 def frame_from_json(obj: dict) -> KripkeFrame:
     _expect_kind(obj, "kripke-frame")
-    n = _require(obj, "n")
-    if not _is_index(n):
-        raise ShapeError("frame size n must be a non-negative integer")
-    return build_frame(np.array(_require(obj, "leq"), dtype=bool).reshape(n, n),
-                       np.array(_require(obj, "r"), dtype=bool).reshape(n, n))
+    n = _size(obj)
+    return build_frame(_bool_table(obj, "leq", n), _bool_table(obj, "r", n))
 
 
 def morphism_to_json(m) -> dict:
@@ -109,7 +103,7 @@ def morphism_from_json(obj: dict, loader=None):
     tgt = resolve(_require(obj, "target"))
     heyting = _heyting_claim(obj)
     mapping = _index_list(obj, "map")
-    kinds = (src.get("kind"), tgt.get("kind"))
+    kinds = (kind_of(src), kind_of(tgt))
     if kinds == ("nabla-algebra", "nabla-algebra"):
         return AlgebraMorphism(source=algebra_from_json(src),
                                target=algebra_from_json(tgt),
@@ -139,7 +133,7 @@ def completed_to_json(comp: CompletedAlgebra) -> dict:
 
 
 def value_from_json(obj: dict, loader=None):
-    kind = obj.get("kind")
+    kind = kind_of(obj)
     if kind == "lattice":
         return lattice_from_json(obj)
     if kind == "nabla-algebra":
@@ -157,6 +151,13 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def kind_of(obj):
+    """The "kind" of a decoded JSON document, which must be an object."""
+    if not isinstance(obj, dict):
+        raise ShapeError("expected a JSON object")
+    return obj.get("kind")
+
+
 def _expect_kind(obj, kind: str) -> None:
     if not isinstance(obj, dict) or obj.get("kind") != kind:
         raise ShapeError(f"expected a {kind} object")
@@ -171,6 +172,43 @@ def _require(obj: dict, key: str):
 def _is_index(value) -> bool:
     # JSON true/false load as bool, a subclass of int; they are not indices
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _size(obj: dict) -> int:
+    n = _require(obj, "n")
+    if not _is_index(n):
+        raise ShapeError(f"{obj['kind']} size n must be a non-negative integer")
+    return n
+
+
+def _entries(obj: dict, key: str, shape: tuple):
+    """The entries of ``obj[key]`` in row order, or None unless it is nested
+    lists of exactly ``shape``."""
+    flat = [_require(obj, key)]
+    for d in shape:
+        if not all(isinstance(v, list) and len(v) == d for v in flat):
+            return None
+        flat = [x for v in flat for x in v]
+    return flat
+
+
+def _bool_table(obj: dict, key: str, n: int) -> np.ndarray:
+    flat = _entries(obj, key, (n, n))
+    if flat is None or not set(map(type, flat)) <= {bool}:
+        raise ShapeError(f"{key!r} must be nested lists of shape {(n, n)} "
+                         "with true/false entries")
+    return np.array(flat, dtype=bool).reshape(n, n)
+
+
+def _index_table(obj: dict, key: str, n: int, ndim: int) -> np.ndarray:
+    shape = (n,) * ndim
+    flat = _entries(obj, key, shape)
+    # exact types: JSON true/false load as bool, a subclass of int
+    if (flat is None or not set(map(type, flat)) <= {int}
+            or (flat and not 0 <= min(flat) <= max(flat) < n)):
+        raise ShapeError(f"{key!r} must be nested lists of shape {shape} "
+                         f"with integer entries in 0..{n - 1}")
+    return np.array(flat, dtype=np.int64).reshape(shape)
 
 
 def _index_list(obj: dict, key: str) -> tuple:

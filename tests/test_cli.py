@@ -234,3 +234,64 @@ def test_upset_algebra_frame_without_size_is_exit_two(tmp_path, capsys, x1):
     del frame["n"]
     code, out = run_json(capsys, "upset-algebra", write(tmp_path, "frame.json", frame))
     assert code == 2 and out["error"]["error"] == "shape"
+
+
+DROP = object()
+
+
+def edited(doc, path, value=DROP):
+    """A deep copy of doc with the entry at path replaced, or dropped."""
+    doc = json.loads(json.dumps(doc))
+    *outer, key = path
+    target = doc
+    for k in outer:
+        target = target[k]
+    if value is DROP:
+        del target[key]
+    else:
+        target[key] = value
+    return doc
+
+
+# each document is the three-chain Heyting algebra with one defect; where the
+# defect can be coerced away (ints as bools, floats truncated, bools as
+# indices, a stray n) the coerced document is valid
+@pytest.mark.parametrize("command, make", [
+    ("classify", lambda alg: edited(alg, ["nabla"])),
+    ("classify", lambda alg: edited(alg, ["arrow"])),
+    ("classify", lambda alg: edited(alg, ["lattice"])),
+    ("classify", lambda alg: edited(alg, ["lattice", "leq"])),
+    ("classify", lambda alg: edited(alg, ["lattice", "n"])),
+    ("classify", lambda alg: edited(alg, ["lattice", "leq"], [[7, 3, 3], [0, 7, 3], [0, 0, 7]])),
+    ("classify", lambda alg: edited(alg, ["nabla"], [0.5, 1.2, 2.0])),
+    ("classify", lambda alg: edited(alg, ["nabla"], [False, True, 2])),
+    ("classify", lambda alg: edited(alg, ["arrow", 1, 1], True)),
+    ("classify", lambda alg: edited(alg, ["lattice", "n"], 4)),
+    ("validate", lambda alg: edited(alg["lattice"], ["n"], 2)),
+    ("validate", lambda alg: {"kind": "strong-candidate", "lattice": alg["lattice"]}),
+    ("validate", lambda alg: {"kind": "strong-candidate", "lattice": alg["lattice"],
+                              "arrow": [[float(v) for v in row] for row in alg["arrow"]]}),
+    ("validate", lambda alg: [alg]),
+    ("check-morphism", lambda alg: {"kind": "morphism", "map": [0, 1, 2],
+                                    "source": [1], "target": alg}),
+], ids=["no-nabla", "no-arrow", "no-lattice", "no-leq", "no-n", "int-leq", "float-nabla",
+        "bool-nabla", "bool-arrow", "n-disagrees", "lattice-n-disagrees",
+        "candidate-no-arrow", "candidate-float-arrow", "top-level-array", "list-source"])
+def test_malformed_document_is_exit_two(tmp_path, capsys, h3, command, make):
+    doc = make(algebra_to_json(h3))
+    code, out = run_json(capsys, command, write(tmp_path, "doc.json", doc))
+    assert code == 2 and out["error"]["error"] == "shape"
+
+
+def test_failed_cross_check_is_exit_three(tmp_path, capsys, monkeypatch, x1):
+    import nablalg.algebra
+    from nablalg.errors import ensure
+
+    def failing(cond, message):
+        ensure(cond and message != "right-condition characterizations disagree", message)
+
+    monkeypatch.setattr(nablalg.algebra, "ensure", failing)
+    code, out = run_json(capsys, "classify", write(tmp_path, "x1.json", algebra_to_json(x1)))
+    assert code == 3
+    assert out["error"] == {"error": "internal",
+                            "message": "right-condition characterizations disagree"}

@@ -268,6 +268,15 @@ def test_simple_verdicts(x1, h3, b2):
     assert is_simple(b2).flag
 
 
+def test_verdicts_on_large_algebras():
+    from nablalg.gallery import gen_xn
+
+    v = is_simple(gen_heyting(chain(150)))
+    assert not v.flag and v.witness == 1
+    v = is_subdirectly_irreducible(gen_xn(6))
+    assert v.flag and v.witness == 63
+
+
 def test_simple_implies_subdirectly_irreducible(small_catalog):
     for alg in small_catalog:
         if alg.n == 1 or not classify(alg).has("N", "D"):

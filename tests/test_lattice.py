@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nablalg.algebra import derive_arrow
 from nablalg.errors import NoBounds, NoJoin, NoMeet, NotPartialOrder
 from nablalg.lattice import (
+    _bounded_candidates,
+    _greatest,
     all_lattices,
     all_posets,
     all_upsets,
@@ -48,6 +51,15 @@ def oracle_heyting(lat):
                 return None
             table[a, b] = maxes[0]
     return table
+
+
+def oracle_greatest(order, cand):
+    """The O(n^4) count search: c is greatest at a position when it is a
+    candidate and the candidates below it are all of them."""
+    counts = cand.sum(axis=0)
+    cov = np.tensordot(order.astype(np.int64), cand.astype(np.int64), axes=([0], [0]))
+    is_max = cand & (cov == counts[None])
+    return is_max.argmax(axis=0), is_max.any(axis=0)
 
 
 def oracle_prime_filters(lat):
@@ -205,6 +217,53 @@ def test_heyting_presence_matches_distributivity_exhaustively(six_lattices):
             assert got is None
         else:
             assert (got == want).all()
+
+
+# --- greatest-element kernel --------------------------------------------------
+
+
+def assert_greatest_matches_oracle(order, cand):
+    table, found = _greatest(order, cand)
+    want_table, want_found = oracle_greatest(order, cand)
+    assert (found == want_found).all()
+    assert (table[found] == want_table[found]).all()
+    return found
+
+
+def test_greatest_matches_count_oracle_on_small_orders():
+    # meets and joins on every bounded candidate order and labeled 4-poset,
+    # lattices or not, plus the Heyting cube wherever a lattice comes out
+    orders = [leq for n in range(1, 7) for leq in _bounded_candidates(n)] + list(all_posets(4))
+    assert len(orders) == 463
+    partial = 0
+    for leq in orders:
+        for rel in (leq, leq.T):
+            found = assert_greatest_matches_oracle(rel, rel[:, :, None] & rel[:, None, :])
+            partial += not found.all()
+        try:
+            lat = build_lattice(leq)
+        except (NoMeet, NoJoin, NoBounds):
+            continue
+        assert_greatest_matches_oracle(lat.leq, lat.leq[lat.meet])
+    assert partial > 0
+
+
+def test_greatest_matches_count_oracle_on_random_maps(small_lattices):
+    # derive_arrow's residual cube on seeded random nablas, most of which have
+    # no residual, and nabla_from_strong's least-preimage search on random boxes
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for lat in small_lattices:
+        for nab in [np.arange(lat.n)] + [rng.integers(0, lat.n, lat.n) for _ in range(40)]:
+            cand = lat.leq[lat.meet[nab]]
+            found = assert_greatest_matches_oracle(lat.leq, cand)
+            arrow = derive_arrow(lat, nab)
+            if arrow is not None:
+                assert (arrow == oracle_greatest(lat.leq, cand)[0]).all()
+            outcomes.add((bool(found.all()), arrow is not None))
+            box = rng.integers(0, lat.n, lat.n)
+            assert_greatest_matches_oracle(lat.leq.T, lat.leq[:, box].T)
+    assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 # --- prime filters -----------------------------------------------------------

@@ -7,6 +7,7 @@ Exit codes: 0 valid/true, 1 invalid/false (with a report), 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -223,40 +224,33 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (json is the only v1 format)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, needs_file=True):
-        p = sub.add_parser(name)
-        if needs_file:
-            p.add_argument("file", help="input path or - for stdin")
-        p.set_defaults(func=func)
-        return p
+    for name in ("validate", "classify", "modal-filters", "congruences", "si", "simple",
+                 "dm-complete", "prime-frame", "upset-algebra", "check-morphism", "amalgamate"):
+        sub.add_parser(name).add_argument("file", help="input path or - for stdin")
 
-    add("validate", cmd_validate)
-    add("classify", cmd_classify)
-    add("modal-filters", cmd_modal_filters)
-    add("congruences", cmd_congruences)
-    add("si", cmd_si)
-    add("simple", cmd_simple)
-    add("dm-complete", cmd_dm_complete)
-    add("prime-frame", cmd_prime_frame)
-    add("upset-algebra", cmd_upset_algebra)
-    add("check-morphism", cmd_check_morphism)
-    add("amalgamate", cmd_amalgamate)
-
-    gen = add("gen", cmd_gen, needs_file=False)
+    gen = sub.add_parser("gen")
     gen.add_argument("what", choices=["xn", "trivial", "heyting", "cex3"])
     gen.add_argument("arg", nargs="?", default=None)
 
-    enum = add("enumerate", cmd_enumerate, needs_file=False)
+    enum = sub.add_parser("enumerate")
     enum.add_argument("--max-n", type=int, required=True, dest="max_n")
     enum.add_argument("--flags", default=None)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused by the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # command "x-y" runs cmd_x_y, looked up at call time so a rebound handler is
+    # the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (json.JSONDecodeError, FileNotFoundError, ValueError) as err:
         _emit({"ok": False, "error": {"error": "input", "message": str(err)}})
         return 2

@@ -6,6 +6,8 @@ Every structural rejection carries a machine-readable ``witness`` so callers
 
 from __future__ import annotations
 
+import numbers
+
 
 class NablalgError(Exception):
     """Base class for all structural rejections."""
@@ -21,7 +23,8 @@ class NablalgError(Exception):
         if isinstance(w, (tuple, list)):
             w = [int(x) for x in w]
         elif w is not None:
-            w = int(w) if isinstance(w, (int,)) else str(w)
+            # numbers.Integral covers numpy integer scalars too
+            w = int(w) if isinstance(w, numbers.Integral) else str(w)
         return {"error": self.code, "message": str(self), "witness": w}
 
 

@@ -95,22 +95,51 @@ def gen_counterexample_cex3() -> StrongAlgebraCandidate:
     return StrongAlgebraCandidate(lat=lat, arrow=arrow)
 
 
-ENUM_MAX = 5
+ENUM_MAX = 6
+
+
+def _join_preserving_maps(lat: FiniteLattice):
+    """Every map that fixes bottom and preserves binary joins, in
+    ``itertools.product`` order.
+
+    A depth-first search assigns the images in index order and drops a
+    branch as soon as one constraint nabla(a | b) = nabla(a) | nabla(b) has
+    all three of its values assigned.
+    """
+    n, bot, join = lat.n, lat.bot, lat.join.tolist()
+    checks = [[] for _ in range(n)]   # checks[k]: constraints whose last index is k
+    for a in range(n):
+        for b in range(a + 1, n):
+            checks[max(b, join[a][b])].append((a, b, join[a][b]))
+    image = [0] * n
+
+    def extend(k: int):
+        if k == n:
+            yield tuple(image)
+            return
+        for v in (bot,) if k == bot else range(n):
+            image[k] = v
+            if all(image[c] == join[image[a]][image[b]] for a, b, c in checks[k]):
+                yield from extend(k + 1)
+
+    return extend(0)
 
 
 def enumerate_algebras(max_n: int, flags=None):
     """Every valid (lattice, nabla) dynamics with at most ``max_n`` elements.
 
-    Lattices range over one representative per isomorphism class; nabla
-    ranges over all tables, kept when an arrow residuates it.  Optional
-    ``flags`` keeps only algebras whose profile carries all named flags.
-    Deterministic order.
+    Lattices range over one representative per isomorphism class.  A
+    residuated nabla is a left adjoint, so it fixes bottom and preserves
+    joins: nabla ranges over those maps only, kept when an arrow residuates
+    it (on a non-distributive lattice preserving joins is not enough).
+    Optional ``flags`` keeps only algebras whose profile carries all named
+    flags.  Deterministic order.
     """
     if not 1 <= max_n <= ENUM_MAX:
         raise OutOfRange(f"max_n must be in 1..{ENUM_MAX}")
     wanted = frozenset(flags) if flags else frozenset()
     for lat in all_lattices(max_n):
-        for nabla in itertools.product(range(lat.n), repeat=lat.n):
+        for nabla in _join_preserving_maps(lat):
             arrow = derive_arrow(lat, np.array(nabla, dtype=np.int64))
             if arrow is None:
                 continue

@@ -10,7 +10,6 @@ and re-derives every algebraic law it relies on.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -363,91 +362,142 @@ def upset_lattice(poset_leq) -> UpSetFamily:
 # small-instance enumeration and isomorphism, used by the harness and catalog
 
 
-def all_posets(n: int):
-    """All labeled partial orders on n elements, as boolean matrices."""
-    if n == 0:
-        yield np.zeros((0, 0), dtype=bool)
-        return
+def _labeled_posets(n: int) -> np.ndarray:
+    """All labeled partial orders on n elements, as one (k, n, n) boolean array.
+
+    Each pair i < j is ordered i below j, j below i, or left unrelated; the
+    choices run in that order, as ``itertools.product`` would list them with
+    the first pair most significant, and choices whose transitive closure
+    adds a pair are dropped.
+    """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if not pairs:
-        yield np.eye(1, dtype=bool)
-        return
-    digits = np.array(list(itertools.product((0, 1, 2), repeat=len(pairs))), dtype=np.int8)
+    digits = np.arange(3 ** len(pairs))[:, None] // 3 ** np.arange(len(pairs))[::-1] % 3
     mats = np.zeros((len(digits), n, n), dtype=bool)
     mats[:, np.arange(n), np.arange(n)] = True
     for p, (i, j) in enumerate(pairs):
         mats[:, i, j] = digits[:, p] == 0
         mats[:, j, i] = digits[:, p] == 1
     closure = np.matmul(mats.astype(np.int64), mats.astype(np.int64)) > 0
-    ok = ~(closure & ~mats).any(axis=(1, 2))
-    for m in mats[ok]:
-        yield m
+    return mats[~(closure & ~mats).any(axis=(1, 2))]
+
+
+def all_posets(n: int):
+    """All labeled partial orders on n elements, as boolean matrices."""
+    yield from _labeled_posets(n)
 
 
 def canonical_order_matrix(leq: np.ndarray) -> bytes:
-    """Lexicographically least relabeling; equal bytes iff isomorphic posets."""
-    n = leq.shape[0]
-    best = None
-    for perm in itertools.permutations(range(n)):
-        p = np.array(perm)
-        cand = leq[np.ix_(p, p)].tobytes()
-        if best is None or cand < best:
-            best = cand
-    return best
+    """Lexicographically least relabeling; equal bytes iff isomorphic posets.
+
+    The bytes are those of ``leq[p][:, p]`` for the permutation p that makes
+    them least.  Row k is ``leq[p_k, p]``.  Once p_0..p_k are chosen, the
+    entries of row k at earlier positions are fixed, and the later positions
+    form ordered cells whose members earlier rows have already forced, so
+    the least row k lists each cell zeros first.  Keeping, depth by depth,
+    every prefix that reaches the least row and splitting its cells by that
+    row is exact, and it follows only ties instead of all n! permutations.
+    Two elements are twins when swapping them is an automorphism; of twins
+    in one cell only the first is tried, since the swap maps the other's
+    branch onto its branch.
+    """
+    rel = np.asarray(leq, dtype=bool).tolist()
+    n = len(rel)
+    twin = [[x != y and rel[x][x] == rel[y][y] and rel[x][y] == rel[y][x]
+             and all(rel[x][z] == rel[y][z] and rel[z][x] == rel[z][y]
+                     for z in range(n) if z not in (x, y))
+             for y in range(n)] for x in range(n)]
+    level = [((), (tuple(range(n)),))]
+    rows = []
+    for _ in range(n):
+        best, ties = None, []
+        for prefix, (head, *rest) in level:
+            tried = []
+            for x in head:
+                if any(twin[x][y] for y in tried):
+                    continue
+                tried.append(x)
+                rx = rel[x]
+                cells = []
+                for cell in [tuple(y for y in head if y != x), *rest]:
+                    cells += [part for part in (tuple(y for y in cell if not rx[y]),
+                                                tuple(y for y in cell if rx[y])) if part]
+                row = [rx[y] for y in prefix] + [rx[x]] + [rx[y] for cell in cells for y in cell]
+                if best is None or row < best:
+                    best, ties = row, []
+                if row == best:
+                    ties.append((prefix + (x,), cells))
+        rows.append(best)
+        level = ties
+    return np.array(rows, dtype=bool).reshape(n, n).tobytes()
 
 
-def _bounded_candidates(n: int):
+def _bounded_candidates(n: int) -> np.ndarray:
     """Orders with a designated bottom and top around an arbitrary middle poset.
 
     Every lattice has unique bounds, so up to isomorphism this reaches every
-    lattice class while enumerating only the n-2 middle elements.
+    lattice class while enumerating only the n-2 middle elements.  Returns a
+    (k, n, n) boolean array with bottom 0 and top n-1.
     """
     if n == 1:
-        yield np.eye(1, dtype=bool)
-        return
-    m = n - 2
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    for digits in itertools.product((0, 1, 2), repeat=len(pairs)):
-        mid = np.eye(m, dtype=bool)
-        for p, (i, j) in enumerate(pairs):
-            if digits[p] == 0:
-                mid[i, j] = True
-            elif digits[p] == 1:
-                mid[j, i] = True
-        closure = (mid.astype(np.int64) @ mid.astype(np.int64)) > 0
-        if (closure & ~mid).any():
-            continue
-        leq = np.eye(n, dtype=bool)
-        leq[0, :] = True
-        leq[:, n - 1] = True
-        leq[1:n - 1, 1:n - 1] = mid
-        yield leq
+        return np.ones((1, 1, 1), dtype=bool)
+    mid = _labeled_posets(n - 2)
+    leq = np.zeros((len(mid), n, n), dtype=bool)
+    leq[:, 0, :] = True
+    leq[:, :, n - 1] = True
+    leq[:, 1:n - 1, 1:n - 1] = mid
+    return leq
+
+
+def _meets_exist(orders: np.ndarray) -> np.ndarray:
+    """For each order of a (k, n, n) batch, whether every pair has a meet.
+
+    The lower bounds of a pair are closed downwards, so they have a greatest
+    element iff one of them has as many elements below it as the pair has
+    lower bounds.  A finite order with a top and all binary meets is a
+    lattice.
+    """
+    low = orders[:, :, :, None] & orders[:, :, None, :]   # low[k, x, a, b]: x <= a and x <= b
+    below = orders.sum(axis=1)
+    most = np.where(low, below[:, :, None, None], 0).max(axis=1)
+    return (low.any(axis=1) & (most == low.sum(axis=1))).all(axis=(1, 2))
+
+
+def _iso_representatives(orders) -> list:
+    """The first order of each isomorphism class among ``orders``.
+
+    Orders are bucketed by their sorted signatures, which isomorphic orders
+    share, and each is compared by isomorphism with the representatives of
+    its bucket only.
+    """
+    buckets = {}
+    for leq in orders:
+        sig = _signatures(leq)
+        bucket = buckets.setdefault(tuple(sorted(sig)), [])
+        if all(_order_iso(leq, rep, sig, rep_sig) is None for rep, rep_sig in bucket):
+            bucket.append((leq, sig))
+    return [rep for bucket in buckets.values() for rep, _ in bucket]
 
 
 def all_lattices(max_n: int) -> list[FiniteLattice]:
-    """One representative per isomorphism class of lattices with 1..max_n elements."""
+    """One representative per isomorphism class of lattices with 1..max_n elements.
+
+    Of the bounded candidates of each size that are lattices, one per class
+    gets a canonical form; the representatives are the canonical matrices in
+    byte order.
+    """
     reps = []
     for n in range(1, max_n + 1):
-        seen = set()
-        found = []
-        for leq in _bounded_candidates(n):
-            try:
-                lat = build_lattice(leq)
-            except (NoMeet, NoJoin, NoBounds):
-                continue
-            canon = canonical_order_matrix(lat.leq)
-            if canon not in seen:
-                seen.add(canon)
-                found.append(canon)
-        found.sort()
-        for canon in found:
-            mat = np.frombuffer(canon, dtype=bool).reshape(n, n)
-            reps.append(build_lattice(mat))
+        cands = _bounded_candidates(n)
+        found = sorted(canonical_order_matrix(leq)
+                       for leq in _iso_representatives(cands[_meets_exist(cands)]))
+        ensure(len(set(found)) == len(found),
+               "non-isomorphic lattices must have distinct canonical forms")
+        reps += [build_lattice(np.frombuffer(canon, dtype=bool).reshape(n, n)) for canon in found]
     return reps
 
 
 def _signatures(leq: np.ndarray) -> list:
-    return [(int(leq[:, i].sum()), int(leq[i, :].sum())) for i in range(leq.shape[0])]
+    return list(zip(leq.sum(axis=0).tolist(), leq.sum(axis=1).tolist()))
 
 
 def _order_iso(leq_a: np.ndarray, leq_b: np.ndarray, sig_a: list, sig_b: list, accept=None):
@@ -461,6 +511,7 @@ def _order_iso(leq_a: np.ndarray, leq_b: np.ndarray, sig_a: list, sig_b: list, a
     n = leq_a.shape[0]
     if n != leq_b.shape[0] or sorted(sig_a) != sorted(sig_b):
         return None
+    rel_a, rel_b = leq_a.tolist(), leq_b.tolist()
     cands = [[j for j in range(n) if sig_b[j] == sig_a[i]] for i in range(n)]
     order = sorted(range(n), key=lambda i: len(cands[i]))
     assign = [-1] * n
@@ -475,7 +526,7 @@ def _order_iso(leq_a: np.ndarray, leq_b: np.ndarray, sig_a: list, sig_b: list, a
                 continue
             ok = True
             for k in order[:pos]:
-                if leq_a[i, k] != leq_b[j, assign[k]] or leq_a[k, i] != leq_b[assign[k], j]:
+                if rel_a[i][k] != rel_b[j][assign[k]] or rel_a[k][i] != rel_b[assign[k]][j]:
                     ok = False
                     break
             if ok:

@@ -169,15 +169,19 @@ def _require(obj: dict, key: str):
     return obj[key]
 
 
+_INDEX_MAX = int(np.iinfo(np.int64).max)
+
+
 def _is_index(value) -> bool:
-    # JSON true/false load as bool, a subclass of int; they are not indices
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    # JSON true/false load as bool, a subclass of int; they are not indices.
+    # Indices are kept in int64 arrays.
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= _INDEX_MAX
 
 
 def _size(obj: dict) -> int:
     n = _require(obj, "n")
     if not _is_index(n):
-        raise ShapeError(f"{obj['kind']} size n must be a non-negative integer")
+        raise ShapeError(f"{obj['kind']} size n must be a non-negative 64-bit integer")
     return n
 
 
@@ -214,7 +218,7 @@ def _index_table(obj: dict, key: str, n: int, ndim: int) -> np.ndarray:
 def _index_list(obj: dict, key: str) -> tuple:
     values = _require(obj, key)
     if not isinstance(values, list) or not all(_is_index(v) for v in values):
-        raise ShapeError(f"{key!r} must be a list of non-negative integers")
+        raise ShapeError(f"{key!r} must be a list of non-negative 64-bit integers")
     return tuple(values)
 
 

@@ -60,10 +60,15 @@ def small_lattices():
 
 
 @pytest.fixture(scope="session")
-def six_lattices():
+def seven_lattices():
     from nablalg.lattice import all_lattices
 
-    return all_lattices(6)
+    return all_lattices(7)
+
+
+@pytest.fixture(scope="session")
+def six_lattices(seven_lattices):
+    return [lat for lat in seven_lattices if lat.n <= 6]
 
 
 @pytest.fixture(scope="session")

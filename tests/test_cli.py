@@ -213,8 +213,9 @@ def test_validate_from_stdin(capsys, monkeypatch, x1):
     ("f1", None),
     ("f2", [0, 1, "2"]),
     ("f2", [0, 1, 2.7]),
+    ("f2", [0, 1, 10**30]),  # beyond int64
     ("heyting", "no"),
-], ids=["no-a0", "no-f1", "f2-string", "f2-float", "heyting-string"])
+], ids=["no-a0", "no-f1", "f2-string", "f2-float", "f2-oversized", "heyting-string"])
 def test_amalgamate_malformed_span_is_exit_two(tmp_path, capsys, h3, key, value):
     # the identity span on the three-chain: coercing the bad value would pass
     span = {"kind": "span", "a0": algebra_to_json(h3), "a1": algebra_to_json(h3),
@@ -274,9 +275,12 @@ def edited(doc, path, value=DROP):
     ("validate", lambda alg: [alg]),
     ("check-morphism", lambda alg: {"kind": "morphism", "map": [0, 1, 2],
                                     "source": [1], "target": alg}),
+    ("check-morphism", lambda alg: {"kind": "morphism", "map": [0, 1, 10**30],
+                                    "source": alg, "target": alg}),
 ], ids=["no-nabla", "no-arrow", "no-lattice", "no-leq", "no-n", "int-leq", "float-nabla",
         "bool-nabla", "bool-arrow", "n-disagrees", "lattice-n-disagrees",
-        "candidate-no-arrow", "candidate-float-arrow", "top-level-array", "list-source"])
+        "candidate-no-arrow", "candidate-float-arrow", "top-level-array", "list-source",
+        "oversized-map"])
 def test_malformed_document_is_exit_two(tmp_path, capsys, h3, command, make):
     doc = make(algebra_to_json(h3))
     code, out = run_json(capsys, command, write(tmp_path, "doc.json", doc))
@@ -295,3 +299,50 @@ def test_failed_cross_check_is_exit_three(tmp_path, capsys, monkeypatch, x1):
     assert code == 3
     assert out["error"] == {"error": "internal",
                             "message": "right-condition characterizations disagree"}
+
+
+def test_reused_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch, x1, b2, h3):
+    import nablalg.cli as cli
+    from nablalg.kripke import prime_frame
+
+    alg = write(tmp_path, "x1.json", algebra_to_json(x1))
+    frame = write(tmp_path, "frame.json", frame_to_json(prime_frame(x1)))
+    lat = write(tmp_path, "lat.json", lattice_to_json(chain(3)))
+    morphism = write(tmp_path, "m.json", {"kind": "morphism", "map": [0, 2], "heyting": True,
+                                          "source": algebra_to_json(b2),
+                                          "target": algebra_to_json(h3)})
+    span = write(tmp_path, "span.json", {"kind": "span", "a0": algebra_to_json(b2),
+                                         "a1": algebra_to_json(h3), "a2": algebra_to_json(h3),
+                                         "f1": [0, 2], "f2": [0, 2], "heyting": True})
+    calls = [
+        ["validate", alg], ["classify", alg], ["modal-filters", alg], ["congruences", alg],
+        ["classify"],                       # usage error: argparse exits with 2
+        ["si", alg], ["simple", alg], ["dm-complete", alg], ["prime-frame", alg],
+        ["--verbose", "upset-algebra", frame], ["check-morphism", morphism],
+        ["amalgamate", span], ["enumerate", "--max-n", "nine"], ["gen", "heyting", lat],
+        ["gen", "xn", "9"], ["enumerate", "--max-n", "3", "--flags", "N,D"],
+        ["--verbose", "classify", alg], ["classify", alg],
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = ("usage", exc.code)
+            captured = capsys.readouterr()
+            seen.append((argv, code, captured.out, bool(captured.err)))
+        return seen
+
+    reused = outcomes() + outcomes()
+    assert cli._parser() is cli._parser()
+    # handlers are looked up when called, so a rebound one runs
+    monkeypatch.setattr(cli, "cmd_classify", lambda args: 7)
+    assert cli.main(["classify", alg]) == 7
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = outcomes() + outcomes()
+    assert reused == fresh
+    codes = [code for _, code, _, _ in reused]
+    assert codes.count(("usage", 2)) == 4 and codes.count(0) > 20

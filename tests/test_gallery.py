@@ -1,16 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from nablalg.algebra import classify
+from nablalg.algebra import classify, derive_arrow
 from nablalg.congruence import all_congruences_oracle, is_simple
 from nablalg.errors import NotDistributive, OutOfRange
 from nablalg.gallery import (
+    _join_preserving_maps,
     enumerate_algebras,
     gen_counterexample_cex3,
     gen_heyting,
     gen_trivial,
     gen_xn,
 )
+from nablalg.lattice import all_lattices, build_lattice
 
 from conftest import boolean_square, chain, pentagon
 
@@ -112,7 +116,37 @@ def test_enumerate_flag_filter():
 
 def test_enumerate_out_of_range():
     with pytest.raises(OutOfRange):
-        list(enumerate_algebras(6))
+        list(enumerate_algebras(7))
+
+
+def test_enumerate_six_element_algebras():
+    # 2,218 join-preserving maps on the fifteen 6-element lattices
+    algs = list(enumerate_algebras(6))
+    assert len(algs) == 1983
+    assert sum(alg.n == 6 for alg in algs) == 1704
+
+
+def test_join_preserving_maps_match_filtered_tables(small_lattices):
+    # the catalog's canonical labels put a join no later than its arguments;
+    # the reversed relabelings put it after them
+    reversed_lattices = [build_lattice(lat.leq[::-1, ::-1]) for lat in small_lattices]
+    for lat in small_lattices + reversed_lattices:
+        want = [f for f in itertools.product(range(lat.n), repeat=lat.n)
+                if f[lat.bot] == lat.bot
+                and all(f[lat.join[a, b]] == lat.join[f[a], f[b]]
+                        for a in range(lat.n) for b in range(lat.n))]
+        assert list(_join_preserving_maps(lat)) == want
+
+
+def test_enumerate_matches_all_tables_oracle(full_catalog):
+    # the old route: every nabla table, kept when derive_arrow finds an arrow
+    want = []
+    for lat in all_lattices(5):
+        for nabla in itertools.product(range(lat.n), repeat=lat.n):
+            arrow = derive_arrow(lat, np.array(nabla, dtype=np.int64))
+            if arrow is not None:
+                want.append((lat.n, list(nabla), arrow.tolist()))
+    assert [(alg.n, alg.nabla.tolist(), alg.arrow.tolist()) for alg in full_catalog] == want
 
 
 def test_enumerate_all_valid(full_catalog):

@@ -10,10 +10,12 @@ from nablalg.errors import NoBounds, NoJoin, NoMeet, NotPartialOrder
 from nablalg.lattice import (
     _bounded_candidates,
     _greatest,
+    _iso_representatives,
     all_lattices,
     all_posets,
     all_upsets,
     build_lattice,
+    canonical_order_matrix,
     distributivity_witness,
     heyting_table,
     is_distributive,
@@ -347,12 +349,65 @@ def test_labeled_poset_counts():
         assert sum(1 for _ in all_posets(n)) == want
 
 
-def test_unlabeled_lattice_counts(six_lattices):
-    # known values: 1, 1, 1, 2, 5, 15 lattice isomorphism classes on 1..6 elements
+def test_unlabeled_lattice_counts(seven_lattices):
+    # known values (OEIS A006966): 1, 1, 1, 2, 5, 15, 53 lattice isomorphism
+    # classes on 1..7 elements
     by_size = {}
-    for lat in six_lattices:
+    for lat in seven_lattices:
         by_size[lat.n] = by_size.get(lat.n, 0) + 1
-    assert by_size == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15}
+    assert by_size == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}
+
+
+def oracle_canonical(leq):
+    """The least bytes of ``leq[p][:, p]`` over all n! permutations p."""
+    perms = np.array(list(itertools.permutations(range(leq.shape[0]))), dtype=np.int64)
+    return min(m.tobytes() for m in leq[perms[:, :, None], perms[:, None, :]])
+
+
+def test_canonical_order_matrix_matches_permutation_oracle(seven_lattices):
+    # every bounded candidate order up to 6 elements and labeled 4-poset,
+    # seeded relabelings of the 7-element lattices (the antichain middles
+    # give the most ties), and random relations, for which the search is
+    # exact too
+    rng = np.random.default_rng(7)
+    orders = [leq for n in range(1, 7) for leq in _bounded_candidates(n)] + list(all_posets(4))
+    for lat in seven_lattices:
+        if lat.n == 7:
+            perm = rng.permutation(7)
+            orders.append(lat.leq[np.ix_(perm, perm)])
+    orders += list(rng.random((40, 5, 5)) < 0.5)
+    orders.append(np.zeros((0, 0), dtype=bool))
+    for leq in orders:
+        assert canonical_order_matrix(leq) == oracle_canonical(leq)
+
+
+def test_iso_representatives_one_per_poset_class():
+    # known values: 16 and 63 unlabeled posets on 4 and 5 elements
+    for n, want in [(4, 16), (5, 63)]:
+        reps = _iso_representatives(all_posets(n))
+        assert len(reps) == want
+        assert len({oracle_canonical(leq) for leq in reps}) == want
+    # non-isomorphic 6-element posets with equal sorted signatures share a bucket
+    a = order_from_covers(6, [(0, 1), (1, 4), (0, 5), (2, 5), (3, 4)])
+    b = order_from_covers(6, [(0, 3), (1, 3), (2, 3), (2, 4), (4, 5)])
+    reps = _iso_representatives([a, b, a[::-1, ::-1], b[::-1, ::-1]])
+    assert [leq.tobytes() for leq in reps] == [a.tobytes(), b.tobytes()]
+
+
+def test_all_lattices_matches_per_candidate_canonical_dedupe():
+    # the old route: a canonical form for every bounded candidate that is a
+    # lattice, deduplicated and sorted per size
+    want = []
+    for n in range(1, 7):
+        canons = set()
+        for leq in _bounded_candidates(n):
+            try:
+                lat = build_lattice(leq)
+            except (NoMeet, NoJoin, NoBounds):
+                continue
+            canons.add(oracle_canonical(lat.leq))
+        want += sorted(canons)
+    assert [lat.leq.tobytes() for lat in all_lattices(6)] == want
 
 
 def test_all_lattices_agrees_with_poset_filtering():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nablalg.algebra import AlgebraMorphism, tables_equal
-from nablalg.errors import ShapeError
+from nablalg.errors import NoMeet, ShapeError
 from nablalg.gallery import gen_counterexample_cex3, gen_xn
 from nablalg.kripke import FrameMorphism, frames_equal, prime_frame
 from nablalg.serialize import (
@@ -94,3 +94,9 @@ def test_invalid_payload_rejected_on_load():
     obj["nabla"] = [2, 2, 2]
     with pytest.raises(Exception):
         algebra_from_json(obj)
+
+
+def test_error_json_keeps_integer_witnesses():
+    assert NoMeet("x", witness=np.int64(3)).to_json()["witness"] == 3
+    assert NoMeet("x", witness=(np.int64(1), 2)).to_json()["witness"] == [1, 2]
+    assert NoMeet("x", witness="pair").to_json()["witness"] == "pair"

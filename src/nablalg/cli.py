@@ -38,16 +38,22 @@ def _note(args, text: str) -> None:
         sys.stderr.write(text + "\n")
 
 
+def _parse(raw: str):
+    try:
+        return json.loads(raw)
+    except RecursionError:
+        raise ValueError("document nests too deeply to decode") from None
+
+
 def _read_json(path: str) -> dict:
-    raw = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return json.loads(raw)
+    return _parse(sys.stdin.read() if path == "-" else Path(path).read_text())
 
 
 def _loader_for(path: str):
     base = Path(".") if path == "-" else Path(path).parent
 
     def load(ref: str) -> dict:
-        return json.loads((base / ref).read_text())
+        return _parse((base / ref).read_text())
 
     return load
 
@@ -251,7 +257,8 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (json.JSONDecodeError, FileNotFoundError, ValueError) as err:
+    except (OSError, ValueError) as err:
+        # undecodable JSON, and paths that are missing, directories or unreadable
         _emit({"ok": False, "error": {"error": "input", "message": str(err)}})
         return 2
     except (ShapeError, OutOfRange) as err:

@@ -1,17 +1,21 @@
 """Cut completion of an algebra through normal ideals.
 
 A normal ideal is a subset fixed by the lower-bounds-of-upper-bounds
-operator; equivalently an intersection of principal ideals.  The ideal
+operator; equivalently an intersection of principal ideals (the cuts of
+Davey & Priestley, *Introduction to Lattices and Order*, ch. 7).  The ideal
 lattice carries a lifted modal pair,
 
     nabla(N) = join of the principal ideals of nabla over N
     arrow(M, N) = {x : nabla(x) & m in N for every m in M}
 
-and the principal-ideal embedding preserves the whole signature.  On
-finite carriers the embedding is a bijection; the generic construction is
-still executed in full (upper/lower bound operators, joins as closures of
-unions) so the lifted formulas themselves get exercised, rather than
-shortcutting to the identity.
+and the principal-ideal embedding preserves the whole signature.  As in the
+duality, a family of sets is one k x n boolean membership matrix (row i is
+set i): the closure of every row is two float32 products (upper bounds,
+then lower bounds), and a computed set is looked up among the ideals by its
+packed bits.  On finite carriers the embedding is a bijection; the generic
+construction is still executed in full (upper/lower bound operators, joins
+as closures of unions) so the lifted formulas themselves get exercised,
+rather than shortcutting to the identity.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .algebra import (
     classify,
 )
 from .errors import ensure
-from .lattice import build_lattice
+from .lattice import _inclusion_lattice, _locate, _row_keys, _row_sets, _sorted_rows
 
 
 @dataclass(frozen=True)
@@ -40,48 +44,65 @@ class NormalIdeal:
         return sorted(int(x) for x in self.members)
 
 
+def _bound_rows(lat, rows: np.ndarray, upper: bool) -> np.ndarray:
+    """Row i: the common upper (or lower) bounds of set i of ``rows``."""
+    # count the members that do not lie below (above) each element
+    off = ~lat.leq if upper else ~lat.leq.T
+    return (rows.astype(np.float32) @ off.astype(np.float32)) == 0
+
+
+def _closure_rows(lat, rows: np.ndarray) -> np.ndarray:
+    """Row i: the lower bounds of the upper bounds of set i of ``rows``."""
+    return _bound_rows(lat, _bound_rows(lat, rows, upper=True), upper=False)
+
+
+def _as_row(lat, members) -> np.ndarray:
+    row = np.zeros((1, lat.n), dtype=bool)
+    row[0, list(members)] = True
+    return row
+
+
 def upper_bounds(lat, members) -> frozenset:
-    mask = np.ones(lat.n, dtype=bool)
-    for x in members:
-        mask &= lat.leq[x]
-    return frozenset(int(v) for v in np.flatnonzero(mask))
+    return _row_sets(_bound_rows(lat, _as_row(lat, members), upper=True))[0]
 
 
 def lower_bounds(lat, members) -> frozenset:
-    mask = np.ones(lat.n, dtype=bool)
-    for x in members:
-        mask &= lat.leq[:, x]
-    return frozenset(int(v) for v in np.flatnonzero(mask))
+    return _row_sets(_bound_rows(lat, _as_row(lat, members), upper=False))[0]
 
 
 def lu_closure(lat, members) -> frozenset:
-    return lower_bounds(lat, upper_bounds(lat, members))
+    return _row_sets(_closure_rows(lat, _as_row(lat, members)))[0]
 
 
 def is_normal_ideal(lat, members) -> bool:
     return lu_closure(lat, members) == frozenset(members)
 
 
-def normal_ideals(alg: NablaAlgebra) -> list:
-    """All intersections of principal ideals, canonically ordered.
-
-    Each result is double-checked: it must be a fixpoint of the
-    lower-of-upper closure, and on a finite lattice it must itself be
-    principal (intersections of principal ideals are principal via meets).
+def _ideal_rows(lat) -> np.ndarray:
+    """Membership matrix of all intersections of principal ideals, ordered
+    by (size, members): the principal ideals (the rows of ``leq.T``) closed
+    under pairwise intersection.  Every row must be a fixpoint of the
+    lower-of-upper closure and, on a finite lattice, principal itself
+    (intersections of principal ideals are principal via meets); both are
+    checked.
     """
-    lat = alg.lat
-    principals = {lat.downset_of(a) for a in range(lat.n)}
-    closed = set(principals)
-    while True:
-        new = {a & b for a in closed for b in closed} - closed
-        if not new:
-            break
-        closed |= new
-    out = sorted(closed, key=lambda s: (len(s), tuple(sorted(s))))
-    for members in out:
-        ensure(is_normal_ideal(lat, members), "ideal family member fails the closure fixpoint")
-        ensure(members in principals, "normal ideals of a finite lattice must be principal")
-    return [NormalIdeal(alg, members) for members in out]
+    principals = lat.leq.T
+    rows, size = principals, 0
+    while len(rows) > size:
+        size = len(rows)
+        meets = (rows[:, None] & rows[None]).reshape(-1, lat.n)
+        rows = meets[np.unique(_row_keys(meets), return_index=True)[1]]
+    rows = _sorted_rows(rows)
+    ensure((_closure_rows(lat, rows) == rows).all(),
+           "ideal family member fails the closure fixpoint")
+    ensure(_locate(principals, rows)[1].all(),
+           "normal ideals of a finite lattice must be principal")
+    return rows
+
+
+def normal_ideals(alg: NablaAlgebra) -> list:
+    """All intersections of principal ideals, canonically ordered."""
+    return [NormalIdeal(alg, members) for members in _row_sets(_ideal_rows(alg.lat))]
 
 
 @dataclass(frozen=True)
@@ -101,59 +122,43 @@ def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
     to transport every property flag, and, the carrier being finite, to be
     onto.
     """
-    lat = alg.lat
-    ideals = normal_ideals(alg)
-    members = [i.members for i in ideals]
-    k = len(members)
-    index = {m: i for i, m in enumerate(members)}
-    incl = np.zeros((k, k), dtype=bool)
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            incl[i, j] = a <= b
-    ideal_lat = build_lattice(incl)
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            ensure(int(ideal_lat.meet[i, j]) == index[a & b],
-                   "ideal meet must be intersection")
-            ensure(int(ideal_lat.join[i, j]) == index[lu_closure(lat, a | b)],
-                   "ideal join must be the closure of the union")
+    lat, n = alg.lat, alg.n
+    rows = _ideal_rows(lat)
+    k = len(rows)
+    ideal_lat = _inclusion_lattice(rows)
+    union = (rows[:, None, :] | rows[None, :, :]).reshape(k * k, n)
+    ensure((rows[ideal_lat.join.ravel()] == _closure_rows(lat, union)).all(),
+           "ideal join must be the closure of the union")
 
-    nab_tab = np.zeros(k, dtype=np.int64)
-    for i, a in enumerate(members):
-        union = set()
-        for x in a:
-            union |= lat.downset_of(int(alg.nabla[x]))
-        nab_tab[i] = index[lu_closure(lat, union)]
+    # nabla(N): the closure of the OR of the principal ideals of nabla over N
+    image = (rows.astype(np.float32) @ lat.leq.T[alg.nabla].astype(np.float32)) > 0
+    nab_tab, found = _locate(rows, _closure_rows(lat, image))
+    ensure(found.all(), "lifted nabla must land on a normal ideal")
 
-    arrow_tab = np.zeros((k, k), dtype=np.int64)
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            img = frozenset(
-                x for x in range(lat.n)
-                if all(int(lat.meet[alg.nabla[x], m]) in b for m in a)
-            )
-            ensure(img in index, "lifted arrow must land on a normal ideal")
-            arrow_tab[i, j] = index[img]
+    # arrow(M, N): the x for which no m in M has nabla(x) & m outside N;
+    # escape[j, x, m] says nabla(x) & m lies outside ideal j
+    escape = ~rows[:, lat.meet[alg.nabla]].reshape(k * n, n)
+    arrow = (rows.astype(np.float32) @ escape.astype(np.float32).T) == 0
+    arrow_tab, found = _locate(rows, arrow.reshape(k * k, n))
+    ensure(found.all(), "lifted arrow must land on a normal ideal")
 
-    completed = build_algebra(ideal_lat, nab_tab, arrow_tab)
-    for j, b in enumerate(members):
-        box_set = frozenset(x for x in range(lat.n) if int(alg.nabla[x]) in b)
-        ensure(int(completed.box[j]) == index[box_set],
-               "lifted box must be the nabla preimage")
+    completed = build_algebra(ideal_lat, nab_tab, arrow_tab.reshape(k, k))
+    box_tab, found = _locate(rows, rows[:, alg.nabla])
+    ensure(found.all() and (completed.box == box_tab).all(),
+           "lifted box must be the nabla preimage")
 
-    emb = tuple(index[lat.downset_of(x)] for x in range(lat.n))
+    emb_arr, found = _locate(rows, lat.leq.T)
     profile = classify(alg)
-    morphism = AlgebraMorphism(source=alg, target=completed, map=emb,
+    morphism = AlgebraMorphism(source=alg, target=completed, map=tuple(emb_arr.tolist()),
                                preserves_heyting=profile.H)
     rep = check_morphism(morphism)
-    ensure(rep.ok and rep.injective, "canonical embedding must be an embedding")
-    emb_arr = np.array(emb)
-    ensure((~alg.lat.leq == ~ideal_lat.leq[emb_arr[:, None], emb_arr[None, :]]).all(),
+    ensure(found.all() and rep.ok and rep.injective, "canonical embedding must be an embedding")
+    ensure((~lat.leq == ~ideal_lat.leq[emb_arr[:, None], emb_arr[None, :]]).all(),
            "canonical embedding must reflect order")
     lifted = classify(completed)
     for flag in ("H", "N", "R", "L", "Fa", "Fu"):
         if getattr(profile, flag):
             ensure(getattr(lifted, flag), f"completion must keep flag {flag}")
-    ensure(k == alg.n, "finite completion must be a bijection")
-    return CompletedAlgebra(algebra=completed, ideals=tuple(ideals),
-                            embedding=emb, morphism=morphism)
+    ensure(k == n, "finite completion must be a bijection")
+    return CompletedAlgebra(algebra=completed, embedding=morphism.map, morphism=morphism,
+                            ideals=tuple(NormalIdeal(alg, m) for m in _row_sets(rows)))

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 
 from .algebra import (
+    FLAG_NAMES,
     NablaAlgebra,
     StrongAlgebraCandidate,
     build_algebra,
@@ -133,11 +134,13 @@ def enumerate_algebras(max_n: int, flags=None):
     joins: nabla ranges over those maps only, kept when an arrow residuates
     it (on a non-distributive lattice preserving joins is not enough).
     Optional ``flags`` keeps only algebras whose profile carries all named
-    flags.  Deterministic order.
+    flags; a name outside ``FLAG_NAMES`` is rejected.  Deterministic order.
     """
     if not 1 <= max_n <= ENUM_MAX:
         raise OutOfRange(f"max_n must be in 1..{ENUM_MAX}")
     wanted = frozenset(flags) if flags else frozenset()
+    if not wanted <= set(FLAG_NAMES):
+        raise OutOfRange(f"flags must be among {','.join(FLAG_NAMES)}, got {sorted(wanted)}")
     for lat in all_lattices(max_n):
         for nabla in _join_preserving_maps(lat):
             arrow = derive_arrow(lat, np.array(nabla, dtype=np.int64))

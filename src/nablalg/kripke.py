@@ -56,7 +56,7 @@ from .errors import (
     ShapeError,
     ensure,
 )
-from .lattice import FiniteLattice, prime_filters, upset_lattice, validate_partial_order
+from .lattice import _locate, _prime_rows, upset_lattice, validate_partial_order
 
 FRAME_FLAGS = ("N", "R", "L", "Fa", "Fu")
 
@@ -342,26 +342,6 @@ def frames_equal(a: KripkeFrame, b: KripkeFrame) -> bool:
 # --- frames to algebras -------------------------------------------------------
 
 
-def _locate(family: np.ndarray, rows: np.ndarray):
-    """Position of each boolean row of ``rows`` among the distinct rows of
-    ``family``, and whether it is really there (the position is arbitrary
-    where it is not).  ``family`` is empty only when ``rows`` is."""
-
-    def keys(a):
-        # a leading set bit keeps every key at least one byte long, also
-        # for the rows of the zero-world frame
-        bits = np.ones((a.shape[0], a.shape[1] + 1), dtype=bool)
-        bits[:, 1:] = a
-        packed = np.packbits(bits, axis=1)
-        return packed.view(f"V{packed.shape[1]}").ravel()
-
-    fam = keys(family)
-    order = np.argsort(fam)
-    pos = np.searchsorted(fam[order], keys(rows))
-    idx = order[np.minimum(pos, len(order) - 1)]
-    return idx, (family[idx] == rows).all(axis=1)
-
-
 def upset_algebra(frame: KripkeFrame) -> NablaAlgebra:
     """Algebra of upsets; always carries the Heyting table, and every frame
     flag transfers to the corresponding algebra flag (checked).  Built once
@@ -426,15 +406,6 @@ def inverse_image_morphism(f: FrameMorphism) -> AlgebraMorphism:
 
 
 # --- algebras to frames -------------------------------------------------------
-
-
-def _prime_rows(lat: FiniteLattice) -> np.ndarray:
-    """Membership matrix of the prime filters: row i is filter i, column a element a."""
-    primes = prime_filters(lat)
-    rows = np.zeros((len(primes), lat.n), dtype=bool)
-    for i, p in enumerate(primes):
-        rows[i, list(p)] = True
-    return rows
 
 
 def prime_frame(alg: NablaAlgebra) -> KripkeFrame:

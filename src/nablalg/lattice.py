@@ -217,76 +217,63 @@ def heyting_table(lat: FiniteLattice):
 
 def join_irreducibles(lat: FiniteLattice) -> list[int]:
     """Non-bottom elements that are not a join of two strictly smaller ones."""
-    out = []
-    for a in range(lat.n):
-        if a == lat.bot:
-            continue
-        below = np.flatnonzero(lat.leq[:, a] & (np.arange(lat.n) != a))
-        joins = lat.join[np.ix_(below, below)]
-        if not (joins == a).any():
-            out.append(a)
-    return out
+    below = lat.leq.T & ~np.eye(lat.n, dtype=bool)          # below[a, x]: x < a
+    joined = lat.join[None, :, :] == np.arange(lat.n)[:, None, None]
+    split = (below[:, :, None] & below[:, None, :] & joined).any(axis=(1, 2))
+    split[lat.bot] = True
+    return np.flatnonzero(~split).tolist()
 
 
 def _join_primes(lat: FiniteLattice) -> list[int]:
-    out = []
-    for a in range(lat.n):
-        if a == lat.bot:
-            continue
-        under = lat.leq[a, lat.join]          # a <= x | y
-        split = lat.leq[a][:, None] | lat.leq[a][None, :]
-        if (~under | split).all():
-            out.append(a)
-    return out
+    """Non-bottom elements a for which a <= x | y forces a <= x or a <= y."""
+    split = lat.leq[:, :, None] | lat.leq[:, None, :]
+    prime = (lat.leq[:, lat.join] <= split).all(axis=(1, 2))
+    prime[lat.bot] = False
+    return np.flatnonzero(prime).tolist()
 
 
 def is_prime_filter(lat: FiniteLattice, members) -> bool:
     """Upward-closed, meet-closed (so contains top), excludes bot, join-prime."""
-    s = frozenset(members)
-    if lat.top not in s or lat.bot in s:
-        return False
-    for x in s:
-        if not lat.upset_of(x) <= s:
-            return False
-        for y in s:
-            if int(lat.meet[x, y]) not in s:
-                return False
-    for x in range(lat.n):
-        for y in range(lat.n):
-            if int(lat.join[x, y]) in s and x not in s and y not in s:
-                return False
-    return True
+    s = np.zeros(lat.n, dtype=bool)
+    s[list(members)] = True
+    upward = (lat.leq[s] <= s).all()
+    meets = s[lat.meet[np.ix_(s, s)]].all()
+    prime = (s[lat.join] <= (s[:, None] | s[None, :])).all()
+    return bool(s[lat.top] and not s[lat.bot] and upward and meets and prime)
 
 
-def prime_filters(lat: FiniteLattice) -> list[frozenset]:
-    """Every prime filter, canonically ordered by (size, members).
+def _prime_rows(lat: FiniteLattice) -> np.ndarray:
+    """Membership matrix of the prime filters, ordered by (size, members).
 
     In a finite lattice every filter is principal (it contains the meet of
     its members), so the prime filters are exactly the principal filters of
-    join-prime elements.  Each result is re-checked against the primality
+    join-prime elements.  Each row is re-checked against the primality
     predicate, and on distributive lattices the count is cross-checked
-    against the number of join-irreducibles.  The filters are computed once
+    against the number of join-irreducibles.  The matrix is computed once
     per lattice and kept on it.
     """
     if lat._primes is None:
-        out = [lat.upset_of(a) for a in _join_primes(lat)]
-        out.sort(key=lambda s: (len(s), tuple(sorted(s))))
-        for f in out:
+        rows = _sorted_rows(lat.leq[_join_primes(lat)])
+        for f in _row_sets(rows):
             ensure(is_prime_filter(lat, f), "enumerated set is not a prime filter")
         if is_distributive(lat):
-            ensure(len(out) == len(join_irreducibles(lat)),
+            ensure(len(rows) == len(join_irreducibles(lat)),
                    "prime filter count must match join-irreducibles on distributive lattices")
-        lat._primes = tuple(out)
-    return list(lat._primes)
+        lat._primes = _freeze(rows)
+    return lat._primes
 
 
-def _upset_masks(arr: np.ndarray) -> list[int]:
-    """All upsets of a validated order as bitmasks (bit w is element w),
-    ordered by (size, members).
+def prime_filters(lat: FiniteLattice) -> list[frozenset]:
+    """Every prime filter, canonically ordered by (size, members)."""
+    return _row_sets(_prime_rows(lat))
+
+
+def _upset_rows(arr: np.ndarray) -> np.ndarray:
+    """Membership matrix of all upsets of a validated order, by (size, members).
 
     Every upset is a union of principal upsets, so breadth-first closure of
     the empty set under "union one more principal upset" is exhaustive and
-    output-sensitive.
+    output-sensitive.  Upsets are bitmasks (bit w is element w) while found.
     """
     n = arr.shape[0]
     principal = [int(sum(1 << v for v in np.flatnonzero(arr[w]))) for w in range(n)]
@@ -302,23 +289,58 @@ def _upset_masks(arr: np.ndarray) -> list[int]:
                         seen.add(t)
                         nxt.append(t)
         frontier = nxt
-    return sorted(seen, key=lambda m: (m.bit_count(),
-                                       tuple(w for w in range(n) if (m >> w) & 1)))
-
-
-def _mask_rows(masks: list[int], n: int) -> np.ndarray:
-    """Boolean membership matrix with one row per bitmask and one column per element."""
     width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little")
-    return bits.astype(bool)
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in seen), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(seen), width), axis=1, count=n, bitorder="little")
+    return _sorted_rows(bits.astype(bool))
+
+
+def _row_sets(rows: np.ndarray) -> list[frozenset]:
+    """The sets of a membership matrix, one frozenset per row."""
+    return [frozenset(np.flatnonzero(row).tolist()) for row in rows]
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of a membership matrix ordered by (size, members): after the
+    size, the columns are keys in turn, members first."""
+    keys = [~col for col in rows.T[::-1]] + [rows.sum(axis=1)]
+    return rows[np.lexsort(keys)]
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One packed byte-string key per boolean row; equal keys iff equal rows.
+    A leading set bit keeps every key at least one byte long."""
+    bits = np.ones((rows.shape[0], rows.shape[1] + 1), dtype=bool)
+    bits[:, 1:] = rows
+    packed = np.packbits(bits, axis=1)
+    return packed.view(f"V{packed.shape[1]}").ravel()
+
+
+def _locate(family: np.ndarray, rows: np.ndarray):
+    """Position of each boolean row of ``rows`` among the distinct rows of
+    ``family``, and whether it is really there (the position is arbitrary
+    where it is not).  ``family`` is empty only when ``rows`` is."""
+    fam = _row_keys(family)
+    order = np.argsort(fam)
+    pos = np.searchsorted(fam[order], _row_keys(rows))
+    idx = order[np.minimum(pos, len(order) - 1)]
+    return idx, (family[idx] == rows).all(axis=1)
+
+
+def _inclusion_lattice(rows: np.ndarray) -> FiniteLattice:
+    """The lattice of a family of sets under inclusion, from its membership
+    matrix (row i is set i); meet must be intersection (checked)."""
+    # incl[i, j]: no element lies in set i outside set j (exact float32 counts)
+    inside = rows.astype(np.float32)
+    lat = build_lattice((inside @ (1 - inside).T) == 0)
+    ensure((rows[lat.meet] == (rows[:, None, :] & rows[None, :, :])).all(),
+           "family meet is not intersection")
+    return lat
 
 
 def all_upsets(leq) -> list[frozenset]:
     """All upward-closed subsets, ordered by (size, members)."""
-    arr = validate_partial_order(leq)
-    n = arr.shape[0]
-    return [frozenset(w for w in range(n) if (m >> w) & 1) for m in _upset_masks(arr)]
+    return _row_sets(_upset_rows(validate_partial_order(leq)))
 
 
 @dataclass(frozen=True)
@@ -334,27 +356,17 @@ class UpSetFamily:
     base_leq: np.ndarray
     members: np.ndarray
 
-    def index_of(self, members) -> int:
-        return self.upsets.index(frozenset(members))
-
 
 def upset_lattice(poset_leq) -> UpSetFamily:
     """Lattice of all upsets ordered by inclusion; meet is intersection, join union."""
     arr = validate_partial_order(poset_leq)
-    rows = _mask_rows(_upset_masks(arr), arr.shape[0])
-    # incl[i, j]: no element lies in upset i and outside upset j; float32
-    # products count those elements exactly and run on BLAS
-    inside = rows.astype(np.float32)
-    incl = (inside @ (1 - inside).T) == 0
-    lat = build_lattice(incl)
-    ensure((rows[lat.meet] == (rows[:, None, :] & rows[None, :, :])).all(),
-           "upset meet is not intersection")
+    rows = _upset_rows(arr)
+    lat = _inclusion_lattice(rows)
     ensure((rows[lat.join] == (rows[:, None, :] | rows[None, :, :])).all(),
            "upset join is not union")
     ensure(is_distributive(lat), "upset lattice must be distributive")
     ensure(heyting_table(lat) is not None, "upset lattice must carry pseudocomplements")
-    ups = tuple(frozenset(np.flatnonzero(row).tolist()) for row in rows)
-    return UpSetFamily(lattice=lat, upsets=ups, base_leq=_freeze(arr.copy()),
+    return UpSetFamily(lattice=lat, upsets=tuple(_row_sets(rows)), base_leq=_freeze(arr.copy()),
                        members=_freeze(rows))
 
 

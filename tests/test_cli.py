@@ -200,6 +200,16 @@ def test_enumerate_flag_filter(capsys):
     assert len(out.splitlines()) == 2
 
 
+def test_enumerate_unknown_flag_is_exit_two(capsys):
+    for flags in ("Z", "N,Z", "n"):
+        code, out = run(capsys, "enumerate", "--max-n", "3", "--flags", flags)
+        assert code == 2 and len(out.splitlines()) == 1
+        assert json.loads(out)["error"]["error"] == "out-of-range"
+    # empty items are skipped
+    assert run(capsys, "enumerate", "--max-n", "3", "--flags", "N,,") == \
+        run(capsys, "enumerate", "--max-n", "3", "--flags", "N")
+
+
 def test_validate_from_stdin(capsys, monkeypatch, x1):
     import io
 
@@ -285,6 +295,23 @@ def test_malformed_document_is_exit_two(tmp_path, capsys, h3, command, make):
     doc = make(algebra_to_json(h3))
     code, out = run_json(capsys, command, write(tmp_path, "doc.json", doc))
     assert code == 2 and out["error"]["error"] == "shape"
+
+
+def test_unreadable_reference_is_exit_two(tmp_path, capsys, h3):
+    # "" and "." resolve to the document's directory, which cannot be read
+    for ref in ("", "."):
+        doc = {"kind": "morphism", "map": [0, 1, 2], "source": ref, "target": algebra_to_json(h3)}
+        code, out = run_json(capsys, "check-morphism", write(tmp_path, "m.json", doc))
+        assert code == 2 and out["error"]["error"] == "input"
+    code, out = run_json(capsys, "classify", str(tmp_path))
+    assert code == 2 and out["error"]["error"] == "input"
+
+
+def test_deeply_nested_document_is_exit_two(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    code, out = run_json(capsys, "classify", str(p))
+    assert code == 2 and out["error"]["error"] == "input"
 
 
 def test_failed_cross_check_is_exit_three(tmp_path, capsys, monkeypatch, x1):

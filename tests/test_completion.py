@@ -2,29 +2,121 @@ import numpy as np
 
 from nablalg.algebra import classify, derive_arrow
 from nablalg.completion import (
+    _closure_rows,
     dm_complete,
     is_normal_ideal,
+    lower_bounds,
     lu_closure,
     normal_ideals,
     upper_bounds,
 )
-from nablalg.gallery import gen_heyting, gen_trivial
+from nablalg.gallery import gen_trivial, gen_xn
+from nablalg.kripke import build_frame, upset_algebra
 
-from conftest import boolean_square, chain, subsets
+from conftest import chain, subsets
 
 
-# --- independent oracle: closure fixpoints by definition ----------------------
+# --- independent oracles: closures, ideals and lifted tables over frozensets ---
+
+
+def oracle_lu_closure(lat, members):
+    above = [u for u in range(lat.n) if all(lat.leq[s, u] for s in members)]
+    return frozenset(x for x in range(lat.n) if all(lat.leq[x, u] for u in above))
+
+
+def canonical_order(sets):
+    return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def oracle_normal_subsets(lat):
-    out = [s for s in subsets(range(lat.n)) if lu_closure(lat, s) == s]
-    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return out
+    return canonical_order(s for s in subsets(range(lat.n)) if oracle_lu_closure(lat, s) == s)
+
+
+def oracle_normal_ideals(lat):
+    """Principal ideals closed under pairwise intersection, canonically ordered."""
+    closed = {lat.downset_of(a) for a in range(lat.n)}
+    while True:
+        new = {a & b for a in closed for b in closed} - closed
+        if not new:
+            return canonical_order(closed)
+        closed |= new
+
+
+def oracle_dm_complete(alg):
+    """The ideals, the ideal order, meet, join, the lifted nabla, arrow and box,
+    and the embedding, by the defining formulas over frozensets."""
+    lat = alg.lat
+    meet, nab = lat.meet.tolist(), alg.nabla.tolist()
+    ideals = oracle_normal_ideals(lat)
+    index = {m: i for i, m in enumerate(ideals)}
+    return {
+        "ideals": ideals,
+        "leq": [[a <= b for b in ideals] for a in ideals],
+        "meet": [[index[a & b] for b in ideals] for a in ideals],
+        "join": [[index[oracle_lu_closure(lat, a | b)] for b in ideals] for a in ideals],
+        "nabla": [index[oracle_lu_closure(lat, frozenset().union(
+            *(lat.downset_of(nab[x]) for x in a)))] for a in ideals],
+        "arrow": [[index[frozenset(x for x in range(lat.n)
+                                   if all(meet[nab[x]][m] in b for m in a))]
+                   for b in ideals] for a in ideals],
+        "box": [index[frozenset(x for x in range(lat.n) if nab[x] in b)] for b in ideals],
+        "embedding": tuple(index[lat.downset_of(x)] for x in range(lat.n)),
+    }
+
+
+def assert_matches_oracle(alg):
+    want = oracle_dm_complete(alg)
+    comp = dm_complete(alg)
+    got = comp.algebra
+    assert [i.members for i in normal_ideals(alg)] == want["ideals"]
+    assert [i.members for i in comp.ideals] == want["ideals"]
+    assert got.lat.leq.tolist() == want["leq"]
+    assert got.lat.meet.tolist() == want["meet"]
+    assert got.lat.join.tolist() == want["join"]
+    assert got.nabla.tolist() == want["nabla"]
+    assert got.arrow.tolist() == want["arrow"]
+    assert got.box.tolist() == want["box"]
+    assert comp.embedding == want["embedding"]
+
+
+def test_completion_matches_oracle_on_catalog(full_catalog):
+    assert len(full_catalog) == 279
+    for alg in full_catalog:
+        assert_matches_oracle(alg)
+
+
+def test_completion_matches_oracle_on_xn():
+    for i in range(1, 6):
+        assert_matches_oracle(gen_xn(i))
+
+
+def test_completion_matches_oracle_on_boolean_relation_image():
+    # the upsets of a 5-element antichain form the Boolean 2^5; nabla is the
+    # image under a seeded relation
+    rng = np.random.default_rng(20240611)
+    alg = upset_algebra(build_frame(np.eye(5, dtype=bool), rng.random((5, 5)) < 0.4))
+    assert alg.n == 32
+    assert_matches_oracle(alg)
+
+
+def test_row_closure_matches_subset_oracle(small_lattices):
+    for lat in small_lattices:
+        every = [frozenset(s) for s in subsets(range(lat.n))]
+        rows = np.zeros((len(every), lat.n), dtype=bool)
+        for i, s in enumerate(every):
+            rows[i, list(s)] = True
+        closed = _closure_rows(lat, rows)
+        assert [frozenset(np.flatnonzero(r).tolist()) for r in closed] == \
+            [oracle_lu_closure(lat, s) for s in every]
+        fixed = [s for s, row, c in zip(every, rows, closed) if (row == c).all()]
+        assert canonical_order(fixed) == oracle_normal_subsets(lat)
 
 
 def test_lu_operators_three_chain():
     lat = chain(3)
     assert upper_bounds(lat, {0, 1}) == frozenset({1, 2})
+    assert lower_bounds(lat, {1, 2}) == frozenset({0, 1})
+    assert upper_bounds(lat, set()) == frozenset({0, 1, 2})
     assert lu_closure(lat, {1}) == frozenset({0, 1})
     assert lu_closure(lat, set()) == frozenset({0})
 

@@ -295,6 +295,16 @@ def test_prime_filters_match_subset_oracle(six_lattices):
             assert is_prime_filter(lat, f)
 
 
+def test_prime_predicates_match_oracles(small_lattices):
+    for lat in small_lattices:
+        for s in subsets(range(lat.n)):
+            assert is_prime_filter(lat, s) == is_prime_filter_oracle(lat, s)
+        below = [[x for x in range(lat.n) if x != a and lat.leq[x, a]] for a in range(lat.n)]
+        assert join_irreducibles(lat) == [
+            a for a in range(lat.n)
+            if a != lat.bot and not any(lat.join[x, y] == a for x in below[a] for y in below[a])]
+
+
 def test_one_element_lattice_has_no_prime_filter():
     assert prime_filters(chain(1)) == []
 

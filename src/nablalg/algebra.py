@@ -28,6 +28,7 @@ from .lattice import (
     _greatest,
     _order_iso,
     _signatures,
+    distributivity_witness,
     heyting_table,
     is_distributive,
 )
@@ -258,8 +259,6 @@ def classify(alg: NablaAlgebra) -> PropertyProfile:
 
     d = is_distributive(lat)
     if not d:
-        from .lattice import distributivity_witness
-
         witnesses["D"] = distributivity_witness(lat)
     h = alg.heyting is not None
     if not h:

@@ -1,7 +1,8 @@
 """Command-line front end: thin dispatch, JSON on stdout, summaries on stderr.
 
-Exit codes: 0 valid/true, 1 invalid/false (with a report), 2 input error,
-3 internal error (a failed cross-check, which means a library bug).
+Exit codes: 0 valid/true, 1 invalid/false (with a report), 2 input error
+(malformed, or past a command's size bound), 3 internal error (a failed
+cross-check, which means a library bug).
 """
 
 from __future__ import annotations
@@ -25,8 +26,14 @@ from .congruence import (
     is_simple,
     is_subdirectly_irreducible,
 )
-from .errors import CrossCheckError, NablalgError, OutOfRange, ShapeError
-from .kripke import FrameMorphism, amalgamate_algebras, check_frame_morphism
+from .errors import CrossCheckError, NablalgError, OutOfRange, ShapeError, TooLarge
+from .kripke import (
+    FrameMorphism,
+    amalgamate_algebras,
+    check_frame_morphism,
+    prime_frame,
+    upset_algebra,
+)
 
 
 def _emit(obj: dict) -> None:
@@ -138,8 +145,6 @@ def cmd_dm_complete(args) -> int:
 
 
 def cmd_prime_frame(args) -> int:
-    from .kripke import prime_frame
-
     alg = serialize.algebra_from_json(_read_json(args.file))
     frame = prime_frame(alg)
     _emit(serialize.frame_to_json(frame))
@@ -148,8 +153,6 @@ def cmd_prime_frame(args) -> int:
 
 
 def cmd_upset_algebra(args) -> int:
-    from .kripke import upset_algebra
-
     frame = serialize.frame_from_json(_read_json(args.file))
     alg = upset_algebra(frame)
     _emit(serialize.algebra_to_json(alg))
@@ -261,7 +264,7 @@ def main(argv=None) -> int:
         # undecodable JSON, and paths that are missing, directories or unreadable
         _emit({"ok": False, "error": {"error": "input", "message": str(err)}})
         return 2
-    except (ShapeError, OutOfRange) as err:
+    except (ShapeError, OutOfRange, TooLarge) as err:
         _emit({"ok": False, "error": err.to_json()})
         return 2
     except NablalgError as err:

@@ -16,10 +16,14 @@ greatest fixpoint of nabla below x, gives them all: the closure of a seed
 is [g[meet of the seed]), the algebra is simple iff g[x] = bot for every
 x != top, and subdirectly irreducible iff the join of those g[x] is not
 top.  g comes from the lattice module's greatest-element kernel, and every
-principal filter is re-checked against the full modal-filter predicate.  A
-congruence oracle that never mentions filters (principal congruences
-closed under partition joins) keeps the two routes independently
-checkable.
+principal filter is re-checked against the full modal-filter predicate.
+
+A congruence oracle that never mentions filters keeps the two routes
+independently checkable.  While it computes, a congruence is an n x n
+boolean equivalence matrix; one batched closure takes a (k, n, n) stack
+of relations to the least congruences containing them (images under nabla
+and the translations of meet, join and arrow, converse, one float32
+squaring per round), and the blocks are read off each row's least member.
 """
 
 from __future__ import annotations
@@ -28,7 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import NablaAlgebra, AlgebraMorphism, check_morphism, classify
+from .algebra import (
+    AlgebraMorphism,
+    LawReport,
+    NablaAlgebra,
+    Violation,
+    _first_false,
+    check_morphism,
+    classify,
+)
 from .errors import (
     NotDistributive,
     NotEmbedding,
@@ -37,7 +49,7 @@ from .errors import (
     Trivial,
     ensure,
 )
-from .lattice import _greatest
+from .lattice import _greatest, _row_keys
 
 ORACLE_BOUND = 10
 
@@ -175,46 +187,14 @@ def congruence_from_filter(alg: NablaAlgebra, f: ModalFilter) -> Congruence:
     _require_distributive(alg)
     memb = np.zeros(alg.n, dtype=bool)
     memb[sorted(f.members)] = True
-    biimp = alg.lat.meet[alg.arrow, alg.arrow.T]
-    rel = memb[biimp]
-    blocks = _blocks_from_relation(rel)
-    theta = Congruence(alg, blocks)
-    ensure(is_congruence(alg, blocks), "alpha must produce a congruence")
+    rel = memb[alg.lat.meet[alg.arrow, alg.arrow.T]]
+    square = rel.astype(np.float32)
+    ensure(bool(rel.diagonal().all()) and (rel == rel.T).all()
+           and (rel >= ((square @ square) > 0)).all(),
+           "filter biimplication relation must be an equivalence")
+    theta = Congruence(alg, canonical_blocks(rel.argmax(axis=1)))
+    ensure(is_congruence(alg, theta.blocks), "alpha must produce a congruence")
     return theta
-
-
-class _UnionFind:
-    """Disjoint classes of 0..n-1, each rooted at its least element."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the classes of a and b; True when they were apart."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-    def blocks(self) -> tuple:
-        return canonical_blocks(self.find(v) for v in range(len(self.parent)))
-
-
-def _blocks_from_relation(rel: np.ndarray) -> tuple:
-    ensure(bool(rel.diagonal().all()) and (rel == rel.T).all(),
-           "filter biimplication relation must be reflexive and symmetric")
-    classes = _UnionFind(rel.shape[0])
-    for x, y in np.argwhere(rel):
-        classes.union(int(x), int(y))
-    return classes.blocks()
 
 
 def filter_from_congruence(alg: NablaAlgebra, theta: Congruence) -> ModalFilter:
@@ -228,71 +208,66 @@ def filter_from_congruence(alg: NablaAlgebra, theta: Congruence) -> ModalFilter:
     return f
 
 
-def principal_congruence(alg: NablaAlgebra, x: int, y: int) -> Congruence:
-    """Least congruence identifying x and y, by operation-respecting closure."""
-    n = alg.n
-    classes = _UnionFind(n)
-    union = classes.union
-    union(x, y)
-    tables = (alg.lat.meet, alg.lat.join, alg.arrow)
-    changed = True
-    while changed:
-        changed = False
-        groups = {}
-        for v in range(n):
-            groups.setdefault(classes.find(v), []).append(v)
-        for group in groups.values():
-            u = group[0]
-            for v in group[1:]:
-                if union(int(alg.nabla[u]), int(alg.nabla[v])):
-                    changed = True
-                for t in tables:
-                    for z in range(n):
-                        if union(int(t[u, z]), int(t[v, z])):
-                            changed = True
-                        if union(int(t[z, u]), int(t[z, v])):
-                            changed = True
-    return Congruence(alg, classes.blocks())
+def _congruence_closure(alg: NablaAlgebra, rels: np.ndarray) -> np.ndarray:
+    """Least congruences containing each relation of a (k, n, n) batch.
 
-
-def join_congruences(alg: NablaAlgebra, a: Congruence, b: Congruence) -> Congruence:
-    classes = _UnionFind(alg.n)
-    for blocks in (a.blocks, b.blocks):
-        firsts = {}
-        for v in range(alg.n):
-            classes.union(firsts.setdefault(blocks[v], v), v)
-    out = Congruence(alg, classes.blocks())
-    ensure(is_congruence(alg, out.blocks), "join of congruences must stay a congruence")
-    return out
+    A round relates the images of x and of the least element related to x
+    under nabla and under every translation of meet, join and arrow, adds
+    the converse, and squares the relation once; it repeats on the batch
+    members that still change.  At the fixpoint the relation is an
+    equivalence whose blocks each map into one block, so it is a congruence,
+    and every pair added lies in any congruence containing the seed.
+    """
+    lat = alg.lat
+    maps = np.concatenate([alg.nabla[None], lat.meet, lat.meet.T, lat.join, lat.join.T,
+                           alg.arrow, alg.arrow.T])
+    rels = rels | rels.transpose(0, 2, 1) | np.eye(alg.n, dtype=bool)
+    live = np.arange(len(rels))
+    while live.size:
+        cur = rels[live]
+        grown = cur.copy()
+        least = maps[:, cur.argmax(axis=2)].transpose(1, 0, 2)
+        grown[np.arange(len(cur))[:, None, None], maps, least] = True
+        grown |= grown.transpose(0, 2, 1)
+        square = grown.astype(np.float32)
+        grown |= (square @ square) > 0
+        changed = (grown != cur).any(axis=(1, 2))
+        rels[live] = grown
+        live = live[changed]
+    return rels
 
 
 def all_congruences_oracle(alg: NablaAlgebra) -> list:
     """Every congruence, with no reference to modal filters.
 
-    Principal congruences of all pairs, closed under pairwise joins; every
-    congruence is the join of the principal congruences it contains, so the
-    closure is exhaustive.  Ordered finest-first.
+    Every congruence is the join of the principal congruences it contains.
+    The principal congruences of all pairs come from one batched closure;
+    then each congruence found is joined, once, with every principal
+    congruence it does not contain, until no new one appears.  Ordered
+    finest-first.
     """
-    if alg.n > ORACLE_BOUND:
+    n = alg.n
+    if n > ORACLE_BOUND:
         raise TooLarge(f"congruence oracle bounded at {ORACLE_BOUND} elements")
-    identity = Congruence(alg, tuple(range(alg.n)))
-    found = {identity.blocks: identity}
-    for x in range(alg.n):
-        for y in range(x + 1, alg.n):
-            theta = principal_congruence(alg, x, y)
-            found.setdefault(theta.blocks, theta)
-    while True:
-        items = list(found.values())
-        new = []
-        for i, a in enumerate(items):
-            for b in items[i + 1:]:
-                j = join_congruences(alg, a, b)
-                if j.blocks not in found:
-                    found[j.blocks] = j
-                    new.append(j)
-        if not new:
-            break
-    out = list(found.values())
+    xs, ys = np.triu_indices(n, 1)
+    seeds = np.zeros((len(xs), n, n), dtype=bool)
+    seeds[np.arange(len(xs)), xs, ys] = True
+    found, seen = [], set()
+
+    def add(rels):
+        for key, rel in zip(_row_keys(rels.reshape(len(rels), n * n)), rels):
+            key = key.tobytes()
+            if key not in seen:
+                seen.add(key)
+                found.append(rel)
+
+    add(_congruence_closure(alg, seeds))
+    principal = np.array(found, dtype=bool).reshape(-1, n, n)
+    for theta in found:
+        outside = (principal & ~theta).any(axis=(1, 2))
+        add(_congruence_closure(alg, principal[outside] | theta))
+    found.append(np.eye(n, dtype=bool))
+    out = [Congruence(alg, canonical_blocks(rel.argmax(axis=1))) for rel in found]
     for theta in out:
         ensure(is_congruence(alg, theta.blocks), "oracle produced a non-congruence")
     out.sort(key=lambda t: (-t.n_blocks(), t.blocks))
@@ -398,8 +373,6 @@ INTERNAL_LAWS = {
 
 def check_internal_cong_inequalities(alg: NablaAlgebra):
     """The compatibility inequalities behind the filter/congruence bijection."""
-    from .algebra import LawReport, Violation, _first_false
-
     _require_normal(alg)
     _require_distributive(alg)
     lat, arr, nab, box = alg.lat, alg.arrow, alg.nabla, alg.box

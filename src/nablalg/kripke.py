@@ -39,6 +39,8 @@ import numpy as np
 from .algebra import (
     AlgebraMorphism,
     NablaAlgebra,
+    Violation,
+    _first_false,
     build_algebra,
     check_morphism,
     classify,
@@ -50,6 +52,7 @@ from .errors import (
     InvalidMorphism,
     NotCompatible,
     NotDistributive,
+    NotEmbedding,
     NotKripkeMorphism,
     NotNormal,
     NotSurjective,
@@ -171,34 +174,27 @@ def frame_profile(frame: KripkeFrame) -> FrameProfile:
     r_mask = ~leq | r
     r_flag = bool(r_mask.all())
     if not r_flag:
-        witnesses["R"] = tuple(int(v) for v in np.argwhere(~r_mask)[0])
+        witnesses["R"] = _first_false(r_mask)
 
     l_mask = ~r | leq
     l_flag = bool(l_mask.all())
     if not l_flag:
-        witnesses["L"] = tuple(int(v) for v in np.argwhere(~l_mask)[0])
+        witnesses["L"] = _first_false(l_mask)
 
-    fa_flag = True
-    for x in range(n):
-        ok = any(
-            r[y, x] and all(not r[y, z] or leq[x, z] for z in range(n))
-            for y in range(n)
-        )
-        if not ok:
-            fa_flag = False
-            witnesses["Fa"] = (x,)
-            break
-
-    fu_flag = True
-    for x in range(n):
-        ok = any(
-            r[x, y] and all(not r[z, y] or leq[z, x] for z in range(n))
-            for y in range(n)
-        )
-        if not ok:
-            fu_flag = False
-            witnesses["Fu"] = (x,)
-            break
+    # beside[y, x] counts the R-successors of y outside [x), and
+    # below[x, y] the R-predecessors of y outside (x]
+    rf, off = r.astype(np.float32), (~leq).astype(np.float32)
+    beside, below = rf @ off.T, off.T @ rf
+    # Fa: x has an R-predecessor whose R-successors all lie above x
+    fa_ok = (r & (beside == 0)).any(axis=0)
+    fa_flag = bool(fa_ok.all())
+    if not fa_flag:
+        witnesses["Fa"] = _first_false(fa_ok)
+    # Fu: x has an R-successor whose R-predecessors all lie below x
+    fu_ok = (r & (below == 0)).any(axis=1)
+    fu_flag = bool(fu_ok.all())
+    if not fu_flag:
+        witnesses["Fu"] = _first_false(fu_ok)
 
     profile = FrameProfile(N=n_flag, R=r_flag, L=l_flag, Fa=fa_flag, Fu=fu_flag,
                            pi=frame.pi, witnesses=witnesses)
@@ -251,8 +247,6 @@ def check_frame_morphism(m: FrameMorphism) -> FrameMorphismReport:
     preimages match) is evaluated independently and required to agree with
     the clause-by-clause verdict.
     """
-    from .algebra import Violation
-
     src, tgt = m.source, m.target
     f = np.asarray(m.map, dtype=np.int64)
     if f.shape != (src.n,):
@@ -261,69 +255,36 @@ def check_frame_morphism(m: FrameMorphism) -> FrameMorphismReport:
         raise ShapeError("map entries out of range")
     violations = []
 
-    mono = ~src.leq | tgt.leq[f][:, f]
-    monotone = bool(mono.all())
-    if not monotone:
-        violations.append(Violation("monotone", tuple(int(v) for v in np.argwhere(~mono)[0])))
+    def clause(name, mask) -> bool:
+        # the witness is the first failing entry in row-major order
+        if mask.all():
+            return True
+        violations.append(Violation(name, _first_false(mask)))
+        return False
 
-    fwd = ~src.r | tgt.r[f][:, f]
-    forward = bool(fwd.all())
-    if not forward:
-        violations.append(Violation("preserves-relation",
-                                    tuple(int(v) for v in np.argwhere(~fwd)[0])))
-
-    succ = True
-    for k in range(src.n):
-        for lp in range(tgt.n):
-            if tgt.r[f[k], lp] and not any(
-                src.r[k, l] and f[l] == lp for l in range(src.n)
-            ):
-                succ = False
-                violations.append(Violation("lift-successors", (k, lp)))
-                break
-        if not succ:
-            break
-
-    pred = True
-    for k in range(src.n):
-        for lp in range(tgt.n):
-            if tgt.r[lp, f[k]] and not any(
-                src.r[l, k] and tgt.leq[lp, f[l]] for l in range(src.n)
-            ):
-                pred = False
-                violations.append(Violation("lift-predecessors", (k, lp)))
-                break
-        if not pred:
-            break
-
+    # hit[l, u] = 1 where f(l) = u: a product with it sums over preimages
+    hit = np.zeros((src.n, tgt.n), dtype=np.float32)
+    hit[np.arange(src.n), f] = 1
+    monotone = clause("monotone", ~src.leq | tgt.leq[f][:, f])
+    forward = clause("preserves-relation", ~src.r | tgt.r[f][:, f])
+    # every R-successor of f(k) is the image of an R-successor of k
+    succ = clause("lift-successors", ~tgt.r[f] | ((src.r @ hit) > 0))
+    # every R-predecessor of f(k) lies below the image of an R-predecessor of k
+    pred = clause("lift-predecessors",
+                  ~tgt.r[:, f].T | ((src.r.T @ tgt.leq.T[f].astype(np.float32)) > 0))
     clauses_ok = monotone and forward and succ and pred
-
-    heyting_ok = True
-    if m.heyting:
-        for k in range(src.n):
-            for lp in range(tgt.n):
-                if tgt.leq[f[k], lp] and not any(
-                    src.leq[k, l] and f[l] == lp for l in range(src.n)
-                ):
-                    heyting_ok = False
-                    violations.append(Violation("lift-order", (k, lp)))
-                    break
-            if not heyting_ok:
-                break
+    # every element above f(k) is the image of an element above k
+    heyting_ok = not m.heyting or clause("lift-order", ~tgt.leq[f] | ((src.leq @ hit) > 0))
 
     if monotone and src.pi is not None and tgt.pi is not None:
         commutes = bool((f[src.pi] == tgt.pi[f]).all())
-        preimages = all(
-            {lp for lp in range(tgt.n) if tgt.leq[f[k], tgt.pi[lp]]}
-            == {int(f[l]) for l in range(src.n) if src.leq[k, src.pi[l]]}
-            for k in range(src.n)
-        )
+        # {lp : f(k) <= pi(lp)} against the images of {l : k <= pi(l)}
+        preimages = bool((tgt.leq[f][:, tgt.pi] == ((src.leq[:, src.pi] @ hit) > 0)).all())
         ensure((commutes and preimages) == (forward and succ and pred),
                "witness characterization of frame morphisms disagrees with the clauses")
 
     surjective = len(set(int(v) for v in f)) == tgt.n
-    ok = clauses_ok and (heyting_ok or not m.heyting)
-    return FrameMorphismReport(ok=ok, violations=tuple(violations),
+    return FrameMorphismReport(ok=clauses_ok and heyting_ok, violations=tuple(violations),
                                surjective=surjective, heyting_ok=heyting_ok)
 
 
@@ -585,8 +546,6 @@ def amalgamate_algebras(a0: NablaAlgebra, a1: NablaAlgebra, a2: NablaAlgebra,
     embeddings.  Every stage re-validates its output; the final square is
     checked to commute exactly and to carry the shared flag class.
     """
-    from .errors import NotEmbedding
-
     carried = {}
     for name, alg in (("a0", a0), ("a1", a1), ("a2", a2)):
         profile = classify(alg)

@@ -210,6 +210,15 @@ def test_enumerate_unknown_flag_is_exit_two(capsys):
         run(capsys, "enumerate", "--max-n", "3", "--flags", "N")
 
 
+def test_oracle_size_bound_is_exit_two(tmp_path, capsys):
+    # gen xn 4 has 17 elements, past the congruence oracle's bound
+    code, out = run(capsys, "gen", "xn", "4")
+    path = write(tmp_path, "x4.json", json.loads(out))
+    code, out = run(capsys, "congruences", path)
+    assert code == 2 and len(out.splitlines()) == 1
+    assert json.loads(out)["error"]["error"] == "too-large"
+
+
 def test_validate_from_stdin(capsys, monkeypatch, x1):
     import io
 

@@ -6,6 +6,7 @@ import pytest
 from nablalg.algebra import AlgebraMorphism, classify
 from nablalg.congruence import (
     Congruence,
+    _congruence_closure,
     all_congruences_oracle,
     all_modal_filters,
     canonical_blocks,
@@ -20,7 +21,7 @@ from nablalg.congruence import (
     modal_filter_closure,
 )
 from nablalg.errors import NotEmbedding, NotNormal, TooLarge, Trivial
-from nablalg.gallery import gen_heyting, gen_trivial
+from nablalg.gallery import enumerate_algebras, gen_heyting, gen_trivial
 
 from conftest import chain, subsets
 
@@ -211,6 +212,38 @@ def test_oracle_matches_partition_enumeration(small_catalog):
     for alg in small_catalog:
         got = [c.blocks for c in all_congruences_oracle(alg)]
         assert got == oracle_congruences(alg)
+
+
+def test_single_pair_closure_is_finest_congruence_relating_the_pair(small_catalog):
+    for alg in small_catalog:
+        n = alg.n
+        congs = oracle_congruences(alg)
+        xs, ys = np.triu_indices(n, 1)
+        seeds = np.zeros((len(xs), n, n), dtype=bool)
+        seeds[np.arange(len(xs)), xs, ys] = True
+        for x, y, rel in zip(xs, ys, _congruence_closure(alg, seeds)):
+            relating = [Congruence(alg, b) for b in congs if b[x] == b[y]]
+            finest = relating[0]
+            assert all(finest.refines(theta) for theta in relating)
+            b = np.array(finest.blocks)
+            assert (rel == (b[:, None] == b[None, :])).all()
+
+
+def test_oracle_on_eight_chain_with_constant_dynamics():
+    alg = gen_trivial(chain(8))
+    got = [c.blocks for c in all_congruences_oracle(alg)]
+    # the congruences are the 2^7 partitions of the chain into intervals,
+    # found among all Bell(8) = 4140 partitions
+    assert len(got) == 128
+    assert got == oracle_congruences(alg)
+
+
+def test_oracle_matches_partition_enumeration_on_six_elements():
+    six = [alg for alg in enumerate_algebras(6) if alg.n == 6]
+    rng = np.random.default_rng(6)
+    for i in rng.choice(len(six), size=200, replace=False):
+        alg = six[int(i)]
+        assert [c.blocks for c in all_congruences_oracle(alg)] == oracle_congruences(alg)
 
 
 def test_oracle_too_large():

@@ -99,6 +99,44 @@ def oracle_prime_relations(alg):
     return leq, image, definitional
 
 
+def oracle_faithful_full(frame):
+    """First failing world of the Fa and Fu clauses (None when the flag holds),
+    by quantifier loops."""
+    n, leq, r = frame.n, frame.leq, frame.r
+    fa = next(((x,) for x in range(n) if not any(
+        r[y, x] and all(not r[y, z] or leq[x, z] for z in range(n)) for y in range(n))), None)
+    fu = next(((x,) for x in range(n) if not any(
+        r[x, y] and all(not r[z, y] or leq[z, x] for z in range(n)) for y in range(n))), None)
+    return {"Fa": fa, "Fu": fu}
+
+
+def oracle_lift_witnesses(src, tgt, f):
+    """First failing (k, lp) of each lifting clause in row-major order (None
+    when it holds), by quantifier loops."""
+    ls = range(src.n)
+
+    def first(bad):
+        return next(((k, lp) for k in ls for lp in range(tgt.n) if bad(k, lp)), None)
+
+    return {
+        "lift-successors": first(lambda k, lp: tgt.r[f[k], lp] and not any(
+            src.r[k, l] and f[l] == lp for l in ls)),
+        "lift-predecessors": first(lambda k, lp: tgt.r[lp, f[k]] and not any(
+            src.r[l, k] and tgt.leq[lp, f[l]] for l in ls)),
+        "lift-order": first(lambda k, lp: tgt.leq[f[k], lp] and not any(
+            src.leq[k, l] and f[l] == lp for l in ls)),
+    }
+
+
+def oracle_preimages(src, tgt, f):
+    """The successor-preimage condition of the witness characterization, by sets."""
+    return all(
+        {lp for lp in range(tgt.n) if tgt.leq[f[k], tgt.pi[lp]]}
+        == {int(f[l]) for l in range(src.n) if src.leq[k, src.pi[l]]}
+        for k in range(src.n)
+    )
+
+
 # --- construction ------------------------------------------------------------
 
 
@@ -190,6 +228,50 @@ def test_broken_frame_morphism_reports_clause():
     assert not rep.ok
     assert {v.law for v in rep.violations} & {
         "preserves-relation", "lift-successors", "lift-predecessors"}
+
+
+def _mask_test_frames(full_catalog):
+    rng = np.random.default_rng(11)
+    frames = [random_frame(rng, int(n)) for n in rng.integers(1, 7, 60)]
+    frames += [prime_frame(alg) for alg in full_catalog if classify(alg).D]
+    return frames, rng
+
+
+def test_frame_profile_matches_loop_oracle(full_catalog):
+    frames, _ = _mask_test_frames(full_catalog)
+    for frame in frames:
+        profile = frame_profile(frame)
+        want = oracle_faithful_full(frame)
+        for flag in ("Fa", "Fu"):
+            assert getattr(profile, flag) == (want[flag] is None)
+            assert profile.witnesses.get(flag) == want[flag]
+
+
+def test_frame_morphism_clauses_match_loop_oracle(full_catalog):
+    frames, rng = _mask_test_frames(full_catalog)
+    checked = {"lift-successors": 0, "lift-predecessors": 0, "lift-order": 0}
+    for _ in range(600):
+        src, tgt = (frames[i] for i in rng.integers(len(frames), size=2))
+        if src.n and not tgt.n:
+            continue
+        if rng.random() < 0.3:
+            tgt = src
+            f = np.arange(src.n) if rng.random() < 0.5 else rng.permutation(src.n)
+        else:
+            f = rng.integers(tgt.n, size=src.n)
+        rep = check_frame_morphism(FrameMorphism(src, tgt, tuple(int(v) for v in f),
+                                                 heyting=True))
+        got = {v.law: v.witness for v in rep.violations}
+        for law, witness in oracle_lift_witnesses(src, tgt, f).items():
+            assert got.get(law) == witness
+            checked[law] += witness is not None
+        clauses = not ({"preserves-relation", "lift-successors", "lift-predecessors"}
+                       & set(got))
+        assert rep.ok == (clauses and "monotone" not in got and "lift-order" not in got)
+        if "monotone" not in got and src.pi is not None and tgt.pi is not None:
+            commutes = bool((f[src.pi] == tgt.pi[f]).all())
+            assert (commutes and oracle_preimages(src, tgt, f)) == clauses
+    assert min(checked.values()) > 0
 
 
 # --- upsets of frames ---------------------------------------------------------

@@ -9,11 +9,16 @@ right adjoint of ``nabla``.  Two independent validators exist: the direct
 adjunction scan (``build_algebra``) and the equational laws
 (``check_equational_axioms``); they must agree on every input, which the
 test harness verifies exhaustively at small sizes.
+
+Every checker here, in ``kripke`` and in ``congruence`` states its laws as
+named boolean masks, true where the law holds, and ``_violations`` turns the
+failing ones into witnesses: the first false entry in row-major order.  Index
+tables from callers are checked for shape and range by ``_indices``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,11 +50,72 @@ class Violation:
 
 @dataclass(frozen=True)
 class LawReport:
-    ok: bool
+    """The failed laws of a check; it passes when none failed.  Subclasses add
+    fields, and ``to_json`` reports every compared field."""
+
     violations: tuple
 
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
     def to_json(self) -> dict:
-        return {"ok": self.ok, "violations": [v.to_json() for v in self.violations]}
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        out.update(ok=self.ok, violations=[v.to_json() for v in self.violations])
+        return out
+
+
+def _violations(laws) -> tuple:
+    """The failing laws among ``(name, mask)`` and ``(name, mask, axes)`` entries.
+
+    A mask is true where its law holds; a 0-d mask states a law without
+    variables and fails with the witness ().  A failed law's witness is the
+    first false entry of its mask in row-major order, with its indices taken
+    in ``axes`` order when that is given (a law scanned c-major reports
+    (a, b, c)).  A name given several masks reports its first failing one.
+    """
+    found = {}
+    for name, mask, *axes in laws:
+        mask = np.asarray(mask)
+        if name in found or mask.all():
+            continue
+        first = np.argwhere(~mask)[0]
+        if axes:
+            first = first[list(axes[0])]
+        found[name] = Violation(name, tuple(int(v) for v in first))
+    return tuple(found.values())
+
+
+def _indices(values, shape: tuple, bound: int, what: str) -> np.ndarray:
+    """``values`` as an int64 array of ``shape`` with entries in 0..bound-1."""
+    arr = np.asarray(values, dtype=np.int64)
+    if arr.shape != shape:
+        want = f"length {shape[0]}" if len(shape) == 1 else f"shape {shape}"
+        raise ShapeError(f"{what} must have {want}")
+    if arr.size and (arr.min() < 0 or arr.max() >= bound):
+        raise ShapeError(f"{what} entries out of range")
+    return arr
+
+
+def _preserves(f: np.ndarray, src_op: np.ndarray, tgt_op: np.ndarray) -> np.ndarray:
+    """[a, b]: f(a op b) = f(a) op' f(b)."""
+    return f[src_op] == tgt_op[f[:, None], f[None, :]]
+
+
+def _antitone_first(leq: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """[a', a, b]: a' <= a implies arrow(a, b) <= arrow(a', b)."""
+    return ~leq[:, :, None] | leq[arr[None, :, :], arr[:, None, :]]
+
+
+def _monotone_second(leq: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """[a, b, b']: b <= b' implies arrow(a, b) <= arrow(a, b')."""
+    return ~leq[None, :, :] | leq[arr[:, :, None], arr[:, None, :]]
+
+
+def _detachment(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """[a, b]: a & nabla(arrow(a, b)) <= b."""
+    idx = np.arange(lat.n)
+    return lat.leq[lat.meet[idx[:, None], nab[arr]], idx[None, :]]
 
 
 class NablaAlgebra:
@@ -78,18 +144,8 @@ class NablaAlgebra:
 
 
 def _check_tables(lat: FiniteLattice, nabla, arrow):
-    nab = np.asarray(nabla, dtype=np.int64)
-    arr = np.asarray(arrow, dtype=np.int64)
     n = lat.n
-    if nab.shape != (n,):
-        raise ShapeError(f"nabla table must have shape ({n},), got {nab.shape}")
-    if arr.shape != (n, n):
-        raise ShapeError(f"arrow table must have shape ({n}, {n}), got {arr.shape}")
-    if nab.min(initial=0) < 0 or nab.max(initial=0) >= n:
-        raise ShapeError("nabla entries out of range")
-    if arr.min(initial=0) < 0 or arr.max(initial=0) >= n:
-        raise ShapeError("arrow entries out of range")
-    return nab, arr
+    return _indices(nabla, (n,), n, "nabla table"), _indices(arrow, (n, n), n, "arrow table")
 
 
 def _adjunction_sides(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray):
@@ -109,9 +165,10 @@ def build_algebra(lat: FiniteLattice, nabla, arrow) -> NablaAlgebra:
     """
     nab, arr = _check_tables(lat, nabla, arrow)
     left, right = _adjunction_sides(lat, nab, arr)
-    diff = left ^ right
-    if diff.any():
-        a, b, c = (int(v) for v in np.argwhere(diff.transpose(1, 2, 0))[0])
+    # scanned a-major: the first (a, b, c) in lexicographic order
+    failed = _violations([("residuation", (left == right).transpose(1, 2, 0))])
+    if failed:
+        a, b, c = failed[0].witness
         direction = "forward" if left[c, a, b] else "backward"
         raise AdjunctionFailure(a, b, c, direction)
     alg = NablaAlgebra(lat, nab.copy(), arr.copy())
@@ -121,23 +178,17 @@ def build_algebra(lat: FiniteLattice, nabla, arrow) -> NablaAlgebra:
 
 def _check_derived_laws(alg: NablaAlgebra) -> None:
     lat, nab, arr, box = alg.lat, alg.nabla, alg.arrow, alg.box
-    n = lat.n
     leq = lat.leq
     ensure((~leq | leq[nab][:, nab]).all(), "nabla must be order-preserving")
-    mono2 = ~leq[None, :, :] | leq[arr[:, :, None], arr[:, None, :]]
-    ensure(mono2.all(), "arrow must be order-preserving in its second argument")
-    # anti1[a', a, b]: a' <= a implies arrow(a, b) <= arrow(a', b)
-    anti1 = ~leq[:, :, None] | leq[arr[None, :, :], arr[:, None, :]]
-    ensure(anti1.all(), "arrow must be antitone in its first argument")
+    ensure(_monotone_second(leq, arr).all(),
+           "arrow must be order-preserving in its second argument")
+    ensure(_antitone_first(leq, arr).all(), "arrow must be antitone in its first argument")
     ensure(int(nab[lat.bot]) == lat.bot, "nabla must send bottom to bottom")
-    ensure((nab[lat.join] == lat.join[nab[:, None], nab[None, :]]).all(),
-           "nabla must preserve binary joins")
+    ensure(_preserves(nab, lat.join, lat.join).all(), "nabla must preserve binary joins")
     ensure(int(box[lat.top]) == lat.top, "box must send top to top")
-    ensure((box[lat.meet] == lat.meet[box[:, None], box[None, :]]).all(),
-           "box must preserve binary meets")
-    idx = np.arange(n)
-    ensure(leq[lat.meet[idx[:, None], nab[arr]], idx[None, :]].all(),
-           "a & nabla(arrow(a, b)) <= b must hold")
+    ensure(_preserves(box, lat.meet, lat.meet).all(), "box must preserve binary meets")
+    idx = np.arange(lat.n)
+    ensure(_detachment(lat, nab, arr).all(), "a & nabla(arrow(a, b)) <= b must hold")
     ensure(leq[nab[box], idx].all(), "nabla(box(a)) <= a must hold")
     ensure(leq[idx, box[nab]].all(), "a <= box(nabla(a)) must hold")
 
@@ -150,9 +201,7 @@ def derive_arrow(lat: FiniteLattice, nabla):
     can admit all the maxima yet break residuation (for instance when it is
     not order-preserving).
     """
-    nab = np.asarray(nabla, dtype=np.int64)
-    if nab.shape != (lat.n,) or nab.min() < 0 or nab.max() >= lat.n:
-        raise ShapeError("nabla table has wrong shape or entries out of range")
+    nab = _indices(nabla, (lat.n,), lat.n, "nabla table")
     # cand[c, a, b]: nabla(c) & a <= b
     arrow, found = _greatest(lat.leq, lat.leq[lat.meet[nab]])
     if not found.all():
@@ -178,35 +227,17 @@ def check_equational_axioms(lat: FiniteLattice, nabla, arrow) -> LawReport:
     the harness checks that equivalence with zero discrepancies.
     """
     nab, arr = _check_tables(lat, nabla, arrow)
-    n = lat.n
-    idx = np.arange(n)
+    idx = np.arange(lat.n)
     leq, meet = lat.leq, lat.meet
-    violations = []
-
-    ok2 = arr[meet, idx[:, None]] == lat.top
-    if not ok2.all():
-        a, b = (int(v) for v in np.argwhere(~ok2)[0])
-        violations.append(Violation("meet-arrow-top", (a, b)))
-
-    ok3 = leq[nab[meet], meet[nab[:, None], nab[None, :]]]
-    if not ok3.all():
-        a, b = (int(v) for v in np.argwhere(~ok3)[0])
-        violations.append(Violation("nabla-meet", (a, b)))
-
-    ok4 = leq[meet[idx[:, None], nab[arr]], idx[None, :]]
-    if not ok4.all():
-        a, b = (int(v) for v in np.argwhere(~ok4)[0])
-        violations.append(Violation("detachment", (a, b)))
-
     # inner[c, a, b] = arrow(nabla(c) & a, b)
     inner = arr[meet[nab], :]
-    lhs = meet[idx[:, None, None], inner]
-    ok5 = leq[lhs, arr[None, :, :]]
-    if not ok5.all():
-        c, a, b = (int(v) for v in np.argwhere(~ok5)[0])
-        violations.append(Violation("shift", (a, b, c)))
-
-    return LawReport(ok=not violations, violations=tuple(violations))
+    return LawReport(_violations([
+        ("meet-arrow-top", arr[meet, idx[:, None]] == lat.top),
+        ("nabla-meet", leq[nab[meet], meet[nab[:, None], nab[None, :]]]),
+        ("detachment", _detachment(lat, nab, arr)),
+        # scanned c-major, reported as (a, b, c)
+        ("shift", leq[meet[idx[:, None, None], inner], arr[None, :, :]], (1, 2, 0)),
+    ]))
 
 
 FLAG_NAMES = ("D", "H", "N", "R", "L", "Fa", "Fu")
@@ -239,10 +270,6 @@ class PropertyProfile:
         }
 
 
-def _first_false(mask: np.ndarray):
-    return tuple(int(v) for v in np.argwhere(~mask)[0])
-
-
 def classify(alg: NablaAlgebra) -> PropertyProfile:
     """Compute the seven property flags.
 
@@ -264,30 +291,27 @@ def classify(alg: NablaAlgebra) -> PropertyProfile:
     if not h:
         witnesses["H"] = witnesses.get("D")
 
-    n_mask = nab[meet] == meet[nab[:, None], nab[None, :]]
-    n_flag = bool(n_mask.all()) and int(nab[lat.top]) == lat.top
-    if not n_flag:
-        witnesses["N"] = (lat.top,) if int(nab[lat.top]) != lat.top else _first_false(n_mask)
+    witnesses.update((v.law, v.witness) for v in _violations([
+        # N: nabla preserves the empty meet top, then binary meets
+        ("N", (nab == idx) | (idx != lat.top)),
+        ("N", _preserves(nab, meet, meet)),
+        ("R", leq[idx, nab]),
+        ("L", leq[nab, idx]),
+        ("Fa", nab[box] == idx),
+        ("Fu", box[nab] == idx),
+    ]))
+    n_flag, r_flag, l_flag, fa_flag, fu_flag = (
+        name not in witnesses for name in ("N", "R", "L", "Fa", "Fu"))
 
-    r_mask = leq[idx, nab]
-    r_flag = bool(r_mask.all())
     r_alt1 = bool(leq[meet[idx[:, None], arr], idx[None, :]].all())
     r_alt2 = bool(leq[box, idx].all())
     ensure(r_flag == r_alt1 == r_alt2, "right-condition characterizations disagree")
-    if not r_flag:
-        witnesses["R"] = _first_false(r_mask)
 
-    l_mask = leq[nab, idx]
-    l_flag = bool(l_mask.all())
     # c & a <= b implies c <= arrow(a, b), both sides indexed [c, a, b]
     l_alt1 = bool((~leq[meet] | leq[:, arr]).all())
     l_alt2 = bool(leq[idx, box].all())
     ensure(l_flag == l_alt1 == l_alt2, "left-condition characterizations disagree")
-    if not l_flag:
-        witnesses["L"] = _first_false(l_mask)
 
-    fa_mask = nab[box] == idx
-    fa_flag = bool(fa_mask.all())
     fa_surj = len(set(int(v) for v in nab)) == n
     fa_iii = bool((meet[idx[:, None], nab[arr]] == meet).all())
     # arrow(c, a) <= arrow(c, b) implies c & a <= b, indexed [a, b, c]
@@ -297,16 +321,10 @@ def classify(alg: NablaAlgebra) -> PropertyProfile:
     fa_v = bool((~leq[box[:, None], box[None, :]] | leq).all())
     ensure(fa_flag == fa_surj == fa_iii == fa_v, "faithfulness characterizations disagree")
     ensure(fa_flag == fa_iv, "faithfulness cancellation characterization disagrees")
-    if not fa_flag:
-        witnesses["Fa"] = _first_false(fa_mask)
 
-    fu_mask = box[nab] == idx
-    fu_flag = bool(fu_mask.all())
     fu_surj = len(set(int(v) for v in box)) == n
     fu_emb = bool((~leq[nab[:, None], nab[None, :]] | leq).all())
     ensure(fu_flag == fu_surj == fu_emb, "fullness characterizations disagree")
-    if not fu_flag:
-        witnesses["Fu"] = _first_false(fu_mask)
 
     profile = PropertyProfile(D=d, H=h, N=n_flag, R=r_flag, L=l_flag,
                               Fa=fa_flag, Fu=fu_flag, witnesses=witnesses)
@@ -337,67 +355,36 @@ IMPLICATION_LAWS = {
 
 
 @dataclass(frozen=True)
-class ImplicationReport:
-    ok: bool
-    violations: tuple
+class ImplicationReport(LawReport):
     meet_internalizing: bool
     join_internalizing: bool
     internalizing_witnesses: dict = field(default_factory=dict, compare=False)
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [v.to_json() for v in self.violations],
-            "meet_internalizing": self.meet_internalizing,
-            "join_internalizing": self.join_internalizing,
-        }
 
 
 def check_implication_axioms(cand: StrongAlgebraCandidate) -> ImplicationReport:
     """Order behavior, internal reflexivity and transitivity, plus the two
     internalization flags (meet in the second argument, join in the first)."""
     lat = cand.lat
-    arr = np.asarray(cand.arrow, dtype=np.int64)
     n = lat.n
-    if arr.shape != (n, n) or arr.min() < 0 or arr.max() >= n:
-        raise ShapeError("arrow table has wrong shape or entries out of range")
+    arr = _indices(cand.arrow, (n, n), n, "arrow table")
     idx = np.arange(n)
     leq, meet, join = lat.leq, lat.meet, lat.join
-    violations = []
-
-    # anti[a', a, b]: a' <= a implies arrow(a, b) <= arrow(a', b)
-    anti = ~leq[:, :, None] | leq[arr[None, :, :], arr[:, None, :]]
-    if not anti.all():
-        ap, a, b = _first_false(anti)
-        violations.append(Violation("antitone-first", (ap, a, b)))
-
-    mono = ~leq[None, :, :] | leq[arr[:, :, None], arr[:, None, :]]
-    if not mono.all():
-        a, b, bp = _first_false(mono)
-        violations.append(Violation("monotone-second", (a, b, bp)))
-
-    refl = arr[idx, idx] == lat.top
-    if not refl.all():
-        violations.append(Violation("reflexivity", (int(np.flatnonzero(~refl)[0]),)))
-
-    trans = leq[meet[arr[:, :, None], arr[None, :, :]], arr[:, None, :]]
-    if not trans.all():
-        violations.append(Violation("transitivity", _first_false(trans)))
-
-    iw = {}
-    mi = arr[idx[:, None, None], meet[None, :, :]] == meet[arr[:, :, None], arr[:, None, :]]
-    meet_int = bool(mi.all())
-    if not meet_int:
-        iw["meet"] = _first_false(mi)
-    # ji[a, b, c]: arrow(a | b, c) == arrow(a, c) & arrow(b, c)
-    ji = arr[join[:, :, None], idx[None, None, :]] == meet[arr[:, None, :], arr[None, :, :]]
-    join_int = bool(ji.all())
-    if not join_int:
-        iw["join"] = _first_false(ji)
-
-    return ImplicationReport(ok=not violations, violations=tuple(violations),
-                             meet_internalizing=meet_int, join_internalizing=join_int,
-                             internalizing_witnesses=iw)
+    violations = _violations([
+        ("antitone-first", _antitone_first(leq, arr)),
+        ("monotone-second", _monotone_second(leq, arr)),
+        ("reflexivity", arr[idx, idx] == lat.top),
+        ("transitivity", leq[meet[arr[:, :, None], arr[None, :, :]], arr[:, None, :]]),
+    ])
+    iw = {v.law: v.witness for v in _violations([
+        # [a, b, c]: arrow(a, b & c) == arrow(a, b) & arrow(a, c)
+        ("meet", arr[idx[:, None, None], meet[None, :, :]]
+         == meet[arr[:, :, None], arr[:, None, :]]),
+        # [a, b, c]: arrow(a | b, c) == arrow(a, c) & arrow(b, c)
+        ("join", arr[join[:, :, None], idx[None, None, :]]
+         == meet[arr[:, None, :], arr[None, :, :]]),
+    ])}
+    return ImplicationReport(violations, meet_internalizing="meet" not in iw,
+                             join_internalizing="join" not in iw, internalizing_witnesses=iw)
 
 
 @dataclass(frozen=True)
@@ -430,21 +417,16 @@ def nabla_from_strong(cand: StrongAlgebraCandidate) -> AdjointSearch:
     lat = cand.lat
     if not is_distributive(lat):
         raise NotDistributive("adjoint search needs a distributive lattice")
-    arr = np.asarray(cand.arrow, dtype=np.int64)
-    if arr.shape != (lat.n, lat.n) or arr.min() < 0 or arr.max() >= lat.n:
-        raise ShapeError("arrow table has wrong shape or entries out of range")
+    arr = _indices(cand.arrow, (lat.n, lat.n), lat.n, "arrow table")
+    idx = np.arange(lat.n)
     box = arr[lat.top]
-    if int(box[lat.top]) != lat.top:
-        return AdjointSearch(False, witness=(lat.top,), reason="box must fix top")
-    bm = box[lat.meet] == lat.meet[box[:, None], box[None, :]]
-    if not bm.all():
-        return AdjointSearch(False, witness=_first_false(bm),
-                             reason="box does not preserve binary meets")
-    hey = heyting_table(lat)
-    ok = arr == box[hey]
-    if not ok.all():
-        return AdjointSearch(False, witness=_first_false(ok),
-                             reason="arrow differs from boxed Heyting implication")
+    failed = _violations([
+        ("box must fix top", (box == idx) | (idx != lat.top)),
+        ("box does not preserve binary meets", _preserves(box, lat.meet, lat.meet)),
+        ("arrow differs from boxed Heyting implication", arr == box[heyting_table(lat)]),
+    ])
+    if failed:
+        return AdjointSearch(False, witness=failed[0].witness, reason=failed[0].law)
     # box preserves meets, so {b : a <= box(b)} has a minimum: the adjoint value
     nabla, found = _greatest(lat.leq.T, lat.leq[:, box].T)
     ensure(found.all(), "meet-preserving box must admit a pointwise adjoint")
@@ -463,56 +445,32 @@ class AlgebraMorphism:
 
 
 @dataclass(frozen=True)
-class MorphismReport:
-    ok: bool
-    violations: tuple
+class MorphismReport(LawReport):
     injective: bool
     heyting_checked: bool
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [v.to_json() for v in self.violations],
-            "injective": self.injective,
-            "heyting_checked": self.heyting_checked,
-        }
 
 
 def check_morphism(m: AlgebraMorphism) -> MorphismReport:
     """Verify preservation of bounds, meet, join, nabla, arrow (and the Heyting
     table when claimed); injectivity is reported, not required."""
     src, tgt = m.source, m.target
-    f = np.asarray(m.map, dtype=np.int64)
-    if f.shape != (src.n,):
-        raise ShapeError(f"map must have length {src.n}")
-    if src.n and (f.min() < 0 or f.max() >= tgt.n):
-        raise ShapeError("map entries out of range")
-    violations = []
-
-    def bad(law, mask):
-        if mask is True or bool(np.all(mask)):
-            return
-        if mask is False:
-            violations.append(Violation(law, ()))
-        else:
-            violations.append(Violation(law, _first_false(np.asarray(mask))))
-
-    bad("zero", int(f[src.lat.bot]) == tgt.lat.bot)
-    bad("one", int(f[src.lat.top]) == tgt.lat.top)
-    bad("meet", f[src.lat.meet] == tgt.lat.meet[f[:, None], f[None, :]])
-    bad("join", f[src.lat.join] == tgt.lat.join[f[:, None], f[None, :]])
-    bad("nabla", f[src.nabla] == tgt.nabla[f])
-    bad("arrow", f[src.arrow] == tgt.arrow[f[:, None], f[None, :]])
-    heyting_checked = False
+    f = _indices(m.map, (src.n,), tgt.n, "map")
+    laws = [
+        ("zero", f[src.lat.bot] == tgt.lat.bot),
+        ("one", f[src.lat.top] == tgt.lat.top),
+        ("meet", _preserves(f, src.lat.meet, tgt.lat.meet)),
+        ("join", _preserves(f, src.lat.join, tgt.lat.join)),
+        ("nabla", f[src.nabla] == tgt.nabla[f]),
+        ("arrow", _preserves(f, src.arrow, tgt.arrow)),
+    ]
+    heyting_checked = bool(m.preserves_heyting
+                           and src.heyting is not None and tgt.heyting is not None)
     if m.preserves_heyting:
-        if src.heyting is None or tgt.heyting is None:
-            violations.append(Violation("heyting", ()))
-        else:
-            heyting_checked = True
-            bad("heyting", f[src.heyting] == tgt.heyting[f[:, None], f[None, :]])
-    injective = len(set(int(v) for v in f)) == src.n
-    return MorphismReport(ok=not violations, violations=tuple(violations),
-                          injective=injective, heyting_checked=heyting_checked)
+        # the claim fails outright when either side lacks the Heyting table
+        laws.append(("heyting", heyting_checked
+                     and _preserves(f, src.heyting, tgt.heyting)))
+    return MorphismReport(_violations(laws), injective=len(set(int(v) for v in f)) == src.n,
+                          heyting_checked=heyting_checked)
 
 
 def compose_morphisms(outer: AlgebraMorphism, inner: AlgebraMorphism) -> AlgebraMorphism:
@@ -543,7 +501,6 @@ def algebra_iso(a: NablaAlgebra, b: NablaAlgebra):
         return [s + (int(alg.nabla[i] == i),) for i, s in enumerate(_signatures(alg.lat.leq))]
 
     def accept(f):
-        return bool((f[a.nabla] == b.nabla[f]).all()
-                    and (f[a.arrow] == b.arrow[f[:, None], f[None, :]]).all())
+        return bool((f[a.nabla] == b.nabla[f]).all() and _preserves(f, a.arrow, b.arrow).all())
 
     return _order_iso(a.lat.leq, b.lat.leq, sigs(a), sigs(b), accept)

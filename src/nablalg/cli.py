@@ -82,7 +82,7 @@ def cmd_validate(args) -> int:
                    else check_morphism(value))
         else:
             rep = None
-    except ShapeError:
+    except (ShapeError, TooLarge):
         raise
     except NablalgError as err:
         _emit({"ok": False, "error": err.to_json()})

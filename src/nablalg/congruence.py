@@ -36,8 +36,7 @@ from .algebra import (
     AlgebraMorphism,
     LawReport,
     NablaAlgebra,
-    Violation,
-    _first_false,
+    _violations,
     check_morphism,
     classify,
 )
@@ -377,27 +376,24 @@ def check_internal_cong_inequalities(alg: NablaAlgebra):
     _require_distributive(alg)
     lat, arr, nab, box = alg.lat, alg.arrow, alg.nabla, alg.box
     leq, meet, join = lat.leq, lat.meet, lat.join
-    violations = []
-
-    def run(law, mask):
-        if not mask.all():
-            violations.append(Violation(law, _first_false(mask)))
-
-    lhs = arr[:, :, None]
-    run("meet-translation", leq[lhs, arr[meet[:, None, :], meet[None, :, :]]])
-    run("join-translation", leq[lhs, arr[join[:, None, :], join[None, :, :]]])
-    run("nabla-distribution", leq[nab[arr], arr[nab[:, None], nab[None, :]]])
-    arr_t = arr.T
-    run("second-arg-composition",
-        leq[box[arr][:, :, None], arr[arr_t[:, None, :], arr_t[None, :, :]]])
-    run("first-arg-composition",
-        leq[box[arr][:, :, None], arr[arr[None, :, :], arr[:, None, :]]])
+    lhs, arr_t = arr[:, :, None], arr.T
+    laws = [
+        ("meet-translation", leq[lhs, arr[meet[:, None, :], meet[None, :, :]]]),
+        ("join-translation", leq[lhs, arr[join[:, None, :], join[None, :, :]]]),
+        ("nabla-distribution", leq[nab[arr], arr[nab[:, None], nab[None, :]]]),
+        ("second-arg-composition",
+         leq[box[arr][:, :, None], arr[arr_t[:, None, :], arr_t[None, :, :]]]),
+        ("first-arg-composition",
+         leq[box[arr][:, :, None], arr[arr[None, :, :], arr[:, None, :]]]),
+    ]
     if classify(alg).H:
         hey = alg.heyting
         hey_t = hey.T
-        run("heyting-second-arg", leq[lhs, arr[hey_t[:, None, :], hey_t[None, :, :]]])
-        run("heyting-first-arg", leq[lhs, arr[hey[None, :, :], hey[:, None, :]]])
-    return LawReport(ok=not violations, violations=tuple(violations))
+        laws += [
+            ("heyting-second-arg", leq[lhs, arr[hey_t[:, None, :], hey_t[None, :, :]]]),
+            ("heyting-first-arg", leq[lhs, arr[hey[None, :, :], hey[:, None, :]]]),
+        ]
+    return LawReport(_violations(laws))
 
 
 @dataclass(frozen=True)

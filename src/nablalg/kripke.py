@@ -38,9 +38,10 @@ import numpy as np
 
 from .algebra import (
     AlgebraMorphism,
+    LawReport,
     NablaAlgebra,
-    Violation,
-    _first_false,
+    _indices,
+    _violations,
     build_algebra,
     check_morphism,
     classify,
@@ -59,7 +60,7 @@ from .errors import (
     ShapeError,
     ensure,
 )
-from .lattice import _locate, _prime_rows, upset_lattice, validate_partial_order
+from .lattice import _greatest, _locate, _prime_rows, upset_lattice, validate_partial_order
 
 FRAME_FLAGS = ("N", "R", "L", "Fa", "Fu")
 
@@ -90,22 +91,13 @@ def build_frame(leq, r) -> KripkeFrame:
     rel = np.asarray(r, dtype=bool)
     if rel.shape != order.shape:
         raise ShapeError("order and relation must have the same shape")
-    n = order.shape[0]
     closed = (order.astype(np.int64) @ rel.astype(np.int64) @ order.astype(np.int64)) > 0
-    bad = closed & ~rel
-    if bad.any():
-        kp, lp = (int(v) for v in np.argwhere(bad)[0])
-        # recover a concrete witness chain k' <= k, (k, l) in R, l <= l'
-        witness = None
-        for k in range(n):
-            if not order[kp, k]:
-                continue
-            for l in range(n):
-                if rel[k, l] and order[l, lp]:
-                    witness = (kp, k, l, lp)
-                    break
-            if witness:
-                break
+    failed = _violations([("compatible", rel | ~closed)])
+    if failed:
+        kp, lp = failed[0].witness
+        # the first chain k' <= k, (k, l) in R, l <= l' in row-major (k, l)
+        k, l = (int(v) for v in np.argwhere(order[kp][:, None] & rel & order[:, lp])[0])
+        witness = (kp, k, l, lp)
         raise NotCompatible(f"relation not compatible with order at {witness}",
                             witness=witness)
     pi, failure = _detect_pi(order, rel)
@@ -113,24 +105,22 @@ def build_frame(leq, r) -> KripkeFrame:
 
 
 def _detect_pi(order: np.ndarray, rel: np.ndarray):
-    n = order.shape[0]
-    pi = np.zeros(n, dtype=np.int64)
-    for y in range(n):
-        col = np.flatnonzero(rel[:, y])
-        if len(col) == 0:
-            return None, ("empty-column", (y,))
-        maxes = [m for m in col if order[col, m].all()]
-        if not maxes:
-            return None, ("no-column-maximum", (y,))
-        pi[y] = maxes[0]
-    mono = ~order | order[pi][:, pi]
-    if not mono.all():
-        u, v = (int(w) for w in np.argwhere(~mono)[0])
-        return None, ("witness-not-order-preserving", (u, v))
-    repro = rel == order[:, pi]
-    if not repro.all():
-        x, y = (int(w) for w in np.argwhere(~repro)[0])
-        return None, ("witness-does-not-reproduce-relation", (x, y))
+    """pi(y), the maximum of the R-column of y, when it represents R.
+
+    Otherwise None and the first failure: a column without a maximum, then a
+    pi that is not order-preserving or does not reproduce R."""
+    if not len(order):      # no column, and no candidate for _greatest to rank
+        return np.zeros(0, dtype=np.int64), None
+    pi, found = _greatest(order, rel)
+    if not found.all():
+        y = int(np.argmin(found))
+        return None, ("no-column-maximum" if rel[:, y].any() else "empty-column", (y,))
+    failed = _violations([
+        ("witness-not-order-preserving", ~order | order[pi][:, pi]),
+        ("witness-does-not-reproduce-relation", rel == order[:, pi]),
+    ])
+    if failed:
+        return None, (failed[0].law, failed[0].witness)
     pi.setflags(write=False)
     return pi, None
 
@@ -165,37 +155,20 @@ def frame_profile(frame: KripkeFrame) -> FrameProfile:
     if frame._profile is not None:
         return frame._profile
     n, leq, r = frame.n, frame.leq, frame.r
-    witnesses = {}
-
-    n_flag = frame.pi is not None
-    if not n_flag:
-        witnesses["N"] = frame.pi_failure
-
-    r_mask = ~leq | r
-    r_flag = bool(r_mask.all())
-    if not r_flag:
-        witnesses["R"] = _first_false(r_mask)
-
-    l_mask = ~r | leq
-    l_flag = bool(l_mask.all())
-    if not l_flag:
-        witnesses["L"] = _first_false(l_mask)
-
+    witnesses = {} if frame.pi is not None else {"N": frame.pi_failure}
     # beside[y, x] counts the R-successors of y outside [x), and
     # below[x, y] the R-predecessors of y outside (x]
     rf, off = r.astype(np.float32), (~leq).astype(np.float32)
     beside, below = rf @ off.T, off.T @ rf
-    # Fa: x has an R-predecessor whose R-successors all lie above x
-    fa_ok = (r & (beside == 0)).any(axis=0)
-    fa_flag = bool(fa_ok.all())
-    if not fa_flag:
-        witnesses["Fa"] = _first_false(fa_ok)
-    # Fu: x has an R-successor whose R-predecessors all lie below x
-    fu_ok = (r & (below == 0)).any(axis=1)
-    fu_flag = bool(fu_ok.all())
-    if not fu_flag:
-        witnesses["Fu"] = _first_false(fu_ok)
-
+    witnesses.update((v.law, v.witness) for v in _violations([
+        ("R", ~leq | r),
+        ("L", ~r | leq),
+        # Fa: x has an R-predecessor whose R-successors all lie above x
+        ("Fa", (r & (beside == 0)).any(axis=0)),
+        # Fu: x has an R-successor whose R-predecessors all lie below x
+        ("Fu", (r & (below == 0)).any(axis=1)),
+    ]))
+    n_flag, r_flag, l_flag, fa_flag, fu_flag = (f not in witnesses for f in FRAME_FLAGS)
     profile = FrameProfile(N=n_flag, R=r_flag, L=l_flag, Fa=fa_flag, Fu=fu_flag,
                            pi=frame.pi, witnesses=witnesses)
     if n_flag:
@@ -224,19 +197,9 @@ class FrameMorphism:
 
 
 @dataclass(frozen=True)
-class FrameMorphismReport:
-    ok: bool
-    violations: tuple
+class FrameMorphismReport(LawReport):
     surjective: bool
     heyting_ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [v.to_json() for v in self.violations],
-            "surjective": self.surjective,
-            "heyting_ok": self.heyting_ok,
-        }
 
 
 def check_frame_morphism(m: FrameMorphism) -> FrameMorphismReport:
@@ -248,44 +211,36 @@ def check_frame_morphism(m: FrameMorphism) -> FrameMorphismReport:
     the clause-by-clause verdict.
     """
     src, tgt = m.source, m.target
-    f = np.asarray(m.map, dtype=np.int64)
-    if f.shape != (src.n,):
-        raise ShapeError(f"map must have length {src.n}")
-    if src.n and (f.min() < 0 or f.max() >= tgt.n):
-        raise ShapeError("map entries out of range")
-    violations = []
-
-    def clause(name, mask) -> bool:
-        # the witness is the first failing entry in row-major order
-        if mask.all():
-            return True
-        violations.append(Violation(name, _first_false(mask)))
-        return False
-
+    f = _indices(m.map, (src.n,), tgt.n, "map")
     # hit[l, u] = 1 where f(l) = u: a product with it sums over preimages
     hit = np.zeros((src.n, tgt.n), dtype=np.float32)
     hit[np.arange(src.n), f] = 1
-    monotone = clause("monotone", ~src.leq | tgt.leq[f][:, f])
-    forward = clause("preserves-relation", ~src.r | tgt.r[f][:, f])
-    # every R-successor of f(k) is the image of an R-successor of k
-    succ = clause("lift-successors", ~tgt.r[f] | ((src.r @ hit) > 0))
-    # every R-predecessor of f(k) lies below the image of an R-predecessor of k
-    pred = clause("lift-predecessors",
-                  ~tgt.r[:, f].T | ((src.r.T @ tgt.leq.T[f].astype(np.float32)) > 0))
-    clauses_ok = monotone and forward and succ and pred
-    # every element above f(k) is the image of an element above k
-    heyting_ok = not m.heyting or clause("lift-order", ~tgt.leq[f] | ((src.leq @ hit) > 0))
+    laws = [
+        ("monotone", ~src.leq | tgt.leq[f][:, f]),
+        ("preserves-relation", ~src.r | tgt.r[f][:, f]),
+        # every R-successor of f(k) is the image of an R-successor of k
+        ("lift-successors", ~tgt.r[f] | ((src.r @ hit) > 0)),
+        # every R-predecessor of f(k) lies below the image of an R-predecessor of k
+        ("lift-predecessors",
+         ~tgt.r[:, f].T | ((src.r.T @ tgt.leq.T[f].astype(np.float32)) > 0)),
+    ]
+    if m.heyting:
+        # every element above f(k) is the image of an element above k
+        laws.append(("lift-order", ~tgt.leq[f] | ((src.leq @ hit) > 0)))
+    violations = _violations(laws)
+    failed = {v.law for v in violations}
 
-    if monotone and src.pi is not None and tgt.pi is not None:
+    if "monotone" not in failed and src.pi is not None and tgt.pi is not None:
         commutes = bool((f[src.pi] == tgt.pi[f]).all())
         # {lp : f(k) <= pi(lp)} against the images of {l : k <= pi(l)}
         preimages = bool((tgt.leq[f][:, tgt.pi] == ((src.leq[:, src.pi] @ hit) > 0)).all())
-        ensure((commutes and preimages) == (forward and succ and pred),
+        relation_ok = failed.isdisjoint(
+            {"preserves-relation", "lift-successors", "lift-predecessors"})
+        ensure((commutes and preimages) == relation_ok,
                "witness characterization of frame morphisms disagrees with the clauses")
 
-    surjective = len(set(int(v) for v in f)) == tgt.n
-    return FrameMorphismReport(ok=clauses_ok and heyting_ok, violations=tuple(violations),
-                               surjective=surjective, heyting_ok=heyting_ok)
+    return FrameMorphismReport(violations, surjective=len(set(int(v) for v in f)) == tgt.n,
+                               heyting_ok="lift-order" not in failed)
 
 
 def compose_frame_morphisms(outer: FrameMorphism, inner: FrameMorphism) -> FrameMorphism:

@@ -13,7 +13,7 @@ from .algebra import (
     build_algebra,
 )
 from .completion import CompletedAlgebra
-from .errors import ShapeError
+from .errors import ShapeError, TooLarge
 from .kripke import FrameMorphism, KripkeFrame, build_frame
 from .lattice import FiniteLattice, build_lattice
 
@@ -178,10 +178,19 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= _INDEX_MAX
 
 
+# Validation allocates several n^3 tables (`classify` on the Boolean 2^8 peaks
+# near 350 MB), so larger documents are refused before any table is read; 256
+# admits the Boolean 2^8 and the 252-element amalgam of a 2-chain into two
+# 6-chains.
+SIZE_MAX = 256
+
+
 def _size(obj: dict) -> int:
     n = _require(obj, "n")
     if not _is_index(n):
         raise ShapeError(f"{obj['kind']} size n must be a non-negative 64-bit integer")
+    if n > SIZE_MAX:
+        raise TooLarge(f"{obj['kind']} size {n} exceeds the bound of {SIZE_MAX} elements")
     return n
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,68 @@ def oracle_derive_arrow(lat, nabla):
     if not oracle_adjunction_holds(lat, nabla, arrow):
         return None
     return arrow
+
+
+def first_failure(n, arity, holds):
+    """The first tuple over range(n) in row-major order where ``holds`` is false."""
+    return next((t for t in itertools.product(range(n), repeat=arity) if not holds(*t)), None)
+
+
+def failures(witnesses):
+    """(law, witness) of the failing laws, in the order given."""
+    return [(law, w) for law, w in witnesses.items() if w is not None]
+
+
+def oracle_equational_failures(lat, nab, arr):
+    n, leq, meet, top = lat.n, lat.leq, lat.meet, lat.top
+    # shift is scanned c-major and reported as (a, b, c)
+    shift = first_failure(n, 3, lambda c, a, b: leq[meet[c, arr[meet[nab[c], a], b]], arr[a, b]])
+    return failures({
+        "meet-arrow-top": first_failure(n, 2, lambda a, b: arr[meet[a, b], a] == top),
+        "nabla-meet": first_failure(n, 2, lambda a, b: leq[nab[meet[a, b]],
+                                                           meet[nab[a], nab[b]]]),
+        "detachment": first_failure(n, 2, lambda a, b: leq[meet[a, nab[arr[a, b]]], b]),
+        "shift": shift and (shift[1], shift[2], shift[0]),
+    })
+
+
+def oracle_implication_failures(lat, arr):
+    n, leq, meet, join = lat.n, lat.leq, lat.meet, lat.join
+    laws = failures({
+        "antitone-first": first_failure(
+            n, 3, lambda ap, a, b: not leq[ap, a] or leq[arr[a, b], arr[ap, b]]),
+        "monotone-second": first_failure(
+            n, 3, lambda a, b, bp: not leq[b, bp] or leq[arr[a, b], arr[a, bp]]),
+        "reflexivity": first_failure(n, 1, lambda a: arr[a, a] == lat.top),
+        "transitivity": first_failure(
+            n, 3, lambda a, b, c: leq[meet[arr[a, b], arr[b, c]], arr[a, c]]),
+    })
+    internalizing = failures({
+        "meet": first_failure(
+            n, 3, lambda a, b, c: arr[a, meet[b, c]] == meet[arr[a, b], arr[a, c]]),
+        "join": first_failure(
+            n, 3, lambda a, b, c: arr[join[a, b], c] == meet[arr[a, c], arr[b, c]]),
+    })
+    return laws, dict(internalizing)
+
+
+def broken_tables(catalog, lattices, seed, count):
+    """Seeded (lattice, nabla, arrow): uniform tables on the catalog lattices,
+    alternating with catalog pairs that have a few entries changed."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        if i % 2:
+            lat = lattices[rng.integers(len(lattices))]
+            yield lat, rng.integers(lat.n, size=lat.n), rng.integers(lat.n, size=(lat.n, lat.n))
+            continue
+        alg = catalog[rng.integers(len(catalog))]
+        n = alg.n
+        nab, arr = alg.nabla.copy(), alg.arrow.copy()
+        for _ in range(rng.integers(1, 3)):
+            arr[rng.integers(n), rng.integers(n)] = rng.integers(n)
+        if rng.random() < 0.3:
+            nab[rng.integers(n)] = rng.integers(n)
+        yield alg.lat, nab, arr
 
 
 X1_NABLA = (0, 0, 2)
@@ -154,6 +218,17 @@ def test_equational_axioms_detachment_failure():
     assert laws["detachment"] == (1, 0)
 
 
+def test_equational_witnesses_match_loop_oracle(full_catalog, small_lattices):
+    seen = set()
+    for lat, nab, arr in broken_tables(full_catalog, small_lattices, 21, 400):
+        rep = check_equational_axioms(lat, nab, arr)
+        got = [(v.law, v.witness) for v in rep.violations]
+        assert got == oracle_equational_failures(lat, nab, arr)
+        assert rep.ok == (not got)
+        seen.update(law for law, _ in got)
+    assert seen == {"meet-arrow-top", "nabla-meet", "detachment", "shift"}
+
+
 def test_equational_axioms_pass_on_trivial():
     for lat in (chain(3), pentagon()):
         alg = gen_trivial(lat)
@@ -192,6 +267,30 @@ def test_classify_x1_frozen_profile():
     assert profile.witnesses["R"] == (1,)
     assert profile.witnesses["Fa"] == (1,)
     assert profile.witnesses["Fu"] == (0,)
+
+
+def oracle_profile_witnesses(alg):
+    """The first failing tuple of the N, R, L, Fa and Fu clauses, by loops;
+    N reports the empty meet (top,) before any binary meet."""
+    n, leq, meet, top = alg.n, alg.lat.leq, alg.lat.meet, alg.lat.top
+    nab, box = alg.nabla, alg.box
+    return dict(failures({
+        "N": (top,) if nab[top] != top else first_failure(
+            n, 2, lambda a, b: nab[meet[a, b]] == meet[nab[a], nab[b]]),
+        "R": first_failure(n, 1, lambda a: leq[a, nab[a]]),
+        "L": first_failure(n, 1, lambda a: leq[nab[a], a]),
+        "Fa": first_failure(n, 1, lambda a: nab[box[a]] == a),
+        "Fu": first_failure(n, 1, lambda a: box[nab[a]] == a),
+    }))
+
+
+def test_classify_witnesses_match_loop_oracle(full_catalog):
+    for alg in full_catalog:
+        profile = classify(alg)
+        got = {k: w for k, w in profile.witnesses.items() if k not in ("D", "H")}
+        assert got == oracle_profile_witnesses(alg)
+        assert all(getattr(profile, flag) == (flag not in got)
+                   for flag in ("N", "R", "L", "Fa", "Fu"))
 
 
 def test_classify_trivial_on_three_chain():
@@ -236,6 +335,21 @@ def test_constant_bottom_arrow_fails_reflexivity():
     rep = check_implication_axioms(cand)
     laws = {v.law for v in rep.violations}
     assert "reflexivity" in laws
+
+
+def test_implication_witnesses_match_loop_oracle(full_catalog, small_lattices):
+    seen = set()
+    for lat, _, arr in broken_tables(full_catalog, small_lattices, 22, 400):
+        rep = check_implication_axioms(StrongAlgebraCandidate(lat, arr))
+        laws, internalizing = oracle_implication_failures(lat, arr)
+        assert [(v.law, v.witness) for v in rep.violations] == laws
+        assert rep.internalizing_witnesses == internalizing
+        assert rep.meet_internalizing == ("meet" not in internalizing)
+        assert rep.join_internalizing == ("join" not in internalizing)
+        seen.update(law for law, _ in laws)
+        seen.update(internalizing)
+    assert seen == {"antitone-first", "monotone-second", "reflexivity", "transitivity",
+                    "meet", "join"}
 
 
 # --- adjoint search ----------------------------------------------------------
@@ -299,6 +413,15 @@ def test_broken_morphism_reports_witness(b2, h3):
     assert not rep.ok
     laws = {v.law for v in rep.violations}
     assert "one" in laws
+
+
+def test_heyting_claim_without_tables_fails_outright():
+    alg = gen_trivial(pentagon())
+    rep = check_morphism(identity_morphism(alg, heyting=True))
+    assert [(v.law, v.witness) for v in rep.violations] == [("heyting", ())]
+    assert not rep.ok and not rep.heyting_checked
+    assert rep.to_json() == {"ok": False, "violations": [{"axiom": "heyting", "witness": []}],
+                             "injective": True, "heyting_checked": False}
 
 
 def test_compose_morphisms(b2, h3):

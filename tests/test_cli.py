@@ -3,7 +3,7 @@ import json
 import pytest
 
 from nablalg.cli import main
-from nablalg.serialize import algebra_to_json, dumps, frame_to_json, lattice_to_json
+from nablalg.serialize import SIZE_MAX, algebra_to_json, dumps, frame_to_json, lattice_to_json
 
 from conftest import chain
 
@@ -217,6 +217,22 @@ def test_oracle_size_bound_is_exit_two(tmp_path, capsys):
     code, out = run(capsys, "congruences", path)
     assert code == 2 and len(out.splitlines()) == 1
     assert json.loads(out)["error"]["error"] == "too-large"
+
+
+def test_document_size_bound_is_exit_two(tmp_path, capsys):
+    # the 252-element amalgam of a 2-chain into two 6-chains must load
+    assert SIZE_MAX >= 252
+    # the empty tables are never read: the size alone is refused
+    lat = {"kind": "lattice", "n": SIZE_MAX + 1, "leq": []}
+    alg = {"kind": "nabla-algebra", "lattice": lat, "nabla": [], "arrow": []}
+    frame = {"kind": "kripke-frame", "n": SIZE_MAX + 1, "leq": [], "r": []}
+    for argv in (("validate", write(tmp_path, "lat.json", lat)),
+                 ("gen", "heyting", write(tmp_path, "lat.json", lat)),
+                 ("classify", write(tmp_path, "alg.json", alg)),
+                 ("upset-algebra", write(tmp_path, "frame.json", frame))):
+        code, out = run(capsys, *argv)
+        assert code == 2 and len(out.splitlines()) == 1, argv
+        assert json.loads(out)["error"]["error"] == "too-large", argv
 
 
 def test_validate_from_stdin(capsys, monkeypatch, x1):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nablalg.algebra import AlgebraMorphism, classify
+from nablalg.algebra import AlgebraMorphism, NablaAlgebra, classify
 from nablalg.congruence import (
     Congruence,
     _congruence_closure,
@@ -344,6 +344,54 @@ def test_internal_inequalities_on_catalog(small_catalog):
     for alg in small_catalog:
         if classify(alg).has("N", "D"):
             assert check_internal_cong_inequalities(alg).ok
+
+
+def oracle_internal_failures(alg):
+    """First failing (x, y, z) of each inequality in row-major order, by loops."""
+    n, leq, meet, join = alg.n, alg.lat.leq, alg.lat.meet, alg.lat.join
+    arr, nab, box, hey = alg.arrow, alg.nabla, alg.box, alg.heyting
+
+    def first(arity, holds):
+        return next((t for t in itertools.product(range(n), repeat=arity)
+                     if not holds(*t)), None)
+
+    laws = {
+        "meet-translation": first(3, lambda x, y, z: leq[arr[x, y], arr[meet[x, z], meet[y, z]]]),
+        "join-translation": first(3, lambda x, y, z: leq[arr[x, y], arr[join[x, z], join[y, z]]]),
+        "nabla-distribution": first(2, lambda x, y: leq[nab[arr[x, y]], arr[nab[x], nab[y]]]),
+        "second-arg-composition": first(
+            3, lambda x, y, z: leq[box[arr[x, y]], arr[arr[z, x], arr[z, y]]]),
+        "first-arg-composition": first(
+            3, lambda x, y, z: leq[box[arr[x, y]], arr[arr[y, z], arr[x, z]]]),
+    }
+    if hey is not None:
+        laws["heyting-second-arg"] = first(
+            3, lambda x, y, z: leq[arr[x, y], arr[hey[z, x], hey[z, y]]])
+        laws["heyting-first-arg"] = first(
+            3, lambda x, y, z: leq[arr[x, y], arr[hey[y, z], hey[x, z]]])
+    return [(law, w) for law, w in laws.items() if w is not None]
+
+
+def test_internal_inequality_witnesses_match_loop_oracle(full_catalog):
+    # seeded broken tables over the normal distributive catalog, carrying the
+    # profile of the algebra they were broken from
+    nd = [alg for alg in full_catalog if classify(alg).has("N", "D")]
+    rng = np.random.default_rng(23)
+    seen = set()
+    for _ in range(300):
+        alg = nd[rng.integers(len(nd))]
+        n = alg.n
+        nab, arr = alg.nabla.copy(), alg.arrow.copy()
+        for _ in range(rng.integers(1, 4)):
+            arr[rng.integers(n), rng.integers(n)] = rng.integers(n)
+        if rng.random() < 0.3:
+            nab[rng.integers(n)] = rng.integers(n)
+        broken = NablaAlgebra(alg.lat, nab, arr)
+        broken._profile = classify(alg)
+        got = [(v.law, v.witness) for v in check_internal_cong_inequalities(broken).violations]
+        assert got == oracle_internal_failures(broken)
+        seen.update(law for law, _ in got)
+    assert len(seen) == 7
 
 
 # --- extension ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -128,6 +129,42 @@ def oracle_lift_witnesses(src, tgt, f):
     }
 
 
+def oracle_detect_pi(order, rel):
+    """The normality witness by a loop over the column maxima, or None and
+    the first failure."""
+    n = order.shape[0]
+    pi = np.zeros(n, dtype=np.int64)
+    for y in range(n):
+        col = np.flatnonzero(rel[:, y])
+        if len(col) == 0:
+            return None, ("empty-column", (y,))
+        maxes = [m for m in col if order[col, m].all()]
+        if not maxes:
+            return None, ("no-column-maximum", (y,))
+        pi[y] = maxes[0]
+    pairs = list(itertools.product(range(n), repeat=2))
+    for u, v in pairs:
+        if order[u, v] and not order[pi[u], pi[v]]:
+            return None, ("witness-not-order-preserving", (u, v))
+    for x, y in pairs:
+        if rel[x, y] != order[x, pi[y]]:
+            return None, ("witness-does-not-reproduce-relation", (x, y))
+    return pi, None
+
+
+def oracle_compatibility_witness(order, rel):
+    """The first (k', l') outside R that le ; R ; le reaches, and the first
+    chain k' <= k, (k, l) in R, l <= l' through it, by loops."""
+    n = order.shape[0]
+    for kp, lp in itertools.product(range(n), repeat=2):
+        if rel[kp, lp]:
+            continue
+        for k, l in itertools.product(range(n), repeat=2):
+            if order[kp, k] and rel[k, l] and order[l, lp]:
+                return (kp, k, l, lp)
+    return None
+
+
 def oracle_preimages(src, tgt, f):
     """The successor-preimage condition of the witness characterization, by sets."""
     return all(
@@ -164,8 +201,24 @@ def test_incompatible_relation_rejected():
     r[1, 0] = True  # 0 <= 1 and (1, 0) in R force (0, 0), missing
     with pytest.raises(NotCompatible) as e:
         build_frame(leq, r)
-    kp, k, l, lp = e.value.witness
-    assert leq[kp, k] and r[k, l] and leq[l, lp]
+    assert e.value.witness == (0, 1, 0, 0)
+
+
+def test_incompatible_witness_matches_loop_oracle():
+    rng = np.random.default_rng(17)
+    rejected = 0
+    for _ in range(200):
+        leq = random_frame(rng, int(rng.integers(1, 7))).leq
+        rel = rng.random(leq.shape) < rng.random()
+        want = oracle_compatibility_witness(leq, rel)
+        if want is None:
+            assert build_frame(leq, rel).n == leq.shape[0]
+            continue
+        with pytest.raises(NotCompatible) as e:
+            build_frame(leq, rel)
+        assert e.value.witness == want
+        rejected += 1
+    assert rejected > 50
 
 
 def test_non_normal_frame_reported():
@@ -176,8 +229,7 @@ def test_non_normal_frame_reported():
     k = build_frame(leq, r)
     assert k.pi is None
     profile = frame_profile(k)
-    assert not profile.N and profile.witnesses["N"][0] in (
-        "empty-column", "no-column-maximum")
+    assert not profile.N and profile.witnesses["N"] == ("empty-column", (0,))
 
 
 def test_empty_frame_allowed():
@@ -235,6 +287,21 @@ def _mask_test_frames(full_catalog):
     frames = [random_frame(rng, int(n)) for n in rng.integers(1, 7, 60)]
     frames += [prime_frame(alg) for alg in full_catalog if classify(alg).D]
     return frames, rng
+
+
+def test_detect_pi_matches_column_loop(full_catalog):
+    frames, rng = _mask_test_frames(full_catalog)
+    # arbitrary relations over the same orders reach every failure kind
+    cases = [(k.leq, k.r) for k in frames]
+    cases += [(k.leq, rng.random((k.n, k.n)) < rng.random()) for k in frames[:60] * 5]
+    kinds = Counter()
+    for order, rel in cases:
+        pi, failure = kripke._detect_pi(order, rel)
+        want_pi, want_failure = oracle_detect_pi(order, rel)
+        assert failure == want_failure
+        assert (pi is None and want_pi is None) or pi.tolist() == want_pi.tolist()
+        kinds[failure and failure[0]] += 1
+    assert len(kinds) == 5, kinds
 
 
 def test_frame_profile_matches_loop_oracle(full_catalog):

@@ -10,9 +10,10 @@ lattice carries a lifted modal pair,
 
 and the principal-ideal embedding preserves the whole signature.  As in the
 duality, a family of sets is one k x n boolean membership matrix (row i is
-set i): the closure of every row is two float32 products (upper bounds,
-then lower bounds), and a computed set is looked up among the ideals by its
-packed bits.  On finite carriers the embedding is a bijection; the generic
+set i): the closure of every row is two inclusion tests against the order
+(upper bounds, then lower bounds), each one product of the lattice module's
+boolean-relation kernel, and a computed set is looked up among the ideals by
+its packed bits.  On finite carriers the embedding is a bijection; the generic
 construction is still executed in full (upper/lower bound operators, joins
 as closures of unions) so the lifted formulas themselves get exercised,
 rather than shortcutting to the identity.
@@ -32,7 +33,15 @@ from .algebra import (
     classify,
 )
 from .errors import ensure
-from .lattice import _inclusion_lattice, _locate, _row_keys, _row_sets, _sorted_rows
+from .lattice import (
+    _compose,
+    _inclusion_lattice,
+    _locate,
+    _row_keys,
+    _row_sets,
+    _sorted_rows,
+    _subset,
+)
 
 
 @dataclass(frozen=True)
@@ -45,10 +54,9 @@ class NormalIdeal:
 
 
 def _bound_rows(lat, rows: np.ndarray, upper: bool) -> np.ndarray:
-    """Row i: the common upper (or lower) bounds of set i of ``rows``."""
-    # count the members that do not lie below (above) each element
-    off = ~lat.leq if upper else ~lat.leq.T
-    return (rows.astype(np.float32) @ off.astype(np.float32)) == 0
+    """Row i: the common upper (or lower) bounds of set i of ``rows``, the x
+    whose principal ideal (filter) contains the set."""
+    return _subset(rows, lat.leq.T if upper else lat.leq)
 
 
 def _closure_rows(lat, rows: np.ndarray) -> np.ndarray:
@@ -131,14 +139,13 @@ def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
            "ideal join must be the closure of the union")
 
     # nabla(N): the closure of the OR of the principal ideals of nabla over N
-    image = (rows.astype(np.float32) @ lat.leq.T[alg.nabla].astype(np.float32)) > 0
+    image = _compose(rows, lat.leq.T[alg.nabla])
     nab_tab, found = _locate(rows, _closure_rows(lat, image))
     ensure(found.all(), "lifted nabla must land on a normal ideal")
 
-    # arrow(M, N): the x for which no m in M has nabla(x) & m outside N;
-    # escape[j, x, m] says nabla(x) & m lies outside ideal j
-    escape = ~rows[:, lat.meet[alg.nabla]].reshape(k * n, n)
-    arrow = (rows.astype(np.float32) @ escape.astype(np.float32).T) == 0
+    # arrow(M, N): the x for which every m in M has nabla(x) & m in N; row
+    # (j, x) of the right-hand side holds the m with nabla(x) & m in ideal j
+    arrow = _subset(rows, rows[:, lat.meet[alg.nabla]].reshape(k * n, n))
     arrow_tab, found = _locate(rows, arrow.reshape(k * k, n))
     ensure(found.all(), "lifted arrow must land on a normal ideal")
 

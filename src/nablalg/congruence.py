@@ -22,8 +22,10 @@ A congruence oracle that never mentions filters keeps the two routes
 independently checkable.  While it computes, a congruence is an n x n
 boolean equivalence matrix; one batched closure takes a (k, n, n) stack
 of relations to the least congruences containing them (images under nabla
-and the translations of meet, join and arrow, converse, one float32
-squaring per round), and the blocks are read off each row's least member.
+and the translations of meet, join and arrow, converse, one squaring per
+round by the lattice module's ``_compose``), and the blocks are read off
+each row's least member.  The power criteria of left and right algebras
+compose one orbit matrix with the order.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .errors import (
     Trivial,
     ensure,
 )
-from .lattice import _greatest, _row_keys
+from .lattice import _compose, _greatest, _row_keys
 
 ORACLE_BOUND = 10
 
@@ -77,25 +79,21 @@ class Congruence:
 
     def refines(self, other: "Congruence") -> bool:
         """Inclusion of relations: every pair of self is a pair of other."""
-        seen = {}
-        for x, b in enumerate(self.blocks):
-            if b in seen:
-                if other.blocks[x] != other.blocks[seen[b]]:
-                    return False
-            else:
-                seen[b] = x
-        return True
+        return bool((_same_block(self.blocks) <= _same_block(other.blocks)).all())
 
     def to_json(self) -> list:
         return [int(b) for b in self.blocks]
 
 
+def _same_block(blocks) -> np.ndarray:
+    """The relation of a block-id vector: [x, y] when x and y share a block."""
+    b = np.asarray(blocks)
+    return b[:, None] == b[None, :]
+
+
 def canonical_blocks(raw) -> tuple:
     relabel = {}
-    out = []
-    for b in raw:
-        out.append(relabel.setdefault(b, len(relabel)))
-    return tuple(out)
+    return tuple(relabel.setdefault(b, len(relabel)) for b in raw)
 
 
 def _require_normal(alg: NablaAlgebra) -> None:
@@ -161,23 +159,19 @@ def all_modal_filters(alg: NablaAlgebra) -> list:
     return out
 
 
-def is_congruence(alg: NablaAlgebra, blocks) -> bool:
-    b = np.asarray(blocks, dtype=np.int64)
+def _translations(alg: NablaAlgebra) -> np.ndarray:
+    """nabla and every translation of meet, join and arrow, one map per row."""
     lat = alg.lat
-    reps = {}
-    for x in range(alg.n):
-        reps.setdefault(int(b[x]), []).append(x)
-    for group in reps.values():
-        x = group[0]
-        for y in group[1:]:
-            if b[alg.nabla[x]] != b[alg.nabla[y]]:
-                return False
-            for table in (lat.meet, lat.join, alg.arrow):
-                if (b[table[x]] != b[table[y]]).any():
-                    return False
-                if (b[table[:, x]] != b[table[:, y]]).any():
-                    return False
-    return True
+    return np.concatenate([alg.nabla[None], lat.meet, lat.meet.T, lat.join, lat.join.T,
+                           alg.arrow, alg.arrow.T])
+
+
+def is_congruence(alg: NablaAlgebra, blocks) -> bool:
+    """Every map of ``_translations`` sends each element into the block of
+    the image of the least element of its block."""
+    b = np.asarray(blocks, dtype=np.int64)
+    maps = _translations(alg)
+    return bool((b[maps] == b[maps[:, _same_block(b).argmax(axis=1)]]).all())
 
 
 def congruence_from_filter(alg: NablaAlgebra, f: ModalFilter) -> Congruence:
@@ -187,9 +181,8 @@ def congruence_from_filter(alg: NablaAlgebra, f: ModalFilter) -> Congruence:
     memb = np.zeros(alg.n, dtype=bool)
     memb[sorted(f.members)] = True
     rel = memb[alg.lat.meet[alg.arrow, alg.arrow.T]]
-    square = rel.astype(np.float32)
     ensure(bool(rel.diagonal().all()) and (rel == rel.T).all()
-           and (rel >= ((square @ square) > 0)).all(),
+           and (rel >= _compose(rel, rel)).all(),
            "filter biimplication relation must be an equivalence")
     theta = Congruence(alg, canonical_blocks(rel.argmax(axis=1)))
     ensure(is_congruence(alg, theta.blocks), "alpha must produce a congruence")
@@ -200,8 +193,7 @@ def filter_from_congruence(alg: NablaAlgebra, theta: Congruence) -> ModalFilter:
     """beta: the block of the top element."""
     _require_normal(alg)
     _require_distributive(alg)
-    top_block = theta.blocks[alg.lat.top]
-    members = frozenset(x for x in range(alg.n) if theta.blocks[x] == top_block)
+    members = frozenset(np.flatnonzero(_same_block(theta.blocks)[alg.lat.top]).tolist())
     f = ModalFilter(alg, members)
     ensure(is_modal_filter(alg, members), "beta must produce a modal filter")
     return f
@@ -217,9 +209,7 @@ def _congruence_closure(alg: NablaAlgebra, rels: np.ndarray) -> np.ndarray:
     equivalence whose blocks each map into one block, so it is a congruence,
     and every pair added lies in any congruence containing the seed.
     """
-    lat = alg.lat
-    maps = np.concatenate([alg.nabla[None], lat.meet, lat.meet.T, lat.join, lat.join.T,
-                           alg.arrow, alg.arrow.T])
+    maps = _translations(alg)
     rels = rels | rels.transpose(0, 2, 1) | np.eye(alg.n, dtype=bool)
     live = np.arange(len(rels))
     while live.size:
@@ -228,8 +218,7 @@ def _congruence_closure(alg: NablaAlgebra, rels: np.ndarray) -> np.ndarray:
         least = maps[:, cur.argmax(axis=2)].transpose(1, 0, 2)
         grown[np.arange(len(cur))[:, None, None], maps, least] = True
         grown |= grown.transpose(0, 2, 1)
-        square = grown.astype(np.float32)
-        grown |= (square @ square) > 0
+        grown |= _compose(grown, grown)
         changed = (grown != cur).any(axis=(1, 2))
         rels[live] = grown
         live = live[changed]
@@ -283,13 +272,25 @@ class Verdict:
                 "witness": None if self.witness is None else int(self.witness)}
 
 
-def _orbit(table: np.ndarray, x: int) -> list:
-    seen = []
-    v = x
-    while v not in seen:
-        seen.append(v)
-        v = int(table[v])
-    return seen
+def _orbits(table: np.ndarray) -> np.ndarray:
+    """orbits[x, v]: v is x after some number of steps of ``table``, zero
+    included; an orbit has at most n points, so n - 1 steps reach them all."""
+    idx = cur = np.arange(len(table))
+    orbits = np.eye(len(table), dtype=bool)
+    for _ in range(len(table) - 1):
+        cur = table[cur]
+        orbits[idx, cur] = True
+    return orbits
+
+
+def _power_criteria(alg: NablaAlgebra, table: np.ndarray) -> tuple:
+    """(simple, subdirectly irreducible) by the orbits of ``table``, nabla on
+    left and box on right algebras: the orbit of every x != top reaches
+    bottom; some x != top lies above a point of the orbit of every y != top."""
+    others = np.arange(alg.n) != alg.lat.top
+    orbits = _orbits(table)
+    return (bool(orbits[others, alg.lat.bot].all()),
+            bool(_compose(orbits, alg.lat.leq)[others][:, others].all(axis=0).any()))
 
 
 def is_subdirectly_irreducible(alg: NablaAlgebra) -> Verdict:
@@ -305,28 +306,20 @@ def is_subdirectly_irreducible(alg: NablaAlgebra) -> Verdict:
     if alg.n == 1:
         raise Trivial("verdict undefined on the one-element algebra")
     lat = alg.lat
-    top = lat.top
-    others = [y for y in range(alg.n) if y != top]
-    g = _greatest_fixpoints(alg)
-    common = lat.upset_of(lat.join_all(g[others]))
-    candidates = sorted(common - {top})
-    flag = bool(candidates)
-    # canonical witness: a maximal candidate (the second-largest element in
-    # the Heyting special case)
-    witness = None
-    if flag:
-        witness = next(x for x in candidates
-                       if not any(lat.leq[x, y] and x != y for y in candidates))
+    others = np.arange(alg.n) != lat.top
+    # the candidates: the x != top above the join of all g(y)
+    cand = lat.leq[lat.join_all(_greatest_fixpoints(alg)[others])] & others
+    flag = bool(cand.any())
+    # canonical witness: the first maximal candidate (the second-largest
+    # element in the Heyting special case)
+    maximal = cand & ~(lat.leq & cand & ~np.eye(alg.n, dtype=bool)).any(axis=1)
+    witness = int(maximal.argmax()) if flag else None
 
     profile = classify(alg)
     for flagged, table in ((profile.L, alg.nabla), (profile.R, alg.box)):
-        if not flagged:
-            continue
-        power = any(
-            all(any(lat.leq[v, x] for v in _orbit(table, y)) for y in others)
-            for x in others
-        )
-        ensure(power == flag, "power criterion disagrees with closure-membership verdict")
+        if flagged:
+            ensure(_power_criteria(alg, table)[1] == flag,
+                   "power criterion disagrees with closure-membership verdict")
     return Verdict(flag, witness)
 
 
@@ -341,21 +334,19 @@ def is_simple(alg: NablaAlgebra) -> Verdict:
     _require_normal(alg)
     _require_distributive(alg)
     top, bot = alg.lat.top, alg.lat.bot
-    others = [x for x in range(alg.n) if x != top]
-    g = _greatest_fixpoints(alg)
-    failing = [x for x in others if g[x] != bot]
-    flag = not failing
-    witness = None if flag else failing[0]
+    others = np.arange(alg.n) != top
+    failing = np.flatnonzero(others & (_greatest_fixpoints(alg) != bot))
+    flag = not len(failing)
+    witness = None if flag else int(failing[0])
 
     if 2 <= alg.n <= ORACLE_BOUND:
         count = len(all_congruences_oracle(alg))
         ensure((count == 2) == flag, "congruence count disagrees with simplicity verdict")
     profile = classify(alg)
     for flagged, table in ((profile.L, alg.nabla), (profile.R, alg.box)):
-        if not flagged:
-            continue
-        power = all(bot in (int(v) for v in _orbit(table, x)) for x in others)
-        ensure(power == flag, "power criterion disagrees with simplicity verdict")
+        if flagged:
+            ensure(_power_criteria(alg, table)[0] == flag,
+                   "power criterion disagrees with simplicity verdict")
     return Verdict(flag, witness)
 
 
@@ -438,10 +429,8 @@ def check_congruence_extension(sub: NablaAlgebra, big: NablaAlgebra,
         pushed = {fmap[x] for x in f_sub.members}
         f_big = modal_filter_closure(big, pushed)
         phi = congruence_from_filter(big, f_big)
-        restricts = all(
-            theta.same(a, b) == phi.same(fmap[a], fmap[b])
-            for a in range(sub.n) for b in range(sub.n)
-        )
+        restricts = bool((_same_block(theta.blocks)
+                          == _same_block(phi.blocks)[np.ix_(fmap, fmap)]).all())
         cases.append(ExtensionCase(theta, phi, restricts))
     ok = all(c.restricts for c in cases)
     ensure(ok, "congruence extension recipe failed to restrict")

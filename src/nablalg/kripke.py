@@ -21,13 +21,15 @@ carriers.  Pullbacks of surjective frame morphisms implement the
 amalgamation of embedding spans.
 
 Both functors work on boolean membership matrices: a family of upsets or of
-prime filters is one k x n matrix, row i holding set i.  nabla(U) is the OR
-of U's R-rows, arrow(U, V) one matrix product of the worlds of U outside V
-with the successor rows, and a computed set is looked up among the family's
-rows by its packed bits.  Each functor keeps its result on its immutable
-input, the prime frame on the algebra and the upset algebra (with its upset
-family) on the frame, so a pipeline that meets an input again reuses what
-was built; nothing is cached at module level.
+prime filters is one k x n matrix, row i holding set i.  nabla(U), the OR
+of U's R-rows, is one relational product; arrow(U, V), the worlds none of
+whose R-successors lies in U outside V, is one inclusion test, as are the
+prime frame's order and relation (the lattice module's ``_compose`` and
+``_subset``).  A computed set is looked up among the family's rows by its
+packed bits.  Each functor keeps its result on its immutable input, the
+prime frame on the algebra and the upset algebra (with its upset family) on
+the frame, so a pipeline that meets an input again reuses what was built;
+nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -60,7 +62,15 @@ from .errors import (
     ShapeError,
     ensure,
 )
-from .lattice import _greatest, _locate, _prime_rows, upset_lattice, validate_partial_order
+from .lattice import (
+    _compose,
+    _greatest,
+    _locate,
+    _prime_rows,
+    _subset,
+    upset_lattice,
+    validate_partial_order,
+)
 
 FRAME_FLAGS = ("N", "R", "L", "Fa", "Fu")
 
@@ -91,7 +101,7 @@ def build_frame(leq, r) -> KripkeFrame:
     rel = np.asarray(r, dtype=bool)
     if rel.shape != order.shape:
         raise ShapeError("order and relation must have the same shape")
-    closed = (order.astype(np.int64) @ rel.astype(np.int64) @ order.astype(np.int64)) > 0
+    closed = _compose(_compose(order, rel), order)
     failed = _violations([("compatible", rel | ~closed)])
     if failed:
         kp, lp = failed[0].witness
@@ -156,17 +166,13 @@ def frame_profile(frame: KripkeFrame) -> FrameProfile:
         return frame._profile
     n, leq, r = frame.n, frame.leq, frame.r
     witnesses = {} if frame.pi is not None else {"N": frame.pi_failure}
-    # beside[y, x] counts the R-successors of y outside [x), and
-    # below[x, y] the R-predecessors of y outside (x]
-    rf, off = r.astype(np.float32), (~leq).astype(np.float32)
-    beside, below = rf @ off.T, off.T @ rf
     witnesses.update((v.law, v.witness) for v in _violations([
         ("R", ~leq | r),
         ("L", ~r | leq),
-        # Fa: x has an R-predecessor whose R-successors all lie above x
-        ("Fa", (r & (beside == 0)).any(axis=0)),
-        # Fu: x has an R-successor whose R-predecessors all lie below x
-        ("Fu", (r & (below == 0)).any(axis=1)),
+        # Fa: x has an R-predecessor y whose R-successors all lie in [x)
+        ("Fa", (r & _subset(r, leq)).any(axis=0)),
+        # Fu: x has an R-successor y whose R-predecessors all lie in (x]
+        ("Fu", (r.T & _subset(r.T, leq.T)).any(axis=0)),
     ]))
     n_flag, r_flag, l_flag, fa_flag, fu_flag = (f not in witnesses for f in FRAME_FLAGS)
     profile = FrameProfile(N=n_flag, R=r_flag, L=l_flag, Fa=fa_flag, Fu=fu_flag,
@@ -212,28 +218,26 @@ def check_frame_morphism(m: FrameMorphism) -> FrameMorphismReport:
     """
     src, tgt = m.source, m.target
     f = _indices(m.map, (src.n,), tgt.n, "map")
-    # hit[l, u] = 1 where f(l) = u: a product with it sums over preimages
-    hit = np.zeros((src.n, tgt.n), dtype=np.float32)
-    hit[np.arange(src.n), f] = 1
+    # hit[l, u]: f(l) = u, so composing with it takes images
+    hit = f[:, None] == np.arange(tgt.n)
     laws = [
         ("monotone", ~src.leq | tgt.leq[f][:, f]),
         ("preserves-relation", ~src.r | tgt.r[f][:, f]),
         # every R-successor of f(k) is the image of an R-successor of k
-        ("lift-successors", ~tgt.r[f] | ((src.r @ hit) > 0)),
+        ("lift-successors", ~tgt.r[f] | _compose(src.r, hit)),
         # every R-predecessor of f(k) lies below the image of an R-predecessor of k
-        ("lift-predecessors",
-         ~tgt.r[:, f].T | ((src.r.T @ tgt.leq.T[f].astype(np.float32)) > 0)),
+        ("lift-predecessors", ~tgt.r[:, f].T | _compose(src.r.T, tgt.leq.T[f])),
     ]
     if m.heyting:
         # every element above f(k) is the image of an element above k
-        laws.append(("lift-order", ~tgt.leq[f] | ((src.leq @ hit) > 0)))
+        laws.append(("lift-order", ~tgt.leq[f] | _compose(src.leq, hit)))
     violations = _violations(laws)
     failed = {v.law for v in violations}
 
     if "monotone" not in failed and src.pi is not None and tgt.pi is not None:
         commutes = bool((f[src.pi] == tgt.pi[f]).all())
         # {lp : f(k) <= pi(lp)} against the images of {l : k <= pi(l)}
-        preimages = bool((tgt.leq[f][:, tgt.pi] == ((src.leq[:, src.pi] @ hit) > 0)).all())
+        preimages = bool((tgt.leq[f][:, tgt.pi] == _compose(src.leq[:, src.pi], hit)).all())
         relation_ok = failed.isdisjoint(
             {"preserves-relation", "lift-successors", "lift-predecessors"})
         ensure((commutes and preimages) == relation_ok,
@@ -277,16 +281,13 @@ def _build_upset_algebra(frame: KripkeFrame):
     fam = upset_lattice(frame.leq)
     ups = fam.members
     k, n = ups.shape
-    # float32 products count worlds exactly and run on BLAS
-    rel = frame.r.astype(np.float32)
     # nabla(U): the worlds some member of U relates to, the OR of U's R-rows
-    image = (ups.astype(np.float32) @ rel) > 0
-    nabla, found = _locate(ups, image)
+    nabla, found = _locate(ups, _compose(ups, frame.r))
     ensure(found.all(), "relation image of an upset must be an upset")
-    # arrow(U, V): the worlds with no R-successor in U outside V
+    # arrow(U, V): the worlds x with no R-successor in U outside V, that is,
+    # U outside V lies inside the worlds x does not relate to
     escape = (ups[:, None, :] & ~ups[None, :, :]).reshape(k * k, n)
-    guard = (escape.astype(np.float32) @ rel.T) == 0
-    arrow, found = _locate(ups, guard)
+    arrow, found = _locate(ups, _subset(escape, ~frame.r))
     ensure(found.all(), "arrow of upsets must be an upset")
     alg = build_algebra(fam.lattice, nabla, arrow.reshape(k, k))
     profile = classify(alg)
@@ -341,16 +342,12 @@ def _build_prime_frame(alg: NablaAlgebra) -> KripkeFrame:
         raise NotDistributive("prime filter frames need a distributive carrier")
     primes = _prime_rows(alg.lat)
     k, n = primes.shape
-    # float32 products count elements exactly and run on BLAS
-    inside = primes.astype(np.float32)
-    outside = 1 - inside
-    leq = (inside @ outside.T) == 0
-    # rel[P, Q]: no x in P has nabla(x) outside Q
-    rel = (inside @ outside[:, alg.nabla].T) == 0
-    # definitional[P, Q]: no (a, b) has arrow(a, b) in P, a in Q and b outside Q
-    detach = inside[:, alg.arrow].reshape(k, n * n)
-    escape = (inside[:, :, None] * outside[:, None, :]).reshape(k, n * n)
-    definitional = (detach @ escape.T) == 0
+    leq = _subset(primes, primes)
+    # rel[P, Q]: P lies inside the preimage of Q under nabla
+    rel = _subset(primes, primes[:, alg.nabla])
+    # definitional[P, Q]: every (a, b) with arrow(a, b) in P has b in Q or a outside Q
+    keep = (~primes[:, :, None] | primes[:, None, :]).reshape(k, n * n)
+    definitional = _subset(primes[:, alg.arrow].reshape(k, n * n), keep)
     ensure((rel == definitional).all(),
            "relation characterizations disagree on prime filters")
     frame = build_frame(leq, rel)

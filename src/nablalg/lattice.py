@@ -6,6 +6,10 @@ element-index tables.  Everything downstream (classification, congruences,
 completions, duality) lives on top of these tables, so construction is
 strict: ``build_lattice`` rejects anything that is not a bounded lattice
 and re-derives every algebraic law it relies on.
+
+Every relational product of the library (transitivity, frame compatibility,
+relation images, congruence squarings) goes through one kernel, ``_compose``,
+and every inclusion test of membership matrices through its dual ``_subset``.
 """
 
 from __future__ import annotations
@@ -20,8 +24,15 @@ from .errors import (
     NoMeet,
     NotPartialOrder,
     ShapeError,
+    TooLarge,
     ensure,
 )
+
+# Validation allocates several n^3 tables (`classify` on the Boolean 2^8 peaks
+# near 350 MB), so larger documents are refused before any table is read, and
+# no poset may have more upsets than this; 256 admits the Boolean 2^8 and the
+# 252-element amalgam of a 2-chain into two 6-chains.
+SIZE_MAX = 256
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -29,17 +40,31 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_bool_matrix(leq) -> np.ndarray:
-    arr = np.asarray(leq, dtype=bool)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ShapeError(f"order matrix must be square, got shape {arr.shape}")
-    return arr
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean relational product, also of stacked batches: ``[..., i, j]``
+    holds when some k has ``a[..., i, k]`` and ``b[..., k, j]``.  The float32
+    product counts those k; the counts are sums of non-negative ones, so a
+    count is zero iff no k exists, at any size."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
+def _subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[..., i, j]``: row i of ``a`` lies inside row j of ``b``."""
+    return ~_compose(a, ~np.swapaxes(b, -1, -2))
+
+
+def _slabs(n: int) -> list:
+    """Slices of 0..n-1, each cutting an n x n x n table to about 2**20
+    entries; a single slice for n <= 101."""
+    step = max(1, 2 ** 20 // (n * n))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def validate_partial_order(leq) -> np.ndarray:
     """Return the matrix if reflexive, antisymmetric and transitive; raise with a witness otherwise."""
-    arr = _as_bool_matrix(leq)
-    n = arr.shape[0]
+    arr = np.asarray(leq, dtype=bool)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ShapeError(f"order matrix must be square, got shape {arr.shape}")
     diag = arr.diagonal()
     if not diag.all():
         i = int(np.flatnonzero(~diag)[0])
@@ -49,8 +74,7 @@ def validate_partial_order(leq) -> np.ndarray:
     if sym.any():
         i, j = (int(v) for v in np.argwhere(sym)[0])
         raise NotPartialOrder(f"antisymmetry fails on ({i}, {j})", witness=(i, j))
-    closure = (arr.astype(np.int64) @ arr.astype(np.int64)) > 0
-    bad = closure & ~arr
+    bad = _compose(arr, arr) & ~arr
     if bad.any():
         i, j = (int(v) for v in np.argwhere(bad)[0])
         k = int(np.flatnonzero(arr[i] & arr[:, j])[0])
@@ -164,10 +188,9 @@ def _check_lattice_laws(lat: FiniteLattice) -> None:
     ensure((m == m.T).all() and (j == j.T).all(), "meet/join not commutative")
     ensure((m[idx, idx] == idx).all() and (j[idx, idx] == idx).all(),
            "meet/join not idempotent")
-    ensure((m[m[:, :, None], idx[None, None, :]] == m[idx[:, None, None], m[None, :, :]]).all(),
-           "meet not associative")
-    ensure((j[j[:, :, None], idx[None, None, :]] == j[idx[:, None, None], j[None, :, :]]).all(),
-           "join not associative")
+    # a slab of first arguments at a time: (a & b) & c against a & (b & c)
+    ensure(all((m[m[s]] == m[s][:, m]).all() for s in _slabs(n)), "meet not associative")
+    ensure(all((j[j[s]] == j[s][:, j]).all() for s in _slabs(n)), "join not associative")
     ensure((m[idx[:, None], j] == idx[:, None]).all(), "absorption a&(a|b)=a fails")
     ensure((j[idx[:, None], m] == idx[:, None]).all(), "absorption a|(a&b)=a fails")
     ensure((m[lat.bot] == lat.bot).all() and (j[lat.top] == lat.top).all(),
@@ -177,14 +200,14 @@ def _check_lattice_laws(lat: FiniteLattice) -> None:
 def distributivity_witness(lat: FiniteLattice):
     """None when the distributive law holds; otherwise the first bad (a, b, c)."""
     if lat._distributive is None:
-        lhs = lat.meet[np.arange(lat.n)[:, None, None], lat.join[None, :, :]]
-        rhs = lat.join[lat.meet[:, :, None], lat.meet[:, None, :]]
-        bad = lhs != rhs
-        if bad.any():
-            lat._dist_witness = tuple(int(v) for v in np.argwhere(bad)[0])
-            lat._distributive = False
-        else:
-            lat._distributive = True
+        m, j = lat.meet, lat.join
+        # a slab of first arguments at a time: a & (b | c) against (a & b) | (a & c)
+        for s in _slabs(lat.n):
+            bad = np.argwhere(m[s][:, j] != j[m[s][:, :, None], m[s][:, None, :]])
+            if len(bad):
+                lat._dist_witness = (int(bad[0, 0]) + s.start, int(bad[0, 1]), int(bad[0, 2]))
+                break
+        lat._distributive = lat._dist_witness is None
     return lat._dist_witness
 
 
@@ -273,26 +296,20 @@ def _upset_rows(arr: np.ndarray) -> np.ndarray:
 
     Every upset is a union of principal upsets, so breadth-first closure of
     the empty set under "union one more principal upset" is exhaustive and
-    output-sensitive.  Upsets are bitmasks (bit w is element w) while found.
+    output-sensitive: each round unions only the upsets new in the last one.
+    More than ``SIZE_MAX`` upsets raise ``TooLarge`` before any table is built.
     """
     n = arr.shape[0]
-    principal = [int(sum(1 << v for v in np.flatnonzero(arr[w]))) for w in range(n)]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            for w in range(n):
-                if not (mask >> w) & 1:
-                    t = mask | principal[w]
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-        frontier = nxt
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in seen), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(seen), width), axis=1, count=n, bitorder="little")
-    return _sorted_rows(bits.astype(bool))
+    found = new = np.zeros((1, n), dtype=bool)
+    while len(new):
+        # rows found earlier come first, so a new row's first occurrence is past them
+        both = np.vstack([found, (new[:, None] | arr[None]).reshape(len(new) * n, n)])
+        first = np.unique(_row_keys(both), return_index=True)[1]
+        new = both[first[first >= len(found)]]
+        found = np.vstack([found, new])
+        if len(found) > SIZE_MAX:
+            raise TooLarge(f"order has more than {SIZE_MAX} upsets")
+    return _sorted_rows(found)
 
 
 def _row_sets(rows: np.ndarray) -> list[frozenset]:
@@ -330,9 +347,7 @@ def _locate(family: np.ndarray, rows: np.ndarray):
 def _inclusion_lattice(rows: np.ndarray) -> FiniteLattice:
     """The lattice of a family of sets under inclusion, from its membership
     matrix (row i is set i); meet must be intersection (checked)."""
-    # incl[i, j]: no element lies in set i outside set j (exact float32 counts)
-    inside = rows.astype(np.float32)
-    lat = build_lattice((inside @ (1 - inside).T) == 0)
+    lat = build_lattice(_subset(rows, rows))
     ensure((rows[lat.meet] == (rows[:, None, :] & rows[None, :, :])).all(),
            "family meet is not intersection")
     return lat
@@ -389,8 +404,7 @@ def _labeled_posets(n: int) -> np.ndarray:
     for p, (i, j) in enumerate(pairs):
         mats[:, i, j] = digits[:, p] == 0
         mats[:, j, i] = digits[:, p] == 1
-    closure = np.matmul(mats.astype(np.int64), mats.astype(np.int64)) > 0
-    return mats[~(closure & ~mats).any(axis=(1, 2))]
+    return mats[~(_compose(mats, mats) & ~mats).any(axis=(1, 2))]
 
 
 def all_posets(n: int):

@@ -15,7 +15,7 @@ from .algebra import (
 from .completion import CompletedAlgebra
 from .errors import ShapeError, TooLarge
 from .kripke import FrameMorphism, KripkeFrame, build_frame
-from .lattice import FiniteLattice, build_lattice
+from .lattice import SIZE_MAX, FiniteLattice, build_lattice
 
 
 def lattice_to_json(lat: FiniteLattice) -> dict:
@@ -176,13 +176,6 @@ def _is_index(value) -> bool:
     # JSON true/false load as bool, a subclass of int; they are not indices.
     # Indices are kept in int64 arrays.
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= _INDEX_MAX
-
-
-# Validation allocates several n^3 tables (`classify` on the Boolean 2^8 peaks
-# near 350 MB), so larger documents are refused before any table is read; 256
-# admits the Boolean 2^8 and the 252-element amalgam of a 2-chain into two
-# 6-chains.
-SIZE_MAX = 256
 
 
 def _size(obj: dict) -> int:

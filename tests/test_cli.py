@@ -235,6 +235,15 @@ def test_document_size_bound_is_exit_two(tmp_path, capsys):
         assert json.loads(out)["error"]["error"] == "too-large", argv
 
 
+def test_upset_explosion_is_exit_two(tmp_path, capsys):
+    # a 9-world antichain passes the document bound but has 2^9 upsets
+    eye = [[i == j for j in range(9)] for i in range(9)]
+    frame = {"kind": "kripke-frame", "n": 9, "leq": eye, "r": eye}
+    code, out = run(capsys, "upset-algebra", write(tmp_path, "frame.json", frame))
+    assert code == 2 and len(out.splitlines()) == 1
+    assert json.loads(out)["error"]["error"] == "too-large"
+
+
 def test_validate_from_stdin(capsys, monkeypatch, x1):
     import io
 

@@ -7,6 +7,7 @@ from nablalg.algebra import AlgebraMorphism, NablaAlgebra, classify
 from nablalg.congruence import (
     Congruence,
     _congruence_closure,
+    _power_criteria,
     all_congruences_oracle,
     all_modal_filters,
     canonical_blocks,
@@ -21,7 +22,7 @@ from nablalg.congruence import (
     modal_filter_closure,
 )
 from nablalg.errors import NotEmbedding, NotNormal, TooLarge, Trivial
-from nablalg.gallery import enumerate_algebras, gen_heyting, gen_trivial
+from nablalg.gallery import enumerate_algebras, gen_heyting, gen_trivial, gen_xn
 
 from conftest import chain, subsets
 
@@ -81,6 +82,73 @@ def oracle_congruences(alg):
     out = [blocks for blocks in set_partitions(alg.n) if is_congruence(alg, blocks)]
     out.sort(key=lambda b: (-len(set(b)), b))
     return out
+
+
+def oracle_orbit(table, x):
+    seen = []
+    v = x
+    while v not in seen:
+        seen.append(v)
+        v = int(table[v])
+    return seen
+
+
+def oracle_power_criteria(alg, table):
+    """(simple, SI) by the orbit loops of ``table``."""
+    lat = alg.lat
+    others = [x for x in range(alg.n) if x != lat.top]
+    simple = all(lat.bot in oracle_orbit(table, x) for x in others)
+    si = any(all(any(lat.leq[v, x] for v in oracle_orbit(table, y)) for y in others)
+             for x in others)
+    return simple, si
+
+
+def oracle_refines(theta, other):
+    seen = {}
+    for x, b in enumerate(theta.blocks):
+        if b in seen:
+            if other.blocks[x] != other.blocks[seen[b]]:
+                return False
+        else:
+            seen[b] = x
+    return True
+
+
+def oracle_is_congruence(alg, blocks):
+    """Every member of a block maps like the block's first member."""
+    b = np.asarray(blocks, dtype=np.int64)
+    lat = alg.lat
+    reps = {}
+    for x in range(alg.n):
+        reps.setdefault(int(b[x]), []).append(x)
+    for group in reps.values():
+        x = group[0]
+        for y in group[1:]:
+            if b[alg.nabla[x]] != b[alg.nabla[y]]:
+                return False
+            for table in (lat.meet, lat.join, alg.arrow):
+                if (b[table[x]] != b[table[y]]).any():
+                    return False
+                if (b[table[:, x]] != b[table[:, y]]).any():
+                    return False
+    return True
+
+
+def oracle_si_witness(alg):
+    """The first maximal x != top inside every modal filter generated by a y != top."""
+    top = alg.lat.top
+    common = frozenset.intersection(*(modal_filter_closure(alg, {y}).members
+                                      for y in range(alg.n) if y != top)) - {top}
+    maximal = [x for x in sorted(common)
+               if not any(alg.lat.leq[x, y] and x != y for y in common)]
+    return maximal[0] if maximal else None
+
+
+def normal_distributive_algebras():
+    """The normal distributive algebras up to 6 elements, gen_xn(1..4) and
+    Heyting chains."""
+    algs = [alg for alg in enumerate_algebras(6) if classify(alg).has("N", "D")]
+    return algs + [gen_xn(k) for k in range(1, 5)] + [gen_heyting(chain(k)) for k in (2, 7, 30)]
 
 
 # --- closure -----------------------------------------------------------------
@@ -331,6 +399,55 @@ def test_si_agrees_with_congruence_oracle(small_catalog):
         assert is_simple(alg).flag == (len(congs) == 2)
 
 
+def test_power_criteria_match_orbit_loops():
+    seen = set()
+    for alg in normal_distributive_algebras():
+        for table in (alg.nabla, alg.box):
+            got = _power_criteria(alg, table)
+            assert got == oracle_power_criteria(alg, table)
+            seen.add(got)
+    assert seen == set(itertools.product((True, False), repeat=2))
+
+
+def test_si_witness_matches_filter_oracle():
+    witnesses = set()
+    for alg in normal_distributive_algebras():
+        if alg.n > 1:
+            v = is_subdirectly_irreducible(alg)
+            assert v.witness == oracle_si_witness(alg) and v.flag == (v.witness is not None)
+            witnesses.add(v.witness)
+    assert None in witnesses and len(witnesses) > 2
+
+
+def test_simple_witness_is_first_element_with_a_nontrivial_closure():
+    for alg in normal_distributive_algebras():
+        failing = [x for x in range(alg.n) if x != alg.lat.top
+                   and alg.lat.bot not in modal_filter_closure(alg, {x}).members]
+        v = is_simple(alg)
+        assert v.flag == (not failing) and v.witness == (failing[0] if failing else None)
+
+
+def test_refines_matches_loop_on_five_element_catalog(full_catalog):
+    outcomes = set()
+    for alg in full_catalog:
+        if alg.n == 5:
+            congs = all_congruences_oracle(alg)
+            for theta, other in itertools.product(congs, repeat=2):
+                assert theta.refines(other) == oracle_refines(theta, other)
+                outcomes.add(theta.refines(other))
+    assert outcomes == {True, False}
+
+
+def test_is_congruence_matches_loop_on_every_partition(full_catalog):
+    outcomes = set()
+    for alg in full_catalog:
+        if alg.n <= 4 or alg.n == 5 and classify(alg).has("N", "D"):
+            for blocks in set_partitions(alg.n):
+                assert is_congruence(alg, blocks) == oracle_is_congruence(alg, blocks)
+                outcomes.add(is_congruence(alg, blocks))
+    assert outcomes == {True, False}
+
+
 # --- inequality suite ----------------------------------------------------------
 
 
@@ -409,6 +526,19 @@ def test_congruence_extension_identity(h3):
     assert rep.ok and len(rep.cases) == 3
     for case in rep.cases:
         assert case.extension.blocks == case.theta.blocks
+
+
+def test_congruence_extension_restriction_matches_pair_loop():
+    # bound-preserving embeddings of Heyting chains are algebra embeddings
+    for k, m in ((3, 5), (4, 6)):
+        sub, big = gen_heyting(chain(k)), gen_heyting(chain(m))
+        for middle in itertools.combinations(range(1, m - 1), k - 2):
+            fmap = (0, *middle, m - 1)
+            rep = check_congruence_extension(sub, big, AlgebraMorphism(sub, big, fmap))
+            for case in rep.cases:
+                assert case.restricts == all(
+                    case.theta.same(a, b) == case.extension.same(fmap[a], fmap[b])
+                    for a in range(k) for b in range(k))
 
 
 def test_congruence_extension_rejects_non_embedding(b2, h3):

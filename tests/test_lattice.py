@@ -6,11 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nablalg.algebra import derive_arrow
-from nablalg.errors import NoBounds, NoJoin, NoMeet, NotPartialOrder
+from nablalg.errors import CrossCheckError, NoBounds, NoJoin, NoMeet, NotPartialOrder, TooLarge
 from nablalg.lattice import (
+    SIZE_MAX,
+    FiniteLattice,
     _bounded_candidates,
+    _check_lattice_laws,
+    _compose,
     _greatest,
     _iso_representatives,
+    _slabs,
+    _subset,
     all_lattices,
     all_posets,
     all_upsets,
@@ -90,6 +96,39 @@ def is_prime_filter_oracle(lat, s):
     return True
 
 
+def oracle_compose(a, b):
+    """Count the k with a[..., i, k] and b[..., k, j] in int64."""
+    return np.einsum("...ik,...kj->...ij", a.astype(np.int64), b.astype(np.int64)) > 0
+
+
+def oracle_subset(a, b):
+    """Count the k with a[..., i, k] and not b[..., j, k] in int64."""
+    return np.einsum("...ik,...jk->...ij", a.astype(np.int64), (~b).astype(np.int64)) == 0
+
+
+def cube_associative(table):
+    """The whole n^3 associativity cube at once."""
+    idx = np.arange(len(table))
+    return bool((table[table[:, :, None], idx[None, None, :]]
+                 == table[idx[:, None, None], table[None, :, :]]).all())
+
+
+def cube_distributivity_witness(lat):
+    """The first bad (a, b, c) of the whole n^3 distributivity cube, or None."""
+    lhs = lat.meet[np.arange(lat.n)[:, None, None], lat.join[None, :, :]]
+    rhs = lat.join[lat.meet[:, :, None], lat.meet[:, None, :]]
+    bad = np.argwhere(lhs != rhs)
+    return tuple(int(v) for v in bad[0]) if len(bad) else None
+
+
+def m3_times_chain(k):
+    """M3 x k-chain, with the elements whose M3 coordinate is not an atom
+    labeled first, so every distributivity failure has a large first index."""
+    m3 = diamond().leq      # 0 bottom, atoms 1, 2, 3, 4 top
+    pairs = sorted(itertools.product(range(5), range(k)), key=lambda p: p[0] in (1, 2, 3))
+    return build_lattice(np.array([[m3[a, b] and i <= j for b, j in pairs] for a, i in pairs]))
+
+
 def oracle_upsets(leq):
     n = leq.shape[0]
     out = []
@@ -98,6 +137,70 @@ def oracle_upsets(leq):
             out.append(s)
     out.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return out
+
+
+# --- boolean-relation kernel and sliced law checks ----------------------------
+
+
+def test_compose_and_subset_match_einsum_oracle():
+    rng = np.random.default_rng(8)
+    shapes = [(7, 7, 7), (5, 9, 3), (1, 6, 8), (0, 4, 3), (4, 0, 3), (4, 3, 0)]
+    for (i, k, j), density in itertools.product(shapes, (0.1, 0.5, 0.9)):
+        for batch in ((), (4,), (0,)):
+            a = rng.random(batch + (i, k)) < density
+            b = rng.random(batch + (k, j)) < density
+            got = _compose(a, b)
+            assert got.dtype == bool and got.shape == batch + (i, j)
+            assert (got == oracle_compose(a, b)).all()
+            c = rng.random(batch + (j, k)) < density
+            if i:
+                # let rows of c often contain rows of a
+                c |= a[..., rng.integers(0, i, j), :]
+            got = _subset(a, c)
+            assert got.dtype == bool and got.shape == batch + (i, j)
+            assert (got == oracle_subset(a, c)).all()
+    inside = np.array([[1, 0, 1], [1, 1, 1], [0, 0, 0]], dtype=bool)
+    assert _subset(inside, inside).tolist() == [[True, True, False], [False, True, False],
+                                                [True, True, True]]
+
+
+def test_slabs_cover_the_first_index_in_order():
+    for n, count in [(1, 1), (2, 1), (101, 1), (102, 2), (140, 3), (256, 16)]:
+        slabs = _slabs(n)
+        assert len(slabs) == count
+        assert np.concatenate([np.arange(n)[s] for s in slabs]).tolist() == list(range(n))
+
+
+def test_sliced_distributivity_matches_cube_oracle(six_lattices):
+    big = m3_times_chain(28)
+    assert big.n == 140
+    want = cube_distributivity_witness(big)
+    # the first failing a lies past the first slab
+    assert want is not None and want[0] >= _slabs(big.n)[1].start
+    assert distributivity_witness(big) == want
+    for lat in [*six_lattices, pentagon(), diamond(), chain(110)]:
+        fresh = build_lattice(lat.leq)
+        assert distributivity_witness(fresh) == cube_distributivity_witness(fresh)
+
+
+def test_sliced_associativity_matches_cube_oracle():
+    n = 140
+    lat = chain(n)
+    for name, table in (("meet", lat.meet), ("join", lat.join)):
+        assert cube_associative(table)
+        # a commutative, idempotent, non-associative block on the last three
+        # elements: with anything outside it the chain operation still
+        # associates, so every failing triple has its first index there
+        bad = table.copy()
+        p, q, r = n - 3, n - 2, n - 1
+        for x, y, z in ((p, q, r), (q, r, p), (p, r, q)):
+            bad[x, y] = bad[y, x] = z
+        assert not cube_associative(bad)
+        tables = {"meet": lat.meet, "join": lat.join, name: bad}
+        broken = FiniteLattice(lat.leq.copy(), tables["meet"].copy(), tables["join"].copy(),
+                               lat.bot, lat.top)
+        with pytest.raises(CrossCheckError, match=f"{name} not associative"):
+            _check_lattice_laws(broken)
 
 
 # --- construction ------------------------------------------------------------
@@ -333,8 +436,22 @@ def test_upsets_two_antichain_gives_boolean_square():
 def test_all_upsets_matches_subset_oracle():
     for leq in (np.eye(3, dtype=bool), chain_matrix(3),
                 order_from_covers(4, [(0, 1), (0, 2)]),
-                order_from_covers(4, [(0, 2), (1, 2), (2, 3)])):
+                order_from_covers(4, [(0, 2), (1, 2), (2, 3)]),
+                *(leq for n in range(1, 5) for leq in all_posets(n))):
         assert all_upsets(leq) == oracle_upsets(leq)
+
+
+def test_all_upsets_past_sixty_four_elements():
+    # the upsets of a chain are its final segments
+    assert all_upsets(chain_matrix(70)) == [frozenset(range(k, 70)) for k in range(70, -1, -1)]
+
+
+def test_upset_count_is_bounded():
+    assert len(all_upsets(np.eye(8, dtype=bool))) == SIZE_MAX == 256
+    with pytest.raises(TooLarge):
+        all_upsets(np.eye(9, dtype=bool))
+    with pytest.raises(TooLarge):
+        upset_lattice(np.eye(12, dtype=bool))
 
 
 @settings(max_examples=40, deadline=None)

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .lattice import (
     FiniteLattice,
+    _cover_pairs,
     _greatest,
     _order_iso,
     _signatures,
@@ -112,6 +113,15 @@ def _monotone_second(leq: np.ndarray, arr: np.ndarray) -> np.ndarray:
     return ~leq[None, :, :] | leq[arr[:, :, None], arr[:, None, :]]
 
 
+def _monotone(order: np.ndarray, covers: tuple, maps: np.ndarray) -> bool:
+    """Whether every row of ``maps``, a map of the lattice, sends each covering
+    pair lo < hi of ``covers`` into ``order``: f(lo) order f(hi).  The lattice
+    order is the transitive closure of its covers, so this is monotonicity for
+    ``leq`` and antitonicity for ``leq.T``."""
+    lo, hi = covers
+    return bool(order[maps[:, lo], maps[:, hi]].all())
+
+
 def _detachment(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray) -> np.ndarray:
     """[a, b]: a & nabla(arrow(a, b)) <= b."""
     idx = np.arange(lat.n)
@@ -179,10 +189,11 @@ def build_algebra(lat: FiniteLattice, nabla, arrow) -> NablaAlgebra:
 def _check_derived_laws(alg: NablaAlgebra) -> None:
     lat, nab, arr, box = alg.lat, alg.nabla, alg.arrow, alg.box
     leq = lat.leq
-    ensure((~leq | leq[nab][:, nab]).all(), "nabla must be order-preserving")
-    ensure(_monotone_second(leq, arr).all(),
-           "arrow must be order-preserving in its second argument")
-    ensure(_antitone_first(leq, arr).all(), "arrow must be antitone in its first argument")
+    covers = _cover_pairs(lat)
+    ensure(_monotone(leq, covers, nab[None]), "nabla must be order-preserving")
+    # row a of arr is b -> arrow(a, b); row b of arr.T is a -> arrow(a, b)
+    ensure(_monotone(leq, covers, arr), "arrow must be order-preserving in its second argument")
+    ensure(_monotone(leq.T, covers, arr.T), "arrow must be antitone in its first argument")
     ensure(int(nab[lat.bot]) == lat.bot, "nabla must send bottom to bottom")
     ensure(_preserves(nab, lat.join, lat.join).all(), "nabla must preserve binary joins")
     ensure(int(box[lat.top]) == lat.top, "box must send top to top")

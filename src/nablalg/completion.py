@@ -39,6 +39,7 @@ from .lattice import (
     _locate,
     _row_keys,
     _row_sets,
+    _slabs,
     _sorted_rows,
     _subset,
 )
@@ -134,8 +135,11 @@ def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
     rows = _ideal_rows(lat)
     k = len(rows)
     ideal_lat = _inclusion_lattice(rows)
-    union = (rows[:, None, :] | rows[None, :, :]).reshape(k * k, n)
-    ensure((rows[ideal_lat.join.ravel()] == _closure_rows(lat, union)).all(),
+    # here and in the lifted arrow, a slab of first ideals at a time, so no
+    # k x k x n table of unions or sets is held whole (k = n, checked below)
+    ensure(all((rows[ideal_lat.join[s].ravel()]
+                == _closure_rows(lat, (rows[s, None] | rows[None]).reshape(-1, n))).all()
+               for s in _slabs(k)),
            "ideal join must be the closure of the union")
 
     # nabla(N): the closure of the OR of the principal ideals of nabla over N
@@ -145,11 +149,16 @@ def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
 
     # arrow(M, N): the x for which every m in M has nabla(x) & m in N; row
     # (j, x) of the right-hand side holds the m with nabla(x) & m in ideal j
-    arrow = _subset(rows, rows[:, lat.meet[alg.nabla]].reshape(k * n, n))
-    arrow_tab, found = _locate(rows, arrow.reshape(k * k, n))
-    ensure(found.all(), "lifted arrow must land on a normal ideal")
+    arrow_tab = np.zeros((k, k), dtype=np.int64)
+    found = True
+    for s in _slabs(k):
+        arrow = _subset(rows, rows[s][:, lat.meet[alg.nabla]].reshape(-1, n))
+        pos, hit = _locate(rows, arrow.reshape(-1, n))
+        arrow_tab[:, s] = pos.reshape(k, -1)
+        found = found and hit.all()
+    ensure(found, "lifted arrow must land on a normal ideal")
 
-    completed = build_algebra(ideal_lat, nab_tab, arrow_tab.reshape(k, k))
+    completed = build_algebra(ideal_lat, nab_tab, arrow_tab)
     box_tab, found = _locate(rows, rows[:, alg.nabla])
     ensure(found.all() and (completed.box == box_tab).all(),
            "lifted box must be the nabla preimage")

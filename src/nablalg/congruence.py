@@ -50,7 +50,7 @@ from .errors import (
     Trivial,
     ensure,
 )
-from .lattice import _compose, _greatest, _row_keys
+from .lattice import _compose, _cover_pairs, _greatest, _row_keys
 
 ORACLE_BOUND = 10
 
@@ -106,16 +106,29 @@ def _require_distributive(alg: NablaAlgebra) -> None:
         raise NotDistributive("operation needs a distributive algebra")
 
 
+def _modal_filter_rows(alg: NablaAlgebra, rows: np.ndarray) -> np.ndarray:
+    """For each row of a k x n membership matrix, whether its set contains
+    top and is upward closed and closed under nabla, box and meet.
+
+    A nonempty upward-closed set is meet-closed iff it has exactly one
+    minimal member: two minimal members would have their meet outside, and
+    with one, m, the set is [m).  In an upward-closed set the minimal members
+    are those with no lower cover inside it.
+    """
+    lat = alg.lat
+    covers = np.zeros((alg.n, alg.n), dtype=bool)
+    covers[_cover_pairs(lat)] = True
+    minimal = rows & ~_compose(rows, covers)
+    return (rows[:, lat.top] & ~(_compose(rows, lat.leq) & ~rows).any(axis=1)
+            & (rows[:, alg.nabla] >= rows).all(axis=1) & (rows[:, alg.box] >= rows).all(axis=1)
+            & (minimal.sum(axis=1) == 1))
+
+
 def is_modal_filter(alg: NablaAlgebra, members) -> bool:
     """Contains top, upward closed, closed under meet, nabla and box."""
-    lat = alg.lat
-    inside = np.zeros(alg.n, dtype=bool)
-    inside[list(members)] = True
-    idx = np.flatnonzero(inside)
-    return bool(inside[lat.top]
-                and (lat.leq[idx] <= inside).all()
-                and inside[alg.nabla[idx]].all() and inside[alg.box[idx]].all()
-                and inside[lat.meet[idx[:, None], idx]].all())
+    inside = np.zeros((1, alg.n), dtype=bool)
+    inside[0, list(members)] = True
+    return bool(_modal_filter_rows(alg, inside)[0])
 
 
 def _greatest_fixpoints(alg: NablaAlgebra) -> np.ndarray:
@@ -124,13 +137,13 @@ def _greatest_fixpoints(alg: NablaAlgebra) -> np.ndarray:
     nabla fixes bottom and preserves joins, so the fixpoints below x have
     a join and it is again a fixpoint.  Every filter of a finite lattice is
     principal, and [a) is closed under nabla iff a <= nabla(a) and under box
-    iff nabla(a) <= a; that equivalence is re-checked on every element.
+    iff nabla(a) <= a; that equivalence is re-checked on every element, row
+    a of ``leq`` being [a).
     """
     lat = alg.lat
     fixed = alg.nabla == np.arange(alg.n)
-    for a in range(alg.n):
-        ensure(is_modal_filter(alg, np.flatnonzero(lat.leq[a])) == fixed[a],
-               "principal modal filters must be the filters of nabla's fixpoints")
+    ensure((_modal_filter_rows(alg, lat.leq) == fixed).all(),
+           "principal modal filters must be the filters of nabla's fixpoints")
     g, found = _greatest(lat.leq, fixed[:, None] & lat.leq)
     ensure(found.all(), "the fixpoints of nabla below an element must have a greatest one")
     return g

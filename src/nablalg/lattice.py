@@ -10,6 +10,25 @@ and re-derives every algebraic law it relies on.
 Every relational product of the library (transitivity, frame compatibility,
 relation images, congruence squarings) goes through one kernel, ``_compose``,
 and every inclusion test of membership matrices through its dual ``_subset``.
+
+Order facts are decided without the n^3 table of all triples, mostly on
+the covering relation ``_cover_pairs`` (the strict order minus its square,
+kept on the lattice); see Davey & Priestley, *Introduction to Lattices and
+Order*, ch. 1, 2 and 5:
+
+- the join-irreducibles are the elements with exactly one lower cover: a
+  join of two strictly smaller elements has at least two, and an element
+  with two lower covers is their join;
+- a is join-prime iff the x with a not below x, a down-set, are closed
+  under joins, that is iff they have a greatest element; ``_join_primes``
+  counts that for every element, O(n^2) in all.  A join-prime a = x | y
+  lies below x or y and so equals one of them: it is join-irreducible;
+- a finite lattice is distributive iff every join-irreducible is
+  join-prime, that is iff a -> (join-irreducibles below a) preserves binary
+  joins; ``distributivity_witness`` decides so, and scans the triples for
+  the first witness only when the test fails;
+- a map is monotone iff it is monotone on covering pairs, the order being
+  their reflexive-transitive closure; ``algebra`` checks nabla and arrow so.
 """
 
 from __future__ import annotations
@@ -117,7 +136,7 @@ def _bound_table(leq: np.ndarray, lower: bool) -> np.ndarray:
 class FiniteLattice:
     """Validated bounded lattice; immutable after construction."""
 
-    __slots__ = ("n", "leq", "meet", "join", "bot", "top",
+    __slots__ = ("n", "leq", "meet", "join", "bot", "top", "_covers",
                  "_distributive", "_dist_witness", "_heyting", "_heyting_known", "_primes")
 
     def __init__(self, leq, meet, join, bot, top):
@@ -127,6 +146,7 @@ class FiniteLattice:
         self.join = _freeze(join)
         self.bot = int(bot)
         self.top = int(top)
+        self._covers = None
         self._distributive = None
         self._dist_witness = None
         self._heyting = None
@@ -197,16 +217,38 @@ def _check_lattice_laws(lat: FiniteLattice) -> None:
            "bounds do not absorb")
 
 
+def _cover_pairs(lat: FiniteLattice) -> tuple:
+    """The covering pairs as two index arrays (lo, hi): hi covers lo, that is
+    lo < hi with nothing strictly between, in row-major order.
+
+    The strict order minus its square; computed once per lattice and kept on it.
+    """
+    if lat._covers is None:
+        strict = lat.leq.copy()
+        np.fill_diagonal(strict, False)
+        lo, hi = np.nonzero(strict & ~_compose(strict, strict))
+        lat._covers = (_freeze(lo), _freeze(hi))
+    return lat._covers
+
+
 def distributivity_witness(lat: FiniteLattice):
-    """None when the distributive law holds; otherwise the first bad (a, b, c)."""
+    """None when the distributive law holds; otherwise the first bad (a, b, c).
+
+    Decided by the join-irreducibles first: the lattice is distributive iff
+    each of them is join-prime, and every join-prime is join-irreducible.
+    Only a lattice that fails that test pays for the scan of all triples that
+    finds the lexicographically first witness.
+    """
     if lat._distributive is None:
-        m, j = lat.meet, lat.join
-        # a slab of first arguments at a time: a & (b | c) against (a & b) | (a & c)
-        for s in _slabs(lat.n):
-            bad = np.argwhere(m[s][:, j] != j[m[s][:, :, None], m[s][:, None, :]])
-            if len(bad):
-                lat._dist_witness = (int(bad[0, 0]) + s.start, int(bad[0, 1]), int(bad[0, 2]))
-                break
+        if _join_primes(lat) != join_irreducibles(lat):
+            m, j = lat.meet, lat.join
+            # a slab of first arguments at a time: a & (b | c) against (a & b) | (a & c)
+            for s in _slabs(lat.n):
+                bad = np.argwhere(m[s][:, j] != j[m[s][:, :, None], m[s][:, None, :]])
+                if len(bad):
+                    lat._dist_witness = (int(bad[0, 0]) + s.start, int(bad[0, 1]), int(bad[0, 2]))
+                    break
+            ensure(lat._dist_witness is not None, "distributivity characterizations disagree")
         lat._distributive = lat._dist_witness is None
     return lat._dist_witness
 
@@ -239,20 +281,23 @@ def heyting_table(lat: FiniteLattice):
 
 
 def join_irreducibles(lat: FiniteLattice) -> list[int]:
-    """Non-bottom elements that are not a join of two strictly smaller ones."""
-    below = lat.leq.T & ~np.eye(lat.n, dtype=bool)          # below[a, x]: x < a
-    joined = lat.join[None, :, :] == np.arange(lat.n)[:, None, None]
-    split = (below[:, :, None] & below[:, None, :] & joined).any(axis=(1, 2))
-    split[lat.bot] = True
-    return np.flatnonzero(~split).tolist()
+    """Non-bottom elements that are not a join of two strictly smaller ones:
+    the elements with exactly one lower cover."""
+    return np.flatnonzero(np.bincount(_cover_pairs(lat)[1], minlength=lat.n) == 1).tolist()
 
 
 def _join_primes(lat: FiniteLattice) -> list[int]:
-    """Non-bottom elements a for which a <= x | y forces a <= x or a <= y."""
-    split = lat.leq[:, :, None] | lat.leq[:, None, :]
-    prime = (lat.leq[:, lat.join] <= split).all(axis=(1, 2))
-    prime[lat.bot] = False
-    return np.flatnonzero(prime).tolist()
+    """Non-bottom elements a for which a <= x | y forces a <= x or a <= y.
+
+    The x with a not below x form a down-set, which holds bottom unless a is
+    bottom; a is join-prime iff that set is closed under joins, that is iff
+    it has a greatest element: a member with as many elements below it as
+    the set has (as in ``_meets_exist``).
+    """
+    outside = ~lat.leq                      # outside[a, x]: a is not below x
+    size = outside.sum(axis=1)
+    most = (outside * lat.leq.sum(axis=0)).max(axis=1)
+    return np.flatnonzero((most == size) & (size > 0)).tolist()
 
 
 def is_prime_filter(lat: FiniteLattice, members) -> bool:

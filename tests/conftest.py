@@ -88,6 +88,14 @@ def full_catalog():
 
 
 @pytest.fixture(scope="session")
+def six_catalog():
+    """Every valid (lattice, nabla) dynamics on <= 6 elements."""
+    from nablalg.gallery import enumerate_algebras
+
+    return list(enumerate_algebras(6))
+
+
+@pytest.fixture(scope="session")
 def x1():
     from nablalg.gallery import gen_xn
 

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from nablalg.algebra import (
     AlgebraMorphism,
+    NablaAlgebra,
     StrongAlgebraCandidate,
+    _antitone_first,
+    _check_derived_laws,
+    _monotone,
+    _monotone_second,
     algebra_iso,
     build_algebra,
     check_equational_axioms,
@@ -19,9 +24,9 @@ from nablalg.algebra import (
     identity_morphism,
     nabla_from_strong,
 )
-from nablalg.errors import AdjunctionFailure, NotDistributive, ShapeError
+from nablalg.errors import AdjunctionFailure, CrossCheckError, NotDistributive, ShapeError
 from nablalg.gallery import gen_counterexample_cex3, gen_heyting, gen_trivial
-from nablalg.lattice import heyting_table
+from nablalg.lattice import _cover_pairs, heyting_table
 
 from conftest import boolean_square, chain, pentagon
 
@@ -350,6 +355,36 @@ def test_implication_witnesses_match_loop_oracle(full_catalog, small_lattices):
         seen.update(internalizing)
     assert seen == {"antitone-first", "monotone-second", "reflexivity", "transitivity",
                     "meet", "join"}
+
+
+def test_cover_monotonicity_matches_full_masks(six_catalog, six_lattices):
+    """The order checks of _check_derived_laws on covering pairs against the
+    full masks, on every algebra up to 6 elements and on seeded tables that
+    break them; where one fails, _check_derived_laws reports the first."""
+    for alg in six_catalog:
+        leq, covers = alg.lat.leq, _cover_pairs(alg.lat)
+        assert _monotone(leq, covers, alg.nabla[None]) and _monotone(leq, covers, alg.arrow)
+        assert _monotone(leq.T, covers, alg.arrow.T)
+        assert _monotone_second(leq, alg.arrow).all() and _antitone_first(leq, alg.arrow).all()
+    seen = set()
+    for lat, nab, arr in broken_tables(six_catalog, six_lattices, 23, 600):
+        leq, covers = lat.leq, _cover_pairs(lat)
+        checks = {
+            "nabla must be order-preserving":
+                ((~leq | leq[nab][:, nab]).all(), _monotone(leq, covers, nab[None])),
+            "arrow must be order-preserving in its second argument":
+                (_monotone_second(leq, arr).all(), _monotone(leq, covers, arr)),
+            "arrow must be antitone in its first argument":
+                (_antitone_first(leq, arr).all(), _monotone(leq.T, covers, arr.T)),
+        }
+        for message, (full, cover) in checks.items():
+            assert full == cover
+            seen.add((message, bool(full)))
+        failing = [message for message, (full, _) in checks.items() if not full]
+        if failing:
+            with pytest.raises(CrossCheckError, match=failing[0]):
+                _check_derived_laws(NablaAlgebra(lat, nab, arr))
+    assert len(seen) == 6
 
 
 # --- adjoint search ----------------------------------------------------------

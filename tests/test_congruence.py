@@ -7,6 +7,7 @@ from nablalg.algebra import AlgebraMorphism, NablaAlgebra, classify
 from nablalg.congruence import (
     Congruence,
     _congruence_closure,
+    _modal_filter_rows,
     _power_criteria,
     all_congruences_oracle,
     all_modal_filters,
@@ -216,6 +217,22 @@ def test_modal_filters_heyting_chain(h3):
 
 def test_modal_filters_two_boolean(b2):
     assert len(all_modal_filters(b2)) == 2
+
+
+def test_modal_filter_rows_match_definition(full_catalog):
+    """The batched predicate against the definition read literally, on every
+    subset of every algebra up to 5 elements."""
+    for alg in full_catalog:
+        lat, n = alg.lat, alg.n
+        sets = list(subsets(range(n)))
+        rows = np.array([[x in s for x in range(n)] for s in sets], dtype=bool).reshape(-1, n)
+        want = [lat.top in s
+                and all(y in s for x in s for y in range(n) if lat.leq[x, y])
+                and all(alg.nabla[x] in s and alg.box[x] in s for x in s)
+                and all(lat.meet[x, y] in s for x in s for y in s)
+                for s in sets]
+        assert _modal_filter_rows(alg, rows).tolist() == want
+        assert [is_modal_filter(alg, s) for s in sets] == want
 
 
 def test_modal_filters_match_subset_oracle(small_catalog):

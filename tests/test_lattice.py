@@ -13,8 +13,10 @@ from nablalg.lattice import (
     _bounded_candidates,
     _check_lattice_laws,
     _compose,
+    _cover_pairs,
     _greatest,
     _iso_representatives,
+    _join_primes,
     _slabs,
     _subset,
     all_lattices,
@@ -121,6 +123,53 @@ def cube_distributivity_witness(lat):
     return tuple(int(v) for v in bad[0]) if len(bad) else None
 
 
+def cube_join_irreducibles(lat):
+    """The split cube: the non-bottom a that are no join of two x, y < a."""
+    below = lat.leq.T & ~np.eye(lat.n, dtype=bool)          # below[a, x]: x < a
+    joined = lat.join[None, :, :] == np.arange(lat.n)[:, None, None]
+    split = (below[:, :, None] & below[:, None, :] & joined).any(axis=(1, 2))
+    split[lat.bot] = True
+    return np.flatnonzero(~split).tolist()
+
+
+def cube_join_primes(lat):
+    """Every non-bottom a tested against all pairs: a <= x | y forces a <= x or a <= y."""
+    split = lat.leq[:, :, None] | lat.leq[:, None, :]
+    prime = (lat.leq[:, lat.join] <= split).all(axis=(1, 2))
+    prime[lat.bot] = False
+    return np.flatnonzero(prime).tolist()
+
+
+def oracle_covers(leq):
+    """x < y with no z strictly between, all triples at once."""
+    strict = leq & ~np.eye(len(leq), dtype=bool)
+    return strict & ~(strict[:, :, None] & strict[None, :, :]).any(axis=1)
+
+
+def product_order(*leqs):
+    """The componentwise order on the product, first factor most significant."""
+    out = np.ones((1, 1), dtype=bool)
+    for leq in leqs:
+        out = (out[:, None, :, None] & leq[None, :, None, :]).reshape(len(out) * len(leq), -1)
+    return out
+
+
+def relabeled(leq, rng):
+    p = rng.permutation(len(leq))
+    return leq[p][:, p]
+
+
+def order_fact_lattices(rng):
+    """Products of M3, N5 and chains up to 96 elements, each as built and
+    under a seeded relabeling."""
+    m3, n5, c = diamond().leq, pentagon().leq, chain_matrix
+    orders = [product_order(m3, c(19)), product_order(n5, c(19)), product_order(m3, n5),
+              product_order(n5, n5, c(2)), product_order(c(4), c(4), c(6)),
+              product_order(*[c(2)] * 6), product_order(c(8), c(12)),
+              product_order(c(2), c(3), c(4), c(4)), c(96)]
+    return [build_lattice(leq) for order in orders for leq in (order, relabeled(order, rng))]
+
+
 def m3_times_chain(k):
     """M3 x k-chain, with the elements whose M3 coordinate is not an atom
     labeled first, so every distributivity failure has a large first index."""
@@ -181,6 +230,51 @@ def test_sliced_distributivity_matches_cube_oracle(six_lattices):
     for lat in [*six_lattices, pentagon(), diamond(), chain(110)]:
         fresh = build_lattice(lat.leq)
         assert distributivity_witness(fresh) == cube_distributivity_witness(fresh)
+
+
+def test_cover_pairs_match_definition(seven_lattices):
+    rng = np.random.default_rng(9)
+    for lat in [*seven_lattices, *order_fact_lattices(rng)]:
+        covers = _cover_pairs(lat)
+        assert [v.tolist() for v in covers] == [v.tolist() for v in np.nonzero(oracle_covers(lat.leq))]
+        assert _cover_pairs(lat) is covers
+    lat = pentagon()
+    n = lat.n
+    assert list(zip(*(v.tolist() for v in _cover_pairs(lat)))) == [
+        (x, y) for x in range(n) for y in range(n)
+        if lat.leq[x, y] and x != y
+        and not any(lat.leq[x, z] and lat.leq[z, y] for z in range(n) if z not in (x, y))]
+
+
+def test_order_facts_match_cube_oracles(seven_lattices):
+    """join_irreducibles, _join_primes and the distributivity witness against
+    the n^3 forms they replaced, on fresh lattices (no cached result)."""
+    rng = np.random.default_rng(10)
+    small = [leq for lat in seven_lattices for leq in (lat.leq, relabeled(lat.leq, rng))]
+    lats = [*(build_lattice(leq) for leq in small), *order_fact_lattices(rng)]
+    verdicts = set()
+    for lat in lats:
+        irreducibles = cube_join_irreducibles(lat)
+        assert join_irreducibles(lat) == irreducibles
+        assert _join_primes(lat) == cube_join_primes(lat)
+        # on a finite lattice, distributive iff every join-irreducible is join-prime
+        want = cube_distributivity_witness(lat)
+        assert (want is None) == (cube_join_primes(lat) == irreducibles)
+        assert distributivity_witness(lat) == want
+        assert is_distributive(lat) == (want is None)
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+def test_distributivity_disagreement_is_a_cross_check_failure():
+    """The join-irreducible test reads only the order, the witness scan only
+    the meet and join tables: the pentagon with a meet table that is
+    constantly bottom fails the test and passes the scan."""
+    lat = pentagon()
+    broken = FiniteLattice(lat.leq.copy(), np.zeros_like(lat.meet), lat.join.copy(),
+                           lat.bot, lat.top)
+    with pytest.raises(CrossCheckError, match="distributivity characterizations disagree"):
+        distributivity_witness(broken)
 
 
 def test_sliced_associativity_matches_cube_oracle():

@@ -2,7 +2,8 @@
 
 Every boolean relational product in the library goes through one kernel,
 ``lattice._compose``; this walks each module's syntax tree and fails on a
-matrix product anywhere else.
+matrix product anywhere else.  The same walk pins each module's ``ensure``
+cross-checks by message, so none is dropped or moved unnoticed.
 """
 
 import ast
@@ -58,3 +59,150 @@ def test_relational_products_only_in_the_kernel():
              if (name, scope) != KERNEL]
     assert not stray, f"matrix products outside lattice._compose: {stray}"
     assert [scope for scope, _ in found[KERNEL[0]]] == [KERNEL[1]]
+
+
+# Every `ensure` cross-check by module, as a multiset of messages (an f-string
+# message in its source form).  A check may move inside its module, but one
+# dropped, added or moved to another module must be recorded here.
+ENSURES = {
+    "algebra.py": [
+        "a & nabla(arrow(a, b)) <= b must hold",
+        "a <= box(nabla(a)) must hold",
+        "arrow must be antitone in its first argument",
+        "arrow must be order-preserving in its second argument",
+        "box must preserve binary meets",
+        "box must send top to top",
+        "composition needs matching middle algebra",
+        "faithful algebras must fix the top under nabla",
+        "faithfulness cancellation characterization disagrees",
+        "faithfulness characterizations disagree",
+        "fullness characterizations disagree",
+        "left-condition characterizations disagree",
+        "meet-preserving box must admit a pointwise adjoint",
+        "nabla must be order-preserving",
+        "nabla must preserve binary joins",
+        "nabla must send bottom to bottom",
+        "nabla(box(a)) <= a must hold",
+        "on faithful algebras arrow(a, b) = top iff a <= b",
+        "on faithful algebras nabla(arrow) must be the Heyting table",
+        "right-condition characterizations disagree",
+    ],
+    "completion.py": [
+        "canonical embedding must be an embedding",
+        "canonical embedding must reflect order",
+        "f'completion must keep flag {flag}'",
+        "finite completion must be a bijection",
+        "ideal family member fails the closure fixpoint",
+        "ideal join must be the closure of the union",
+        "lifted arrow must land on a normal ideal",
+        "lifted box must be the nabla preimage",
+        "lifted nabla must land on a normal ideal",
+        "normal ideals of a finite lattice must be principal",
+    ],
+    "congruence.py": [
+        "alpha must produce a congruence",
+        "beta must produce a modal filter",
+        "closure must produce a modal filter",
+        "congruence count disagrees with simplicity verdict",
+        "congruence extension recipe failed to restrict",
+        "filter biimplication relation must be an equivalence",
+        "oracle produced a non-congruence",
+        "power criterion disagrees with closure-membership verdict",
+        "power criterion disagrees with simplicity verdict",
+        "principal modal filters must be the filters of nabla's fixpoints",
+        "the fixpoints of nabla below an element must have a greatest one",
+    ],
+    "gallery.py": [
+        "n-fold nabla must annihilate every non-top element",
+        "shift algebra must be normal distributive Heyting",
+        "shift algebra must be simple",
+        "shift preimage must admit a residuated arrow",
+    ],
+    "kripke.py": [
+        "arrow of upsets must be an upset",
+        "composition needs matching middle frame",
+        "f'algebra flag {flag} must transfer to the prime frame'",
+        "f'frame flag {flag} must transfer to the upset algebra'",
+        "f'{name} must be an embedding'",
+        "f'{name} must preserve the Heyting table'",
+        "f'{name} projection must be a frame morphism'",
+        "f'{name} projection must be surjective'",
+        "faithfulness must match pi being an order embedding",
+        "fullness must match pi being surjective",
+        "membership image must be an upset of the prime frame",
+        "membership map must be an embedding",
+        "membership map must be onto for finite carriers",
+        "pipeline stage mismatch on the first leg",
+        "pipeline stage mismatch on the second leg",
+        "preimage map must be an algebra morphism",
+        "preimage of a prime filter must be prime",
+        "preimage of an upset must be an upset",
+        "preimages along a surjection must be injective",
+        "prime preimage map must be a frame morphism",
+        "prime preimages along an embedding must be onto",
+        "projections must commute over the base",
+        "pullback must inherit the shared flag class",
+        "pullback of normal frames must be normal",
+        "pullback witness must be the componentwise witness pair",
+        "reflexivity must match w <= pi(w) on normal frames",
+        "relation characterizations disagree on prime filters",
+        "relation image of an upset must be an upset",
+        "sub-order must match pi(w) <= w on normal frames",
+        "the amalgam must carry the shared flag class",
+        "the amalgam must stay normal and distributive",
+        "the amalgamation square must commute",
+        "upset algebras always carry the Heyting structure",
+        "witness characterization of frame morphisms disagrees with the clauses",
+    ],
+    "lattice.py": [
+        "absorption a&(a|b)=a fails",
+        "absorption a|(a&b)=a fails",
+        "bounds do not absorb",
+        "distributivity characterizations disagree",
+        "enumerated set is not a prime filter",
+        "family meet is not intersection",
+        "join not associative",
+        "meet not associative",
+        "meet/join not commutative",
+        "meet/join not idempotent",
+        "non-isomorphic lattices must have distinct canonical forms",
+        "prime filter count must match join-irreducibles on distributive lattices",
+        "pseudocomplement not residuated",
+        "pseudocomplements exist iff distributive",
+        "upset join is not union",
+        "upset lattice must be distributive",
+        "upset lattice must carry pseudocomplements",
+    ],
+}
+
+
+def ensure_messages(source: str) -> list:
+    """The message of every call to ``ensure``, by name or attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "ensure":
+                msg = node.args[1]
+                found.append(msg.value if isinstance(msg, ast.Constant) else ast.unparse(msg))
+    return found
+
+
+def test_ensure_messages_are_found():
+    source = "\n".join([
+        "from .errors import ensure",
+        "def f(x, flag):",
+        "    ensure(x > 0, 'x must be positive')",
+        "    errors.ensure(x < 9, f'flag {flag} must hold')",
+        "    ensure(x, 'x must be positive')",
+    ])
+    assert ensure_messages(source) == ["x must be positive", "f'flag {flag} must hold'",
+                                       "x must be positive"]
+
+
+def test_ensure_inventory_is_pinned():
+    src = Path(nablalg.__file__).parent
+    found = {path.name: sorted(ensure_messages(path.read_text()))
+             for path in sorted(src.glob("*.py"))}
+    assert {name: msgs for name, msgs in found.items() if msgs} == ENSURES

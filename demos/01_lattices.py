@@ -36,4 +36,4 @@ print("prime filters of the three-chain:", prime_filters(chain3))
 
 # upsets of any poset form a distributive lattice under inclusion
 fam = upset_lattice(np.eye(2, dtype=bool))
-print("upsets of a two-element antichain:", [sorted(u) for u in fam.upsets])
+print("upsets of a two-element antichain:", [np.flatnonzero(row).tolist() for row in fam.members])

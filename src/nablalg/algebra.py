@@ -18,7 +18,7 @@ tables from callers are checked for shape and range by ``_indices``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .errors import (
 )
 from .lattice import (
     FiniteLattice,
-    _cover_pairs,
     _greatest,
+    _kept,
     _order_iso,
     _signatures,
     distributivity_witness,
@@ -131,7 +131,7 @@ def _detachment(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray) -> np.ndar
 class NablaAlgebra:
     """Validated carrier; ``heyting`` is present exactly when the lattice is distributive."""
 
-    __slots__ = ("lat", "nabla", "arrow", "box", "heyting", "_profile", "_frame")
+    __slots__ = ("lat", "nabla", "arrow", "box", "heyting", "_kept")
 
     def __init__(self, lat: FiniteLattice, nabla: np.ndarray, arrow: np.ndarray):
         self.lat = lat
@@ -142,12 +142,16 @@ class NablaAlgebra:
         self.box = arrow[lat.top].copy()
         self.box.setflags(write=False)
         self.heyting = heyting_table(lat)
-        self._profile = None
-        self._frame = None      # the prime frame, kept by kripke.prime_frame
+        self._kept = {}
 
     @property
     def n(self) -> int:
         return self.lat.n
+
+    @property
+    def tables(self) -> tuple:
+        """The defining tables, which ``tables_equal`` compares."""
+        return self.lat.leq, self.nabla, self.arrow
 
     def __repr__(self):
         return f"NablaAlgebra(n={self.n}, nabla={tuple(int(v) for v in self.nabla)})"
@@ -189,7 +193,7 @@ def build_algebra(lat: FiniteLattice, nabla, arrow) -> NablaAlgebra:
 def _check_derived_laws(alg: NablaAlgebra) -> None:
     lat, nab, arr, box = alg.lat, alg.nabla, alg.arrow, alg.box
     leq = lat.leq
-    covers = _cover_pairs(lat)
+    covers = lat.covers
     ensure(_monotone(leq, covers, nab[None]), "nabla must be order-preserving")
     # row a of arr is b -> arrow(a, b); row b of arr.T is a -> arrow(a, b)
     ensure(_monotone(leq, covers, arr), "arrow must be order-preserving in its second argument")
@@ -254,9 +258,23 @@ def check_equational_axioms(lat: FiniteLattice, nabla, arrow) -> LawReport:
 FLAG_NAMES = ("D", "H", "N", "R", "L", "Fa", "Fu")
 
 
+class _FlagProfile:
+    """``flags()`` and ``has()`` over the flag names that ``FLAGS`` lists."""
+
+    FLAGS = ()
+
+    def flags(self) -> frozenset:
+        return frozenset(name for name in self.FLAGS if getattr(self, name))
+
+    def has(self, *names) -> bool:
+        return all(getattr(self, name) for name in names)
+
+
 @dataclass(frozen=True)
-class PropertyProfile:
+class PropertyProfile(_FlagProfile):
     """Classification flags with a counterexample tuple for every false flag."""
+
+    FLAGS = FLAG_NAMES
 
     D: bool
     H: bool
@@ -266,12 +284,6 @@ class PropertyProfile:
     Fa: bool
     Fu: bool
     witnesses: dict = field(compare=False)
-
-    def flags(self) -> frozenset:
-        return frozenset(name for name in FLAG_NAMES if getattr(self, name))
-
-    def has(self, *names) -> bool:
-        return all(getattr(self, name) for name in names)
 
     def to_json(self) -> dict:
         return {
@@ -288,8 +300,10 @@ def classify(alg: NablaAlgebra) -> PropertyProfile:
     them are evaluated and required to agree, so a disagreement surfaces a
     library bug immediately rather than a wrong flag.
     """
-    if alg._profile is not None:
-        return alg._profile
+    return _kept(alg, _build_profile)
+
+
+def _build_profile(alg: NablaAlgebra) -> PropertyProfile:
     lat, nab, arr, box = alg.lat, alg.nabla, alg.arrow, alg.box
     n, leq, meet = lat.n, lat.leq, lat.meet
     idx = np.arange(n)
@@ -345,7 +359,6 @@ def classify(alg: NablaAlgebra) -> PropertyProfile:
                "on faithful algebras arrow(a, b) = top iff a <= b")
         ensure(alg.heyting is not None and (nab[arr] == alg.heyting).all(),
                "on faithful algebras nabla(arrow) must be the Heyting table")
-    alg._profile = profile
     return profile
 
 
@@ -446,13 +459,18 @@ def nabla_from_strong(cand: StrongAlgebraCandidate) -> AdjointSearch:
 
 
 @dataclass(frozen=True)
-class AlgebraMorphism:
-    """Index map between algebras; ``preserves_heyting`` is a claim to verify."""
+class Morphism:
+    """Index map between two algebras or two frames; ``preserves_heyting`` is
+    a claim to verify."""
 
-    source: NablaAlgebra = field(compare=False, repr=False)
-    target: NablaAlgebra = field(compare=False, repr=False)
+    source: object = field(compare=False, repr=False)
+    target: object = field(compare=False, repr=False)
     map: tuple = ()
     preserves_heyting: bool = False
+
+
+class AlgebraMorphism(Morphism):
+    """Index map between algebras; the claim is that it preserves the Heyting table."""
 
 
 @dataclass(frozen=True)
@@ -484,12 +502,12 @@ def check_morphism(m: AlgebraMorphism) -> MorphismReport:
                           heyting_checked=heyting_checked)
 
 
-def compose_morphisms(outer: AlgebraMorphism, inner: AlgebraMorphism) -> AlgebraMorphism:
+def compose_morphisms(outer: Morphism, inner: Morphism) -> Morphism:
+    """``outer`` after ``inner``, two algebra or two frame morphisms."""
     ensure(tables_equal(inner.target, outer.source),
-           "composition needs matching middle algebra")
-    comp = tuple(int(outer.map[v]) for v in inner.map)
-    return AlgebraMorphism(source=inner.source, target=outer.target, map=comp,
-                           preserves_heyting=inner.preserves_heyting and outer.preserves_heyting)
+           "composition needs matching middle structure")
+    return replace(inner, target=outer.target, map=tuple(int(outer.map[v]) for v in inner.map),
+                   preserves_heyting=inner.preserves_heyting and outer.preserves_heyting)
 
 
 def identity_morphism(alg: NablaAlgebra, heyting: bool = False) -> AlgebraMorphism:
@@ -497,9 +515,10 @@ def identity_morphism(alg: NablaAlgebra, heyting: bool = False) -> AlgebraMorphi
                            preserves_heyting=heyting)
 
 
-def tables_equal(a: NablaAlgebra, b: NablaAlgebra) -> bool:
-    return (a.n == b.n and (a.lat.leq == b.lat.leq).all()
-            and (a.nabla == b.nabla).all() and (a.arrow == b.arrow).all())
+def tables_equal(a, b) -> bool:
+    """Whether two algebras or two frames have equal defining tables; an
+    algebra and a frame never do."""
+    return type(a) is type(b) and all(np.array_equal(x, y) for x, y in zip(a.tables, b.tables))
 
 
 def algebra_iso(a: NablaAlgebra, b: NablaAlgebra):

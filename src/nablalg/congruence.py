@@ -50,7 +50,7 @@ from .errors import (
     Trivial,
     ensure,
 )
-from .lattice import _compose, _cover_pairs, _greatest, _row_keys
+from .lattice import _compose, _greatest, _row_keys
 
 ORACLE_BOUND = 10
 
@@ -117,7 +117,7 @@ def _modal_filter_rows(alg: NablaAlgebra, rows: np.ndarray) -> np.ndarray:
     """
     lat = alg.lat
     covers = np.zeros((alg.n, alg.n), dtype=bool)
-    covers[_cover_pairs(lat)] = True
+    covers[lat.covers] = True
     minimal = rows & ~_compose(rows, covers)
     return (rows[:, lat.top] & ~(_compose(rows, lat.leq) & ~rows).any(axis=1)
             & (rows[:, alg.nabla] >= rows).all(axis=1) & (rows[:, alg.box] >= rows).all(axis=1)

@@ -26,10 +26,10 @@ of U's R-rows, is one relational product; arrow(U, V), the worlds none of
 whose R-successors lies in U outside V, is one inclusion test, as are the
 prime frame's order and relation (the lattice module's ``_compose`` and
 ``_subset``).  A computed set is looked up among the family's rows by its
-packed bits.  Each functor keeps its result on its immutable input, the
-prime frame on the algebra and the upset algebra (with its upset family) on
-the frame, so a pipeline that meets an input again reuses what was built;
-nothing is cached at module level.
+packed bits.  Each functor keeps its result on its immutable input through
+the lattice module's ``_kept``: the prime frame on the algebra and the upset
+algebra (with its upset family) on the frame, so a pipeline that meets an
+input again reuses what was built; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ import numpy as np
 from .algebra import (
     AlgebraMorphism,
     LawReport,
+    Morphism,
     NablaAlgebra,
+    _FlagProfile,
     _indices,
     _violations,
     build_algebra,
@@ -65,6 +67,7 @@ from .errors import (
 from .lattice import (
     _compose,
     _greatest,
+    _kept,
     _locate,
     _prime_rows,
     _subset,
@@ -78,7 +81,7 @@ FRAME_FLAGS = ("N", "R", "L", "Fa", "Fu")
 class KripkeFrame:
     """Worlds 0..n-1 with order ``leq`` and compatible relation ``r``."""
 
-    __slots__ = ("n", "leq", "r", "pi", "pi_failure", "_profile", "_upsets")
+    __slots__ = ("n", "leq", "r", "pi", "pi_failure", "_kept")
 
     def __init__(self, leq, r, pi, pi_failure):
         self.n = int(leq.shape[0])
@@ -88,8 +91,12 @@ class KripkeFrame:
         self.r = r
         self.pi = pi
         self.pi_failure = pi_failure
-        self._profile = None
-        self._upsets = None
+        self._kept = {}
+
+    @property
+    def tables(self) -> tuple:
+        """The defining tables, which ``algebra.tables_equal`` compares."""
+        return self.leq, self.r
 
     def __repr__(self):
         return f"KripkeFrame(n={self.n})"
@@ -136,7 +143,9 @@ def _detect_pi(order: np.ndarray, rel: np.ndarray):
 
 
 @dataclass(frozen=True)
-class FrameProfile:
+class FrameProfile(_FlagProfile):
+    FLAGS = FRAME_FLAGS
+
     N: bool
     R: bool
     L: bool
@@ -144,12 +153,6 @@ class FrameProfile:
     Fu: bool
     pi: object = field(compare=False, default=None)
     witnesses: dict = field(compare=False, default_factory=dict)
-
-    def flags(self) -> frozenset:
-        return frozenset(f for f in FRAME_FLAGS if getattr(self, f))
-
-    def has(self, *names) -> bool:
-        return all(getattr(self, f) for f in names)
 
     def to_json(self) -> dict:
         return {
@@ -162,8 +165,10 @@ class FrameProfile:
 def frame_profile(frame: KripkeFrame) -> FrameProfile:
     """Flags by their defining clauses; on normal frames the witness-based
     restatements are evaluated too and must agree."""
-    if frame._profile is not None:
-        return frame._profile
+    return _kept(frame, _build_frame_profile)
+
+
+def _build_frame_profile(frame: KripkeFrame) -> FrameProfile:
     n, leq, r = frame.n, frame.leq, frame.r
     witnesses = {} if frame.pi is not None else {"N": frame.pi_failure}
     witnesses.update((v.law, v.witness) for v in _violations([
@@ -188,18 +193,11 @@ def frame_profile(frame: KripkeFrame) -> FrameProfile:
         ensure(fa_flag == emb, "faithfulness must match pi being an order embedding")
         ensure(fu_flag == (len(set(int(v) for v in pi)) == n),
                "fullness must match pi being surjective")
-    frame._profile = profile
     return profile
 
 
-@dataclass(frozen=True)
-class FrameMorphism:
-    """World map between frames; ``heyting`` claims the order-lifting clause."""
-
-    source: KripkeFrame = field(compare=False, repr=False)
-    target: KripkeFrame = field(compare=False, repr=False)
-    map: tuple = ()
-    heyting: bool = False
+class FrameMorphism(Morphism):
+    """World map between frames; the claim is the order-lifting clause."""
 
 
 @dataclass(frozen=True)
@@ -228,7 +226,7 @@ def check_frame_morphism(m: FrameMorphism) -> FrameMorphismReport:
         # every R-predecessor of f(k) lies below the image of an R-predecessor of k
         ("lift-predecessors", ~tgt.r[:, f].T | _compose(src.r.T, tgt.leq.T[f])),
     ]
-    if m.heyting:
+    if m.preserves_heyting:
         # every element above f(k) is the image of an element above k
         laws.append(("lift-order", ~tgt.leq[f] | _compose(src.leq, hit)))
     violations = _violations(laws)
@@ -247,18 +245,6 @@ def check_frame_morphism(m: FrameMorphism) -> FrameMorphismReport:
                                heyting_ok="lift-order" not in failed)
 
 
-def compose_frame_morphisms(outer: FrameMorphism, inner: FrameMorphism) -> FrameMorphism:
-    ensure(frames_equal(inner.target, outer.source),
-           "composition needs matching middle frame")
-    comp = tuple(int(outer.map[v]) for v in inner.map)
-    return FrameMorphism(source=inner.source, target=outer.target, map=comp,
-                         heyting=inner.heyting and outer.heyting)
-
-
-def frames_equal(a: KripkeFrame, b: KripkeFrame) -> bool:
-    return a.n == b.n and (a.leq == b.leq).all() and (a.r == b.r).all()
-
-
 # --- frames to algebras -------------------------------------------------------
 
 
@@ -266,18 +252,11 @@ def upset_algebra(frame: KripkeFrame) -> NablaAlgebra:
     """Algebra of upsets; always carries the Heyting table, and every frame
     flag transfers to the corresponding algebra flag (checked).  Built once
     per frame and kept on it."""
-    if frame._upsets is None:
-        frame._upsets = _build_upset_algebra(frame)
-    return frame._upsets[1]
-
-
-def _upset_dual(frame: KripkeFrame):
-    """The frame's upset family and its upset algebra, built together."""
-    alg = upset_algebra(frame)
-    return frame._upsets[0], alg
+    return _kept(frame, _build_upset_algebra)[1]
 
 
 def _build_upset_algebra(frame: KripkeFrame):
+    """The frame's upset family and its upset algebra, built together."""
     fam = upset_lattice(frame.leq)
     ups = fam.members
     k, n = ups.shape
@@ -306,15 +285,15 @@ def inverse_image_morphism(f: FrameMorphism) -> AlgebraMorphism:
     if not rep.ok:
         raise NotKripkeMorphism("preimages only respect the pair along a frame morphism",
                                 witness=rep.violations[0].witness if rep.violations else None)
-    src_fam, src_alg = _upset_dual(f.target)
-    tgt_fam, tgt_alg = _upset_dual(f.source)
+    src_fam, src_alg = _kept(f.target, _build_upset_algebra)
+    tgt_fam, tgt_alg = _kept(f.source, _build_upset_algebra)
     # x lies in the preimage of U iff f(x) lies in U
     pre = src_fam.members[:, np.asarray(f.map, dtype=np.int64)]
     out, found = _locate(tgt_fam.members, pre)
     ensure(found.all(), "preimage of an upset must be an upset")
     morphism = AlgebraMorphism(source=src_alg, target=tgt_alg,
                                map=tuple(int(v) for v in out),
-                               preserves_heyting=bool(f.heyting and rep.heyting_ok))
+                               preserves_heyting=bool(f.preserves_heyting and rep.heyting_ok))
     mrep = check_morphism(morphism)
     ensure(mrep.ok, "preimage map must be an algebra morphism")
     if rep.surjective:
@@ -332,9 +311,7 @@ def prime_frame(alg: NablaAlgebra) -> KripkeFrame:
     cross-checked against the definitional detachment form; a mismatch is a
     hard failure, not a report.  Built once per algebra and kept on it.
     """
-    if alg._frame is None:
-        alg._frame = _build_prime_frame(alg)
-    return alg._frame
+    return _kept(alg, _build_prime_frame)
 
 
 def _build_prime_frame(alg: NablaAlgebra) -> KripkeFrame:
@@ -363,7 +340,7 @@ def _build_prime_frame(alg: NablaAlgebra) -> KripkeFrame:
 def canonical_frame_embedding(alg: NablaAlgebra) -> AlgebraMorphism:
     """Membership map into the upsets of the prime frame; an isomorphism here
     because every carrier is finite."""
-    fam, target = _upset_dual(prime_frame(alg))
+    fam, target = _kept(prime_frame(alg), _build_upset_algebra)
     # row a: the prime filters containing a
     out, found = _locate(fam.members, _prime_rows(alg.lat).T)
     ensure(found.all(), "membership image must be an upset of the prime frame")
@@ -390,7 +367,7 @@ def prime_inverse_morphism(f: AlgebraMorphism) -> FrameMorphism:
     out, found = _locate(_prime_rows(f.source.lat), pre)
     ensure(found.all(), "preimage of a prime filter must be prime")
     fm = FrameMorphism(source=src_frame, target=tgt_frame, map=tuple(int(v) for v in out),
-                       heyting=bool(f.preserves_heyting))
+                       preserves_heyting=bool(f.preserves_heyting))
     frep = check_frame_morphism(fm)
     ensure(frep.ok, "prime preimage map must be a frame morphism")
     if rep.injective:
@@ -441,9 +418,9 @@ def amalgamate_frames(k0: KripkeFrame, k1: KripkeFrame, k2: KripkeFrame,
     cls = _flag_class({name: p.flags() for name, p in profiles.items()}, flags,
                       "every frame must carry the requested flag class")
     for name, m, tgt in (("first", f, k1), ("second", g, k2)):
-        if not frames_equal(m.target, k0):
+        if not tables_equal(m.target, k0):
             raise InvalidMorphism(f"{name} leg must land in the shared base")
-        if not frames_equal(m.source, tgt):
+        if not tables_equal(m.source, tgt):
             raise InvalidMorphism(f"{name} leg has the wrong source")
         rep = check_frame_morphism(m)
         if not rep.ok:
@@ -464,11 +441,11 @@ def amalgamate_frames(k0: KripkeFrame, k1: KripkeFrame, k2: KripkeFrame,
            "pullback witness must be the componentwise witness pair")
     ensure(cls <= pprof.flags(), "pullback must inherit the shared flag class")
 
-    heyting = f.heyting and g.heyting
+    heyting = f.preserves_heyting and g.preserves_heyting
     p = FrameMorphism(source=pullback, target=k1,
-                      map=tuple(int(y) for y in ys), heyting=heyting)
+                      map=tuple(int(y) for y in ys), preserves_heyting=heyting)
     q = FrameMorphism(source=pullback, target=k2,
-                      map=tuple(int(z) for z in zs), heyting=heyting)
+                      map=tuple(int(z) for z in zs), preserves_heyting=heyting)
     for name, proj in (("first", p), ("second", q)):
         rep = check_frame_morphism(proj)
         ensure(rep.ok, f"{name} projection must be a frame morphism")

@@ -11,10 +11,14 @@ Every relational product of the library (transitivity, frame compatibility,
 relation images, congruence squarings) goes through one kernel, ``_compose``,
 and every inclusion test of membership matrices through its dual ``_subset``.
 
+Lattices, algebras and frames are immutable, and what is derived from one
+of them is computed once and kept on it by one helper, ``_kept``: here the
+distributivity witness, the Heyting table and the prime filters.
+
 Order facts are decided without the n^3 table of all triples, mostly on
-the covering relation ``_cover_pairs`` (the strict order minus its square,
-kept on the lattice); see Davey & Priestley, *Introduction to Lattices and
-Order*, ch. 1, 2 and 5:
+the covering relation ``covers`` (the strict order minus its square, found
+by the product that also checks transitivity); see Davey & Priestley,
+*Introduction to Lattices and Order*, ch. 1, 2 and 5:
 
 - the join-irreducibles are the elements with exactly one lower cover: a
   join of two strictly smaller elements has at least two, and an element
@@ -81,6 +85,18 @@ def _slabs(n: int) -> list:
 
 def validate_partial_order(leq) -> np.ndarray:
     """Return the matrix if reflexive, antisymmetric and transitive; raise with a witness otherwise."""
+    return _partial_order(leq)[0]
+
+
+def _partial_order(leq):
+    """The validated order matrix and its covering pairs as two index arrays
+    (lo, hi): hi covers lo, that is lo < hi with nothing strictly between, in
+    row-major order.
+
+    One product of the strict order serves both: on a reflexive relation the
+    square adds a pair outside the order iff the strict square does, and the
+    covers are the strict order minus its square.
+    """
     arr = np.asarray(leq, dtype=bool)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"order matrix must be square, got shape {arr.shape}")
@@ -88,12 +104,14 @@ def validate_partial_order(leq) -> np.ndarray:
     if not diag.all():
         i = int(np.flatnonzero(~diag)[0])
         raise NotPartialOrder(f"not reflexive at {i}", witness=(i,))
-    sym = arr & arr.T
-    np.fill_diagonal(sym, False)
+    strict = arr.copy()
+    np.fill_diagonal(strict, False)
+    sym = strict & strict.T
     if sym.any():
         i, j = (int(v) for v in np.argwhere(sym)[0])
         raise NotPartialOrder(f"antisymmetry fails on ({i}, {j})", witness=(i, j))
-    bad = _compose(arr, arr) & ~arr
+    square = _compose(strict, strict)
+    bad = square & ~arr
     if bad.any():
         i, j = (int(v) for v in np.argwhere(bad)[0])
         k = int(np.flatnonzero(arr[i] & arr[:, j])[0])
@@ -101,7 +119,8 @@ def validate_partial_order(leq) -> np.ndarray:
             f"transitivity fails: {i} <= {k} <= {j} but not {i} <= {j}",
             witness=(i, k, j),
         )
-    return arr
+    lo, hi = np.nonzero(strict & ~square)
+    return arr, (_freeze(lo), _freeze(hi))
 
 
 def _greatest(order: np.ndarray, cand: np.ndarray):
@@ -134,24 +153,20 @@ def _bound_table(leq: np.ndarray, lower: bool) -> np.ndarray:
 
 
 class FiniteLattice:
-    """Validated bounded lattice; immutable after construction."""
+    """Validated bounded lattice; immutable after construction.  ``covers``
+    holds the covering pairs (lo, hi)."""
 
-    __slots__ = ("n", "leq", "meet", "join", "bot", "top", "_covers",
-                 "_distributive", "_dist_witness", "_heyting", "_heyting_known", "_primes")
+    __slots__ = ("n", "leq", "meet", "join", "bot", "top", "covers", "_kept")
 
-    def __init__(self, leq, meet, join, bot, top):
+    def __init__(self, leq, meet, join, bot, top, covers):
         self.n = int(leq.shape[0])
         self.leq = _freeze(leq)
         self.meet = _freeze(meet)
         self.join = _freeze(join)
         self.bot = int(bot)
         self.top = int(top)
-        self._covers = None
-        self._distributive = None
-        self._dist_witness = None
-        self._heyting = None
-        self._heyting_known = False
-        self._primes = None
+        self.covers = covers
+        self._kept = {}
 
     def le(self, a: int, b: int) -> bool:
         return bool(self.leq[a, b])
@@ -180,6 +195,17 @@ class FiniteLattice:
         return f"FiniteLattice(n={self.n})"
 
 
+def _kept(obj, build):
+    """``build(obj)``, computed on the first call for ``obj`` and kept on it
+    (a ``None`` result too); ``obj`` is a lattice, an algebra or a frame,
+    each immutable.  The builder itself is the key, so it must be a private
+    function that nothing rebinds."""
+    kept = obj._kept
+    if build not in kept:
+        kept[build] = build(obj)
+    return kept[build]
+
+
 def build_lattice(leq) -> FiniteLattice:
     """Validate an order matrix and derive meet/join tables and the bounds.
 
@@ -187,7 +213,7 @@ def build_lattice(leq) -> FiniteLattice:
     a meet or a join, and the empty carrier.  The derived tables are checked
     against the lattice laws before the value is frozen.
     """
-    arr = validate_partial_order(leq)
+    arr, covers = _partial_order(leq)
     n = arr.shape[0]
     if n == 0:
         raise NoBounds("empty carrier has no bounds")
@@ -197,7 +223,7 @@ def build_lattice(leq) -> FiniteLattice:
     tops = np.flatnonzero(arr.all(axis=0))
     if len(bots) != 1 or len(tops) != 1:
         raise NoBounds("lattice must have a least and a greatest element")
-    lat = FiniteLattice(arr.copy(), meet, join, bots[0], tops[0])
+    lat = FiniteLattice(arr.copy(), meet, join, bots[0], tops[0], covers)
     _check_lattice_laws(lat)
     return lat
 
@@ -217,20 +243,6 @@ def _check_lattice_laws(lat: FiniteLattice) -> None:
            "bounds do not absorb")
 
 
-def _cover_pairs(lat: FiniteLattice) -> tuple:
-    """The covering pairs as two index arrays (lo, hi): hi covers lo, that is
-    lo < hi with nothing strictly between, in row-major order.
-
-    The strict order minus its square; computed once per lattice and kept on it.
-    """
-    if lat._covers is None:
-        strict = lat.leq.copy()
-        np.fill_diagonal(strict, False)
-        lo, hi = np.nonzero(strict & ~_compose(strict, strict))
-        lat._covers = (_freeze(lo), _freeze(hi))
-    return lat._covers
-
-
 def distributivity_witness(lat: FiniteLattice):
     """None when the distributive law holds; otherwise the first bad (a, b, c).
 
@@ -239,18 +251,22 @@ def distributivity_witness(lat: FiniteLattice):
     Only a lattice that fails that test pays for the scan of all triples that
     finds the lexicographically first witness.
     """
-    if lat._distributive is None:
-        if _join_primes(lat) != join_irreducibles(lat):
-            m, j = lat.meet, lat.join
-            # a slab of first arguments at a time: a & (b | c) against (a & b) | (a & c)
-            for s in _slabs(lat.n):
-                bad = np.argwhere(m[s][:, j] != j[m[s][:, :, None], m[s][:, None, :]])
-                if len(bad):
-                    lat._dist_witness = (int(bad[0, 0]) + s.start, int(bad[0, 1]), int(bad[0, 2]))
-                    break
-            ensure(lat._dist_witness is not None, "distributivity characterizations disagree")
-        lat._distributive = lat._dist_witness is None
-    return lat._dist_witness
+    return _kept(lat, _build_distributivity_witness)
+
+
+def _build_distributivity_witness(lat: FiniteLattice):
+    if _join_primes(lat) == join_irreducibles(lat):
+        return None
+    m, j = lat.meet, lat.join
+    witness = None
+    # a slab of first arguments at a time: a & (b | c) against (a & b) | (a & c)
+    for s in _slabs(lat.n):
+        bad = np.argwhere(m[s][:, j] != j[m[s][:, :, None], m[s][:, None, :]])
+        if len(bad):
+            witness = (int(bad[0, 0]) + s.start, int(bad[0, 1]), int(bad[0, 2]))
+            break
+    ensure(witness is not None, "distributivity characterizations disagree")
+    return witness
 
 
 def is_distributive(lat: FiniteLattice) -> bool:
@@ -264,26 +280,25 @@ def heyting_table(lat: FiniteLattice):
     the table exists exactly when the lattice is distributive; that
     equivalence is re-checked on every call path.
     """
-    if not lat._heyting_known:
-        # cand[c, a, b]: c & a <= b
-        cand = lat.leq[lat.meet]
-        table, found = _greatest(lat.leq, cand)
-        if found.all():
-            # residuation: c <= (a -> b) iff c & a <= b
-            ensure((lat.leq[:, table] == cand).all(), "pseudocomplement not residuated")
-            lat._heyting = _freeze(table)
-        else:
-            lat._heyting = None
-        lat._heyting_known = True
-        ensure((lat._heyting is not None) == is_distributive(lat),
-               "pseudocomplements exist iff distributive")
-    return lat._heyting
+    return _kept(lat, _build_heyting_table)
+
+
+def _build_heyting_table(lat: FiniteLattice):
+    # cand[c, a, b]: c & a <= b
+    cand = lat.leq[lat.meet]
+    table, found = _greatest(lat.leq, cand)
+    exists = bool(found.all())
+    if exists:
+        # residuation: c <= (a -> b) iff c & a <= b
+        ensure((lat.leq[:, table] == cand).all(), "pseudocomplement not residuated")
+    ensure(exists == is_distributive(lat), "pseudocomplements exist iff distributive")
+    return _freeze(table) if exists else None
 
 
 def join_irreducibles(lat: FiniteLattice) -> list[int]:
     """Non-bottom elements that are not a join of two strictly smaller ones:
     the elements with exactly one lower cover."""
-    return np.flatnonzero(np.bincount(_cover_pairs(lat)[1], minlength=lat.n) == 1).tolist()
+    return np.flatnonzero(np.bincount(lat.covers[1], minlength=lat.n) == 1).tolist()
 
 
 def _join_primes(lat: FiniteLattice) -> list[int]:
@@ -317,18 +332,19 @@ def _prime_rows(lat: FiniteLattice) -> np.ndarray:
     its members), so the prime filters are exactly the principal filters of
     join-prime elements.  Each row is re-checked against the primality
     predicate, and on distributive lattices the count is cross-checked
-    against the number of join-irreducibles.  The matrix is computed once
-    per lattice and kept on it.
+    against the number of join-irreducibles.
     """
-    if lat._primes is None:
-        rows = _sorted_rows(lat.leq[_join_primes(lat)])
-        for f in _row_sets(rows):
-            ensure(is_prime_filter(lat, f), "enumerated set is not a prime filter")
-        if is_distributive(lat):
-            ensure(len(rows) == len(join_irreducibles(lat)),
-                   "prime filter count must match join-irreducibles on distributive lattices")
-        lat._primes = _freeze(rows)
-    return lat._primes
+    return _kept(lat, _build_prime_rows)
+
+
+def _build_prime_rows(lat: FiniteLattice) -> np.ndarray:
+    rows = _sorted_rows(lat.leq[_join_primes(lat)])
+    for f in _row_sets(rows):
+        ensure(is_prime_filter(lat, f), "enumerated set is not a prime filter")
+    if is_distributive(lat):
+        ensure(len(rows) == len(join_irreducibles(lat)),
+               "prime filter count must match join-irreducibles on distributive lattices")
+    return _freeze(rows)
 
 
 def prime_filters(lat: FiniteLattice) -> list[frozenset]:
@@ -339,19 +355,20 @@ def prime_filters(lat: FiniteLattice) -> list[frozenset]:
 def _upset_rows(arr: np.ndarray) -> np.ndarray:
     """Membership matrix of all upsets of a validated order, by (size, members).
 
-    Every upset is a union of principal upsets, so breadth-first closure of
-    the empty set under "union one more principal upset" is exhaustive and
-    output-sensitive: each round unions only the upsets new in the last one.
-    More than ``SIZE_MAX`` upsets raise ``TooLarge`` before any table is built.
+    The elements are taken in increasing size of their principal upsets, so
+    every element strictly above x comes before x.  After each step the
+    family holds exactly the upsets among the elements taken so far, and x
+    joins those that already hold every element strictly above it; the
+    family only grows and never repeats a set.  More than ``SIZE_MAX``
+    upsets raise ``TooLarge`` before any table is built.
     """
     n = arr.shape[0]
-    found = new = np.zeros((1, n), dtype=bool)
-    while len(new):
-        # rows found earlier come first, so a new row's first occurrence is past them
-        both = np.vstack([found, (new[:, None] | arr[None]).reshape(len(new) * n, n)])
-        first = np.unique(_row_keys(both), return_index=True)[1]
-        new = both[first[first >= len(found)]]
-        found = np.vstack([found, new])
+    strict = arr & ~np.eye(n, dtype=bool)
+    found = np.zeros((1, n), dtype=bool)
+    for x in np.argsort(arr.sum(axis=1), kind="stable"):
+        grown = found[found[:, strict[x]].all(axis=1)]
+        grown[:, x] = True
+        found = np.vstack([found, grown])
         if len(found) > SIZE_MAX:
             raise TooLarge(f"order has more than {SIZE_MAX} upsets")
     return _sorted_rows(found)
@@ -405,29 +422,23 @@ def all_upsets(leq) -> list[frozenset]:
 
 @dataclass(frozen=True)
 class UpSetFamily:
-    """The lattice of all upsets of a poset, with the upsets themselves.
-
-    ``members`` holds the same upsets as ``upsets``, as a read-only boolean
-    matrix: row i is upset i, column w is element w of the poset.
-    """
+    """The lattice of all upsets of a poset, with the upsets themselves as a
+    read-only boolean matrix ``members``: row i is upset i, column w is
+    element w of the poset."""
 
     lattice: FiniteLattice
-    upsets: tuple
-    base_leq: np.ndarray
     members: np.ndarray
 
 
 def upset_lattice(poset_leq) -> UpSetFamily:
     """Lattice of all upsets ordered by inclusion; meet is intersection, join union."""
-    arr = validate_partial_order(poset_leq)
-    rows = _upset_rows(arr)
+    rows = _upset_rows(validate_partial_order(poset_leq))
     lat = _inclusion_lattice(rows)
     ensure((rows[lat.join] == (rows[:, None, :] | rows[None, :, :])).all(),
            "upset join is not union")
     ensure(is_distributive(lat), "upset lattice must be distributive")
     ensure(heyting_table(lat) is not None, "upset lattice must carry pseudocomplements")
-    return UpSetFamily(lattice=lat, upsets=tuple(_row_sets(rows)), base_leq=_freeze(arr.copy()),
-                       members=_freeze(rows))
+    return UpSetFamily(lattice=lat, members=_freeze(rows))
 
 
 # ---------------------------------------------------------------------------

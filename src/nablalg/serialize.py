@@ -78,14 +78,10 @@ def frame_from_json(obj: dict) -> KripkeFrame:
 
 
 def morphism_to_json(m) -> dict:
-    if isinstance(m, AlgebraMorphism):
-        src, tgt = algebra_to_json(m.source), algebra_to_json(m.target)
-        extra = {"heyting": bool(m.preserves_heyting)}
-    else:
-        src, tgt = frame_to_json(m.source), frame_to_json(m.target)
-        extra = {"heyting": bool(m.heyting)}
+    end_to_json = algebra_to_json if isinstance(m, AlgebraMorphism) else frame_to_json
     return {"kind": "morphism", "map": [int(v) for v in m.map],
-            "source": src, "target": tgt, **extra}
+            "source": end_to_json(m.source), "target": end_to_json(m.target),
+            "heyting": bool(m.preserves_heyting)}
 
 
 def morphism_from_json(obj: dict, loader=None):
@@ -105,14 +101,12 @@ def morphism_from_json(obj: dict, loader=None):
     mapping = _index_list(obj, "map")
     kinds = (kind_of(src), kind_of(tgt))
     if kinds == ("nabla-algebra", "nabla-algebra"):
-        return AlgebraMorphism(source=algebra_from_json(src),
-                               target=algebra_from_json(tgt),
-                               map=mapping, preserves_heyting=heyting)
-    if kinds == ("kripke-frame", "kripke-frame"):
-        return FrameMorphism(source=frame_from_json(src),
-                             target=frame_from_json(tgt),
-                             map=mapping, heyting=heyting)
-    raise ShapeError(f"morphism endpoints must both be algebras or both frames, got {kinds}")
+        cls, end_from_json = AlgebraMorphism, algebra_from_json
+    elif kinds == ("kripke-frame", "kripke-frame"):
+        cls, end_from_json = FrameMorphism, frame_from_json
+    else:
+        raise ShapeError(f"morphism endpoints must both be algebras or both frames, got {kinds}")
+    return cls(end_from_json(src), end_from_json(tgt), mapping, preserves_heyting=heyting)
 
 
 def span_from_json(obj: dict):

@@ -26,7 +26,7 @@ from nablalg.algebra import (
 )
 from nablalg.errors import AdjunctionFailure, CrossCheckError, NotDistributive, ShapeError
 from nablalg.gallery import gen_counterexample_cex3, gen_heyting, gen_trivial
-from nablalg.lattice import _cover_pairs, heyting_table
+from nablalg.lattice import heyting_table
 
 from conftest import boolean_square, chain, pentagon
 
@@ -362,13 +362,13 @@ def test_cover_monotonicity_matches_full_masks(six_catalog, six_lattices):
     full masks, on every algebra up to 6 elements and on seeded tables that
     break them; where one fails, _check_derived_laws reports the first."""
     for alg in six_catalog:
-        leq, covers = alg.lat.leq, _cover_pairs(alg.lat)
+        leq, covers = alg.lat.leq, alg.lat.covers
         assert _monotone(leq, covers, alg.nabla[None]) and _monotone(leq, covers, alg.arrow)
         assert _monotone(leq.T, covers, alg.arrow.T)
         assert _monotone_second(leq, alg.arrow).all() and _antitone_first(leq, alg.arrow).all()
     seen = set()
     for lat, nab, arr in broken_tables(six_catalog, six_lattices, 23, 600):
-        leq, covers = lat.leq, _cover_pairs(lat)
+        leq, covers = lat.leq, lat.covers
         checks = {
             "nabla must be order-preserving":
                 ((~leq | leq[nab][:, nab]).all(), _monotone(leq, covers, nab[None])),

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nablalg.algebra import AlgebraMorphism, NablaAlgebra, classify
+from nablalg.algebra import AlgebraMorphism, NablaAlgebra, _build_profile, classify
 from nablalg.congruence import (
     Congruence,
     _congruence_closure,
@@ -521,7 +521,7 @@ def test_internal_inequality_witnesses_match_loop_oracle(full_catalog):
         if rng.random() < 0.3:
             nab[rng.integers(n)] = rng.integers(n)
         broken = NablaAlgebra(alg.lat, nab, arr)
-        broken._profile = classify(alg)
+        broken._kept[_build_profile] = classify(alg)
         got = [(v.law, v.witness) for v in check_internal_cong_inequalities(broken).violations]
         assert got == oracle_internal_failures(broken)
         seen.update(law for law, _ in got)

@@ -7,12 +7,15 @@ import pytest
 from nablalg.algebra import (
     AlgebraMorphism,
     algebra_iso,
+    build_algebra,
     check_morphism,
     classify,
+    compose_morphisms,
     identity_morphism,
     tables_equal,
 )
 from nablalg.errors import (
+    CrossCheckError,
     FlagMismatch,
     NotCompatible,
     NotKripkeMorphism,
@@ -27,15 +30,13 @@ from nablalg.kripke import (
     build_frame,
     canonical_frame_embedding,
     check_frame_morphism,
-    compose_frame_morphisms,
     frame_profile,
-    frames_equal,
     inverse_image_morphism,
     prime_frame,
     prime_inverse_morphism,
     upset_algebra,
 )
-from nablalg.lattice import all_upsets, prime_filters
+from nablalg.lattice import all_upsets, build_lattice, prime_filters
 
 from conftest import boolean_square, chain, chain_matrix
 
@@ -263,13 +264,13 @@ def test_profile_of_prime_frame_of_x1(x1):
 def test_collapse_two_chain_to_point_is_heyting_surjection():
     src = two_chain_frame()
     tgt = one_point_frame()
-    rep = check_frame_morphism(FrameMorphism(src, tgt, (0, 0), heyting=True))
+    rep = check_frame_morphism(FrameMorphism(src, tgt, (0, 0), preserves_heyting=True))
     assert rep.ok and rep.surjective and rep.heyting_ok
 
 
 def test_identity_frame_morphism(x1):
     k = prime_frame(x1)
-    rep = check_frame_morphism(FrameMorphism(k, k, tuple(range(k.n)), heyting=True))
+    rep = check_frame_morphism(FrameMorphism(k, k, tuple(range(k.n)), preserves_heyting=True))
     assert rep.ok and rep.surjective
 
 
@@ -327,7 +328,7 @@ def test_frame_morphism_clauses_match_loop_oracle(full_catalog):
         else:
             f = rng.integers(tgt.n, size=src.n)
         rep = check_frame_morphism(FrameMorphism(src, tgt, tuple(int(v) for v in f),
-                                                 heyting=True))
+                                                 preserves_heyting=True))
         got = {v.law: v.witness for v in rep.violations}
         for law, witness in oracle_lift_witnesses(src, tgt, f).items():
             assert got.get(law) == witness
@@ -388,7 +389,7 @@ def test_upset_algebra_matches_set_oracle():
 
 
 def test_inverse_image_of_collapse_embeds_booleans(b2, h3):
-    f = FrameMorphism(two_chain_frame(), one_point_frame(), (0, 0), heyting=True)
+    f = FrameMorphism(two_chain_frame(), one_point_frame(), (0, 0), preserves_heyting=True)
     m = inverse_image_morphism(f)
     assert m.map == (0, 2)
     rep = check_morphism(m)
@@ -412,7 +413,7 @@ def test_inverse_image_rejects_non_morphism():
 
 
 def test_prime_frame_of_two_boolean_is_point(b2):
-    assert frames_equal(prime_frame(b2), one_point_frame())
+    assert tables_equal(prime_frame(b2), one_point_frame())
 
 
 def test_prime_frame_of_heyting_chain(h3):
@@ -482,28 +483,72 @@ def test_prime_inverse_of_identity(x1):
 def test_upset_functor_preserves_composition():
     k2 = two_chain_frame()
     k1 = one_point_frame()
-    f = FrameMorphism(k2, k1, (0, 0), heyting=True)
-    ident = FrameMorphism(k2, k2, (0, 1), heyting=True)
-    comp = compose_frame_morphisms(f, ident)
+    f = FrameMorphism(k2, k1, (0, 0), preserves_heyting=True)
+    ident = FrameMorphism(k2, k2, (0, 1), preserves_heyting=True)
+    comp = compose_morphisms(f, ident)
     lhs = inverse_image_morphism(comp)
     rhs_outer = inverse_image_morphism(ident)
     rhs_inner = inverse_image_morphism(f)
-    from nablalg.algebra import compose_morphisms
-
     rhs = compose_morphisms(rhs_outer, rhs_inner)
     assert lhs.map == rhs.map
 
 
 def test_prime_functor_preserves_composition(b2, h3):
-    from nablalg.algebra import compose_morphisms
-
     inner = AlgebraMorphism(b2, b2, (0, 1), preserves_heyting=True)
     outer = AlgebraMorphism(b2, h3, (0, 2), preserves_heyting=True)
     comp = compose_morphisms(outer, inner)
     lhs = prime_inverse_morphism(comp)
-    rhs = compose_frame_morphisms(prime_inverse_morphism(inner),
-                                  prime_inverse_morphism(outer))
+    rhs = compose_morphisms(prime_inverse_morphism(inner), prime_inverse_morphism(outer))
     assert lhs.map == rhs.map
+
+
+def oracle_compose_frame_morphisms(outer, inner):
+    """The frame-only composition that compose_morphisms replaced."""
+    middle, start = inner.target, outer.source
+    if not (middle.n == start.n and (middle.leq == start.leq).all()
+            and (middle.r == start.r).all()):
+        raise CrossCheckError("composition needs matching middle frame")
+    comp = tuple(int(outer.map[v]) for v in inner.map)
+    return FrameMorphism(source=inner.source, target=outer.target, map=comp,
+                         preserves_heyting=inner.preserves_heyting and outer.preserves_heyting)
+
+
+def test_compose_morphisms_on_frames_matches_oracle():
+    rng = np.random.default_rng(31)
+    frames = [random_frame(rng, int(n)) for n in rng.integers(1, 6, 40)]
+    for _ in range(300):
+        src, mid, tgt = (frames[i] for i in rng.integers(len(frames), size=3))
+        # the outer map may start at a separately built copy of the middle frame
+        start = build_frame(mid.leq, mid.r) if rng.random() < 0.5 else mid
+        if rng.random() < 0.2:
+            start = frames[rng.integers(len(frames))]
+        inner = FrameMorphism(src, mid, tuple(int(v) for v in rng.integers(mid.n, size=src.n)),
+                              preserves_heyting=bool(rng.random() < 0.5))
+        outer = FrameMorphism(start, tgt,
+                              tuple(int(v) for v in rng.integers(tgt.n, size=start.n)),
+                              preserves_heyting=bool(rng.random() < 0.5))
+        try:
+            want = oracle_compose_frame_morphisms(outer, inner)
+        except CrossCheckError:
+            with pytest.raises(CrossCheckError, match="composition needs matching middle"):
+                compose_morphisms(outer, inner)
+            continue
+        got = compose_morphisms(outer, inner)
+        assert type(got) is FrameMorphism and got == want
+        assert got.source is src and got.target is tgt
+
+
+def test_tables_equal_across_kinds(x1):
+    frame = prime_frame(x1)
+    assert not tables_equal(x1, frame) and not tables_equal(frame, x1)
+    # equal tables held by different objects
+    again = build_algebra(build_lattice(x1.lat.leq), x1.nabla, x1.arrow)
+    assert again is not x1 and tables_equal(again, x1)
+    copy = build_frame(frame.leq, frame.r)
+    assert copy is not frame and tables_equal(copy, frame)
+    assert not tables_equal(frame, one_point_frame()) and not tables_equal(x1, gen_heyting(chain(2)))
+    with pytest.raises(CrossCheckError, match="composition needs matching middle"):
+        compose_morphisms(FrameMorphism(frame, frame, tuple(range(frame.n))), identity_morphism(x1))
 
 
 def test_naturality_of_membership_map(b2, h3, x1):
@@ -511,8 +556,6 @@ def test_naturality_of_membership_map(b2, h3, x1):
         AlgebraMorphism(b2, h3, (0, 2), preserves_heyting=True),
         identity_morphism(x1, heyting=True),
     ]
-    from nablalg.algebra import compose_morphisms
-
     for f in cases:
         i_src = canonical_frame_embedding(f.source)
         i_tgt = canonical_frame_embedding(f.target)
@@ -537,7 +580,7 @@ def test_membership_map_is_iso_on_distributive_catalog(full_catalog):
 
 def test_amalgamate_frames_trivial():
     k = one_point_frame()
-    ident = FrameMorphism(k, k, (0,), heyting=True)
+    ident = FrameMorphism(k, k, (0,), preserves_heyting=True)
     pull, p, q = amalgamate_frames(k, k, k, ident, ident)
     assert pull.n == 1 and p.map == (0,) and q.map == (0,)
 
@@ -545,7 +588,7 @@ def test_amalgamate_frames_trivial():
 def test_amalgamate_frames_product_over_point():
     k1 = two_chain_frame()
     k0 = one_point_frame()
-    f = FrameMorphism(k1, k0, (0, 0), heyting=True)
+    f = FrameMorphism(k1, k0, (0, 0), preserves_heyting=True)
     pull, p, q = amalgamate_frames(k0, k1, k1, f, f)
     assert pull.n == 4
     grid = boolean_square()
@@ -556,8 +599,8 @@ def test_amalgamate_frames_product_over_point():
 def test_amalgamate_frames_with_identity_leg():
     k1 = two_chain_frame()
     k0 = one_point_frame()
-    f = FrameMorphism(k1, k0, (0, 0), heyting=True)
-    ident = FrameMorphism(k0, k0, (0,), heyting=True)
+    f = FrameMorphism(k1, k0, (0, 0), preserves_heyting=True)
+    ident = FrameMorphism(k0, k0, (0,), preserves_heyting=True)
     pull, p, q = amalgamate_frames(k0, k1, k0, f, ident)
     assert frames_isomorphic(pull, k1)
 
@@ -604,6 +647,28 @@ def test_functors_cache_on_their_input():
     assert prime_frame(alg) is prime_frame(alg)
     k = prime_frame(alg)
     assert upset_algebra(k) is upset_algebra(k)
+
+
+def test_profiles_are_built_once_per_object(monkeypatch):
+    import nablalg.algebra as algebra
+
+    built = Counter()
+
+    def spy(key, builder):
+        def counted(arg):
+            built[key] += 1
+            return builder(arg)
+        return counted
+
+    monkeypatch.setattr(algebra, "_build_profile", spy("classify", algebra._build_profile))
+    monkeypatch.setattr(kripke, "_build_frame_profile", spy("frame", kripke._build_frame_profile))
+    algs = [gen_heyting(chain(3)), gen_heyting(chain(3))]
+    for alg in algs * 2:
+        assert classify(alg) is classify(alg)
+        frame = prime_frame(alg)
+        assert frame_profile(frame) is frame_profile(frame)
+    # building a prime frame classifies the algebra and profiles the frame
+    assert built == {"classify": 2, "frame": 2}
 
 
 def test_amalgamation_builds_each_frame_and_upset_algebra_once(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,19 +7,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nablalg.algebra import derive_arrow
-from nablalg.errors import CrossCheckError, NoBounds, NoJoin, NoMeet, NotPartialOrder, TooLarge
+from nablalg.errors import (
+    CrossCheckError,
+    NablalgError,
+    NoBounds,
+    NoJoin,
+    NoMeet,
+    NotPartialOrder,
+    ShapeError,
+    TooLarge,
+)
+import nablalg.lattice as lattice
 from nablalg.lattice import (
     SIZE_MAX,
     FiniteLattice,
     _bounded_candidates,
     _check_lattice_laws,
     _compose,
-    _cover_pairs,
     _greatest,
     _iso_representatives,
     _join_primes,
+    _row_keys,
     _slabs,
+    _sorted_rows,
     _subset,
+    _upset_rows,
     all_lattices,
     all_posets,
     all_upsets,
@@ -32,6 +45,7 @@ from nablalg.lattice import (
     lattice_iso,
     prime_filters,
     upset_lattice,
+    validate_partial_order,
 )
 
 from conftest import boolean_square, chain, chain_matrix, diamond, order_from_covers, pentagon, subsets
@@ -235,12 +249,11 @@ def test_sliced_distributivity_matches_cube_oracle(six_lattices):
 def test_cover_pairs_match_definition(seven_lattices):
     rng = np.random.default_rng(9)
     for lat in [*seven_lattices, *order_fact_lattices(rng)]:
-        covers = _cover_pairs(lat)
+        covers = lat.covers
         assert [v.tolist() for v in covers] == [v.tolist() for v in np.nonzero(oracle_covers(lat.leq))]
-        assert _cover_pairs(lat) is covers
     lat = pentagon()
     n = lat.n
-    assert list(zip(*(v.tolist() for v in _cover_pairs(lat)))) == [
+    assert list(zip(*(v.tolist() for v in lat.covers))) == [
         (x, y) for x in range(n) for y in range(n)
         if lat.leq[x, y] and x != y
         and not any(lat.leq[x, z] and lat.leq[z, y] for z in range(n) if z not in (x, y))]
@@ -272,7 +285,7 @@ def test_distributivity_disagreement_is_a_cross_check_failure():
     constantly bottom fails the test and passes the scan."""
     lat = pentagon()
     broken = FiniteLattice(lat.leq.copy(), np.zeros_like(lat.meet), lat.join.copy(),
-                           lat.bot, lat.top)
+                           lat.bot, lat.top, lat.covers)
     with pytest.raises(CrossCheckError, match="distributivity characterizations disagree"):
         distributivity_witness(broken)
 
@@ -292,12 +305,90 @@ def test_sliced_associativity_matches_cube_oracle():
         assert not cube_associative(bad)
         tables = {"meet": lat.meet, "join": lat.join, name: bad}
         broken = FiniteLattice(lat.leq.copy(), tables["meet"].copy(), tables["join"].copy(),
-                               lat.bot, lat.top)
+                               lat.bot, lat.top, lat.covers)
         with pytest.raises(CrossCheckError, match=f"{name} not associative"):
             _check_lattice_laws(broken)
 
 
+def test_kept_builders_run_once_per_lattice(monkeypatch):
+    """Each kept result is built once per lattice, a None result too: on N5
+    the Heyting table is None and the distributivity witness is not."""
+    runs = Counter()
+
+    def counted(name, builder):
+        def run(lat):
+            runs[name] += 1
+            return builder(lat)
+        return run
+
+    names = ("_build_heyting_table", "_build_distributivity_witness", "_build_prime_rows")
+    for name in names:
+        monkeypatch.setattr(lattice, name, counted(name, getattr(lattice, name)))
+    for lat in (pentagon(), pentagon()):
+        want = oracle_distributive(lat)
+        assert want is not None
+        for _ in range(3):
+            assert heyting_table(lat) is None
+            assert distributivity_witness(lat) == want
+            assert len(prime_filters(lat)) == len(cube_join_primes(lat))
+    assert runs == {name: 2 for name in names}
+
+
 # --- construction ------------------------------------------------------------
+
+
+def oracle_validate_partial_order(leq):
+    """The checks validate_partial_order made before, transitivity on ``arr @ arr``."""
+    arr = np.asarray(leq, dtype=bool)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ShapeError(f"order matrix must be square, got shape {arr.shape}")
+    diag = arr.diagonal()
+    if not diag.all():
+        i = int(np.flatnonzero(~diag)[0])
+        raise NotPartialOrder(f"not reflexive at {i}", witness=(i,))
+    sym = arr & arr.T
+    np.fill_diagonal(sym, False)
+    if sym.any():
+        i, j = (int(v) for v in np.argwhere(sym)[0])
+        raise NotPartialOrder(f"antisymmetry fails on ({i}, {j})", witness=(i, j))
+    bad = ((arr.astype(int) @ arr.astype(int)) > 0) & ~arr
+    if bad.any():
+        i, j = (int(v) for v in np.argwhere(bad)[0])
+        k = int(np.flatnonzero(arr[i] & arr[:, j])[0])
+        raise NotPartialOrder(f"transitivity fails: {i} <= {k} <= {j} but not {i} <= {j}",
+                              witness=(i, k, j))
+    return arr
+
+
+def outcome(validate, leq):
+    try:
+        return "ok", validate(leq).tolist()
+    except NablalgError as err:
+        return type(err).__name__, str(err), err.witness
+
+
+def test_partial_order_witnesses_match_square_oracle():
+    """One product of the strict order finds the same witness as the square
+    of the order, on seeded relations: reflexive or not, acyclic or not,
+    and transitively closed or not."""
+    rng = np.random.default_rng(12)
+    kinds = Counter()
+    for _ in range(600):
+        n = int(rng.integers(1, 9))
+        rel = rng.random((n, n)) < rng.random()
+        if rng.random() < 0.7:
+            rel = np.triu(rel)      # acyclic, so antisymmetric
+            perm = rng.permutation(n)
+            rel = rel[np.ix_(perm, perm)]
+        if rng.random() < 0.8:
+            rel |= np.eye(n, dtype=bool)
+        if rng.random() < 0.4:
+            for _ in range(n):
+                rel |= (rel.astype(int) @ rel.astype(int)) > 0
+        want = outcome(oracle_validate_partial_order, rel)
+        assert outcome(validate_partial_order, rel) == want
+        kinds[want[1].split(" ")[0] if want[0] != "ok" else "ok"] += 1
+    assert set(kinds) == {"ok", "not", "antisymmetry", "transitivity"}
 
 
 def test_one_element_lattice():
@@ -512,7 +603,7 @@ def test_one_element_lattice_has_no_prime_filter():
 def test_upsets_one_point():
     fam = upset_lattice(np.eye(1, dtype=bool))
     assert fam.lattice.n == 2
-    assert fam.upsets == (frozenset(), frozenset({0}))
+    assert fam.members.tolist() == [[False], [True]]
 
 
 def test_upsets_two_chain_gives_three_chain():
@@ -546,6 +637,53 @@ def test_upset_count_is_bounded():
         all_upsets(np.eye(9, dtype=bool))
     with pytest.raises(TooLarge):
         upset_lattice(np.eye(12, dtype=bool))
+
+
+def bfs_upset_rows(arr):
+    """The breadth-first closure _upset_rows replaced: each round unions the
+    upsets new in the last round with every principal upset, and keeps the
+    first occurrence of each row."""
+    n = arr.shape[0]
+    found = new = np.zeros((1, n), dtype=bool)
+    while len(new):
+        both = np.vstack([found, (new[:, None] | arr[None]).reshape(len(new) * n, n)])
+        first = np.unique(_row_keys(both), return_index=True)[1]
+        new = both[first[first >= len(found)]]
+        found = np.vstack([found, new])
+        if len(found) > SIZE_MAX:
+            raise TooLarge(f"order has more than {SIZE_MAX} upsets")
+    return _sorted_rows(found)
+
+
+def random_poset(rng, n):
+    leq = np.eye(n, dtype=bool) | np.triu(rng.random((n, n)) < rng.random(), 1)
+    for _ in range(n):
+        leq |= (leq.astype(int) @ leq.astype(int)) > 0
+    perm = rng.permutation(n)
+    return leq[np.ix_(perm, perm)]
+
+
+def test_upset_rows_match_breadth_first_oracle():
+    orders = [leq for n in range(6) for leq in all_posets(n)]
+    rng = np.random.default_rng(14)
+    orders += [random_poset(rng, int(n)) for n in rng.integers(5, 12, 300)]
+    sizes = set()
+    for leq in orders:
+        try:
+            want = bfs_upset_rows(leq)
+        except TooLarge:
+            with pytest.raises(TooLarge):
+                _upset_rows(leq)
+            sizes.add("too large")
+            continue
+        got = _upset_rows(leq)
+        assert got.dtype == bool and got.tolist() == want.tolist()
+        sizes.add(len(got))
+    assert "too large" in sizes and max(s for s in sizes if s != "too large") > 64
+    antichain = np.eye(9, dtype=bool)
+    for upset_rows in (bfs_upset_rows, _upset_rows):
+        with pytest.raises(TooLarge):
+            upset_rows(antichain)
 
 
 @settings(max_examples=40, deadline=None)

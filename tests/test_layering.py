@@ -1,15 +1,20 @@
-"""Layering rules checked on the source text.
+"""Layering rules checked on the source text and the structure classes.
 
 Every boolean relational product in the library goes through one kernel,
 ``lattice._compose``; this walks each module's syntax tree and fails on a
 matrix product anywhere else.  The same walk pins each module's ``ensure``
-cross-checks by message, so none is dropped or moved unnoticed.
+cross-checks by message, so none is dropped or moved unnoticed.  Results
+derived from a lattice, an algebra or a frame are kept by one helper,
+``lattice._kept``, in the one private slot each class has.
 """
 
 import ast
 from pathlib import Path
 
 import nablalg
+from nablalg.algebra import NablaAlgebra
+from nablalg.kripke import KripkeFrame
+from nablalg.lattice import FiniteLattice
 
 PRODUCT_CALLS = {"matmul", "dot", "tensordot", "einsum", "inner"}
 KERNEL = ("lattice.py", ("_compose",))
@@ -72,7 +77,7 @@ ENSURES = {
         "arrow must be order-preserving in its second argument",
         "box must preserve binary meets",
         "box must send top to top",
-        "composition needs matching middle algebra",
+        "composition needs matching middle structure",
         "faithful algebras must fix the top under nabla",
         "faithfulness cancellation characterization disagrees",
         "faithfulness characterizations disagree",
@@ -120,7 +125,6 @@ ENSURES = {
     ],
     "kripke.py": [
         "arrow of upsets must be an upset",
-        "composition needs matching middle frame",
         "f'algebra flag {flag} must transfer to the prime frame'",
         "f'frame flag {flag} must transfer to the upset algebra'",
         "f'{name} must be an embedding'",
@@ -206,3 +210,9 @@ def test_ensure_inventory_is_pinned():
     found = {path.name: sorted(ensure_messages(path.read_text()))
              for path in sorted(src.glob("*.py"))}
     assert {name: msgs for name, msgs in found.items() if msgs} == ENSURES
+
+
+def test_structures_keep_results_in_one_slot():
+    for cls in (FiniteLattice, NablaAlgebra, KripkeFrame):
+        private = [name for name in cls.__slots__ if name.startswith("_")]
+        assert private == ["_kept"], f"{cls.__name__} has private slots {private}"

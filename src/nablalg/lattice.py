@@ -33,6 +33,38 @@ by the product that also checks transitivity); see Davey & Priestley,
   the first witness only when the test fails;
 - a map is monotone iff it is monotone on covering pairs, the order being
   their reflexive-transitive closure; ``algebra`` checks nabla and arrow so.
+
+Tables are found in join-irreducible coordinates (Birkhoff's representation,
+ibid. ch. 2 and 5).  In a finite lattice every x is the join of J(x), the
+join-irreducibles below it, so x -> J(x) is an order embedding, and
+J(a & b) = J(a) & J(b); dually M(x), the meet-irreducibles above x,
+embeds the dual order and M(a | b) = M(a) & M(b).  With the rows packed into
+bits, O(n^2 |J|) work replaces the n^3 cubes of candidates:
+
+- a finite order has all binary meets iff x -> J(x) reflects the order and
+  every J(a) & J(b) is some J(x), which is then a & b: it lies below a and
+  b, and every lower bound y has J(y) inside it.  Conversely, where all
+  meets exist, a minimal z below x and not below y has one lower cover (two
+  would both lie below y, and so would their join z), so the rows reflect
+  the order.  Only when the test fails does the cube ``_bound_table`` run,
+  to name the first pair without a meet (or join);
+- the greatest c with nab(c) & a <= b has J(c) = {j : nab(j) & a <= b}, so
+  ``_residual`` looks that set up among the J(x); a set that is no J(x)
+  means no greatest c.  For nab the identity every set is found iff the
+  lattice is distributive: were j <= x | y with j below neither, the set
+  for (j, j's lower cover), the j' not above j, would contain J(x) and J(y)
+  but not j, and so be no J(z): that z would lie above x | y, so above j;
+- the associativity check is J(a & b) = J(a) & J(b) with the rows
+  embedding the order: (a & b) & c and a & (b & c) then have the one row
+  J(a) & J(b) & J(c), and distinct elements distinct rows;
+- the residuation check of the Heyting table is j <= (a -> b) iff
+  j & a <= b over the j in J, which on a distributive lattice is
+  residuation: c & a is the join of the j & a over J(c);
+- ``classify`` ranges its n^3 cross-checks over J where a lemma allows
+  (see there).
+
+Up to ``CUBE_MAX`` elements the cubes cost less than the coordinates' fixed
+numpy overhead and run instead.
 """
 
 from __future__ import annotations
@@ -51,11 +83,21 @@ from .errors import (
     ensure,
 )
 
-# Validation allocates several n^3 tables (`classify` on the Boolean 2^8 peaks
-# near 350 MB), so larger documents are refused before any table is read, and
-# no poset may have more upsets than this; 256 admits the Boolean 2^8 and the
-# 252-element amalgam of a 2-chain into two 6-chains.
+# Validating an algebra still allocates n^3 tables (the adjunction scan of
+# `build_algebra`; `classify` on the Heyting Boolean 2^8 peaks near 82 MB), so
+# larger documents are refused before any table is read, and no poset may have
+# more upsets than this; 256 admits the Boolean 2^8 and the 252-element amalgam
+# of a 2-chain into two 6-chains.
 SIZE_MAX = 256
+
+# Up to this many elements the n^3 candidate cubes of `_bound_table` and
+# `_greatest` run instead of the coordinate tables, whose fixed numpy overhead
+# is larger there.  Measured on one core, the coordinate meet and join tables
+# pay off from about 8 elements and the coordinate residual from about 32
+# (Boolean lattices) to 40 (chains, where |J| = n - 1); 12 keeps every lattice
+# of the catalogs on the cubes and costs the residual tens of microseconds
+# between 13 and 40 elements.
+CUBE_MAX = 12
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -152,6 +194,66 @@ def _bound_table(leq: np.ndarray, lower: bool) -> np.ndarray:
     return table
 
 
+def _irreducible(covers: tuple, n: int, lower: bool = True) -> np.ndarray:
+    """Mask of the elements with one lower cover (``lower``: the
+    join-irreducibles J, the coordinates of meets) or with one upper cover
+    (the meet-irreducibles M, the coordinates of joins)."""
+    return np.bincount(covers[1 if lower else 0], minlength=n) == 1
+
+
+def _coordinates(leq: np.ndarray, covers: tuple, lower: bool):
+    """The keys of the coordinate rows of every element, J(x) for meets
+    (``lower``) and M(x), the meet-irreducibles above x, for joins; the key
+    of the intersection of every pair's rows; and whether the rows embed the
+    order: J(a) lies inside J(b), that is J(a) & J(b) = J(a), iff a <= b."""
+    rel = leq if lower else leq.T
+    packed = np.packbits(rel[_irreducible(covers, len(rel), lower)].T, axis=-1)
+    keys = _keys(packed)
+    # the AND of two integer keys is the key of the intersection
+    common = (keys[:, None] & keys[None, :] if keys.dtype.kind == "u"
+              else _keys(packed[:, None] & packed[None, :]))
+    return keys, common, bool(((common == keys[:, None]) == rel).all())
+
+
+def _coordinate_bound_table(leq: np.ndarray, covers: tuple, lower: bool) -> np.ndarray:
+    """All-pairs meets (``lower=True``) or joins, found in coordinates.
+
+    Every pair has a meet iff x -> J(x) reflects the order and every
+    intersection J(a) & J(b) is some J(x); that x is the meet (module
+    docstring).  When the test fails, the cube ``_bound_table`` runs, only to
+    name the first pair without one.  Up to ``CUBE_MAX`` elements the cube
+    costs less and runs alone.
+    """
+    if len(leq) <= CUBE_MAX:
+        return _bound_table(leq, lower)
+    keys, common, embeds = _coordinates(leq, covers, lower)
+    table, found = _lookup(keys, common)
+    if embeds and found.all():
+        return table
+    return _bound_table(leq, lower)
+
+
+def _residual(lat: FiniteLattice, nab: np.ndarray):
+    """``table[a, b]``, the greatest c with nab(c) & a <= b, and whether the
+    search found one for every pair.
+
+    In coordinates, J(table[a, b]) = {j in J : nab(j) & a <= b}: a (|J|, n, n)
+    table instead of the (n, n, n) cube.  Each such set is looked up among the
+    J(x), and a pair whose set is no J(x) has no greatest c; a found x is the
+    greatest only if nab(x) & a <= b, which the callers check (``heyting_table``
+    by residuation, ``derive_arrow`` by the whole adjunction).  Up to
+    ``CUBE_MAX`` elements the cube ``_greatest`` costs less and runs alone.
+    """
+    if lat.n <= CUBE_MAX:
+        table, found = _greatest(lat.leq, lat.leq[lat.meet[nab]])
+        return table, bool(found.all())
+    irr = _irreducible(lat.covers, lat.n)
+    # cand[a, b, k]: nab(j_k) & a <= b; contiguous rows pack far faster
+    cand = np.ascontiguousarray(np.moveaxis(lat.leq[lat.meet[nab[irr]]], 0, -1))
+    table, found = _lookup(_row_keys(lat.leq[irr].T), _row_keys(cand))
+    return table, bool(found.all())
+
+
 class FiniteLattice:
     """Validated bounded lattice; immutable after construction.  ``covers``
     holds the covering pairs (lo, hi)."""
@@ -217,8 +319,8 @@ def build_lattice(leq) -> FiniteLattice:
     n = arr.shape[0]
     if n == 0:
         raise NoBounds("empty carrier has no bounds")
-    meet = _bound_table(arr, lower=True)
-    join = _bound_table(arr, lower=False)
+    meet = _coordinate_bound_table(arr, covers, lower=True)
+    join = _coordinate_bound_table(arr, covers, lower=False)
     bots = np.flatnonzero(arr.all(axis=1))
     tops = np.flatnonzero(arr.all(axis=0))
     if len(bots) != 1 or len(tops) != 1:
@@ -234,13 +336,23 @@ def _check_lattice_laws(lat: FiniteLattice) -> None:
     ensure((m == m.T).all() and (j == j.T).all(), "meet/join not commutative")
     ensure((m[idx, idx] == idx).all() and (j[idx, idx] == idx).all(),
            "meet/join not idempotent")
-    # a slab of first arguments at a time: (a & b) & c against a & (b & c)
-    ensure(all((m[m[s]] == m[s][:, m]).all() for s in _slabs(n)), "meet not associative")
-    ensure(all((j[j[s]] == j[s][:, j]).all() for s in _slabs(n)), "join not associative")
+    # J(a & b) = J(a) & J(b) with x -> J(x) an order embedding: (a & b) & c
+    # and a & (b & c) have one coordinate row, J(a) & J(b) & J(c); dually for
+    # joins
+    ensure(_keeps_coordinates(lat, m, lower=True), "meet not associative")
+    ensure(_keeps_coordinates(lat, j, lower=False), "join not associative")
     ensure((m[idx[:, None], j] == idx[:, None]).all(), "absorption a&(a|b)=a fails")
     ensure((j[idx[:, None], m] == idx[:, None]).all(), "absorption a|(a&b)=a fails")
     ensure((m[lat.bot] == lat.bot).all() and (j[lat.top] == lat.top).all(),
            "bounds do not absorb")
+
+
+def _keeps_coordinates(lat: FiniteLattice, table: np.ndarray, lower: bool) -> bool:
+    """Whether the coordinate rows embed the order, so distinct elements have
+    distinct rows, and the row of ``table[a, b]`` is the intersection of the
+    rows of a and b."""
+    keys, common, embeds = _coordinates(lat.leq, lat.covers, lower)
+    return embeds and bool((keys[table] == common).all())
 
 
 def distributivity_witness(lat: FiniteLattice):
@@ -284,13 +396,14 @@ def heyting_table(lat: FiniteLattice):
 
 
 def _build_heyting_table(lat: FiniteLattice):
-    # cand[c, a, b]: c & a <= b
-    cand = lat.leq[lat.meet]
-    table, found = _greatest(lat.leq, cand)
-    exists = bool(found.all())
+    table, exists = _residual(lat, np.arange(lat.n))
     if exists:
-        # residuation: c <= (a -> b) iff c & a <= b
-        ensure((lat.leq[:, table] == cand).all(), "pseudocomplement not residuated")
+        # residuation on the join-irreducibles, j <= (a -> b) iff j & a <= b,
+        # is residuation on a distributive lattice (checked next): there c & a
+        # is the join of the j & a over the j below c
+        irr = _irreducible(lat.covers, lat.n)
+        ensure((lat.leq[irr][:, table] == lat.leq[lat.meet[irr]]).all(),
+               "pseudocomplement not residuated")
     ensure(exists == is_distributive(lat), "pseudocomplements exist iff distributive")
     return _freeze(table) if exists else None
 
@@ -298,7 +411,7 @@ def _build_heyting_table(lat: FiniteLattice):
 def join_irreducibles(lat: FiniteLattice) -> list[int]:
     """Non-bottom elements that are not a join of two strictly smaller ones:
     the elements with exactly one lower cover."""
-    return np.flatnonzero(np.bincount(lat.covers[1], minlength=lat.n) == 1).tolist()
+    return np.flatnonzero(_irreducible(lat.covers, lat.n)).tolist()
 
 
 def _join_primes(lat: FiniteLattice) -> list[int]:
@@ -386,24 +499,37 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort(keys)]
 
 
+def _keys(packed: np.ndarray) -> np.ndarray:
+    """One key per row of bits packed into bytes (last axis); equal keys iff
+    equal rows, and keys sort as the bit strings do.  Rows of at most 8 bytes
+    (or of none) become big-endian integers, which numpy sorts and searches
+    far faster than byte strings."""
+    width = packed.shape[-1]
+    if width <= 8:
+        padded = np.zeros(packed.shape[:-1] + (8,), dtype=np.uint8)
+        padded[..., :width] = packed
+        return padded.view(">u8")[..., 0]
+    return np.ascontiguousarray(packed).view(f"V{width}")[..., 0]
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One packed byte-string key per boolean row; equal keys iff equal rows.
-    A leading set bit keeps every key at least one byte long."""
-    bits = np.ones((rows.shape[0], rows.shape[1] + 1), dtype=bool)
-    bits[:, 1:] = rows
-    packed = np.packbits(bits, axis=1)
-    return packed.view(f"V{packed.shape[1]}").ravel()
+    """One key per boolean row, as ``_keys`` gives for the packed rows."""
+    return _keys(np.packbits(rows, axis=-1))
+
+
+def _lookup(keys: np.ndarray, queries: np.ndarray):
+    """Position of each query among ``keys``, and whether it is really there
+    (the position is arbitrary where it is not); the keys are sorted once.
+    ``keys`` is empty only when ``queries`` is."""
+    order = np.argsort(keys)
+    pos = order[np.minimum(np.searchsorted(keys[order], queries), len(order) - 1)]
+    return pos, keys[pos] == queries
 
 
 def _locate(family: np.ndarray, rows: np.ndarray):
     """Position of each boolean row of ``rows`` among the distinct rows of
-    ``family``, and whether it is really there (the position is arbitrary
-    where it is not).  ``family`` is empty only when ``rows`` is."""
-    fam = _row_keys(family)
-    order = np.argsort(fam)
-    pos = np.searchsorted(fam[order], _row_keys(rows))
-    idx = order[np.minimum(pos, len(order) - 1)]
-    return idx, (family[idx] == rows).all(axis=1)
+    ``family``, and whether it is really there, as ``_lookup``."""
+    return _lookup(_row_keys(family), _row_keys(rows))
 
 
 def _inclusion_lattice(rows: np.ndarray) -> FiniteLattice:

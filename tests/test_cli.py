@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -407,3 +412,49 @@ def test_reused_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch, x1, b
     assert reused == fresh
     codes = [code for _, code, _, _ in reused]
     assert codes.count(("usage", 2)) == 4 and codes.count(0) > 20
+
+
+# Runs the console-script entry in a fresh interpreter and records the pool
+# variables at the moment numpy is first imported.
+ENTRY_PROBE = textwrap.dedent("""
+    import os, sys
+    seen = []
+
+    class Spy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "numpy" and not seen:
+                seen.append([os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")])
+
+    sys.meta_path.insert(0, Spy())
+    import {module}
+    before = list(seen)
+    sys.argv = ["nablalg", "gen", "xn", "1"]
+    try:
+        {call}
+    except SystemExit as stop:
+        sys.stdout.write(f"exit {{stop.code}}\\n")
+    sys.stdout.write(repr([before, seen]) + "\\n")
+""")
+
+
+def probe_entry(module, call, **env):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = src + os.pathsep + base.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", ENTRY_PROBE.format(module=module, call=call)],
+                          env={**base, **env}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_console_entry_pins_the_blas_pool_before_numpy():
+    lines = probe_entry("nablalg_entry", "nablalg_entry.entry()")
+    assert json.loads(lines[0])["kind"] == "nabla-algebra"
+    assert lines[-2:] == ["exit 0", repr([[], [["1", "1"]]])]
+    # a value the environment sets is kept
+    lines = probe_entry("nablalg_entry", "nablalg_entry.entry()", OPENBLAS_NUM_THREADS="2")
+    assert lines[-1] == repr([[], [["2", "1"]]])
+    # importing the library leaves the pool alone
+    lines = probe_entry("nablalg.cli", "nablalg.cli.entry()")
+    assert lines[-2:] == ["exit 0", repr([[[None, None]], [[None, None]]])]

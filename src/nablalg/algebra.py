@@ -5,10 +5,12 @@ The defining law is the adjunction
     nabla(c) & a <= b   iff   c <= arrow(a, b)        for all a, b, c.
 
 ``box`` is the derived unary operation ``box(a) = arrow(top, a)``; it is the
-right adjoint of ``nabla``.  Two independent validators exist: the direct
-adjunction scan (``build_algebra``) and the equational laws
-(``check_equational_axioms``); they must agree on every input, which the
-test harness verifies exhaustively at small sizes.
+right adjoint of ``nabla``.  Two independent validators exist: the
+adjunction itself (``build_algebra``, decided as a Galois connection by
+``lattice._residuated``, with the scan of all triples naming the first
+failure) and the equational laws (``check_equational_axioms``); they must
+agree on every input, which the test harness verifies exhaustively at small
+sizes.
 
 Every checker here, in ``kripke`` and in ``congruence`` states its laws as
 named boolean masks, true where the law holds, and ``_violations`` turns the
@@ -30,11 +32,14 @@ from .errors import (
 )
 from .lattice import (
     FiniteLattice,
+    _adjunction_sides,
+    _detachment,
     _greatest,
-    _irreducible,
     _kept,
+    _monotone,
     _order_iso,
     _residual,
+    _residuated,
     _signatures,
     distributivity_witness,
     heyting_table,
@@ -115,21 +120,6 @@ def _monotone_second(leq: np.ndarray, arr: np.ndarray) -> np.ndarray:
     return ~leq[None, :, :] | leq[arr[:, :, None], arr[:, None, :]]
 
 
-def _monotone(order: np.ndarray, covers: tuple, maps: np.ndarray) -> bool:
-    """Whether every row of ``maps``, a map of the lattice, sends each covering
-    pair lo < hi of ``covers`` into ``order``: f(lo) order f(hi).  The lattice
-    order is the transitive closure of its covers, so this is monotonicity for
-    ``leq`` and antitonicity for ``leq.T``."""
-    lo, hi = covers
-    return bool(order[maps[:, lo], maps[:, hi]].all())
-
-
-def _detachment(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """[a, b]: a & nabla(arrow(a, b)) <= b."""
-    idx = np.arange(lat.n)
-    return lat.leq[lat.meet[idx[:, None], nab[arr]], idx[None, :]]
-
-
 class NablaAlgebra:
     """Validated carrier; ``heyting`` is present exactly when the lattice is distributive."""
 
@@ -164,26 +154,22 @@ def _check_tables(lat: FiniteLattice, nabla, arrow):
     return _indices(nabla, (n,), n, "nabla table"), _indices(arrow, (n, n), n, "arrow table")
 
 
-def _adjunction_sides(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray):
-    # left[c, a, b]: nabla(c) & a <= b;  right[c, a, b]: c <= arrow(a, b)
-    left = lat.leq[lat.meet[nab]]
-    right = lat.leq[:, arr]
-    return left, right
-
-
 def build_algebra(lat: FiniteLattice, nabla, arrow) -> NablaAlgebra:
     """Validate the adjunction and derive ``box`` plus the optional Heyting table.
 
-    On failure raises :class:`AdjunctionFailure` with the lexicographically
-    first bad (a, b, c).  On success the monotonicity and (co)limit
-    preservation facts forced by the adjunction are re-derived as internal
-    cross-checks.
+    The adjunction is decided by ``lattice._residuated``, in
+    O(n |covers| + n^2) past ``CUBE_MAX`` elements; only a failure pays for
+    the scan of all triples, which raises :class:`AdjunctionFailure` with the
+    lexicographically first bad (a, b, c).  On success the monotonicity and
+    (co)limit preservation facts forced by the adjunction are re-derived as
+    internal cross-checks.
     """
     nab, arr = _check_tables(lat, nabla, arrow)
-    left, right = _adjunction_sides(lat, nab, arr)
-    # scanned a-major: the first (a, b, c) in lexicographic order
-    failed = _violations([("residuation", (left == right).transpose(1, 2, 0))])
-    if failed:
+    if not _residuated(lat, nab, arr):
+        left, right = _adjunction_sides(lat, nab, arr)
+        # scanned a-major: the first (a, b, c) in lexicographic order
+        failed = _violations([("residuation", (left == right).transpose(1, 2, 0))])
+        ensure(bool(failed), "residuation characterizations disagree")
         a, b, c = failed[0].witness
         direction = "forward" if left[c, a, b] else "backward"
         raise AdjunctionFailure(a, b, c, direction)
@@ -215,16 +201,13 @@ def derive_arrow(lat: FiniteLattice, nabla):
 
     Searches max{c : nabla(c) & a <= b} per pair, in the coordinates
     J(arrow(a, b)) = {j in J : nabla(j) & a <= b}, and then re-validates the
-    full adjunction; the re-check matters because an arbitrary nabla table
-    can admit all the maxima yet break residuation (for instance when it is
-    not order-preserving).
+    full adjunction with ``lattice._residuated``; the re-check matters
+    because an arbitrary nabla table can admit all the maxima yet break
+    residuation (for instance when it is not order-preserving).
     """
     nab = _indices(nabla, (lat.n,), lat.n, "nabla table")
     arrow, found = _residual(lat, nab)
-    if not found:
-        return None
-    left, right = _adjunction_sides(lat, nab, arrow)
-    if (left != right).any():
+    if not found or not _residuated(lat, nab, arrow):
         return None
     return arrow
 
@@ -301,8 +284,9 @@ def classify(alg: NablaAlgebra) -> PropertyProfile:
     Each of R, L, Fa, Fu has several equivalent characterizations; all of
     them are evaluated and required to agree, so a disagreement surfaces a
     library bug immediately rather than a wrong flag.  The two that quantify
-    over three elements range one of them over the join-irreducibles, by the
-    lemmas in their comments, so they cost O(n^2 |J|) instead of n^3.
+    over three elements are restated over pairs by lemmas of the adjunction
+    that ``build_algebra`` validated (see their comments), so every check
+    costs O(n^2).
     """
     return _kept(alg, _build_profile)
 
@@ -336,22 +320,22 @@ def _build_profile(alg: NablaAlgebra) -> PropertyProfile:
     r_alt2 = bool(leq[box, idx].all())
     ensure(r_flag == r_alt1 == r_alt2, "right-condition characterizations disagree")
 
-    irr = _irreducible(lat.covers, n)
-    meet_irr = meet[irr]
-    # c & a <= b implies c <= arrow(a, b), both sides indexed [c, a, b]; c
-    # ranges over the join-irreducibles, as c is the join of the j below it
-    l_alt1 = bool((~leq[meet_irr] | leq[irr][:, arr]).all())
+    # c & a <= b implies c <= arrow(a, b), for all (c, a, b), is
+    # c <= arrow(a, c & a) for all (a, c), indexed [a, c], as arrow is
+    # monotone in its second argument (validated with the adjunction)
+    l_alt1 = bool(leq[idx[None, :], arr[idx[:, None], meet]].all())
     l_alt2 = bool(leq[idx, box].all())
     ensure(l_flag == l_alt1 == l_alt2, "left-condition characterizations disagree")
 
     fa_surj = len(set(int(v) for v in nab)) == n
     fa_iii = bool((meet[idx[:, None], nab[arr]] == meet).all())
-    # arrow(c, a) <= arrow(c, b) implies c & a <= b, indexed [a, b, c]; a
-    # ranges over the join-irreducibles: a failing (a, b, c) has some j <= c & a
-    # with j not below b, and arrow(c, j) <= arrow(c, a), so (j, b, c) fails
-    arr_t = arr.T
-    fa_iv = bool((~leq[arr_t[irr][:, None, :], arr_t[None, :, :]]
-                  | leq[meet_irr[:, None, :], idx[None, :, None]]).all())
+    # arrow(c, a) <= arrow(c, b) implies c & a <= b, for all (a, b, c), is
+    # arrow(c, -) injective on the elements below c, as arrow(c, a) =
+    # arrow(c, c & a) and arrow(c, -) preserves meets: arrow(c, a) <=
+    # arrow(c, b) makes arrow(c, c & a & b) = arrow(c, c & a), and
+    # injectivity then gives c & a <= b; conversely x, y <= c with one value
+    # lie below each other.  One count of the pairs (c, arrow(c, x)), x <= c
+    fa_iv = bool(np.bincount((idx[:, None] * n + arr)[leq.T]).max() == 1)
     fa_v = bool((~leq[box[:, None], box[None, :]] | leq).all())
     ensure(fa_flag == fa_surj == fa_iii == fa_v, "faithfulness characterizations disagree")
     ensure(fa_flag == fa_iv, "faithfulness cancellation characterization disagrees")

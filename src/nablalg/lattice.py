@@ -32,7 +32,18 @@ by the product that also checks transitivity); see Davey & Priestley,
   joins; ``distributivity_witness`` decides so, and scans the triples for
   the first witness only when the test fails;
 - a map is monotone iff it is monotone on covering pairs, the order being
-  their reflexive-transitive closure; ``algebra`` checks nabla and arrow so.
+  their reflexive-transitive closure; ``_monotone`` checks nabla and arrow
+  so.
+
+Residuation, nab(c) & a <= b iff c <= arr(a, b) for all a, b, c, is for each
+a a Galois connection between c -> nab(c) & a and b -> arr(a, b) (ibid.
+ch. 7), and ``_residuated`` decides it without the n^3 table of triples:
+both maps monotone (on covers), the counit a & nab(arr(a, b)) <= b and the
+unit c <= arr(a, nab(c) & a), O(n |covers| + n^2) in all.  It validates
+every algebra (``algebra.build_algebra``), ``derive_arrow``'s residual and
+the Heyting table, with nab the identity; ``classify`` restates its
+three-variable cross-checks over pairs by lemmas of the validated adjunction
+(see there).
 
 Tables are found in join-irreducible coordinates (Birkhoff's representation,
 ibid. ch. 2 and 5).  In a finite lattice every x is the join of J(x), the
@@ -56,15 +67,11 @@ bits, O(n^2 |J|) work replaces the n^3 cubes of candidates:
   but not j, and so be no J(z): that z would lie above x | y, so above j;
 - the associativity check is J(a & b) = J(a) & J(b) with the rows
   embedding the order: (a & b) & c and a & (b & c) then have the one row
-  J(a) & J(b) & J(c), and distinct elements distinct rows;
-- the residuation check of the Heyting table is j <= (a -> b) iff
-  j & a <= b over the j in J, which on a distributive lattice is
-  residuation: c & a is the join of the j & a over J(c);
-- ``classify`` ranges its n^3 cross-checks over J where a lemma allows
-  (see there).
+  J(a) & J(b) & J(c), and distinct elements distinct rows.
 
 Up to ``CUBE_MAX`` elements the cubes cost less than the coordinates' fixed
-numpy overhead and run instead.
+numpy overhead and run instead, and so does the comparison of the two sides
+of the adjunction on all triples.
 """
 
 from __future__ import annotations
@@ -83,8 +90,11 @@ from .errors import (
     ensure,
 )
 
-# Validating an algebra still allocates n^3 tables (the adjunction scan of
-# `build_algebra`; `classify` on the Heyting Boolean 2^8 peaks near 82 MB), so
+# A valid algebra passes validation without an n^3 table, but the residual
+# search of `heyting_table` and `derive_arrow` is a (|J|, n, n) table, n^3 on
+# chains (`classify` of the Heyting 256-chain document peaks near 35 MB, of
+# the Boolean 2^8 near 6 MB), and the equational and implication checks, the
+# witness scans of failures and the congruence oracle form n^3 tables too.  So
 # larger documents are refused before any table is read, and no poset may have
 # more upsets than this; 256 admits the Boolean 2^8 and the 252-element amalgam
 # of a 2-chain into two 6-chains.
@@ -94,9 +104,10 @@ SIZE_MAX = 256
 # `_greatest` run instead of the coordinate tables, whose fixed numpy overhead
 # is larger there.  Measured on one core, the coordinate meet and join tables
 # pay off from about 8 elements and the coordinate residual from about 32
-# (Boolean lattices) to 40 (chains, where |J| = n - 1); 12 keeps every lattice
-# of the catalogs on the cubes and costs the residual tens of microseconds
-# between 13 and 40 elements.
+# (Boolean lattices) to 40 (chains, where |J| = n - 1), and the Galois test of
+# residuation (`_residuated`) from about 28; 12 keeps every lattice of the
+# catalogs on the cubes and costs the residual and the residuation test tens
+# of microseconds each between 13 and 40 elements.
 CUBE_MAX = 12
 
 
@@ -215,8 +226,9 @@ def _coordinates(leq: np.ndarray, covers: tuple, lower: bool):
     return keys, common, bool(((common == keys[:, None]) == rel).all())
 
 
-def _coordinate_bound_table(leq: np.ndarray, covers: tuple, lower: bool) -> np.ndarray:
-    """All-pairs meets (``lower=True``) or joins, found in coordinates.
+def _coordinate_bound_table(leq: np.ndarray, coords: tuple, lower: bool) -> np.ndarray:
+    """All-pairs meets (``lower=True``) or joins, found in the coordinates
+    ``coords`` that ``_coordinates`` gives for the same side.
 
     Every pair has a meet iff x -> J(x) reflects the order and every
     intersection J(a) & J(b) is some J(x); that x is the meet (module
@@ -226,7 +238,7 @@ def _coordinate_bound_table(leq: np.ndarray, covers: tuple, lower: bool) -> np.n
     """
     if len(leq) <= CUBE_MAX:
         return _bound_table(leq, lower)
-    keys, common, embeds = _coordinates(leq, covers, lower)
+    keys, common, embeds = coords
     table, found = _lookup(keys, common)
     if embeds and found.all():
         return table
@@ -240,9 +252,9 @@ def _residual(lat: FiniteLattice, nab: np.ndarray):
     In coordinates, J(table[a, b]) = {j in J : nab(j) & a <= b}: a (|J|, n, n)
     table instead of the (n, n, n) cube.  Each such set is looked up among the
     J(x), and a pair whose set is no J(x) has no greatest c; a found x is the
-    greatest only if nab(x) & a <= b, which the callers check (``heyting_table``
-    by residuation, ``derive_arrow`` by the whole adjunction).  Up to
-    ``CUBE_MAX`` elements the cube ``_greatest`` costs less and runs alone.
+    greatest only if nab(x) & a <= b, which both callers check with
+    ``_residuated``.  Up to ``CUBE_MAX`` elements the cube ``_greatest`` costs
+    less and runs alone.
     """
     if lat.n <= CUBE_MAX:
         table, found = _greatest(lat.leq, lat.leq[lat.meet[nab]])
@@ -252,6 +264,68 @@ def _residual(lat: FiniteLattice, nab: np.ndarray):
     cand = np.ascontiguousarray(np.moveaxis(lat.leq[lat.meet[nab[irr]]], 0, -1))
     table, found = _lookup(_row_keys(lat.leq[irr].T), _row_keys(cand))
     return table, bool(found.all())
+
+
+def _at(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``table[rows, cols]``, broadcast, gathered as one take of flat
+    positions: on the Boolean 2^8 numpy does that in about half the time of
+    a two-index gather."""
+    return table.ravel().take(rows * table.shape[1] + cols)
+
+
+def _monotone(order: np.ndarray, covers: tuple, maps: np.ndarray) -> bool:
+    """Whether every row of ``maps``, a map of the lattice, sends each covering
+    pair lo < hi of ``covers`` into ``order``: f(lo) order f(hi).  The lattice
+    order is the transitive closure of its covers, so this is monotonicity for
+    ``leq`` and antitonicity for ``leq.T``.
+
+    The values f(lo) and f(hi) are taken from the int32 rows of the
+    transposed maps, which costs a fraction of gathering int64 columns, and
+    about 2^14 pairs at a time, so that the temporaries stay in cache."""
+    lo, hi = covers
+    cols = maps.T.astype(np.int32, order="C")
+    step = max(1, 2 ** 14 // cols.shape[1])
+    for s in range(0, len(lo), step):
+        if not _at(order, cols.take(lo[s:s + step], axis=0),
+                   cols.take(hi[s:s + step], axis=0)).all():
+            return False
+    return True
+
+
+def _adjunction_sides(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray):
+    """``left[c, a, b]``: nab(c) & a <= b, and ``right[c, a, b]``: c <= arr(a, b);
+    two n^3 tables."""
+    return lat.leq[lat.meet[nab]], lat.leq[:, arr]
+
+
+def _detachment(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """[a, b]: a & nab(arr(a, b)) <= b."""
+    idx = np.arange(lat.n)
+    return _at(lat.leq, _at(lat.meet, idx[:, None], nab[arr]), idx)
+
+
+def _residuated(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray) -> bool:
+    """Whether nab(c) & a <= b iff c <= arr(a, b) for all a, b, c, decided in
+    O(n |covers| + n^2) without the tables of triples.
+
+    For each a, f(c) = nab(c) & a and g(b) = arr(a, b) form a Galois
+    connection iff both are monotone, f(g(b)) <= b and c <= g(f(c)) (Davey &
+    Priestley, ch. 7): nab monotone on covers, arr monotone in its second
+    argument on covers, detachment a & nab(arr(a, b)) <= b, and the unit
+    c <= arr(a, nab(c) & a).  Then nab(c) & a <= b gives
+    c <= arr(a, nab(c) & a) <= arr(a, b), and c <= arr(a, b) gives
+    nab(c) & a <= nab(arr(a, b)) & a <= b; each of the four follows from the
+    adjunction in turn.  Up to ``CUBE_MAX`` elements the two sides of the
+    adjunction are compared on all triples, which costs less there.
+    """
+    if lat.n <= CUBE_MAX:
+        left, right = _adjunction_sides(lat, nab, arr)
+        return bool((left == right).all())
+    idx = np.arange(lat.n)
+    # [a, c]: c <= arr(a, nab(c) & a)
+    unit = _at(lat.leq, idx, _at(arr, idx[:, None], lat.meet[:, nab]))
+    return (_monotone(lat.leq, lat.covers, nab[None]) and _monotone(lat.leq, lat.covers, arr)
+            and bool(_detachment(lat, nab, arr).all()) and bool(unit.all()))
 
 
 class FiniteLattice:
@@ -319,18 +393,21 @@ def build_lattice(leq) -> FiniteLattice:
     n = arr.shape[0]
     if n == 0:
         raise NoBounds("empty carrier has no bounds")
-    meet = _coordinate_bound_table(arr, covers, lower=True)
-    join = _coordinate_bound_table(arr, covers, lower=False)
+    coords = [_coordinates(arr, covers, lower) for lower in (True, False)]
+    meet = _coordinate_bound_table(arr, coords[0], lower=True)
+    join = _coordinate_bound_table(arr, coords[1], lower=False)
     bots = np.flatnonzero(arr.all(axis=1))
     tops = np.flatnonzero(arr.all(axis=0))
     if len(bots) != 1 or len(tops) != 1:
         raise NoBounds("lattice must have a least and a greatest element")
     lat = FiniteLattice(arr.copy(), meet, join, bots[0], tops[0], covers)
-    _check_lattice_laws(lat)
+    _check_lattice_laws(lat, coords)
     return lat
 
 
-def _check_lattice_laws(lat: FiniteLattice) -> None:
+def _check_lattice_laws(lat: FiniteLattice, coords: list) -> None:
+    """The lattice laws of ``lat``'s tables; ``coords`` holds the meet and
+    the join coordinates of its order, as ``_coordinates`` gives them."""
     m, j, n = lat.meet, lat.join, lat.n
     idx = np.arange(n)
     ensure((m == m.T).all() and (j == j.T).all(), "meet/join not commutative")
@@ -339,19 +416,19 @@ def _check_lattice_laws(lat: FiniteLattice) -> None:
     # J(a & b) = J(a) & J(b) with x -> J(x) an order embedding: (a & b) & c
     # and a & (b & c) have one coordinate row, J(a) & J(b) & J(c); dually for
     # joins
-    ensure(_keeps_coordinates(lat, m, lower=True), "meet not associative")
-    ensure(_keeps_coordinates(lat, j, lower=False), "join not associative")
+    ensure(_keeps_coordinates(coords[0], m), "meet not associative")
+    ensure(_keeps_coordinates(coords[1], j), "join not associative")
     ensure((m[idx[:, None], j] == idx[:, None]).all(), "absorption a&(a|b)=a fails")
     ensure((j[idx[:, None], m] == idx[:, None]).all(), "absorption a|(a&b)=a fails")
     ensure((m[lat.bot] == lat.bot).all() and (j[lat.top] == lat.top).all(),
            "bounds do not absorb")
 
 
-def _keeps_coordinates(lat: FiniteLattice, table: np.ndarray, lower: bool) -> bool:
-    """Whether the coordinate rows embed the order, so distinct elements have
-    distinct rows, and the row of ``table[a, b]`` is the intersection of the
-    rows of a and b."""
-    keys, common, embeds = _coordinates(lat.leq, lat.covers, lower)
+def _keeps_coordinates(coords: tuple, table: np.ndarray) -> bool:
+    """Whether the coordinate rows ``coords`` embed the order, so distinct
+    elements have distinct rows, and the row of ``table[a, b]`` is the
+    intersection of the rows of a and b."""
+    keys, common, embeds = coords
     return embeds and bool((keys[table] == common).all())
 
 
@@ -398,12 +475,7 @@ def heyting_table(lat: FiniteLattice):
 def _build_heyting_table(lat: FiniteLattice):
     table, exists = _residual(lat, np.arange(lat.n))
     if exists:
-        # residuation on the join-irreducibles, j <= (a -> b) iff j & a <= b,
-        # is residuation on a distributive lattice (checked next): there c & a
-        # is the join of the j & a over the j below c
-        irr = _irreducible(lat.covers, lat.n)
-        ensure((lat.leq[irr][:, table] == lat.leq[lat.meet[irr]]).all(),
-               "pseudocomplement not residuated")
+        ensure(_residuated(lat, np.arange(lat.n), table), "pseudocomplement not residuated")
     ensure(exists == is_distributive(lat), "pseudocomplements exist iff distributive")
     return _freeze(table) if exists else None
 

@@ -1,33 +1,42 @@
-"""The join-irreducible coordinate route against the n^3 cubes it replaced.
+"""The join-irreducible coordinate route and the Galois-connection test of
+residuation against the n^3 cubes they replaced.
 
 Above ``lattice.CUBE_MAX`` elements the meet and join tables
 (``_coordinate_bound_table``), the Heyting table and ``derive_arrow``'s
-residual (``_residual``) are found in coordinates; up to it the cubes
-``_bound_table`` and ``_greatest`` run.  Each test runs on both sides of that
-bound (``CUBE_MAX`` patched to 0 makes small inputs take the coordinate route)
-and requires equal tables, the same exception class with the same witness,
-or None in the same cases.  The n^3 cross-checks that the coordinate lemmas
-restate are kept here as oracles: the slabbed associativity scan, the cube
-residuation check of the Heyting table, and the full-range ``l_alt1`` and
+residual (``_residual``) are found in coordinates, and the adjunction is
+decided by ``_residuated`` in O(n |covers| + n^2); up to it the cubes
+``_bound_table``, ``_greatest`` and the comparison of the adjunction's two
+sides run.  Each test runs on both sides of that bound (``CUBE_MAX`` patched
+to 0 makes small inputs take the coordinate route) and requires equal tables
+and verdicts, the same exception class with the same witness, or None in the
+same cases.  The n^3 cross-checks that lemmas restate are kept here as
+oracles: the slabbed associativity scan, the cube residuation check of the
+Heyting table, the full adjunction scan, and the full-range ``l_alt1`` and
 ``fa_iv`` masks of ``classify``.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import nablalg.algebra as algebra
 import nablalg.lattice as lattice
-from nablalg.algebra import _adjunction_sides, build_algebra, classify, derive_arrow
-from nablalg.errors import CrossCheckError, NablalgError
+from nablalg.algebra import build_algebra, classify, derive_arrow
+from nablalg.errors import AdjunctionFailure, CrossCheckError, NablalgError
 from nablalg.gallery import gen_heyting, gen_xn
 from nablalg.lattice import (
     CUBE_MAX,
     FiniteLattice,
+    _adjunction_sides,
     _bound_table,
     _bounded_candidates,
     _build_heyting_table,
     _coordinate_bound_table,
+    _coordinates,
     _greatest,
     _partial_order,
+    _residuated,
     _row_keys,
     _slabs,
     build_lattice,
@@ -67,6 +76,18 @@ def full_fa_iv(alg):
     idx = np.arange(alg.n)
     return bool((~leq[arr_t[:, None, :], arr_t[None, :, :]]
                  | leq[meet[:, None, :], idx[None, :, None]]).all())
+
+
+def scan_witness(lat, nab, arr):
+    """The former build_algebra scan over all triples: the a-major first
+    (a, b, c) where nabla(c) & a <= b and c <= arrow(a, b) differ, with its
+    direction, or None."""
+    left, right = _adjunction_sides(lat, nab, arr)
+    bad = np.argwhere((left != right).transpose(1, 2, 0))
+    if not len(bad):
+        return None
+    a, b, c = (int(v) for v in bad[0])
+    return (a, b, c), "forward" if left[c, a, b] else "backward"
 
 
 def cube_heyting(lat):
@@ -161,7 +182,8 @@ def test_bound_tables_match_cube(monkeypatch, cube_max, seven_lattices):
         arr, covers = _partial_order(leq)
         for lower in (True, False):
             want = outcome(_bound_table, arr, lower)
-            assert outcome(_coordinate_bound_table, arr, covers, lower) == want
+            coords = _coordinates(arr, covers, lower)
+            assert outcome(_coordinate_bound_table, arr, coords, lower) == want
             kinds.add((len(arr) > CUBE_MAX, want[0]))
     assert kinds == {(big, kind) for big in (False, True) for kind in ("ok", "NoMeet", "NoJoin")}
 
@@ -267,6 +289,130 @@ def test_heyting_residuation_check_is_independent_of_the_lookup(monkeypatch, sev
             _build_heyting_table(fresh(lat))
         monkeypatch.setattr(lattice, "_residual", lambda lat, nab: (table, True))
         assert (_build_heyting_table(fresh(lat)) == table).all()
+
+
+# --- residuation as a Galois connection ----------------------------------------
+
+
+def step_nabla(lat, c, d):
+    """Bottom on the elements below c and d elsewhere: it preserves joins and
+    has a residual on every lattice (arrow(a, b) is top where d & a <= b and c
+    elsewhere)."""
+    return np.where(lat.leq[:, c], lat.bot, d)
+
+
+def perturbed(table, n, rng):
+    """A copy of ``table`` with one entry moved to another of 0..n-1."""
+    out = table.copy()
+    pos = tuple(int(rng.integers(0, k)) for k in table.shape)
+    out[pos] = (out[pos] + rng.integers(1, n)) % n
+    return out
+
+
+def adjunction_tables(lats, rng):
+    """(lattice, nabla, arrow) triples: residuated pairs, copies of each with
+    one nabla or one arrow entry changed, and random tables."""
+    out = []
+    for lat in lats:
+        if lat.n == 1:
+            continue
+        nabs = [step_nabla(lat, *rng.integers(0, lat.n, 2)) for _ in range(3)]
+        if is_distributive(lat):
+            nabs += [np.arange(lat.n), lat.meet[:, rng.integers(0, lat.n)]]
+        for nab in nabs:
+            arr = cube_derive_arrow(lat, nab)
+            out.append((lat, nab, arr))
+            for _ in range(4):
+                out += [(lat, perturbed(nab, lat.n, rng), arr),
+                        (lat, nab, perturbed(arr, lat.n, rng))]
+        out.append((lat, rng.integers(0, lat.n, lat.n), rng.integers(0, lat.n, (lat.n, lat.n))))
+    return out
+
+
+def monotone_pair(lat, nab, arr):
+    """nabla monotone and arrow monotone in its second argument, on all pairs."""
+    leq = lat.leq
+    return bool((~leq | leq[np.ix_(nab, nab)]).all()
+                and (~leq[None] | leq[arr[:, :, None], arr[:, None, :]]).all())
+
+
+@BOTH_SIDES
+def test_residuated_matches_the_scan_on_the_catalog(monkeypatch, cube_max, six_catalog):
+    """Every algebra up to 6 elements (1,983) passes both tests."""
+    monkeypatch.setattr(lattice, "CUBE_MAX", cube_max)
+    for alg in six_catalog:
+        assert _residuated(alg.lat, alg.nabla, alg.arrow)
+        assert scan_witness(alg.lat, alg.nabla, alg.arrow) is None
+
+
+@BOTH_SIDES
+def test_residuated_matches_the_scan_on_perturbed_tables(monkeypatch, cube_max, seven_lattices):
+    """Residuated pairs, one-entry perturbations of them and random tables on
+    every lattice up to 7 elements and on larger ones: the Galois test and the
+    scan agree, and build_algebra names the scan's witness and direction.
+    Some non-residuated tables are monotone, so the verdict there rests on
+    detachment and the unit."""
+    monkeypatch.setattr(lattice, "CUBE_MAX", cube_max)
+    rng = np.random.default_rng(38)
+    kinds = set()
+    for lat, nab, arr in adjunction_tables([*seven_lattices, *larger_lattices(rng)], rng):
+        want = scan_witness(lat, nab, arr)
+        assert _residuated(lat, nab, arr) == (want is None)
+        try:
+            build_algebra(lat, nab, arr)
+            got = None
+        except AdjunctionFailure as err:
+            got = err.witness, err.direction
+        assert got == want
+        kinds.add((lat.n > CUBE_MAX, want is None, want is None or monotone_pair(lat, nab, arr)))
+    assert kinds == {(big, ok, mono) for big in (False, True)
+                     for ok, mono in ((True, True), (False, True), (False, False))}
+
+
+def test_build_algebra_checks_the_criteria_agree(monkeypatch):
+    """A Galois verdict that the scan contradicts is a cross-check failure,
+    not an adjunction failure."""
+    alg = gen_heyting(build_lattice(chain_matrix(CUBE_MAX + 4)))
+    monkeypatch.setattr(algebra, "_residuated", lambda lat, nab, arr: False)
+    with pytest.raises(CrossCheckError, match="residuation characterizations disagree"):
+        build_algebra(alg.lat, alg.nabla, alg.arrow)
+
+
+def boolean_matrix(k):
+    sets = np.arange(2 ** k)
+    return (sets[:, None] & ~sets[None, :]) == 0
+
+
+@pytest.mark.parametrize("leq", [chain_matrix(256), boolean_matrix(8)], ids=["chain", "boolean"])
+def test_validation_forms_no_cube(leq):
+    """build_algebra and classify on a 256-element Heyting algebra peak under
+    8 MB; one n^3 boolean table is 16 MB."""
+    alg = gen_heyting(build_lattice(leq))
+    tracemalloc.start()
+    try:
+        classify(build_algebra(alg.lat, alg.nabla, alg.arrow))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_cover_monotonicity_across_blocks():
+    """On lattices whose covers fill several of _monotone's blocks, a changed
+    arrow entry breaks monotonicity in the second or antitonicity in the
+    first argument exactly when a two-index gather over all covers says so."""
+    rng = np.random.default_rng(39)
+    seen = set()
+    for leq in (boolean_matrix(8), chain_matrix(256)):
+        alg = gen_heyting(build_lattice(leq))
+        lat = alg.lat
+        lo, hi = lat.covers
+        for arr in [alg.arrow] + [perturbed(alg.arrow, lat.n, rng) for _ in range(30)]:
+            for order, maps in ((lat.leq, arr), (lat.leq.T, arr.T)):
+                want = bool(order[maps[:, lo], maps[:, hi]].all())
+                assert lattice._monotone(order, lat.covers, maps) == want
+                seen.add(want)
+    assert seen == {False, True}
 
 
 def test_row_keys_sort_as_rows():

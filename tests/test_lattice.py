@@ -24,6 +24,7 @@ from nablalg.lattice import (
     _bounded_candidates,
     _check_lattice_laws,
     _compose,
+    _coordinates,
     _greatest,
     _iso_representatives,
     _join_primes,
@@ -307,7 +308,8 @@ def test_sliced_associativity_matches_cube_oracle():
         broken = FiniteLattice(lat.leq.copy(), tables["meet"].copy(), tables["join"].copy(),
                                lat.bot, lat.top, lat.covers)
         with pytest.raises(CrossCheckError, match=f"{name} not associative"):
-            _check_lattice_laws(broken)
+            _check_lattice_laws(broken, [_coordinates(lat.leq, lat.covers, lower)
+                                         for lower in (True, False)])
 
 
 def test_kept_builders_run_once_per_lattice(monkeypatch):

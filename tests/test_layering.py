@@ -90,6 +90,7 @@ ENSURES = {
         "nabla(box(a)) <= a must hold",
         "on faithful algebras arrow(a, b) = top iff a <= b",
         "on faithful algebras nabla(arrow) must be the Heyting table",
+        "residuation characterizations disagree",
         "right-condition characterizations disagree",
     ],
     "completion.py": [

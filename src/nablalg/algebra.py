@@ -41,6 +41,7 @@ from .lattice import (
     _residual,
     _residuated,
     _signatures,
+    _slabs,
     distributivity_witness,
     heyting_table,
     is_distributive,
@@ -159,20 +160,25 @@ def build_algebra(lat: FiniteLattice, nabla, arrow) -> NablaAlgebra:
 
     The adjunction is decided by ``lattice._residuated``, in
     O(n |covers| + n^2) past ``CUBE_MAX`` elements; only a failure pays for
-    the scan of all triples, which raises :class:`AdjunctionFailure` with the
+    the scan of the triples, one slab of first arguments at a time up to the
+    first slab that fails, which raises :class:`AdjunctionFailure` with the
     lexicographically first bad (a, b, c).  On success the monotonicity and
     (co)limit preservation facts forced by the adjunction are re-derived as
     internal cross-checks.
     """
     nab, arr = _check_tables(lat, nabla, arrow)
     if not _residuated(lat, nab, arr):
-        left, right = _adjunction_sides(lat, nab, arr)
-        # scanned a-major: the first (a, b, c) in lexicographic order
-        failed = _violations([("residuation", (left == right).transpose(1, 2, 0))])
+        # a slab of first arguments at a time, each scanned a-major: the first
+        # (a, b, c) in lexicographic order
+        for s in _slabs(lat.n):
+            left, right = _adjunction_sides(lat, nab, arr, s)
+            failed = _violations([("residuation", (left == right).transpose(1, 2, 0))])
+            if failed:
+                break
         ensure(bool(failed), "residuation characterizations disagree")
         a, b, c = failed[0].witness
         direction = "forward" if left[c, a, b] else "backward"
-        raise AdjunctionFailure(a, b, c, direction)
+        raise AdjunctionFailure(a + s.start, b, c, direction)
     alg = NablaAlgebra(lat, nab.copy(), arr.copy())
     _check_derived_laws(alg)
     return alg

@@ -72,6 +72,15 @@ bits, O(n^2 |J|) work replaces the n^3 cubes of candidates:
 Up to ``CUBE_MAX`` elements the cubes cost less than the coordinates' fixed
 numpy overhead and run instead, and so does the comparison of the two sides
 of the adjunction on all triples.
+
+``all_lattices`` grows lattices one atom at a time (class counts: OEIS
+A006966; Heitzig & Reinhold, *Counting finite lattices*, 2002).  Removing an
+atom from a lattice with at least 3 elements leaves a lattice: meets that
+were the atom become bottom, and joins do not change.  Conversely, a new
+atom above bottom and below exactly the members of an upset U gives a
+lattice iff U is nonempty, misses bottom and holds the meet of any two
+members unless it is bottom: then the atom meets x in itself or bottom, and
+joins x != bottom in the least member of U above x.
 """
 
 from __future__ import annotations
@@ -81,6 +90,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    NablalgError,
     NoBounds,
     NoJoin,
     NoMeet,
@@ -292,10 +302,11 @@ def _monotone(order: np.ndarray, covers: tuple, maps: np.ndarray) -> bool:
     return True
 
 
-def _adjunction_sides(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray):
-    """``left[c, a, b]``: nab(c) & a <= b, and ``right[c, a, b]``: c <= arr(a, b);
-    two n^3 tables."""
-    return lat.leq[lat.meet[nab]], lat.leq[:, arr]
+def _adjunction_sides(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray,
+                      first: slice = slice(None)):
+    """``left[c, a, b]``: nab(c) & a <= b, and ``right[c, a, b]``: c <= arr(a, b),
+    for the first arguments a in ``first``; two n^3 tables for all of them."""
+    return lat.leq[lat.meet[nab, first]], lat.leq[:, arr[first]]
 
 
 def _detachment(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray) -> np.ndarray:
@@ -492,7 +503,7 @@ def _join_primes(lat: FiniteLattice) -> list[int]:
     The x with a not below x form a down-set, which holds bottom unless a is
     bottom; a is join-prime iff that set is closed under joins, that is iff
     it has a greatest element: a member with as many elements below it as
-    the set has (as in ``_meets_exist``).
+    the set has.
     """
     outside = ~lat.leq                      # outside[a, x]: a is not below x
     size = outside.sum(axis=1)
@@ -711,68 +722,48 @@ def canonical_order_matrix(leq: np.ndarray) -> bytes:
     return np.array(rows, dtype=bool).reshape(n, n).tobytes()
 
 
-def _bounded_candidates(n: int) -> np.ndarray:
-    """Orders with a designated bottom and top around an arbitrary middle poset.
-
-    Every lattice has unique bounds, so up to isomorphism this reaches every
-    lattice class while enumerating only the n-2 middle elements.  Returns a
-    (k, n, n) boolean array with bottom 0 and top n-1.
-    """
-    if n == 1:
-        return np.ones((1, 1, 1), dtype=bool)
-    mid = _labeled_posets(n - 2)
-    leq = np.zeros((len(mid), n, n), dtype=bool)
-    leq[:, 0, :] = True
-    leq[:, :, n - 1] = True
-    leq[:, 1:n - 1, 1:n - 1] = mid
-    return leq
-
-
-def _meets_exist(orders: np.ndarray) -> np.ndarray:
-    """For each order of a (k, n, n) batch, whether every pair has a meet.
-
-    The lower bounds of a pair are closed downwards, so they have a greatest
-    element iff one of them has as many elements below it as the pair has
-    lower bounds.  A finite order with a top and all binary meets is a
-    lattice.
-    """
-    low = orders[:, :, :, None] & orders[:, :, None, :]   # low[k, x, a, b]: x <= a and x <= b
-    below = orders.sum(axis=1)
-    most = np.where(low, below[:, :, None, None], 0).max(axis=1)
-    return (low.any(axis=1) & (most == low.sum(axis=1))).all(axis=(1, 2))
-
-
-def _iso_representatives(orders) -> list:
-    """The first order of each isomorphism class among ``orders``.
-
-    Orders are bucketed by their sorted signatures, which isomorphic orders
-    share, and each is compared by isomorphism with the representatives of
-    its bucket only.
-    """
-    buckets = {}
-    for leq in orders:
-        sig = _signatures(leq)
-        bucket = buckets.setdefault(tuple(sorted(sig)), [])
-        if all(_order_iso(leq, rep, sig, rep_sig) is None for rep, rep_sig in bucket):
-            bucket.append((leq, sig))
-    return [rep for bucket in buckets.values() for rep, _ in bucket]
+def _atom_children(lat: FiniteLattice) -> np.ndarray:
+    """``lat``'s order plus a new atom n below exactly the members of U, for
+    every admissible U (module docstring), as a (k, n + 1, n + 1) array."""
+    n, meet, rows = lat.n, lat.meet, _upset_rows(lat.leq)
+    pairs = rows[:, :, None] & rows[:, None, :]
+    ups = rows[(~pairs | rows[:, meet] | (meet == lat.bot)).all(axis=(1, 2))
+               & rows.any(axis=1) & ~rows[:, lat.bot]]
+    children = np.zeros((len(ups), n + 1, n + 1), dtype=bool)
+    children[:, :n, :n], children[:, n, :n] = lat.leq, ups
+    children[:, [lat.bot, n], n] = True
+    return children
 
 
 def all_lattices(max_n: int) -> list[FiniteLattice]:
     """One representative per isomorphism class of lattices with 1..max_n elements.
 
-    Of the bounded candidates of each size that are lattices, one per class
-    gets a canonical form; the representatives are the canonical matrices in
-    byte order.
+    Grown from the 1- and 2-chains: each lattice of n + 1 >= 3 elements is
+    one of n elements plus a new atom below exactly the members of an upset
+    U that is nonempty, misses bottom and holds the meet of any two members
+    unless it is bottom (module docstring).  Each level's children are
+    deduplicated by canonical form and each class is built, so validated,
+    by ``build_lattice``: the canonical matrices in byte order per size.
+    Growth past 10 elements lists the 258 upsets of M8, past ``SIZE_MAX``,
+    and raises ``TooLarge``.
     """
-    reps = []
+    reps, level = [], []
     for n in range(1, max_n + 1):
-        cands = _bounded_candidates(n)
-        found = sorted(canonical_order_matrix(leq)
-                       for leq in _iso_representatives(cands[_meets_exist(cands)]))
-        ensure(len(set(found)) == len(found),
-               "non-isomorphic lattices must have distinct canonical forms")
-        reps += [build_lattice(np.frombuffer(canon, dtype=bool).reshape(n, n)) for canon in found]
+        found = ({canonical_order_matrix(np.tri(n, dtype=bool))} if n <= 2 else
+                 {canonical_order_matrix(child) for lat in level for child in _atom_children(lat)})
+        level = []
+        for canon in sorted(found):
+            try:
+                level.append(build_lattice(np.frombuffer(canon, dtype=bool).reshape(n, n)))
+            except NablalgError:
+                ensure(False, "an admissible new atom must leave a lattice")
+        buckets = {}
+        for lat in level:
+            buckets.setdefault(tuple(sorted(_signatures(lat.leq))), []).append(lat)
+        ensure(all(lattice_iso(a, b) is None for bucket in buckets.values()
+                   for i, a in enumerate(bucket) for b in bucket[:i]),
+               "lattices with distinct canonical forms must not be isomorphic")
+        reps += level
     return reps
 
 

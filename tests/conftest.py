@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nablalg.lattice import build_lattice
+from nablalg.lattice import _labeled_posets, build_lattice
 
 
 def order_from_covers(n, covers):
@@ -39,6 +39,23 @@ def diamond():
     return build_lattice(
         order_from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
     )
+
+
+def bounded_candidates(n):
+    """Orders with a designated bottom and top around an arbitrary middle poset.
+
+    Every lattice has unique bounds, so up to isomorphism this reaches every
+    lattice class while enumerating only the n-2 middle elements.  Returns a
+    (k, n, n) boolean array with bottom 0 and top n-1.
+    """
+    if n == 1:
+        return np.ones((1, 1, 1), dtype=bool)
+    mid = _labeled_posets(n - 2)
+    leq = np.zeros((len(mid), n, n), dtype=bool)
+    leq[:, 0, :] = True
+    leq[:, :, n - 1] = True
+    leq[:, 1:n - 1, 1:n - 1] = mid
+    return leq
 
 
 def subsets(universe):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nablalg.cli import main
@@ -365,6 +367,19 @@ def test_failed_cross_check_is_exit_three(tmp_path, capsys, monkeypatch, x1):
     assert code == 3
     assert out["error"] == {"error": "internal",
                             "message": "right-condition characterizations disagree"}
+
+
+def test_rejected_lattice_child_is_exit_three(capsys, monkeypatch):
+    import nablalg.lattice
+
+    def every_subset(leq):
+        return np.array(list(itertools.product([False, True], repeat=len(leq))))
+
+    monkeypatch.setattr(nablalg.lattice, "_upset_rows", every_subset)
+    code, out = run_json(capsys, "enumerate", "--max-n", "4")
+    assert code == 3
+    assert out["error"] == {"error": "internal",
+                            "message": "an admissible new atom must leave a lattice"}
 
 
 def test_reused_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch, x1, b2, h3):

@@ -30,7 +30,6 @@ from nablalg.lattice import (
     FiniteLattice,
     _adjunction_sides,
     _bound_table,
-    _bounded_candidates,
     _build_heyting_table,
     _coordinate_bound_table,
     _coordinates,
@@ -44,7 +43,7 @@ from nablalg.lattice import (
     upset_lattice,
 )
 
-from conftest import chain_matrix, diamond, pentagon
+from conftest import bounded_candidates, chain_matrix, diamond, pentagon
 
 BOTH_SIDES = pytest.mark.parametrize("cube_max", [0, CUBE_MAX], ids=["coordinates", "default"])
 
@@ -174,7 +173,7 @@ def test_bound_tables_match_cube(monkeypatch, cube_max, seven_lattices):
     monkeypatch.setattr(lattice, "CUBE_MAX", cube_max)
     rng = np.random.default_rng(31)
     orders = [leq for lat in seven_lattices for leq in (lat.leq, relabeled(lat.leq, rng))]
-    orders += [leq for n in range(1, 7) for leq in _bounded_candidates(n)]
+    orders += [leq for n in range(1, 7) for leq in bounded_candidates(n)]
     orders += [random_poset(rng, int(n)) for n in rng.integers(2, 30, 300)]
     orders += [lat.leq for lat in larger_lattices(rng)]
     kinds = set()
@@ -193,7 +192,7 @@ def test_build_lattice_outcomes_match_cube_route(monkeypatch, seven_lattices):
     same tables, or the same exception class with the same witness."""
     rng = np.random.default_rng(32)
     orders = [lat.leq for lat in seven_lattices]
-    orders += [leq for n in range(1, 7) for leq in _bounded_candidates(n)]
+    orders += [leq for n in range(1, 7) for leq in bounded_candidates(n)]
     orders += [random_poset(rng, int(n)) for n in rng.integers(2, 30, 300)]
     orders += [lat.leq for lat in larger_lattices(rng)]
     for leq in orders:
@@ -395,6 +394,30 @@ def test_validation_forms_no_cube(leq):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def test_sliced_adjunction_witness_matches_the_scan():
+    """One changed arrow entry on the Heyting Boolean 2^8: build_algebra names
+    the witness and direction of the scan over all triples, and peaks under
+    16 MB, the size of one n^3 boolean table; the witnesses' first arguments
+    lie in the first slab and past it."""
+    alg = gen_heyting(build_lattice(boolean_matrix(8)))
+    rng = np.random.default_rng(43)
+    firsts = set()
+    for _ in range(2):
+        arr = perturbed(alg.arrow, alg.n, rng)
+        want = scan_witness(alg.lat, alg.nabla, arr)
+        tracemalloc.start()
+        try:
+            with pytest.raises(AdjunctionFailure) as err:
+                build_algebra(alg.lat, alg.nabla, arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.witness, err.value.direction) == want
+        assert peak < 16 * 2 ** 20
+        firsts.add(want[0][0] < _slabs(alg.n)[0].stop)
+    assert firsts == {True, False}
 
 
 def test_cover_monotonicity_across_blocks():

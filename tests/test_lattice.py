@@ -21,14 +21,14 @@ import nablalg.lattice as lattice
 from nablalg.lattice import (
     SIZE_MAX,
     FiniteLattice,
-    _bounded_candidates,
     _check_lattice_laws,
     _compose,
     _coordinates,
     _greatest,
-    _iso_representatives,
     _join_primes,
+    _order_iso,
     _row_keys,
+    _signatures,
     _slabs,
     _sorted_rows,
     _subset,
@@ -49,7 +49,16 @@ from nablalg.lattice import (
     validate_partial_order,
 )
 
-from conftest import boolean_square, chain, chain_matrix, diamond, order_from_covers, pentagon, subsets
+from conftest import (
+    boolean_square,
+    bounded_candidates,
+    chain,
+    chain_matrix,
+    diamond,
+    order_from_covers,
+    pentagon,
+    subsets,
+)
 
 
 # --- independent oracles -----------------------------------------------------
@@ -525,7 +534,7 @@ def assert_greatest_matches_oracle(order, cand):
 def test_greatest_matches_count_oracle_on_small_orders():
     # meets and joins on every bounded candidate order and labeled 4-poset,
     # lattices or not, plus the Heyting cube wherever a lattice comes out
-    orders = [leq for n in range(1, 7) for leq in _bounded_candidates(n)] + list(all_posets(4))
+    orders = [leq for n in range(1, 7) for leq in bounded_candidates(n)] + list(all_posets(4))
     assert len(orders) == 463
     partial = 0
     for leq in orders:
@@ -731,7 +740,7 @@ def test_canonical_order_matrix_matches_permutation_oracle(seven_lattices):
     # give the most ties), and random relations, for which the search is
     # exact too
     rng = np.random.default_rng(7)
-    orders = [leq for n in range(1, 7) for leq in _bounded_candidates(n)] + list(all_posets(4))
+    orders = [leq for n in range(1, 7) for leq in bounded_candidates(n)] + list(all_posets(4))
     for lat in seven_lattices:
         if lat.n == 7:
             perm = rng.permutation(7)
@@ -742,37 +751,65 @@ def test_canonical_order_matrix_matches_permutation_oracle(seven_lattices):
         assert canonical_order_matrix(leq) == oracle_canonical(leq)
 
 
-def test_iso_representatives_one_per_poset_class():
-    # known values: 16 and 63 unlabeled posets on 4 and 5 elements
-    for n, want in [(4, 16), (5, 63)]:
-        reps = _iso_representatives(all_posets(n))
-        assert len(reps) == want
-        assert len({oracle_canonical(leq) for leq in reps}) == want
-    # non-isomorphic 6-element posets with equal sorted signatures share a bucket
+def test_order_iso_separates_equal_signatures():
+    # non-isomorphic 6-element posets with equal sorted signatures: only the
+    # backtracker tells them apart, and it finds each one's relabeling
     a = order_from_covers(6, [(0, 1), (1, 4), (0, 5), (2, 5), (3, 4)])
     b = order_from_covers(6, [(0, 3), (1, 3), (2, 3), (2, 4), (4, 5)])
-    reps = _iso_representatives([a, b, a[::-1, ::-1], b[::-1, ::-1]])
-    assert [leq.tobytes() for leq in reps] == [a.tobytes(), b.tobytes()]
+    assert sorted(_signatures(a)) == sorted(_signatures(b))
+    assert _order_iso(a, b, _signatures(a), _signatures(b)) is None
+    for leq in (a, b):
+        flipped = leq[::-1, ::-1]
+        iso = _order_iso(leq, flipped, _signatures(leq), _signatures(flipped))
+        assert (flipped[np.ix_(iso, iso)] == leq).all()
+
+
+def test_all_lattices_class_counts():
+    # OEIS A006966
+    counts = Counter(lat.n for lat in all_lattices(8))
+    assert [counts[n] for n in range(1, 9)] == [1, 1, 1, 2, 5, 15, 53, 222]
 
 
 def test_all_lattices_matches_per_candidate_canonical_dedupe():
-    # the old route: a canonical form for every bounded candidate that is a
-    # lattice, deduplicated and sorted per size
+    # the former route: a canonical form for every bounded candidate that is
+    # a lattice, deduplicated and sorted per size; the permutation oracle
+    # gives the forms up to 6 elements
     want = []
-    for n in range(1, 7):
+    for n in range(1, 8):
         canons = set()
-        for leq in _bounded_candidates(n):
+        for leq in bounded_candidates(n):
             try:
                 lat = build_lattice(leq)
             except (NoMeet, NoJoin, NoBounds):
                 continue
-            canons.add(oracle_canonical(lat.leq))
+            canons.add(canonical_order_matrix(lat.leq) if n == 7 else oracle_canonical(lat.leq))
         want += sorted(canons)
-    assert [lat.leq.tobytes() for lat in all_lattices(6)] == want
+    assert [lat.leq.tobytes() for lat in all_lattices(7)] == want
+
+
+def test_rejected_child_is_a_cross_check_failure(monkeypatch):
+    # offered every subset as an upset, the growth step makes a child that is
+    # no partial order: a fault of the library, not of any input
+    def every_subset(leq):
+        return np.array(list(itertools.product([False, True], repeat=len(leq))))
+
+    monkeypatch.setattr(lattice, "_upset_rows", every_subset)
+    with pytest.raises(CrossCheckError, match="an admissible new atom must leave a lattice"):
+        all_lattices(4)
+
+
+def test_isomorphic_classes_are_a_cross_check_failure(monkeypatch):
+    # with the raw matrix in place of the canonical form, isomorphic children
+    # stay apart (the pentagon grows from the 4-chain and from the square),
+    # which the isomorphism check within signature buckets catches
+    monkeypatch.setattr(lattice, "canonical_order_matrix", lambda leq: np.asarray(leq).tobytes())
+    with pytest.raises(CrossCheckError,
+                       match="lattices with distinct canonical forms must not be isomorphic"):
+        all_lattices(5)
 
 
 def test_all_lattices_agrees_with_poset_filtering():
-    # the bounded-middle shortcut must reach the same classes as filtering
+    # growing one atom at a time must reach the same classes as filtering
     # every labeled poset
     from nablalg.errors import NoBounds, NoJoin, NoMeet
     from nablalg.lattice import canonical_order_matrix

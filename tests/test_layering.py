@@ -162,15 +162,16 @@ ENSURES = {
     "lattice.py": [
         "absorption a&(a|b)=a fails",
         "absorption a|(a&b)=a fails",
+        "an admissible new atom must leave a lattice",
         "bounds do not absorb",
         "distributivity characterizations disagree",
         "enumerated set is not a prime filter",
         "family meet is not intersection",
         "join not associative",
+        "lattices with distinct canonical forms must not be isomorphic",
         "meet not associative",
         "meet/join not commutative",
         "meet/join not idempotent",
-        "non-isomorphic lattices must have distinct canonical forms",
         "prime filter count must match join-irreducibles on distributive lattices",
         "pseudocomplement not residuated",
         "pseudocomplements exist iff distributive",

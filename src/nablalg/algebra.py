@@ -162,9 +162,10 @@ def build_algebra(lat: FiniteLattice, nabla, arrow) -> NablaAlgebra:
     O(n |covers| + n^2) past ``CUBE_MAX`` elements; only a failure pays for
     the scan of the triples, one slab of first arguments at a time up to the
     first slab that fails, which raises :class:`AdjunctionFailure` with the
-    lexicographically first bad (a, b, c).  On success the monotonicity and
-    (co)limit preservation facts forced by the adjunction are re-derived as
-    internal cross-checks.
+    lexicographically first bad (a, b, c).  On success the laws the
+    adjunction forces and ``_residuated`` does not decide are re-derived as
+    internal cross-checks; nabla's and arrow(a, -)'s monotonicity and
+    detachment ``_residuated`` decides (up to ``CUBE_MAX``: they follow).
     """
     nab, arr = _check_tables(lat, nabla, arrow)
     if not _residuated(lat, nab, arr):
@@ -187,17 +188,13 @@ def build_algebra(lat: FiniteLattice, nabla, arrow) -> NablaAlgebra:
 def _check_derived_laws(alg: NablaAlgebra) -> None:
     lat, nab, arr, box = alg.lat, alg.nabla, alg.arrow, alg.box
     leq = lat.leq
-    covers = lat.covers
-    ensure(_monotone(leq, covers, nab[None]), "nabla must be order-preserving")
-    # row a of arr is b -> arrow(a, b); row b of arr.T is a -> arrow(a, b)
-    ensure(_monotone(leq, covers, arr), "arrow must be order-preserving in its second argument")
-    ensure(_monotone(leq.T, covers, arr.T), "arrow must be antitone in its first argument")
+    # row b of arr.T is a -> arrow(a, b)
+    ensure(_monotone(leq.T, lat.covers, arr.T), "arrow must be antitone in its first argument")
     ensure(int(nab[lat.bot]) == lat.bot, "nabla must send bottom to bottom")
     ensure(_preserves(nab, lat.join, lat.join).all(), "nabla must preserve binary joins")
     ensure(int(box[lat.top]) == lat.top, "box must send top to top")
     ensure(_preserves(box, lat.meet, lat.meet).all(), "box must preserve binary meets")
     idx = np.arange(lat.n)
-    ensure(_detachment(lat, nab, arr).all(), "a & nabla(arrow(a, b)) <= b must hold")
     ensure(leq[nab[box], idx].all(), "nabla(box(a)) <= a must hold")
     ensure(leq[idx, box[nab]].all(), "a <= box(nabla(a)) must hold")
 
@@ -460,12 +457,17 @@ def nabla_from_strong(cand: StrongAlgebraCandidate) -> AdjointSearch:
 @dataclass(frozen=True)
 class Morphism:
     """Index map between two algebras or two frames; ``preserves_heyting`` is
-    a claim to verify."""
+    a claim to verify.  Its law report is kept on it, so ``map`` is frozen as
+    a tuple, and ``dataclasses.replace`` starts with nothing kept."""
 
     source: object = field(compare=False, repr=False)
     target: object = field(compare=False, repr=False)
     map: tuple = ()
     preserves_heyting: bool = False
+    _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "map", tuple(self.map))
 
 
 class AlgebraMorphism(Morphism):
@@ -480,7 +482,11 @@ class MorphismReport(LawReport):
 
 def check_morphism(m: AlgebraMorphism) -> MorphismReport:
     """Verify preservation of bounds, meet, join, nabla, arrow (and the Heyting
-    table when claimed); injectivity is reported, not required."""
+    table when claimed); injectivity is reported, not required.  Kept on m."""
+    return _kept(m, _build_morphism_report)
+
+
+def _build_morphism_report(m: AlgebraMorphism) -> MorphismReport:
     src, tgt = m.source, m.target
     f = _indices(m.map, (src.n,), tgt.n, "map")
     laws = [

@@ -87,20 +87,25 @@ def is_normal_ideal(lat, members) -> bool:
     return lu_closure(lat, members) == frozenset(members)
 
 
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a membership matrix."""
+    return rows[np.unique(_row_keys(rows), return_index=True)[1]]
+
+
 def _ideal_rows(lat) -> np.ndarray:
     """Membership matrix of all intersections of principal ideals, ordered
     by (size, members): the principal ideals (the rows of ``leq.T``) closed
     under pairwise intersection.  Every row must be a fixpoint of the
     lower-of-upper closure and, on a finite lattice, principal itself
     (intersections of principal ideals are principal via meets); both are
-    checked.
+    checked.  Intersections are formed and deduplicated a slab at a time.
     """
     principals = lat.leq.T
     rows, size = principals, 0
     while len(rows) > size:
         size = len(rows)
-        meets = (rows[:, None] & rows[None]).reshape(-1, lat.n)
-        rows = meets[np.unique(_row_keys(meets), return_index=True)[1]]
+        rows = _distinct(np.vstack([_distinct((rows[s, None] & rows[None]).reshape(-1, lat.n))
+                                    for s in _slabs(size)]))
     rows = _sorted_rows(rows)
     ensure((_closure_rows(lat, rows) == rows).all(),
            "ideal family member fails the closure fixpoint")

@@ -30,6 +30,8 @@ packed bits.  Each functor keeps its result on its immutable input through
 the lattice module's ``_kept``: the prime frame on the algebra and the upset
 algebra (with its upset family) on the frame, so a pipeline that meets an
 input again reuses what was built; nothing is cached at module level.
+Morphism reports are kept on the morphism, so one amalgamation checks each
+of its morphisms once though several stages require them valid.
 """
 
 from __future__ import annotations
@@ -212,8 +214,12 @@ def check_frame_morphism(m: FrameMorphism) -> FrameMorphismReport:
     When both frames are normal and the map is order-preserving, the
     witness characterization (pi commutes with the map and successor
     preimages match) is evaluated independently and required to agree with
-    the clause-by-clause verdict.
+    the clause-by-clause verdict.  Kept on the morphism.
     """
+    return _kept(m, _build_frame_morphism_report)
+
+
+def _build_frame_morphism_report(m: FrameMorphism) -> FrameMorphismReport:
     src, tgt = m.source, m.target
     f = _indices(m.map, (src.n,), tgt.n, "map")
     # hit[l, u]: f(l) = u, so composing with it takes images

@@ -65,13 +65,13 @@ bits, O(n^2 |J|) work replaces the n^3 cubes of candidates:
   lattice is distributive: were j <= x | y with j below neither, the set
   for (j, j's lower cover), the j' not above j, would contain J(x) and J(y)
   but not j, and so be no J(z): that z would lie above x | y, so above j;
-- the associativity check is J(a & b) = J(a) & J(b) with the rows
-  embedding the order: (a & b) & c and a & (b & c) then have the one row
-  J(a) & J(b) & J(c), and distinct elements distinct rows.
+- the lookup finds meet[a, b] with J(meet[a, b]) = J(a) & J(b), and the
+  rows embed the order, so the table is associative: (a & b) & c and
+  a & (b & c) have the one row J(a) & J(b) & J(c).
 
-Up to ``CUBE_MAX`` elements the cubes cost less than the coordinates' fixed
-numpy overhead and run instead, and so does the comparison of the two sides
-of the adjunction on all triples.
+The meet and join tables come from the coordinates at every size; up to
+``CUBE_MAX`` elements the residual cube ``_greatest`` and the comparison of
+the adjunction's two sides on all triples cost less and run instead.
 
 ``all_lattices`` grows lattices one atom at a time (class counts: OEIS
 A006966; Heitzig & Reinhold, *Counting finite lattices*, 2002).  Removing an
@@ -110,14 +110,14 @@ from .errors import (
 # of a 2-chain into two 6-chains.
 SIZE_MAX = 256
 
-# Up to this many elements the n^3 candidate cubes of `_bound_table` and
-# `_greatest` run instead of the coordinate tables, whose fixed numpy overhead
-# is larger there.  Measured on one core, the coordinate meet and join tables
-# pay off from about 8 elements and the coordinate residual from about 32
-# (Boolean lattices) to 40 (chains, where |J| = n - 1), and the Galois test of
-# residuation (`_residuated`) from about 28; 12 keeps every lattice of the
-# catalogs on the cubes and costs the residual and the residuation test tens
-# of microseconds each between 13 and 40 elements.
+# Up to this many elements `_residual` searches the n^3 cube with `_greatest`
+# and `_residuated` compares the adjunction's two sides on all triples: on one
+# core the coordinates pay off from about 32 (Boolean) to 40 elements (chains)
+# and the Galois test from about 28, and forcing both onto them made
+# `algebra_from_json` 0.1-0.2 ms slower per catalog document.  The meet and
+# join tables come from the coordinates at every size, whose lookup decides
+# associativity too: without their cubes `build_lattice` went 280 -> 199 us per
+# catalog lattice (n <= 5), 287 -> 199 at 7 and 281 -> 206 at 8 elements.
 CUBE_MAX = 12
 
 
@@ -222,35 +222,25 @@ def _irreducible(covers: tuple, n: int, lower: bool = True) -> np.ndarray:
     return np.bincount(covers[1 if lower else 0], minlength=n) == 1
 
 
-def _coordinates(leq: np.ndarray, covers: tuple, lower: bool):
-    """The keys of the coordinate rows of every element, J(x) for meets
-    (``lower``) and M(x), the meet-irreducibles above x, for joins; the key
-    of the intersection of every pair's rows; and whether the rows embed the
-    order: J(a) lies inside J(b), that is J(a) & J(b) = J(a), iff a <= b."""
+def _coordinate_bound_table(leq: np.ndarray, covers: tuple, lower: bool) -> np.ndarray:
+    """All-pairs meets (``lower=True``) or joins, looked up in the
+    coordinates J(x) (for joins M(x), the meet-irreducibles above x).
+
+    Every pair has a meet iff x -> J(x) reflects the order and every
+    J(a) & J(b) is some J(x), which is then the meet; the lookup so decides
+    associativity too (module docstring).  When the test fails, the cube
+    ``_bound_table`` runs, only to name the first pair without a meet (or
+    join).
+    """
     rel = leq if lower else leq.T
     packed = np.packbits(rel[_irreducible(covers, len(rel), lower)].T, axis=-1)
     keys = _keys(packed)
     # the AND of two integer keys is the key of the intersection
     common = (keys[:, None] & keys[None, :] if keys.dtype.kind == "u"
               else _keys(packed[:, None] & packed[None, :]))
-    return keys, common, bool(((common == keys[:, None]) == rel).all())
-
-
-def _coordinate_bound_table(leq: np.ndarray, coords: tuple, lower: bool) -> np.ndarray:
-    """All-pairs meets (``lower=True``) or joins, found in the coordinates
-    ``coords`` that ``_coordinates`` gives for the same side.
-
-    Every pair has a meet iff x -> J(x) reflects the order and every
-    intersection J(a) & J(b) is some J(x); that x is the meet (module
-    docstring).  When the test fails, the cube ``_bound_table`` runs, only to
-    name the first pair without one.  Up to ``CUBE_MAX`` elements the cube
-    costs less and runs alone.
-    """
-    if len(leq) <= CUBE_MAX:
-        return _bound_table(leq, lower)
-    keys, common, embeds = coords
     table, found = _lookup(keys, common)
-    if embeds and found.all():
+    # J(a) lies inside J(b), that is J(a) & J(b) = J(a), iff a <= b
+    if found.all() and ((common == keys[:, None]) == rel).all():
         return table
     return _bound_table(leq, lower)
 
@@ -404,43 +394,29 @@ def build_lattice(leq) -> FiniteLattice:
     n = arr.shape[0]
     if n == 0:
         raise NoBounds("empty carrier has no bounds")
-    coords = [_coordinates(arr, covers, lower) for lower in (True, False)]
-    meet = _coordinate_bound_table(arr, coords[0], lower=True)
-    join = _coordinate_bound_table(arr, coords[1], lower=False)
+    meet = _coordinate_bound_table(arr, covers, lower=True)
+    join = _coordinate_bound_table(arr, covers, lower=False)
     bots = np.flatnonzero(arr.all(axis=1))
     tops = np.flatnonzero(arr.all(axis=0))
     if len(bots) != 1 or len(tops) != 1:
         raise NoBounds("lattice must have a least and a greatest element")
     lat = FiniteLattice(arr.copy(), meet, join, bots[0], tops[0], covers)
-    _check_lattice_laws(lat, coords)
+    _check_lattice_laws(lat)
     return lat
 
 
-def _check_lattice_laws(lat: FiniteLattice, coords: list) -> None:
-    """The lattice laws of ``lat``'s tables; ``coords`` holds the meet and
-    the join coordinates of its order, as ``_coordinates`` gives them."""
+def _check_lattice_laws(lat: FiniteLattice) -> None:
+    """The lattice laws of ``lat``'s tables but associativity, which the
+    lookup that found them decides (``_coordinate_bound_table``)."""
     m, j, n = lat.meet, lat.join, lat.n
     idx = np.arange(n)
     ensure((m == m.T).all() and (j == j.T).all(), "meet/join not commutative")
     ensure((m[idx, idx] == idx).all() and (j[idx, idx] == idx).all(),
            "meet/join not idempotent")
-    # J(a & b) = J(a) & J(b) with x -> J(x) an order embedding: (a & b) & c
-    # and a & (b & c) have one coordinate row, J(a) & J(b) & J(c); dually for
-    # joins
-    ensure(_keeps_coordinates(coords[0], m), "meet not associative")
-    ensure(_keeps_coordinates(coords[1], j), "join not associative")
     ensure((m[idx[:, None], j] == idx[:, None]).all(), "absorption a&(a|b)=a fails")
     ensure((j[idx[:, None], m] == idx[:, None]).all(), "absorption a|(a&b)=a fails")
     ensure((m[lat.bot] == lat.bot).all() and (j[lat.top] == lat.top).all(),
            "bounds do not absorb")
-
-
-def _keeps_coordinates(coords: tuple, table: np.ndarray) -> bool:
-    """Whether the coordinate rows ``coords`` embed the order, so distinct
-    elements have distinct rows, and the row of ``table[a, b]`` is the
-    intersection of the rows of a and b."""
-    keys, common, embeds = coords
-    return embeds and bool((keys[table] == common).all())
 
 
 def distributivity_witness(lat: FiniteLattice):
@@ -617,9 +593,11 @@ def _locate(family: np.ndarray, rows: np.ndarray):
 
 def _inclusion_lattice(rows: np.ndarray) -> FiniteLattice:
     """The lattice of a family of sets under inclusion, from its membership
-    matrix (row i is set i); meet must be intersection (checked)."""
+    matrix (row i is set i); meet must be intersection (checked one slab of
+    first sets at a time, as is the union of ``upset_lattice``)."""
     lat = build_lattice(_subset(rows, rows))
-    ensure((rows[lat.meet] == (rows[:, None, :] & rows[None, :, :])).all(),
+    ensure(all((rows[lat.meet[s]] == (rows[s, None, :] & rows[None, :, :])).all()
+               for s in _slabs(len(rows))),
            "family meet is not intersection")
     return lat
 
@@ -643,7 +621,8 @@ def upset_lattice(poset_leq) -> UpSetFamily:
     """Lattice of all upsets ordered by inclusion; meet is intersection, join union."""
     rows = _upset_rows(validate_partial_order(poset_leq))
     lat = _inclusion_lattice(rows)
-    ensure((rows[lat.join] == (rows[:, None, :] | rows[None, :, :])).all(),
+    ensure(all((rows[lat.join[s]] == (rows[s, None, :] | rows[None, :, :])).all()
+               for s in _slabs(len(rows))),
            "upset join is not union")
     ensure(is_distributive(lat), "upset lattice must be distributive")
     ensure(heyting_table(lat) is not None, "upset lattice must carry pseudocomplements")

@@ -1,0 +1,68 @@
+"""Opt-in sweep of the n^3 oracles behind the checks that table construction
+no longer repeats, on all 1,078 lattices of 9 elements.  Run it by path:
+
+    pytest sweeps -q
+
+``build_lattice`` takes its meet and join tables from the join-irreducible
+coordinates, whose lookup decides associativity; here they must equal the
+cube ``_bound_table`` and pass the slabbed associativity scan.  On every
+distributive lattice the Heyting table, by either route, must equal the cube
+``_greatest``, and the Galois test ``_residuated`` (``CUBE_MAX`` patched to 0
+so that it runs at 9 elements) must agree with the scan of all triples on the
+Heyting pair and on a copy with one arrow entry changed.
+"""
+
+import numpy as np
+import pytest
+
+import nablalg.lattice as lattice
+from nablalg.lattice import (
+    _adjunction_sides,
+    _bound_table,
+    _build_heyting_table,
+    _greatest,
+    _residuated,
+    _slabs,
+    all_lattices,
+    is_distributive,
+)
+
+
+@pytest.fixture(scope="module")
+def nine_lattices():
+    return [lat for lat in all_lattices(9) if lat.n == 9]
+
+
+def slabbed_associative(table):
+    """(a & b) & c against a & (b & c), one slab of first arguments at a time."""
+    return all((table[table[s]] == table[s][:, table]).all() for s in _slabs(len(table)))
+
+
+def test_tables_match_the_cube_and_associate(nine_lattices):
+    assert len(nine_lattices) == 1078
+    for lat in nine_lattices:
+        for table, lower in ((lat.meet, True), (lat.join, False)):
+            assert (table == _bound_table(lat.leq, lower)).all()
+            assert slabbed_associative(table)
+
+
+def test_heyting_tables_and_galois_test(monkeypatch, nine_lattices):
+    rng = np.random.default_rng(9)
+    idx = np.arange(9)
+    distributive = [lat for lat in nine_lattices if is_distributive(lat)]
+    assert len(distributive) == 26     # OEIS A006982
+    for lat in distributive:
+        want, found = _greatest(lat.leq, lat.leq[lat.meet])
+        assert found.all()
+        bad = want.copy()
+        a, b = rng.integers(0, 9, 2)
+        bad[a, b] = (bad[a, b] + rng.integers(1, 9)) % 9
+        for cube_max in (lattice.CUBE_MAX, 0):
+            monkeypatch.setattr(lattice, "CUBE_MAX", cube_max)
+            assert (_build_heyting_table(lat) == want).all()
+        # CUBE_MAX is 0 here, so the Galois test runs
+        for arr, residuated in ((want, True), (bad, False)):
+            left, right = _adjunction_sides(lat, idx, arr)
+            assert bool((left == right).all()) == residuated
+            assert _residuated(lat, idx, arr) == residuated
+        monkeypatch.undo()

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nablalg.lattice import _labeled_posets, build_lattice
+from nablalg.lattice import _labeled_posets, _slabs, build_lattice, upset_lattice
 
 
 def order_from_covers(n, covers):
@@ -56,6 +56,56 @@ def bounded_candidates(n):
     leq[:, :, n - 1] = True
     leq[:, 1:n - 1, 1:n - 1] = mid
     return leq
+
+
+def slabbed_associative(table):
+    """The associativity scan the coordinate lookup replaced, kept as its
+    oracle: (a & b) & c against a & (b & c), one slab of first arguments at
+    a time."""
+    return all((table[table[s]] == table[s][:, table]).all() for s in _slabs(len(table)))
+
+
+def product_order(*leqs):
+    """The componentwise order on the product, first factor most significant."""
+    out = np.ones((1, 1), dtype=bool)
+    for leq in leqs:
+        out = (out[:, None, :, None] & leq[None, :, None, :]).reshape(len(out) * len(leq), -1)
+    return out
+
+
+def relabeled(leq, rng):
+    p = rng.permutation(len(leq))
+    return leq[np.ix_(p, p)]
+
+
+def random_poset(rng, n):
+    """A seeded order on n elements; most are no lattice."""
+    leq = np.eye(n, dtype=bool) | np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.6), 1)
+    for _ in range(n.bit_length()):
+        leq |= (leq.astype(int) @ leq.astype(int)) > 0
+    return relabeled(leq, rng)
+
+
+def closure_lattice(rng, k):
+    """The intersections of seeded subsets of a k-set, with the whole set,
+    under inclusion: a lattice, distributive or not."""
+    fam = np.vstack([rng.random((int(rng.integers(2, 2 * k)), k)) < rng.uniform(0.3, 0.8),
+                     np.ones((1, k), dtype=bool)])
+    size = 0
+    while len(fam) != size:
+        size = len(fam)
+        fam = np.unique(np.vstack([fam, (fam[:, None] & fam[None]).reshape(-1, k)]), axis=0)
+    return relabeled((fam[:, None, :] <= fam[None, :, :]).all(axis=2), rng)
+
+
+def larger_lattices(rng):
+    """Lattices past the catalogs' sizes: closure lattices, upset lattices,
+    products."""
+    orders = [closure_lattice(rng, int(k)) for k in rng.integers(4, 8, 40)]
+    orders += [upset_lattice(random_poset(rng, int(n))).lattice.leq for n in rng.integers(4, 8, 10)]
+    orders += [product_order(diamond().leq, chain_matrix(4)), product_order(pentagon().leq,
+               pentagon().leq), product_order(chain_matrix(3), chain_matrix(7)), chain_matrix(40)]
+    return [build_lattice(relabeled(leq, rng)) for leq in orders]
 
 
 def subsets(universe):

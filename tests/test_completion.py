@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 
 from nablalg.algebra import classify, derive_arrow
 from nablalg.completion import (
     _closure_rows,
+    _ideal_rows,
     dm_complete,
     is_normal_ideal,
     lower_bounds,
@@ -12,6 +15,7 @@ from nablalg.completion import (
 )
 from nablalg.gallery import gen_trivial, gen_xn
 from nablalg.kripke import build_frame, upset_algebra
+from nablalg.lattice import _inclusion_lattice, _slabs, _sorted_rows, build_lattice
 
 from conftest import chain, subsets
 
@@ -209,3 +213,23 @@ def test_lifted_pair_is_unique(small_catalog):
         expected = (tuple(int(v) for v in comp.algebra.nabla),
                     tuple(map(tuple, comp.algebra.arrow.tolist())))
         assert survivors == [expected]
+
+
+def test_ideal_family_forms_no_cube():
+    """On the Boolean 2^8 the normal ideals and their inclusion lattice peak
+    under 8 MB, half of one 256 x 256 x 256 boolean table: the pairwise
+    intersections and the meet check are formed one slab at a time.  The
+    ideals, several slabs of them, are exactly the principal ones."""
+    sets = np.arange(256)
+    lat = build_lattice((sets[:, None] & ~sets[None, :]) == 0)
+    assert len(_slabs(lat.n)) > 1
+    tracemalloc.start()
+    try:
+        rows = _ideal_rows(lat)
+        ideal_lat = _inclusion_lattice(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert (rows == _sorted_rows(lat.leq.T)).all()
+    assert ideal_lat.n == lat.n

@@ -1,14 +1,16 @@
 """The join-irreducible coordinate route and the Galois-connection test of
 residuation against the n^3 cubes they replaced.
 
-Above ``lattice.CUBE_MAX`` elements the meet and join tables
-(``_coordinate_bound_table``), the Heyting table and ``derive_arrow``'s
-residual (``_residual``) are found in coordinates, and the adjunction is
-decided by ``_residuated`` in O(n |covers| + n^2); up to it the cubes
-``_bound_table``, ``_greatest`` and the comparison of the adjunction's two
-sides run.  Each test runs on both sides of that bound (``CUBE_MAX`` patched
-to 0 makes small inputs take the coordinate route) and requires equal tables
-and verdicts, the same exception class with the same witness, or None in the
+The meet and join tables (``_coordinate_bound_table``) are found in
+coordinates at every size, and ``_bound_table`` runs only to name a pair
+without a meet or join; the tests compare the two directly.  Above
+``lattice.CUBE_MAX`` elements the Heyting table and ``derive_arrow``'s
+residual (``_residual``) are found in coordinates too, and the adjunction is
+decided by ``_residuated`` in O(n |covers| + n^2); up to it the cube
+``_greatest`` and the comparison of the adjunction's two sides run.  Each of
+those tests runs on both sides of that bound (``CUBE_MAX`` patched to 0 makes
+small inputs take the coordinate route).  All require equal tables and
+verdicts, the same exception class with the same witness, or None in the
 same cases.  The n^3 cross-checks that lemmas restate are kept here as
 oracles: the slabbed associativity scan, the cube residuation check of the
 Heyting table, the full adjunction scan, and the full-range ``l_alt1`` and
@@ -32,7 +34,6 @@ from nablalg.lattice import (
     _bound_table,
     _build_heyting_table,
     _coordinate_bound_table,
-    _coordinates,
     _greatest,
     _partial_order,
     _residuated,
@@ -40,21 +41,21 @@ from nablalg.lattice import (
     _slabs,
     build_lattice,
     is_distributive,
-    upset_lattice,
 )
 
-from conftest import bounded_candidates, chain_matrix, diamond, pentagon
+from conftest import (
+    bounded_candidates,
+    chain_matrix,
+    larger_lattices,
+    random_poset,
+    relabeled,
+    slabbed_associative,
+)
 
 BOTH_SIDES = pytest.mark.parametrize("cube_max", [0, CUBE_MAX], ids=["coordinates", "default"])
 
 
 # --- the n^3 forms, kept as oracles -------------------------------------------
-
-
-def slabbed_associative(table):
-    """The library's former associativity check: (a & b) & c against
-    a & (b & c), one slab of first arguments at a time."""
-    return all((table[table[s]] == table[s][:, table]).all() for s in _slabs(len(table)))
 
 
 def cube_residuated(lat, table):
@@ -106,44 +107,6 @@ def cube_derive_arrow(lat, nab):
 # --- inputs --------------------------------------------------------------------
 
 
-def relabeled(leq, rng):
-    p = rng.permutation(len(leq))
-    return leq[np.ix_(p, p)]
-
-
-def random_poset(rng, n):
-    """A seeded order on n elements; most are no lattice."""
-    leq = np.eye(n, dtype=bool) | np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.6), 1)
-    for _ in range(n.bit_length()):
-        leq |= (leq.astype(int) @ leq.astype(int)) > 0
-    return relabeled(leq, rng)
-
-
-def closure_lattice(rng, k):
-    """The intersections of seeded subsets of a k-set, with the whole set,
-    under inclusion: a lattice, distributive or not."""
-    fam = np.vstack([rng.random((int(rng.integers(2, 2 * k)), k)) < rng.uniform(0.3, 0.8),
-                     np.ones((1, k), dtype=bool)])
-    size = 0
-    while len(fam) != size:
-        size = len(fam)
-        fam = np.unique(np.vstack([fam, (fam[:, None] & fam[None]).reshape(-1, k)]), axis=0)
-    return relabeled((fam[:, None, :] <= fam[None, :, :]).all(axis=2), rng)
-
-
-def product_order(a, b):
-    return (a[:, None, :, None] & b[None, :, None, :]).reshape(len(a) * len(b), -1)
-
-
-def larger_lattices(rng):
-    """Lattices past CUBE_MAX: closure lattices, upset lattices, products."""
-    orders = [closure_lattice(rng, int(k)) for k in rng.integers(4, 8, 40)]
-    orders += [upset_lattice(random_poset(rng, int(n))).lattice.leq for n in rng.integers(4, 8, 10)]
-    orders += [product_order(diamond().leq, chain_matrix(4)), product_order(pentagon().leq,
-               pentagon().leq), product_order(chain_matrix(3), chain_matrix(7)), chain_matrix(40)]
-    return [build_lattice(relabeled(leq, rng)) for leq in orders]
-
-
 def outcome(fn, *args):
     try:
         out = fn(*args)
@@ -165,42 +128,49 @@ def fresh(lat):
 # --- tables --------------------------------------------------------------------
 
 
-@BOTH_SIDES
-def test_bound_tables_match_cube(monkeypatch, cube_max, seven_lattices):
-    """Every lattice up to 7 elements, every bounded labeled poset up to 6,
-    seeded posets (lattices or not) and larger lattices: the coordinate
-    tables equal the cube's, and a failure names the cube's pair."""
-    monkeypatch.setattr(lattice, "CUBE_MAX", cube_max)
-    rng = np.random.default_rng(31)
+def bound_table_orders(seed, seven_lattices):
+    """Every lattice up to 7 elements (each also relabeled), every bounded
+    labeled poset up to 6 elements, seeded posets of up to 29 elements
+    (lattices or not) and larger lattices."""
+    rng = np.random.default_rng(seed)
     orders = [leq for lat in seven_lattices for leq in (lat.leq, relabeled(lat.leq, rng))]
     orders += [leq for n in range(1, 7) for leq in bounded_candidates(n)]
     orders += [random_poset(rng, int(n)) for n in rng.integers(2, 30, 300)]
-    orders += [lat.leq for lat in larger_lattices(rng)]
+    return orders + [lat.leq for lat in larger_lattices(rng)]
+
+
+# outcome kinds on inputs up to the catalogs' 8 elements and past them
+ALL_KINDS = {(big, kind) for big in (False, True) for kind in ("ok", "NoMeet", "NoJoin")}
+
+
+@BOTH_SIDES
+def test_bound_tables_match_cube(monkeypatch, cube_max, seven_lattices):
+    """The coordinate tables, at every size and on either side of
+    ``CUBE_MAX`` (which no longer routes them), equal the cube's, and a
+    failure names the cube's pair."""
+    monkeypatch.setattr(lattice, "CUBE_MAX", cube_max)
     kinds = set()
-    for leq in orders:
+    for leq in bound_table_orders(31, seven_lattices):
         arr, covers = _partial_order(leq)
         for lower in (True, False):
             want = outcome(_bound_table, arr, lower)
-            coords = _coordinates(arr, covers, lower)
-            assert outcome(_coordinate_bound_table, arr, coords, lower) == want
-            kinds.add((len(arr) > CUBE_MAX, want[0]))
-    assert kinds == {(big, kind) for big in (False, True) for kind in ("ok", "NoMeet", "NoJoin")}
+            assert outcome(_coordinate_bound_table, arr, covers, lower) == want
+            kinds.add((len(arr) > 8, want[0]))
+    assert kinds == ALL_KINDS
 
 
 def test_build_lattice_outcomes_match_cube_route(monkeypatch, seven_lattices):
     """build_lattice, coordinates everywhere against cubes everywhere: the
     same tables, or the same exception class with the same witness."""
-    rng = np.random.default_rng(32)
-    orders = [lat.leq for lat in seven_lattices]
-    orders += [leq for n in range(1, 7) for leq in bounded_candidates(n)]
-    orders += [random_poset(rng, int(n)) for n in rng.integers(2, 30, 300)]
-    orders += [lat.leq for lat in larger_lattices(rng)]
-    for leq in orders:
-        got = {}
-        for cube_max in (0, 10 ** 9):
-            monkeypatch.setattr(lattice, "CUBE_MAX", cube_max)
-            got[cube_max] = outcome(lattice_tables, leq)
-        assert got[0] == got[10 ** 9]
+    kinds = set()
+    for leq in bound_table_orders(32, seven_lattices):
+        got = outcome(lattice_tables, leq)
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "_coordinate_bound_table",
+                          lambda arr, covers, lower: _bound_table(arr, lower))
+            assert outcome(lattice_tables, leq) == got
+        kinds.add((len(leq) > 8, got[0]))
+    assert kinds == ALL_KINDS
 
 
 @BOTH_SIDES

@@ -21,6 +21,7 @@ from nablalg.errors import (
     NotKripkeMorphism,
     NotSurjective,
 )
+import nablalg.algebra as algebra
 import nablalg.kripke as kripke
 from nablalg.gallery import gen_heyting, gen_trivial
 from nablalg.kripke import (
@@ -690,3 +691,31 @@ def test_amalgamation_builds_each_frame_and_upset_algebra_once(monkeypatch):
     res = amalgamate_algebras(a0, a1, a2, f1, f2, heyting=True)
     assert res.b.n == 70
     assert built == {"frames": 3, "upsets": 3}
+
+
+def test_amalgamation_builds_each_morphism_report_once(monkeypatch):
+    """Reports are kept on the morphism: one amalgamation builds one report
+    for each of its 8 algebra morphisms (the legs, the two preimage maps on
+    upsets, the membership embeddings and the composites) and 4 frame
+    morphisms (the prime preimage maps and the projections), though the legs
+    and the projections are required valid at several stages."""
+    checked = {"algebra": [], "frame": []}
+
+    def counted(kind, builder):
+        def run(m):
+            checked[kind].append(m)
+            return builder(m)
+        return run
+
+    monkeypatch.setattr(algebra, "_build_morphism_report",
+                        counted("algebra", algebra._build_morphism_report))
+    monkeypatch.setattr(kripke, "_build_frame_morphism_report",
+                        counted("frame", kripke._build_frame_morphism_report))
+    a0, a1, a2 = gen_heyting(chain(2)), gen_heyting(chain(3)), gen_heyting(chain(4))
+    f1 = AlgebraMorphism(a0, a1, (0, 2), preserves_heyting=True)
+    f2 = AlgebraMorphism(a0, a2, (0, 3), preserves_heyting=True)
+    res = amalgamate_algebras(a0, a1, a2, f1, f2, heyting=True)
+    for kind, count in (("algebra", 8), ("frame", 4)):
+        assert len(checked[kind]) == len({id(m) for m in checked[kind]}) == count
+    assert {id(m) for m in (f1, f2, res.g1, res.g2)} <= {id(m) for m in checked["algebra"]}
+    assert {id(m) for m in res.projections} <= {id(m) for m in checked["frame"]}

@@ -16,7 +16,14 @@ from .algebra import (
 )
 from .congruence import is_simple
 from .errors import NotDistributive, OutOfRange, ensure
-from .lattice import FiniteLattice, all_lattices, build_lattice, heyting_table, is_distributive
+from .lattice import (
+    FiniteLattice,
+    _subset,
+    all_lattices,
+    build_lattice,
+    heyting_table,
+    is_distributive,
+)
 
 XN_MAX = 6
 
@@ -41,11 +48,11 @@ def gen_xn(n: int) -> NablaAlgebra:
     opens.sort(key=lambda s: (len(s), tuple(sorted(s))))
     index = {u: i for i, u in enumerate(opens)}
     k = len(opens)
-    leq = np.zeros((k, k), dtype=bool)
-    for i, a in enumerate(opens):
-        for j, b in enumerate(opens):
-            leq[i, j] = a <= b
-    lat = build_lattice(leq)
+    # member[i, x]: point x lies in open i; the order is inclusion of rows
+    member = np.zeros((k, n + 1), dtype=bool)
+    for i, u in enumerate(opens):
+        member[i, list(u)] = True
+    lat = build_lattice(_subset(member, member))
 
     def shift(x: int) -> int:
         return limit if x in (n, limit) else x + 1

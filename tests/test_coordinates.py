@@ -46,7 +46,9 @@ from nablalg.lattice import (
 from conftest import (
     bounded_candidates,
     chain_matrix,
+    diamond,
     larger_lattices,
+    product_order,
     random_poset,
     relabeled,
     slabbed_associative,
@@ -420,3 +422,174 @@ def test_row_keys_sort_as_rows():
                 == (rows[:, None, :] == rows[None, :, :]).all(axis=2)).all()
         want = sorted(range(len(rows)), key=lambda i: (rows[i].tolist(), i))
         assert np.argsort(keys, kind="stable").tolist() == want
+
+
+# --- the hashed lookup against sort and search ----------------------------------
+
+
+def sort_search(keys, queries):
+    """The lookup by sorting the keys and binary-searching each query, the
+    oracle of the hashed route."""
+    order = np.argsort(keys)
+    pos = order[np.minimum(np.searchsorted(keys[order], queries), len(order) - 1)]
+    return pos, keys[pos] == queries
+
+
+def routes(monkeypatch):
+    """A list that gets the query count of each call that takes the sorted route."""
+    calls, sorted_lookup = [], lattice._sorted_lookup
+    monkeypatch.setattr(lattice, "_sorted_lookup",
+                        lambda keys, queries: calls.append(queries.size)
+                        or sorted_lookup(keys, queries))
+    return calls
+
+
+def assert_lookup_matches(keys, queries):
+    """``_lookup`` gives the oracle's ``found`` mask, and its positions where found."""
+    pos, found = lattice._lookup(keys, queries)
+    want_pos, want_found = sort_search(keys, queries)
+    assert pos.shape == found.shape == queries.shape
+    assert (found == want_found).all()
+    assert (pos[found] == want_pos[found]).all()
+    return found
+
+
+def flip_one_bit(rows, rng):
+    out = rows.copy()
+    out[np.arange(len(rows)), rng.integers(0, rows.shape[1], len(rows))] ^= True
+    return out
+
+
+def uint_keys(rng, n):
+    """n distinct random uint64 keys, big-endian as ``_keys`` gives them."""
+    keys = np.unique(rng.integers(0, 2 ** 64 - 1, 2 * n, dtype=np.uint64, endpoint=True))
+    return rng.permutation(keys)[:n].astype(">u8")
+
+
+def uint_queries(keys, rng, shape):
+    """Keys drawn with repetition, a quarter of them with one bit flipped."""
+    queries = keys[rng.integers(0, len(keys), shape)]
+    flip = rng.random(shape) < 0.25
+    bit = np.left_shift(np.uint64(1), rng.integers(0, 64, shape).astype(np.uint64))
+    return np.where(flip, queries ^ bit, queries).astype(">u8")
+
+
+def row_cases(rng, n, width, shape):
+    """Keys of n distinct random rows of ``width`` bits, and queries of rows
+    drawn from them, a quarter with one bit flipped."""
+    rows = np.unique(rng.random((2 * n, width)) < 0.5, axis=0)
+    rows = rows[rng.permutation(len(rows))[:n]]
+    drawn = rows[rng.integers(0, len(rows), int(np.prod(shape)))]
+    flip = rng.random(len(drawn)) < 0.25
+    drawn[flip] = flip_one_bit(drawn[flip], rng)
+    return _row_keys(rows), _row_keys(drawn.reshape(shape + (width,)))
+
+
+def test_lookup_matches_sort_and_search(monkeypatch):
+    """Random uint64 keys and row keys up to and past 64 bits, with absent
+    queries, on both sides of the query count that selects the route: every
+    query gets the oracle's verdict and, where found, its position."""
+    calls = routes(monkeypatch)
+    rng = np.random.default_rng(41)
+    hm = lattice.HASH_MIN
+    # (key count, query shape): n x n tables, and 1-D queries around HASH_MIN
+    # and around the bound n^2 <= 16 q on the slots
+    cases = [(n, (n, n)) for n in (1, 5, 20, 39, 40, 48, 80)]
+    cases += [(30, (hm - 1,)), (30, (hm,)), (30, (3, hm)), (160, (hm,)), (160, (160 * 160 // 16,))]
+    seen = set()
+    for kind in ("uint", 8, 33, 64, 65, 130, 200):
+        for n, shape in cases:
+            if kind == "uint":
+                keys = uint_keys(rng, n)
+                queries = uint_queries(keys, rng, shape)
+            else:
+                keys, queries = row_cases(rng, n, kind, shape)
+            before = len(calls)
+            found = assert_lookup_matches(keys, queries)
+            hashed = len(calls) == before
+            assert hashed == (queries.size >= hm and len(keys) ** 2 <= 16 * queries.size)
+            seen.add((kind, hashed))
+            if queries.size > 100:
+                assert 0 < found.mean() < 1
+    assert len(seen) == 14
+    # native keys too, and the same positions on a second call
+    keys = uint_keys(rng, 60).astype(np.uint64)
+    queries = uint_queries(keys, rng, (60, 60)).astype(np.uint64)
+    assert_lookup_matches(keys, queries)
+    assert (lattice._lookup(keys, queries)[0] == lattice._lookup(keys, queries)[0]).all()
+
+
+def test_lookup_of_no_queries():
+    rng = np.random.default_rng(42)
+    for keys in (uint_keys(rng, 50), row_cases(rng, 50, 100, (1,))[0]):
+        for queries in (keys[:0], np.empty((0, 7), dtype=keys.dtype)):
+            pos, found = lattice._lookup(keys, queries)
+            assert pos.shape == found.shape == queries.shape
+        pos, found = lattice._lookup(keys[:0], keys[:0])
+        assert pos.shape == found.shape == (0,)
+
+
+def test_lookup_when_no_multiplier_separates_the_keys(monkeypatch):
+    """The hashed route stays exact when no multiplier of the sequence sends
+    the keys to distinct slots: with no multiplier at all, with one that
+    keeps only the high bits of small keys, with equal keys, and with long
+    rows whose fingerprints collide (the mixing step patched to zero leaves
+    a row's last word as its fingerprint).  Where the fingerprints of the
+    keys stay distinct, queries that share a key's fingerprint are still
+    not found."""
+    calls = routes(monkeypatch)
+    rng = np.random.default_rng(43)
+    keys = uint_keys(rng, 50)
+    queries = uint_queries(keys, rng, (50, 50))
+    monkeypatch.setattr(lattice, "_MULTIPLIERS", ())
+    assert_lookup_matches(keys, queries)
+    monkeypatch.setattr(lattice, "_MULTIPLIERS", (1,))
+    small = (keys >> np.uint64(40)).astype(">u8")
+    assert_lookup_matches(small, (queries >> np.uint64(40)).astype(">u8"))
+    assert calls == [2500, 2500]
+    monkeypatch.undo()
+    calls = routes(monkeypatch)
+    assert_lookup_matches(keys[np.arange(50) % 40], queries)
+    assert calls == [2500]
+
+    monkeypatch.setattr(lattice, "_mix", np.zeros_like)
+    rows = rng.random((50, 130)) < 0.5
+    rows[:, -64:] = rows[:1, -64:]            # one last word for all: one fingerprint
+    keys, queries = _row_keys(rows), _row_keys(rows[rng.integers(0, 50, (50, 50))])
+    assert_lookup_matches(keys, queries)
+    assert calls == [2500, 2500]
+    rows = np.unique(rng.random((60, 130)) < 0.5, axis=0)[:50]
+    others = rows[rng.integers(0, 50, (50, 50))]
+    others[..., 0] ^= True                    # same last word, so same fingerprint
+    assert not assert_lookup_matches(_row_keys(rows), _row_keys(others)).any()
+    assert calls == [2500, 2500]
+
+
+def test_tables_on_the_hashed_route(monkeypatch):
+    """Meet, join and Heyting tables of lattices of 40 to 80 elements, whose
+    n^2 lookups take the hashed route (row keys past 64 bits on the longer
+    chains), and the outcomes on orders of that size that are mostly no
+    lattice, with equal coordinate rows, against the cubes."""
+    rng = np.random.default_rng(44)
+    calls = routes(monkeypatch)
+    orders = [chain_matrix(n) for n in (40, 66, 80)] + [boolean_matrix(6)]
+    orders += [product_order(chain_matrix(6), chain_matrix(8)),
+               product_order(diamond().leq, chain_matrix(10))]
+    for leq in orders:
+        lat = build_lattice(relabeled(leq, rng))
+        assert lat.n >= 40
+        for lower in (True, False):
+            table = _coordinate_bound_table(lat.leq, lat.covers, lower)
+            assert (table == _bound_table(lat.leq, lower)).all()
+        want = cube_heyting(lat)
+        got = lattice.heyting_table(fresh(lat))
+        assert (got is None) == (want is None)
+        assert got is None or (got == want).all()
+    assert max(calls) < lattice.HASH_MIN
+    for n in (40, 52, 60):
+        for _ in range(3):
+            leq = random_poset(rng, n)
+            arr, covers = _partial_order(leq)
+            for lower in (True, False):
+                assert (outcome(_coordinate_bound_table, arr, covers, lower)
+                        == outcome(_bound_table, arr, lower))

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from nablalg.algebra import classify, derive_arrow
+from nablalg.cli import main
 from nablalg.congruence import all_congruences_oracle, is_simple
 from nablalg.errors import NotDistributive, OutOfRange
 from nablalg.gallery import (
@@ -25,6 +27,37 @@ def test_gen_xn_sizes_and_flags():
         assert alg.n == size
         assert classify(alg).has("N", "H", "D")
     assert classify(gen_xn(1)).L
+
+
+# sha256 of the stdout of `nablalg gen xn k`, k = 1..6, with the order of the
+# opens built by the k^2 loop of frozenset comparisons
+GEN_XN_STDOUT_SHA256 = {
+    1: "33e8b960b7bd50911c63b0b04aa660f4ab4b2e8322c92da7966e520f80cab074",
+    2: "3c309a072003376326bf21771badd030ab5707b9693e87c47af2f4a47662b6ca",
+    3: "beffbafeefa6f86eb3e8e8fbf73e585c5c483947849a5b7ef2001c8ddedeefc3",
+    4: "4e0a23978b793cb3a0968b58b459223a098c80025daf087ec3a2bb2b2dba8a12",
+    5: "9383738f331634ce7917ce56a5c54c7b1a32daf09f517cd461a2191fa2262c1e",
+    6: "4332e3e00aad4958f715ae1982aa757de1eda28e849a54a484dda15d82d36ae6",
+}
+
+
+def frozenset_loop_order(n):
+    """The inclusion order of gen_xn(n)'s opens, one frozenset comparison per pair."""
+    points = list(range(1, n + 1))
+    opens = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(points, r)]
+    opens.append(frozenset([0] + points))
+    opens.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    return np.array([[a <= b for b in opens] for a in opens], dtype=bool)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_gen_xn_order_matches_the_frozenset_loop(k, capsys):
+    """The order from the membership matrix is the loop's, and the command's
+    stdout is byte for byte what it was with the loop."""
+    assert (gen_xn(k).lat.leq == frozenset_loop_order(k)).all()
+    assert main(["gen", "xn", str(k)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GEN_XN_STDOUT_SHA256[k]
 
 
 def test_gen_xn_one_is_the_x1_fixture(x1):

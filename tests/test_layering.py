@@ -6,7 +6,8 @@ matrix product anywhere else.  The same walk pins each module's ``ensure``
 cross-checks by message, so none is dropped or moved unnoticed.  Results
 derived from a lattice, an algebra or a frame are kept by one helper,
 ``lattice._kept``, in the one private slot each class has; morphisms keep
-their reports the same way, in their one private field.
+their reports the same way, in their one private field.  No module uses
+``numpy.random``, so every lookup and result is deterministic.
 """
 
 import ast
@@ -217,3 +218,43 @@ def test_structures_keep_results_in_one_slot():
         assert private == ["_kept"], f"{cls.__name__} has private slots {private}"
     private = [f.name for f in fields(Morphism) if f.name.startswith("_")]
     assert private == ["_kept"], f"Morphism has private fields {private}"
+
+
+def random_sites(source: str) -> list:
+    """Line of every attribute ``random`` of ``np`` or ``numpy`` and of every
+    import of ``numpy.random`` or of a name from it."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            sites.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(alias.name.split(".")[:2] == ["numpy", "random"] for alias in node.names):
+                sites.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if module[:2] == ["numpy", "random"] or (
+                    module == ["numpy"] and any(alias.name == "random" for alias in node.names)):
+                sites.append(node.lineno)
+    return sorted(sites)
+
+
+def test_random_sites_are_found():
+    source = "\n".join([
+        "import numpy as np",
+        "import numpy.random",
+        "from numpy import random as r",
+        "from numpy.random import default_rng",
+        "def f(n):",
+        "    return np.random.default_rng(0), numpy.random.rand(n), rng.random(n)",
+        "import random",
+    ])
+    assert random_sites(source) == [2, 3, 4, 6, 6]
+
+
+def test_no_random_numbers_in_the_library():
+    """The library draws no random numbers, so every result, and the
+    multipliers of the hashed lookup, are fixed."""
+    src = Path(nablalg.__file__).parent
+    found = {path.name: random_sites(path.read_text()) for path in sorted(src.glob("*.py"))}
+    assert not {name: lines for name, lines in found.items() if lines}

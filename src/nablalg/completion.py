@@ -13,10 +13,21 @@ duality, a family of sets is one k x n boolean membership matrix (row i is
 set i): the closure of every row is two inclusion tests against the order
 (upper bounds, then lower bounds), each one product of the lattice module's
 boolean-relation kernel, and a computed set is looked up among the ideals by
-its packed bits.  On finite carriers the embedding is a bijection; the generic
-construction is still executed in full (upper/lower bound operators, joins
-as closures of unions) so the lifted formulas themselves get exercised,
-rather than shortcutting to the identity.
+its packed bits.  Three facts of a finite lattice (ibid.) give the
+completion directly:
+
+- the normal ideals are the principal ideals, since (a] & (b] = (a & b]:
+  the family is the rows of the order, and it is checked to be closed under
+  pairwise intersection;
+- ub(lu(S)) = ub(S), and a normal ideal is the lower bounds of its upper
+  bounds, so the join of ideals I and J is the ideal whose upper bounds are
+  ub(I) & ub(J); the join table is checked so, with no closure of unions;
+- N is a down-set and meet is monotone, so with M = (g] the defining set of
+  arrow(M, N) is {x : nabla(x) & g in N}, one gather per pair of ideals.
+
+No table is shortcut to the identity: the ideals are formed as sets, every
+lifted nabla, arrow and box is a computed set located among them, and the
+embedding is checked to preserve and reflect the whole signature.
 """
 
 from __future__ import annotations
@@ -37,7 +48,6 @@ from .lattice import (
     _compose,
     _inclusion_lattice,
     _locate,
-    _row_keys,
     _row_sets,
     _slabs,
     _sorted_rows,
@@ -87,31 +97,28 @@ def is_normal_ideal(lat, members) -> bool:
     return lu_closure(lat, members) == frozenset(members)
 
 
-def _distinct(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a membership matrix."""
-    return rows[np.unique(_row_keys(rows), return_index=True)[1]]
-
-
 def _ideal_rows(lat) -> np.ndarray:
-    """Membership matrix of all intersections of principal ideals, ordered
-    by (size, members): the principal ideals (the rows of ``leq.T``) closed
-    under pairwise intersection.  Every row must be a fixpoint of the
-    lower-of-upper closure and, on a finite lattice, principal itself
-    (intersections of principal ideals are principal via meets); both are
-    checked.  Intersections are formed and deduplicated a slab at a time.
+    """Membership matrix of the normal ideals, ordered by (size, members):
+    the principal ideals, the rows of ``leq.T``.  Every row must be a fixpoint
+    of the lower-of-upper closure, and every pairwise intersection one of the
+    rows (checked a slab of first ideals at a time), so that no intersection
+    of principal ideals is missing.
     """
-    principals = lat.leq.T
-    rows, size = principals, 0
-    while len(rows) > size:
-        size = len(rows)
-        rows = _distinct(np.vstack([_distinct((rows[s, None] & rows[None]).reshape(-1, lat.n))
-                                    for s in _slabs(size)]))
-    rows = _sorted_rows(rows)
+    rows = _sorted_rows(lat.leq.T)
     ensure((_closure_rows(lat, rows) == rows).all(),
            "ideal family member fails the closure fixpoint")
-    ensure(_locate(principals, rows)[1].all(),
+    ensure(all(_locate(rows, (rows[s, None] & rows[None]).reshape(-1, lat.n))[1].all()
+               for s in _slabs(len(rows))),
            "normal ideals of a finite lattice must be principal")
     return rows
+
+
+def _is_ideal_join(lat, rows: np.ndarray, join: np.ndarray) -> bool:
+    """Whether ``join[i, j]`` is the join of normal ideals i and j for every
+    pair: its upper bounds must be those of both, ub(lu(I | J)) =
+    ub(I) & ub(J), and a normal ideal is fixed by its upper bounds."""
+    ub = _bound_rows(lat, rows, upper=True)
+    return all((ub[join[s]] == (ub[s, None] & ub[None])).all() for s in _slabs(len(rows)))
 
 
 def normal_ideals(alg: NablaAlgebra) -> list:
@@ -130,7 +137,7 @@ class CompletedAlgebra:
 def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
     """Build the ideal-lattice algebra with the lifted pair and the embedding.
 
-    Every lifted table entry is located through the generic formulas; the
+    Every lifted table entry is a computed set located among the ideals; the
     assembled algebra is re-validated; the embedding is checked to preserve
     the signature (plus the Heyting table when present), to be injective,
     to transport every property flag, and, the carrier being finite, to be
@@ -140,26 +147,23 @@ def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
     rows = _ideal_rows(lat)
     k = len(rows)
     ideal_lat = _inclusion_lattice(rows)
-    # here and in the lifted arrow, a slab of first ideals at a time, so no
-    # k x k x n table of unions or sets is held whole (k = n, checked below)
-    ensure(all((rows[ideal_lat.join[s].ravel()]
-                == _closure_rows(lat, (rows[s, None] | rows[None]).reshape(-1, n))).all()
-               for s in _slabs(k)),
-           "ideal join must be the closure of the union")
+    ensure(_is_ideal_join(lat, rows, ideal_lat.join), "ideal join must be the closure of the union")
+    emb_arr, emb_found = _locate(rows, lat.leq.T)
+    gen = np.argsort(emb_arr)     # gen[i]: the element whose principal ideal is ideal i
 
     # nabla(N): the closure of the OR of the principal ideals of nabla over N
     image = _compose(rows, lat.leq.T[alg.nabla])
     nab_tab, found = _locate(rows, _closure_rows(lat, image))
     ensure(found.all(), "lifted nabla must land on a normal ideal")
 
-    # arrow(M, N): the x for which every m in M has nabla(x) & m in N; row
-    # (j, x) of the right-hand side holds the m with nabla(x) & m in ideal j
+    # arrow((g], N) = {x : nabla(x) & g in N}: row (j, i) gathers ideal j at
+    # meets[i], a slab of ideals N at a time, so no k x k x n table is held
+    meets = lat.meet[gen][:, alg.nabla]
     arrow_tab = np.zeros((k, k), dtype=np.int64)
     found = True
     for s in _slabs(k):
-        arrow = _subset(rows, rows[s][:, lat.meet[alg.nabla]].reshape(-1, n))
-        pos, hit = _locate(rows, arrow.reshape(-1, n))
-        arrow_tab[:, s] = pos.reshape(k, -1)
+        pos, hit = _locate(rows, rows[s].take(meets, axis=1).reshape(-1, n))
+        arrow_tab[:, s] = pos.reshape(-1, k).T
         found = found and hit.all()
     ensure(found, "lifted arrow must land on a normal ideal")
 
@@ -168,12 +172,11 @@ def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
     ensure(found.all() and (completed.box == box_tab).all(),
            "lifted box must be the nabla preimage")
 
-    emb_arr, found = _locate(rows, lat.leq.T)
     profile = classify(alg)
     morphism = AlgebraMorphism(source=alg, target=completed, map=tuple(emb_arr.tolist()),
                                preserves_heyting=profile.H)
     rep = check_morphism(morphism)
-    ensure(found.all() and rep.ok and rep.injective, "canonical embedding must be an embedding")
+    ensure(emb_found.all() and rep.ok and rep.injective, "canonical embedding must be an embedding")
     ensure((~lat.leq == ~ideal_lat.leq[emb_arr[:, None], emb_arr[None, :]]).all(),
            "canonical embedding must reflect order")
     lifted = classify(completed)

@@ -50,7 +50,7 @@ from .errors import (
     Trivial,
     ensure,
 )
-from .lattice import _compose, _greatest, _row_keys
+from .lattice import _compose, _greatest
 
 ORACLE_BOUND = 10
 
@@ -256,8 +256,8 @@ def all_congruences_oracle(alg: NablaAlgebra) -> list:
     found, seen = [], set()
 
     def add(rels):
-        for key, rel in zip(_row_keys(rels.reshape(len(rels), n * n)), rels):
-            key = key.tobytes()
+        for rel in rels:
+            key = rel.tobytes()
             if key not in seen:
                 seen.add(key)
                 found.append(rel)

@@ -4,8 +4,9 @@ no longer repeats, on all 1,078 lattices of 9 elements.  Run it by path:
     pytest sweeps -q
 
 ``build_lattice`` takes its meet and join tables from the join-irreducible
-coordinates, whose lookup decides associativity; here they must equal the
-cube ``_bound_table`` and pass the slabbed associativity scan.  On every
+coordinates, whose lookup finds true meets and joins; here they must equal
+the cube ``_bound_table``, pass the slabbed associativity scan and satisfy
+the other lattice laws, which ``build_lattice`` no longer checks.  On every
 distributive lattice the Heyting table, by either route, must equal the cube
 ``_greatest``, and the Galois test ``_residuated`` (``CUBE_MAX`` patched to 0
 so that it runs at 9 elements) must agree with the scan of all triples on the
@@ -44,6 +45,17 @@ def test_tables_match_the_cube_and_associate(nine_lattices):
         for table, lower in ((lat.meet, True), (lat.join, False)):
             assert (table == _bound_table(lat.leq, lower)).all()
             assert slabbed_associative(table)
+
+
+def test_tables_satisfy_the_lattice_laws(nine_lattices):
+    idx = np.arange(9)
+    for lat in nine_lattices:
+        m, j = lat.meet, lat.join
+        assert (m == m.T).all() and (j == j.T).all()
+        assert (m[idx, idx] == idx).all() and (j[idx, idx] == idx).all()
+        assert (m[idx[:, None], j] == idx[:, None]).all()
+        assert (j[idx[:, None], m] == idx[:, None]).all()
+        assert (m[lat.bot] == lat.bot).all() and (j[lat.top] == lat.top).all()
 
 
 def test_heyting_tables_and_galois_test(monkeypatch, nine_lattices):

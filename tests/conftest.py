@@ -65,6 +65,21 @@ def slabbed_associative(table):
     return all((table[table[s]] == table[s][:, table]).all() for s in _slabs(len(table)))
 
 
+def lattice_law_failures(lat):
+    """The lattice laws, but associativity, that fail on ``lat``'s tables, by
+    the messages of the checks ``build_lattice`` ran before its lookup was
+    known to find true meets and joins."""
+    m, j, idx = lat.meet, lat.join, np.arange(lat.n)
+    laws = {
+        "meet/join not commutative": (m == m.T).all() and (j == j.T).all(),
+        "meet/join not idempotent": (m[idx, idx] == idx).all() and (j[idx, idx] == idx).all(),
+        "absorption a&(a|b)=a fails": (m[idx[:, None], j] == idx[:, None]).all(),
+        "absorption a|(a&b)=a fails": (j[idx[:, None], m] == idx[:, None]).all(),
+        "bounds do not absorb": (m[lat.bot] == lat.bot).all() and (j[lat.top] == lat.top).all(),
+    }
+    return [name for name, holds in laws.items() if not holds]
+
+
 def product_order(*leqs):
     """The componentwise order on the product, first factor most significant."""
     out = np.ones((1, 1), dtype=bool)

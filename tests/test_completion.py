@@ -1,11 +1,13 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from nablalg.algebra import classify, derive_arrow
 from nablalg.completion import (
     _closure_rows,
     _ideal_rows,
+    _is_ideal_join,
     dm_complete,
     is_normal_ideal,
     lower_bounds,
@@ -13,11 +15,22 @@ from nablalg.completion import (
     normal_ideals,
     upper_bounds,
 )
-from nablalg.gallery import gen_trivial, gen_xn
+from nablalg.errors import CrossCheckError
+from nablalg.gallery import gen_heyting, gen_trivial, gen_xn
 from nablalg.kripke import build_frame, upset_algebra
-from nablalg.lattice import _inclusion_lattice, _slabs, _sorted_rows, build_lattice
+from nablalg.lattice import (
+    FiniteLattice,
+    _inclusion_lattice,
+    _locate,
+    _partial_order,
+    _row_keys,
+    _slabs,
+    _sorted_rows,
+    _subset,
+    build_lattice,
+)
 
-from conftest import chain, subsets
+from conftest import chain, order_from_covers, subsets
 
 
 # --- independent oracles: closures, ideals and lifted tables over frozensets ---
@@ -66,6 +79,94 @@ def oracle_dm_complete(alg):
         "box": [index[frozenset(x for x in range(lat.n) if nab[x] in b)] for b in ideals],
         "embedding": tuple(index[lat.downset_of(x)] for x in range(lat.n)),
     }
+
+
+def boolean_256():
+    sets = np.arange(256)
+    return build_lattice((sets[:, None] & ~sets[None, :]) == 0)
+
+
+# --- the generic routes the characterizations replaced, kept as oracles ------
+
+
+def fixpoint_ideal_rows(lat):
+    """The principal ideals closed under pairwise intersection by a fixpoint,
+    each round deduplicated, in (size, members) order."""
+    def distinct(rows):
+        return rows[np.unique(_row_keys(rows), return_index=True)[1]]
+
+    rows, size = lat.leq.T, 0
+    while len(rows) > size:
+        size = len(rows)
+        rows = distinct(np.vstack([distinct((rows[s, None] & rows[None]).reshape(-1, lat.n))
+                                   for s in _slabs(size)]))
+    return _sorted_rows(rows)
+
+
+def is_closure_join(lat, rows, join):
+    """Whether each ``join[i, j]`` is the closure of the union of ideals i and j."""
+    n = lat.n
+    return all((rows[join[s].ravel()]
+                == _closure_rows(lat, (rows[s, None] | rows[None]).reshape(-1, n))).all()
+               for s in _slabs(len(rows)))
+
+
+def subset_arrow(alg, rows):
+    """The lifted arrow over every member of M: row (j, x) holds the m with
+    nabla(x) & m in ideal j, and arrow(M, N_j) is the x whose row holds M."""
+    lat, k, n = alg.lat, len(rows), alg.n
+    table = np.zeros((k, k), dtype=np.int64)
+    for s in _slabs(k):
+        arrow = _subset(rows, rows[s][:, lat.meet[alg.nabla]].reshape(-1, n))
+        pos, found = _locate(rows, arrow.reshape(-1, n))
+        assert found.all()
+        table[:, s] = pos.reshape(k, -1)
+    return table
+
+
+@pytest.mark.parametrize("make", [boolean_256, lambda: chain(256)], ids=["boolean", "chain"])
+def test_characterizations_match_the_generic_routes(make):
+    """On the Heyting Boolean 2^8 and 256-chain, whose ideals fill several
+    slabs: the principal ideals are the intersection fixpoint, the
+    upper-bound join check and the closure of unions give one verdict, also
+    on a join table with two entries swapped, and the generator arrow is the
+    arrow over every member of M."""
+    alg = gen_heyting(make())
+    lat = alg.lat
+    rows = _ideal_rows(lat)
+    assert len(_slabs(len(rows))) > 1
+    assert (rows == fixpoint_ideal_rows(lat)).all()
+    comp = dm_complete(alg)
+    join = comp.algebra.lat.join
+    assert _is_ideal_join(lat, rows, join) and is_closure_join(lat, rows, join)
+    bad = join.copy()
+    bad[0, 1], bad[0, 2] = join[0, 2], join[0, 1]
+    assert bad[0, 1] != join[0, 1]
+    assert not _is_ideal_join(lat, rows, bad) and not is_closure_join(lat, rows, bad)
+    assert (comp.algebra.arrow == subset_arrow(alg, rows)).all()
+
+
+def test_ideals_of_a_meetless_order_are_refused():
+    """Two tops above the same two atoms: the principal ideals of 3 and 4
+    meet in {0, 1, 2}, which is no principal ideal."""
+    leq, covers = _partial_order(order_from_covers(5, [(0, 1), (0, 2), (1, 3), (2, 3),
+                                                      (1, 4), (2, 4)]))
+    zeros = np.zeros((5, 5), dtype=np.int64)
+    with pytest.raises(CrossCheckError, match="normal ideals of a finite lattice must be principal"):
+        _ideal_rows(FiniteLattice(leq, zeros, zeros, 0, 3, covers))
+
+
+def test_completion_peak_memory():
+    """On the Heyting Boolean 2^8 one completion peaks under 8 MB: no
+    k x k x n table is held whole."""
+    alg = gen_heyting(boolean_256())
+    tracemalloc.start()
+    try:
+        dm_complete(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def assert_matches_oracle(alg):
@@ -220,8 +321,7 @@ def test_ideal_family_forms_no_cube():
     under 8 MB, half of one 256 x 256 x 256 boolean table: the pairwise
     intersections and the meet check are formed one slab at a time.  The
     ideals, several slabs of them, are exactly the principal ones."""
-    sets = np.arange(256)
-    lat = build_lattice((sets[:, None] & ~sets[None, :]) == 0)
+    lat = boolean_256()
     assert len(_slabs(lat.n)) > 1
     tracemalloc.start()
     try:

@@ -25,7 +25,7 @@ import pytest
 import nablalg.algebra as algebra
 import nablalg.lattice as lattice
 from nablalg.algebra import build_algebra, classify, derive_arrow
-from nablalg.errors import AdjunctionFailure, CrossCheckError, NablalgError
+from nablalg.errors import AdjunctionFailure, CrossCheckError, NablalgError, NoMeet
 from nablalg.gallery import gen_heyting, gen_xn
 from nablalg.lattice import (
     CUBE_MAX,
@@ -35,6 +35,8 @@ from nablalg.lattice import (
     _build_heyting_table,
     _coordinate_bound_table,
     _greatest,
+    _irreducible,
+    _lookup,
     _partial_order,
     _residuated,
     _row_keys,
@@ -48,6 +50,7 @@ from conftest import (
     chain_matrix,
     diamond,
     larger_lattices,
+    order_from_covers,
     product_order,
     random_poset,
     relabeled,
@@ -173,6 +176,25 @@ def test_build_lattice_outcomes_match_cube_route(monkeypatch, seven_lattices):
             assert outcome(lattice_tables, leq) == got
         kinds.add((len(leq) > 8, got[0]))
     assert kinds == ALL_KINDS
+
+
+def test_equal_coordinate_rows_fall_back_to_the_cube():
+    """Two tops above the same two atoms share the join-irreducible row
+    {1, 2}, so every intersection of rows is found; the order is not
+    reflected, and the looked-up table shows it on its diagonal, where the
+    shared row is found at one of the tops only.  The cube route then names
+    the pair without a meet."""
+    leq = order_from_covers(5, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
+    arr, covers = _partial_order(leq)
+    keys = _row_keys(arr[_irreducible(covers, 5)].T)
+    table, found = _lookup(keys, keys[:, None] & keys[None, :])
+    assert keys[3] == keys[4] and found.all()
+    assert (table.diagonal() != np.arange(5)).any()
+    with pytest.raises(NoMeet) as cube:
+        _bound_table(arr, lower=True)
+    with pytest.raises(NoMeet) as e:
+        build_lattice(leq)
+    assert e.value.witness == cube.value.witness == (3, 4)
 
 
 @BOTH_SIDES

@@ -54,6 +54,7 @@ from conftest import (
     chain_matrix,
     diamond,
     larger_lattices,
+    lattice_law_failures,
     order_from_covers,
     pentagon,
     product_order,
@@ -312,6 +313,31 @@ def test_sliced_associativity_matches_cube_oracle():
         for x, y, z in ((p, q, r), (q, r, p), (p, r, q)):
             bad[x, y] = bad[y, x] = z
         assert not cube_associative(bad) and not slabbed_associative(bad)
+
+
+def test_lattice_laws_hold_on_built_tables():
+    """build_lattice does not re-check the lattice laws: the lookup that finds
+    its tables finds true meets and joins.  Every table it returns satisfies
+    them, for every lattice up to 8 elements, seeded larger lattices and the
+    140-chain; and each law's check fails on a 3-chain table that breaks it."""
+    rng = np.random.default_rng(44)
+    for lat in [*all_lattices(8), *larger_lattices(rng), chain(140)]:
+        assert lattice_law_failures(lat) == []
+    lat = chain(3)
+
+    def broken(meet=(), join=(), bot=0):
+        tables = lat.meet.copy(), lat.join.copy()
+        for table, entries in zip(tables, (meet, join)):
+            for a, b, value in entries:
+                table[a, b] = value
+        return lattice_law_failures(FiniteLattice(lat.leq.copy(), *tables, bot, lat.top,
+                                                  lat.covers))
+
+    assert "meet/join not commutative" in broken(meet=[(0, 1, 1)])
+    assert "meet/join not idempotent" in broken(meet=[(1, 1, 0)])
+    assert "absorption a&(a|b)=a fails" in broken(meet=[(1, 2, 0), (2, 1, 0)])
+    assert "absorption a|(a&b)=a fails" in broken(join=[(1, 0, 2), (0, 1, 2)])
+    assert "bounds do not absorb" in broken(bot=1)
 
 
 def test_kept_builders_run_once_per_lattice(monkeypatch):
@@ -833,10 +859,3 @@ def test_lattice_iso_finds_relabelings():
 
 def test_lattice_iso_distinguishes_pentagon_diamond():
     assert lattice_iso(pentagon(), diamond()) is None
-
-
-def test_absorption_on_catalog(small_lattices):
-    for lat in small_lattices:
-        idx = np.arange(lat.n)
-        assert (lat.meet[idx[:, None], lat.join] == idx[:, None]).all()
-        assert (lat.join[idx[:, None], lat.meet] == idx[:, None]).all()

@@ -160,16 +160,11 @@ ENSURES = {
         "witness characterization of frame morphisms disagrees with the clauses",
     ],
     "lattice.py": [
-        "absorption a&(a|b)=a fails",
-        "absorption a|(a&b)=a fails",
         "an admissible new atom must leave a lattice",
-        "bounds do not absorb",
         "distributivity characterizations disagree",
         "enumerated set is not a prime filter",
         "family meet is not intersection",
         "lattices with distinct canonical forms must not be isomorphic",
-        "meet/join not commutative",
-        "meet/join not idempotent",
         "prime filter count must match join-irreducibles on distributive lattices",
         "pseudocomplement not residuated",
         "pseudocomplements exist iff distributive",

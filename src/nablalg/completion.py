@@ -17,11 +17,12 @@ its packed bits.  Three facts of a finite lattice (ibid.) give the
 completion directly:
 
 - the normal ideals are the principal ideals, since (a] & (b] = (a & b]:
-  the family is the rows of the order, and it is checked to be closed under
-  pairwise intersection;
+  the family is the rows of the order;
 - ub(lu(S)) = ub(S), and a normal ideal is the lower bounds of its upper
   bounds, so the join of ideals I and J is the ideal whose upper bounds are
-  ub(I) & ub(J); the join table is checked so, with no closure of unions;
+  ub(I) & ub(J): the lattice module's ``_family_lattice`` looks the meets
+  up among the ideals and the joins among their upper bounds, and fails
+  unless every pairwise intersection is an ideal;
 - N is a down-set and meet is monotone, so with M = (g] the defining set of
   arrow(M, N) is {x : nabla(x) & g in N}, one gather per pair of ideals.
 
@@ -46,8 +47,9 @@ from .algebra import (
 from .errors import ensure
 from .lattice import (
     _compose,
-    _inclusion_lattice,
+    _family_lattice,
     _locate,
+    _member_row,
     _row_sets,
     _slabs,
     _sorted_rows,
@@ -75,55 +77,38 @@ def _closure_rows(lat, rows: np.ndarray) -> np.ndarray:
     return _bound_rows(lat, _bound_rows(lat, rows, upper=True), upper=False)
 
 
-def _as_row(lat, members) -> np.ndarray:
-    row = np.zeros((1, lat.n), dtype=bool)
-    row[0, list(members)] = True
-    return row
-
-
 def upper_bounds(lat, members) -> frozenset:
-    return _row_sets(_bound_rows(lat, _as_row(lat, members), upper=True))[0]
+    return _row_sets(_bound_rows(lat, _member_row(lat.n, members)[None], upper=True))[0]
 
 
 def lower_bounds(lat, members) -> frozenset:
-    return _row_sets(_bound_rows(lat, _as_row(lat, members), upper=False))[0]
+    return _row_sets(_bound_rows(lat, _member_row(lat.n, members)[None], upper=False))[0]
 
 
 def lu_closure(lat, members) -> frozenset:
-    return _row_sets(_closure_rows(lat, _as_row(lat, members)))[0]
+    return _row_sets(_closure_rows(lat, _member_row(lat.n, members)[None]))[0]
 
 
 def is_normal_ideal(lat, members) -> bool:
     return lu_closure(lat, members) == frozenset(members)
 
 
-def _ideal_rows(lat) -> np.ndarray:
-    """Membership matrix of the normal ideals, ordered by (size, members):
-    the principal ideals, the rows of ``leq.T``.  Every row must be a fixpoint
-    of the lower-of-upper closure, and every pairwise intersection one of the
-    rows (checked a slab of first ideals at a time), so that no intersection
-    of principal ideals is missing.
-    """
+def _ideal_rows(lat):
+    """Membership matrices of the principal ideals, ordered by (size,
+    members), and of their upper bounds; every ideal must be the lower bounds
+    of its upper bounds."""
     rows = _sorted_rows(lat.leq.T)
-    ensure((_closure_rows(lat, rows) == rows).all(),
-           "ideal family member fails the closure fixpoint")
-    ensure(all(_locate(rows, (rows[s, None] & rows[None]).reshape(-1, lat.n))[1].all()
-               for s in _slabs(len(rows))),
-           "normal ideals of a finite lattice must be principal")
-    return rows
-
-
-def _is_ideal_join(lat, rows: np.ndarray, join: np.ndarray) -> bool:
-    """Whether ``join[i, j]`` is the join of normal ideals i and j for every
-    pair: its upper bounds must be those of both, ub(lu(I | J)) =
-    ub(I) & ub(J), and a normal ideal is fixed by its upper bounds."""
     ub = _bound_rows(lat, rows, upper=True)
-    return all((ub[join[s]] == (ub[s, None] & ub[None])).all() for s in _slabs(len(rows)))
+    ensure((_bound_rows(lat, ub, upper=False) == rows).all(),
+           "ideal family member fails the closure fixpoint")
+    return rows, ub
 
 
 def normal_ideals(alg: NablaAlgebra) -> list:
-    """All intersections of principal ideals, canonically ordered."""
-    return [NormalIdeal(alg, members) for members in _row_sets(_ideal_rows(alg.lat))]
+    """All intersections of principal ideals, canonically ordered: the
+    principal ideals, each checked closed (``dm_complete`` checks that no
+    intersection is missing)."""
+    return [NormalIdeal(alg, members) for members in _row_sets(_ideal_rows(alg.lat)[0])]
 
 
 @dataclass(frozen=True)
@@ -144,10 +129,11 @@ def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
     onto.
     """
     lat, n = alg.lat, alg.n
-    rows = _ideal_rows(lat)
+    rows, ub = _ideal_rows(lat)
     k = len(rows)
-    ideal_lat = _inclusion_lattice(rows)
-    ensure(_is_ideal_join(lat, rows, ideal_lat.join), "ideal join must be the closure of the union")
+    ideal_lat = _family_lattice(rows, ub)
+    ensure(ideal_lat is not None,
+           "normal ideals must be principal, with the upper-bound intersections as joins")
     emb_arr, emb_found = _locate(rows, lat.leq.T)
     gen = np.argsort(emb_arr)     # gen[i]: the element whose principal ideal is ideal i
 

@@ -50,7 +50,7 @@ from .errors import (
     Trivial,
     ensure,
 )
-from .lattice import _compose, _greatest
+from .lattice import _compose, _greatest, _member_row
 
 ORACLE_BOUND = 10
 
@@ -126,9 +126,7 @@ def _modal_filter_rows(alg: NablaAlgebra, rows: np.ndarray) -> np.ndarray:
 
 def is_modal_filter(alg: NablaAlgebra, members) -> bool:
     """Contains top, upward closed, closed under meet, nabla and box."""
-    inside = np.zeros((1, alg.n), dtype=bool)
-    inside[0, list(members)] = True
-    return bool(_modal_filter_rows(alg, inside)[0])
+    return bool(_modal_filter_rows(alg, _member_row(alg.n, members)[None])[0])
 
 
 def _greatest_fixpoints(alg: NablaAlgebra) -> np.ndarray:
@@ -154,6 +152,7 @@ def modal_filter_closure(alg: NablaAlgebra, seed) -> ModalFilter:
     fixpoint of nabla below the meet of the seed."""
     _require_normal(alg)
     lat = alg.lat
+    seed = np.flatnonzero(_member_row(alg.n, seed))
     f = ModalFilter(alg, lat.upset_of(_greatest_fixpoints(alg)[lat.meet_all(seed)]))
     ensure(is_modal_filter(alg, f.members), "closure must produce a modal filter")
     return f

@@ -18,7 +18,8 @@ from .congruence import is_simple
 from .errors import NotDistributive, OutOfRange, ensure
 from .lattice import (
     FiniteLattice,
-    _subset,
+    _family_lattice,
+    _locate,
     all_lattices,
     build_lattice,
     heyting_table,
@@ -41,36 +42,27 @@ def gen_xn(n: int) -> NablaAlgebra:
     if not 1 <= n <= XN_MAX:
         raise OutOfRange(f"n must be in 1..{XN_MAX}")
     limit = 0  # the extra non-isolated point
-    points = list(range(1, n + 1))
-    opens = [frozenset(c) for r in range(n + 1)
-             for c in itertools.combinations(points, r)]
-    opens.append(frozenset([limit] + points))
-    opens.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    index = {u: i for i, u in enumerate(opens)}
-    k = len(opens)
-    # member[i, x]: point x lies in open i; the order is inclusion of rows
-    member = np.zeros((k, n + 1), dtype=bool)
-    for i, u in enumerate(opens):
-        member[i, list(u)] = True
-    lat = build_lattice(_subset(member, member))
-
-    def shift(x: int) -> int:
-        return limit if x in (n, limit) else x + 1
-
-    nabla = np.zeros(k, dtype=np.int64)
-    full = frozenset([limit] + points)
-    for i, u in enumerate(opens):
-        pre = frozenset(x for x in full if shift(x) in u)
-        nabla[i] = index[pre]
+    points = range(1, n + 1)
+    opens = sorted([c for r in range(n + 1) for c in itertools.combinations(points, r)]
+                   + [(limit, *points)], key=lambda c: (len(c), c))
+    # member[i, x]: point x lies in open i; the order is inclusion of rows,
+    # and the opens are closed under union, so the complements give the joins
+    member = np.array([[x in u for x in range(n + 1)] for u in opens])
+    lat = _family_lattice(member, ~member)
+    ensure(lat is not None, "the opens must be closed under intersection and union")
+    # nabla(U) = {x : shift(x) in U}, with shift(n) = shift(limit) = limit
+    shift = np.array([limit, *range(2, n + 1), limit])
+    nabla, found = _locate(member, member[:, shift])
+    ensure(found.all(), "shift preimages of opens must be open")
     arrow = derive_arrow(lat, nabla)
     ensure(arrow is not None, "shift preimage must admit a residuated arrow")
     alg = build_algebra(lat, nabla, arrow)
     profile = classify(alg)
     ensure(profile.has("N", "H", "D"), "shift algebra must be normal distributive Heyting")
-    power = np.arange(k)
+    power = np.arange(lat.n)
     for _ in range(n):
         power = alg.nabla[power]
-    ensure(all(int(power[u]) == lat.bot for u in range(k) if u != lat.top),
+    ensure(all(int(power[u]) == lat.bot for u in range(lat.n) if u != lat.top),
            "n-fold nabla must annihilate every non-top element")
     ensure(is_simple(alg).flag, "shift algebra must be simple")
     return alg

@@ -70,6 +70,12 @@ bits, O(n^2 |J|) work replaces the n^3 cubes of candidates:
   rows embed the order, so the table is associative: (a & b) & c and
   a & (b & c) have the one row J(a) & J(b) & J(c).
 
+The first argument holds for any rows that embed the order
+(``_intersection_table``).  A family of sets closed under intersection is its
+own meet coordinates, and co-rows that reverse inclusion and are closed under
+intersection give its joins (``_family_lattice``): the complements of a family
+closed under union, or the upper bounds of the normal ideals.
+
 The meet and join tables come from the coordinates at every size; up to
 ``CUBE_MAX`` elements the residual cube ``_greatest`` and the comparison of
 the adjunction's two sides on all triples cost less and run instead.  Every
@@ -226,29 +232,32 @@ def _irreducible(covers: tuple, n: int, lower: bool = True) -> np.ndarray:
     return np.bincount(covers[1 if lower else 0], minlength=n) == 1
 
 
-def _coordinate_bound_table(leq: np.ndarray, covers: tuple, lower: bool) -> np.ndarray:
-    """All-pairs meets (``lower=True``) or joins, looked up in the
-    coordinates J(x) (for joins M(x), the meet-irreducibles above x).
-
-    Every pair has a meet iff x -> J(x) reflects the order and every
-    J(a) & J(b) is some J(x), which is then the meet; the lookup so decides
-    associativity too (module docstring).  When the test fails, the cube
-    ``_bound_table`` runs, only to name the first pair without a meet (or
-    join).
-    """
-    rel = leq if lower else leq.T
-    packed = np.packbits(rel[_irreducible(covers, len(rel), lower)].T, axis=-1)
+def _intersection_table(rows: np.ndarray, rel: np.ndarray):
+    """``table[a, b]``, the x whose row is rows[a] & rows[b], or None when
+    some intersection is no row or the rows do not reflect the order ``rel``;
+    rows that embed ``rel`` so give its meets (module docstring)."""
+    packed = np.packbits(rows, axis=-1)
     keys = _keys(packed)
     # the AND of two integer keys is the key of the intersection
     common = (keys[:, None] & keys[None, :] if keys.dtype.kind == "u"
               else _keys(packed[:, None] & packed[None, :]))
     table, found = _lookup(keys, common)
-    # J(a) lies inside J(b), that is J(a) & J(b) = J(a), iff a <= b; read off
-    # the table, this also fails where two elements share a row, since the
-    # lookup finds that row at one of them only
+    # row a lies inside row b, that is rows[a] & rows[b] = rows[a], iff a rel
+    # b; read off the table, this also fails where two elements share a row,
+    # since the lookup finds that row at one of them only
     if found.all() and ((table == np.arange(len(rel))[:, None]) == rel).all():
         return table
-    return _bound_table(leq, lower)
+    return None
+
+
+def _coordinate_bound_table(leq: np.ndarray, covers: tuple, lower: bool) -> np.ndarray:
+    """All-pairs meets (``lower=True``) or joins, looked up in the
+    coordinates J(x) (for joins M(x), the meet-irreducibles above x); only
+    when the lookup fails does the cube ``_bound_table`` run, to name the
+    first pair without a meet (or join)."""
+    rel = leq if lower else leq.T
+    table = _intersection_table(rel[_irreducible(covers, len(rel), lower)].T, rel)
+    return _bound_table(leq, lower) if table is None else table
 
 
 def _residual(lat: FiniteLattice, nab: np.ndarray):
@@ -475,10 +484,21 @@ def _join_primes(lat: FiniteLattice) -> list[int]:
     return np.flatnonzero((most == size) & (size > 0)).tolist()
 
 
+def _member_row(n: int, members) -> np.ndarray:
+    """The boolean row of length n that marks ``members``; a member outside
+    0..n-1 raises ``ShapeError``, where numpy would wrap a negative one around."""
+    idx = np.fromiter(members, dtype=np.intp)
+    outside = idx[(idx < 0) | (idx >= n)]
+    if len(outside):
+        raise ShapeError(f"member {outside[0]} is not an element index 0..{n - 1}")
+    row = np.zeros(n, dtype=bool)
+    row[idx] = True
+    return row
+
+
 def is_prime_filter(lat: FiniteLattice, members) -> bool:
     """Upward-closed, meet-closed (so contains top), excludes bot, join-prime."""
-    s = np.zeros(lat.n, dtype=bool)
-    s[list(members)] = True
+    s = _member_row(lat.n, members)
     upward = (lat.leq[s] <= s).all()
     meets = s[lat.meet[np.ix_(s, s)]].all()
     prime = (s[lat.join] <= (s[:, None] | s[None, :])).all()
@@ -674,15 +694,17 @@ def _locate(family: np.ndarray, rows: np.ndarray):
     return _lookup(_row_keys(family), _row_keys(rows))
 
 
-def _inclusion_lattice(rows: np.ndarray) -> FiniteLattice:
-    """The lattice of a family of sets under inclusion, from its membership
-    matrix (row i is set i); meet must be intersection (checked one slab of
-    first sets at a time, as is the union of ``upset_lattice``)."""
-    lat = build_lattice(_subset(rows, rows))
-    ensure(all((rows[lat.meet[s]] == (rows[s, None, :] & rows[None, :, :])).all()
-               for s in _slabs(len(rows))),
-           "family meet is not intersection")
-    return lat
+def _family_lattice(rows: np.ndarray, co_rows: np.ndarray):
+    """The lattice of a family of sets under inclusion (row i is set i), or
+    None when the intersections of ``rows``, or of ``co_rows``, one set per
+    member that reverses inclusion, are not all rows (module docstring)."""
+    leq, covers = _partial_order(_subset(rows, rows))
+    meet = _intersection_table(rows, leq)
+    join = _intersection_table(co_rows, leq.T)
+    if meet is None or join is None:
+        return None
+    return FiniteLattice(leq, meet, join, leq.all(axis=1).argmax(), leq.all(axis=0).argmax(),
+                         covers)
 
 
 def all_upsets(leq) -> list[frozenset]:
@@ -703,10 +725,9 @@ class UpSetFamily:
 def upset_lattice(poset_leq) -> UpSetFamily:
     """Lattice of all upsets ordered by inclusion; meet is intersection, join union."""
     rows = _upset_rows(validate_partial_order(poset_leq))
-    lat = _inclusion_lattice(rows)
-    ensure(all((rows[lat.join[s]] == (rows[s, None, :] | rows[None, :, :])).all()
-               for s in _slabs(len(rows))),
-           "upset join is not union")
+    # ~U & ~V = ~(U | V): the complements give the joins, which are unions
+    lat = _family_lattice(rows, ~rows)
+    ensure(lat is not None, "upsets must be closed under intersection and union")
     ensure(is_distributive(lat), "upset lattice must be distributive")
     ensure(heyting_table(lat) is not None, "upset lattice must carry pseudocomplements")
     return UpSetFamily(lattice=lat, members=_freeze(rows))

@@ -10,22 +10,30 @@ the other lattice laws, which ``build_lattice`` no longer checks.  On every
 distributive lattice the Heyting table, by either route, must equal the cube
 ``_greatest``, and the Galois test ``_residuated`` (``CUBE_MAX`` patched to 0
 so that it runs at 9 elements) must agree with the scan of all triples on the
-Heyting pair and on a copy with one arrow entry changed.
+Heyting pair and on a copy with one arrow entry changed.  The upset lattice
+and the ideal lattice of every one of them, whose meets and joins
+``_family_lattice`` looks up as intersections, must equal ``build_lattice``
+of their inclusion orders.
 """
 
 import numpy as np
 import pytest
 
 import nablalg.lattice as lattice
+from nablalg.completion import _ideal_rows
 from nablalg.lattice import (
     _adjunction_sides,
     _bound_table,
     _build_heyting_table,
+    _family_lattice,
     _greatest,
     _residuated,
     _slabs,
+    _subset,
     all_lattices,
+    build_lattice,
     is_distributive,
+    upset_lattice,
 )
 
 
@@ -78,3 +86,17 @@ def test_heyting_tables_and_galois_test(monkeypatch, nine_lattices):
             assert bool((left == right).all()) == residuated
             assert _residuated(lat, idx, arr) == residuated
         monkeypatch.undo()
+
+
+def test_family_lattices_match_the_inclusion_lattice(nine_lattices):
+    """Upsets with their complements as co-rows, ideals with their upper
+    bounds: order, tables and bounds equal ``build_lattice`` of the
+    inclusion order, and meets are intersections."""
+    for lat in nine_lattices:
+        fam = upset_lattice(lat.leq)
+        ideals, ub = _ideal_rows(lat)
+        for got, rows in ((fam.lattice, fam.members), (_family_lattice(ideals, ub), ideals)):
+            want = build_lattice(_subset(rows, rows))
+            assert (got.leq == want.leq).all() and (got.bot, got.top) == (want.bot, want.top)
+            assert (got.meet == want.meet).all() and (got.join == want.join).all()
+            assert (rows[got.meet] == (rows[:, None] & rows[None])).all()

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nablalg.lattice import _labeled_posets, _slabs, build_lattice, upset_lattice
+from nablalg.lattice import _labeled_posets, _slabs, _subset, build_lattice, upset_lattice
 
 
 def order_from_covers(n, covers):
@@ -63,6 +63,20 @@ def slabbed_associative(table):
     oracle: (a & b) & c against a & (b & c), one slab of first arguments at
     a time."""
     return all((table[table[s]] == table[s][:, table]).all() for s in _slabs(len(table)))
+
+
+def assert_inclusion_lattice(lat, rows):
+    """The route ``_family_lattice`` replaced, kept as its oracle: ``lat``
+    must be ``build_lattice`` of the inclusion order of the sets ``rows``,
+    order, covers, tables and bounds alike, and its meet the intersection
+    (checked one slab of first sets at a time)."""
+    want = build_lattice(_subset(rows, rows))
+    assert (lat.leq == want.leq).all()
+    assert [c.tolist() for c in lat.covers] == [c.tolist() for c in want.covers]
+    assert (lat.meet == want.meet).all() and (lat.join == want.join).all()
+    assert (lat.bot, lat.top) == (want.bot, want.top)
+    assert all((rows[lat.meet[s]] == (rows[s, None] & rows[None])).all()
+               for s in _slabs(len(rows)))
 
 
 def lattice_law_failures(lat):

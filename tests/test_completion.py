@@ -1,13 +1,14 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nablalg.algebra import classify, derive_arrow
 from nablalg.completion import (
+    _bound_rows,
     _closure_rows,
     _ideal_rows,
-    _is_ideal_join,
     dm_complete,
     is_normal_ideal,
     lower_bounds,
@@ -15,12 +16,13 @@ from nablalg.completion import (
     normal_ideals,
     upper_bounds,
 )
-from nablalg.errors import CrossCheckError
+from nablalg.errors import CrossCheckError, ShapeError
 from nablalg.gallery import gen_heyting, gen_trivial, gen_xn
 from nablalg.kripke import build_frame, upset_algebra
 from nablalg.lattice import (
     FiniteLattice,
-    _inclusion_lattice,
+    _family_lattice,
+    _intersection_table,
     _locate,
     _partial_order,
     _row_keys,
@@ -30,7 +32,7 @@ from nablalg.lattice import (
     build_lattice,
 )
 
-from conftest import chain, order_from_covers, subsets
+from conftest import assert_inclusion_lattice, chain, order_from_covers, subsets
 
 
 # --- independent oracles: closures, ideals and lifted tables over frozensets ---
@@ -103,6 +105,14 @@ def fixpoint_ideal_rows(lat):
     return _sorted_rows(rows)
 
 
+def is_ideal_join(lat, rows, join):
+    """Whether ``join[i, j]`` is the join of normal ideals i and j for every
+    pair: its upper bounds must be those of both, ub(lu(I | J)) =
+    ub(I) & ub(J), and a normal ideal is fixed by its upper bounds."""
+    ub = _bound_rows(lat, rows, upper=True)
+    return all((ub[join[s]] == (ub[s, None] & ub[None])).all() for s in _slabs(len(rows)))
+
+
 def is_closure_join(lat, rows, join):
     """Whether each ``join[i, j]`` is the closure of the union of ideals i and j."""
     n = lat.n
@@ -133,27 +143,48 @@ def test_characterizations_match_the_generic_routes(make):
     arrow over every member of M."""
     alg = gen_heyting(make())
     lat = alg.lat
-    rows = _ideal_rows(lat)
+    rows, ub = _ideal_rows(lat)
     assert len(_slabs(len(rows))) > 1
     assert (rows == fixpoint_ideal_rows(lat)).all()
+    assert (ub == _bound_rows(lat, rows, upper=True)).all()
     comp = dm_complete(alg)
     join = comp.algebra.lat.join
-    assert _is_ideal_join(lat, rows, join) and is_closure_join(lat, rows, join)
+    assert is_ideal_join(lat, rows, join) and is_closure_join(lat, rows, join)
     bad = join.copy()
     bad[0, 1], bad[0, 2] = join[0, 2], join[0, 1]
     assert bad[0, 1] != join[0, 1]
-    assert not _is_ideal_join(lat, rows, bad) and not is_closure_join(lat, rows, bad)
+    assert not is_ideal_join(lat, rows, bad) and not is_closure_join(lat, rows, bad)
     assert (comp.algebra.arrow == subset_arrow(alg, rows)).all()
+
+
+@pytest.mark.parametrize("make", [boolean_256, lambda: chain(256)], ids=["boolean", "chain"])
+def test_ideal_lattice_matches_the_inclusion_lattice(make):
+    """The ideal lattice with the upper bounds as co-rows is, order, tables
+    and bounds, ``build_lattice`` of the ideals' inclusion order, and that
+    lattice's joins are the joins of ideals."""
+    lat = make()
+    rows, ub = _ideal_rows(lat)
+    ideal_lat = _family_lattice(rows, ub)
+    assert_inclusion_lattice(ideal_lat, rows)
+    assert is_ideal_join(lat, rows, ideal_lat.join)
 
 
 def test_ideals_of_a_meetless_order_are_refused():
     """Two tops above the same two atoms: the principal ideals of 3 and 4
-    meet in {0, 1, 2}, which is no principal ideal."""
+    meet in {0, 1, 2}, which is no principal ideal, and their upper bounds
+    have no common member.  Neither lookup finds a table, and the completion
+    refuses the family."""
     leq, covers = _partial_order(order_from_covers(5, [(0, 1), (0, 2), (1, 3), (2, 3),
                                                       (1, 4), (2, 4)]))
     zeros = np.zeros((5, 5), dtype=np.int64)
-    with pytest.raises(CrossCheckError, match="normal ideals of a finite lattice must be principal"):
-        _ideal_rows(FiniteLattice(leq, zeros, zeros, 0, 3, covers))
+    lat = FiniteLattice(leq, zeros, zeros, 0, 3, covers)
+    rows, ub = _ideal_rows(lat)
+    inclusion = _subset(rows, rows)
+    assert _intersection_table(rows, inclusion) is None
+    assert _intersection_table(ub, inclusion.T) is None
+    assert _family_lattice(rows, ub) is None
+    with pytest.raises(CrossCheckError, match="normal ideals must be principal"):
+        dm_complete(SimpleNamespace(lat=lat, n=5))
 
 
 def test_completion_peak_memory():
@@ -224,6 +255,15 @@ def test_lu_operators_three_chain():
     assert upper_bounds(lat, set()) == frozenset({0, 1, 2})
     assert lu_closure(lat, {1}) == frozenset({0, 1})
     assert lu_closure(lat, set()) == frozenset({0})
+
+
+@pytest.mark.parametrize("fn", [upper_bounds, lower_bounds, lu_closure, is_normal_ideal])
+@pytest.mark.parametrize("member", [-1, 3])
+def test_members_outside_the_carrier_are_refused(fn, member):
+    """-1 would wrap around to the top of the 3-chain: ``lu_closure`` read
+    [-2] as {0, 1}."""
+    with pytest.raises(ShapeError, match="is not an element index"):
+        fn(chain(3), [member])
 
 
 def test_normal_ideals_three_chain(h3):
@@ -317,16 +357,17 @@ def test_lifted_pair_is_unique(small_catalog):
 
 
 def test_ideal_family_forms_no_cube():
-    """On the Boolean 2^8 the normal ideals and their inclusion lattice peak
-    under 8 MB, half of one 256 x 256 x 256 boolean table: the pairwise
-    intersections and the meet check are formed one slab at a time.  The
-    ideals, several slabs of them, are exactly the principal ones."""
+    """On the Boolean 2^8 the normal ideals and their lattice peak under
+    8 MB, half of one 256 x 256 x 256 boolean table: the pairwise
+    intersections of the ideals and of their upper bounds are formed as
+    packed bits.  The ideals, several slabs of them, are exactly the
+    principal ones."""
     lat = boolean_256()
     assert len(_slabs(lat.n)) > 1
     tracemalloc.start()
     try:
-        rows = _ideal_rows(lat)
-        ideal_lat = _inclusion_lattice(rows)
+        rows, ub = _ideal_rows(lat)
+        ideal_lat = _family_lattice(rows, ub)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

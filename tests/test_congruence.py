@@ -22,7 +22,7 @@ from nablalg.congruence import (
     is_subdirectly_irreducible,
     modal_filter_closure,
 )
-from nablalg.errors import NotEmbedding, NotNormal, TooLarge, Trivial
+from nablalg.errors import NotEmbedding, NotNormal, ShapeError, TooLarge, Trivial
 from nablalg.gallery import enumerate_algebras, gen_heyting, gen_trivial, gen_xn
 
 from conftest import chain, subsets
@@ -170,6 +170,14 @@ def test_closure_heyting_chain_is_principal_filter(h3):
 def test_closure_empty_seed_gives_top_only(x1, h3, b4):
     for alg in (x1, h3, b4):
         assert modal_filter_closure(alg, set()).members == frozenset({alg.lat.top})
+
+
+@pytest.mark.parametrize("fn", [is_modal_filter, modal_filter_closure])
+@pytest.mark.parametrize("member", [-1, 3])
+def test_members_outside_the_carrier_are_refused(h3, fn, member):
+    """-1 would wrap around to the top of the 3-chain."""
+    with pytest.raises(ShapeError, match="is not an element index"):
+        fn(h3, [member])
 
 
 def test_closure_requires_normal():

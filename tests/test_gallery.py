@@ -18,7 +18,7 @@ from nablalg.gallery import (
 )
 from nablalg.lattice import all_lattices, build_lattice
 
-from conftest import boolean_square, chain, pentagon
+from conftest import assert_inclusion_lattice, boolean_square, chain, pentagon
 
 
 def test_gen_xn_sizes_and_flags():
@@ -41,20 +41,33 @@ GEN_XN_STDOUT_SHA256 = {
 }
 
 
-def frozenset_loop_order(n):
-    """The inclusion order of gen_xn(n)'s opens, one frozenset comparison per pair."""
+def frozenset_loop(n):
+    """gen_xn(n)'s opens as frozensets, their membership rows, their
+    inclusion order (one frozenset comparison per pair) and the shift's
+    preimage map (a dict lookup per open)."""
     points = list(range(1, n + 1))
     opens = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(points, r)]
     opens.append(frozenset([0] + points))
     opens.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return np.array([[a <= b for b in opens] for a in opens], dtype=bool)
+    rows = np.array([[x in u for x in range(n + 1)] for u in opens])
+    order = np.array([[a <= b for b in opens] for a in opens], dtype=bool)
+    index = {u: i for i, u in enumerate(opens)}
+    shift = {x: 0 if x in (0, n) else x + 1 for x in range(n + 1)}
+    nabla = [index[frozenset(x for x in range(n + 1) if shift[x] in u)] for u in opens]
+    return rows, order, nabla
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_gen_xn_order_matches_the_frozenset_loop(k, capsys):
-    """The order from the membership matrix is the loop's, and the command's
-    stdout is byte for byte what it was with the loop."""
-    assert (gen_xn(k).lat.leq == frozenset_loop_order(k)).all()
+    """The order, the meets and joins and nabla from the membership matrix
+    are the loop's, the lattice is ``build_lattice`` of the opens' inclusion
+    order, and the command's stdout is byte for byte what it was with the
+    loop."""
+    alg = gen_xn(k)
+    rows, order, nabla = frozenset_loop(k)
+    assert (alg.lat.leq == order).all()
+    assert_inclusion_lattice(alg.lat, rows)
+    assert alg.nabla.tolist() == nabla
     assert main(["gen", "xn", str(k)]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == GEN_XN_STDOUT_SHA256[k]

@@ -22,6 +22,7 @@ from nablalg.lattice import (
     SIZE_MAX,
     FiniteLattice,
     _compose,
+    _family_lattice,
     _greatest,
     _join_primes,
     _order_iso,
@@ -48,6 +49,7 @@ from nablalg.lattice import (
 )
 
 from conftest import (
+    assert_inclusion_lattice,
     boolean_square,
     bounded_candidates,
     chain,
@@ -627,6 +629,13 @@ def test_one_element_lattice_has_no_prime_filter():
     assert prime_filters(chain(1)) == []
 
 
+@pytest.mark.parametrize("member", [-1, 3])
+def test_prime_filter_members_outside_the_carrier_are_refused(member):
+    """-1 would wrap around to the top of the 3-chain and pass as [2)."""
+    with pytest.raises(ShapeError, match="is not an element index"):
+        is_prime_filter(chain(3), [member])
+
+
 # --- upset lattices ----------------------------------------------------------
 
 
@@ -646,6 +655,32 @@ def test_upsets_two_antichain_gives_boolean_square():
     fam = upset_lattice(np.eye(2, dtype=bool))
     assert fam.lattice.n == 4
     assert lattice_iso(fam.lattice, boolean_square()) is not None
+
+
+def test_upset_lattices_match_the_inclusion_lattice(seven_lattices):
+    """On the orders of every lattice up to 7 elements, the upset lattice
+    with the complements as co-rows is ``build_lattice`` of the upsets'
+    inclusion order, and its join is the union."""
+    for lat in seven_lattices:
+        fam = upset_lattice(lat.leq)
+        rows = fam.members
+        assert_inclusion_lattice(fam.lattice, rows)
+        assert (rows[fam.lattice.join] == (rows[:, None] | rows[None])).all()
+
+
+@pytest.mark.parametrize("leq, dropped", [
+    (np.eye(2, dtype=bool), []),        # {} = {0} & {1}: a meet is missing
+    (np.eye(2, dtype=bool), [0, 1]),    # {0, 1} = {0} | {1}: a join is missing
+    (np.eye(3, dtype=bool), [0, 1]),    # {0, 1} = {0} | {1}, below {0, 1, 2}
+], ids=["bottom", "top", "middle"])
+def test_upset_family_with_a_row_dropped_is_refused(monkeypatch, leq, dropped):
+    rows = _upset_rows(leq)
+    fewer = rows[[np.flatnonzero(row).tolist() != dropped for row in rows]]
+    assert len(fewer) == len(rows) - 1
+    assert _family_lattice(fewer, ~fewer) is None
+    monkeypatch.setattr(lattice, "_upset_rows", lambda arr: fewer)
+    with pytest.raises(CrossCheckError, match="upsets must be closed under intersection and union"):
+        upset_lattice(leq)
 
 
 def test_all_upsets_matches_subset_oracle():

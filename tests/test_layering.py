@@ -99,11 +99,10 @@ ENSURES = {
         "f'completion must keep flag {flag}'",
         "finite completion must be a bijection",
         "ideal family member fails the closure fixpoint",
-        "ideal join must be the closure of the union",
         "lifted arrow must land on a normal ideal",
         "lifted box must be the nabla preimage",
         "lifted nabla must land on a normal ideal",
-        "normal ideals of a finite lattice must be principal",
+        "normal ideals must be principal, with the upper-bound intersections as joins",
     ],
     "congruence.py": [
         "alpha must produce a congruence",
@@ -123,6 +122,8 @@ ENSURES = {
         "shift algebra must be normal distributive Heyting",
         "shift algebra must be simple",
         "shift preimage must admit a residuated arrow",
+        "shift preimages of opens must be open",
+        "the opens must be closed under intersection and union",
     ],
     "kripke.py": [
         "arrow of upsets must be an upset",
@@ -163,14 +164,13 @@ ENSURES = {
         "an admissible new atom must leave a lattice",
         "distributivity characterizations disagree",
         "enumerated set is not a prime filter",
-        "family meet is not intersection",
         "lattices with distinct canonical forms must not be isomorphic",
         "prime filter count must match join-irreducibles on distributive lattices",
         "pseudocomplement not residuated",
         "pseudocomplements exist iff distributive",
-        "upset join is not union",
         "upset lattice must be distributive",
         "upset lattice must carry pseudocomplements",
+        "upsets must be closed under intersection and union",
     ],
 }
 
@@ -205,6 +205,49 @@ def test_ensure_inventory_is_pinned():
     found = {path.name: sorted(ensure_messages(path.read_text()))
              for path in sorted(src.glob("*.py"))}
     assert {name: msgs for name, msgs in found.items() if msgs} == ENSURES
+
+
+def subset_lattice_sites(source: str) -> list:
+    """Line of every ``build_lattice`` call on a ``_subset`` product, passed
+    inline or through a name that the same function binds to one."""
+    def called(node, name):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name
+
+    tree = ast.parse(source)
+    sites = {node.lineno for node in ast.walk(tree) if called(node, "build_lattice")
+             and node.args and called(node.args[0], "_subset")}
+    for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        products = {target.id for node in ast.walk(func)
+                    if isinstance(node, ast.Assign) and called(node.value, "_subset")
+                    for target in node.targets if isinstance(target, ast.Name)}
+        sites |= {node.lineno for node in ast.walk(func) if called(node, "build_lattice")
+                  and node.args and getattr(node.args[0], "id", None) in products}
+    return sorted(sites)
+
+
+def test_subset_lattice_sites_are_found():
+    source = "\n".join([
+        "def f(rows, leq):",
+        "    a = build_lattice(_subset(rows, rows))",
+        "    rel = _subset(rows, rows)",
+        "    b = lattice.build_lattice(rel)",
+        "    return build_lattice(leq), _family_lattice(rows, ~rows)",
+        "def g(rel):",
+        "    return build_lattice(rel)",
+    ])
+    assert subset_lattice_sites(source) == [2, 4]
+
+
+def test_lattices_of_sets_come_from_the_family_constructor():
+    """A lattice of sets is built by ``lattice._family_lattice``, which
+    looks its meets and joins up as intersections, never by
+    ``build_lattice`` of its inclusion order."""
+    src = Path(nablalg.__file__).parent
+    found = {path.name: subset_lattice_sites(path.read_text()) for path in sorted(src.glob("*.py"))}
+    assert not {name: lines for name, lines in found.items() if lines}
 
 
 def test_structures_keep_results_in_one_slot():

@@ -18,7 +18,11 @@ definitional form (arrow(a, b) in P and a in Q force b in Q).  The two
 directions compose into the finite representation: the membership map
 ``canonical_frame_embedding`` is an isomorphism on finite distributive
 carriers.  Pullbacks of surjective frame morphisms implement the
-amalgamation of embedding spans.
+amalgamation of embedding spans.  The amalgam is the upset algebra of the
+pullback of the prime frames; a leg, ``inverse_image_morphism`` after
+``canonical_frame_embedding``, sends a to the pullback worlds whose
+projection is a prime filter holding a, and is read off the prime-filter
+rows directly, so an amalgamation builds one upset algebra.
 
 Both functors work on boolean membership matrices: a family of upsets or of
 prime filters is one k x n matrix, row i holding set i.  nabla(U), the OR
@@ -51,7 +55,6 @@ from .algebra import (
     build_algebra,
     check_morphism,
     classify,
-    compose_morphisms,
     tables_equal,
 )
 from .errors import (
@@ -477,9 +480,14 @@ def amalgamate_algebras(a0: NablaAlgebra, a1: NablaAlgebra, a2: NablaAlgebra,
 
     Pipeline: prime frames of the three algebras, preimage morphisms of the
     two embeddings (surjective by the embedding/surjection exchange), frame
-    pullback, upsets of the pullback, and composition with the membership
-    embeddings.  Every stage re-validates its output; the final square is
-    checked to commute exactly and to carry the shared flag class.
+    pullback and its upsets, the amalgam B.  Leg g_i sends a to the
+    pullback worlds whose i-th projection is a prime filter holding a: the
+    preimage along the projection of a's membership upset, which is
+    ``inverse_image_morphism`` after ``canonical_frame_embedding`` without
+    the upset algebras of the legs' prime frames.  It claims the Heyting
+    table as that composite does: when the projection claims and lifts the
+    order (a_i, being distributive, carries the table).  Every stage re-validates its output; the final square
+    is checked to commute exactly and to carry the shared flag class.
     """
     carried = {}
     for name, alg in (("a0", a0), ("a1", a1), ("a2", a2)):
@@ -506,15 +514,19 @@ def amalgamate_algebras(a0: NablaAlgebra, a1: NablaAlgebra, a2: NablaAlgebra,
     pf2 = prime_inverse_morphism(f2)
     pullback, p, q = amalgamate_frames(k0, k1, k2, pf1, pf2, flags=cls)
 
-    up = inverse_image_morphism(p)
-    uq = inverse_image_morphism(q)
-    i1 = canonical_frame_embedding(a1)
-    i2 = canonical_frame_embedding(a2)
-    ensure(tables_equal(i1.target, up.source), "pipeline stage mismatch on the first leg")
-    ensure(tables_equal(i2.target, uq.source), "pipeline stage mismatch on the second leg")
-    g1 = compose_morphisms(up, i1)
-    g2 = compose_morphisms(uq, i2)
-    b = up.target
+    fam, b = _kept(pullback, _build_upset_algebra)
+    legs = []
+    for alg, proj in ((a1, p), (a2, q)):
+        # g(a): the pullback worlds whose projection is a prime filter holding a
+        out, found = _locate(fam.members, _prime_rows(alg.lat).T[:, np.asarray(proj.map)])
+        ensure(found.all(), "pulled-back membership row must be an upset of the pullback")
+        # the composite's claim: the membership embedding claims H, which every
+        # distributive a_i carries, and the preimage map claims what proj lifts
+        legs.append(AlgebraMorphism(
+            source=alg, target=b, map=tuple(int(v) for v in out),
+            preserves_heyting=bool(proj.preserves_heyting
+                                   and check_frame_morphism(proj).heyting_ok)))
+    g1, g2 = legs
 
     for name, gm in (("g1", g1), ("g2", g2)):
         rep = check_morphism(gm)

@@ -149,10 +149,11 @@ def _subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ~_compose(a, ~np.swapaxes(b, -1, -2))
 
 
-def _slabs(n: int) -> list:
-    """Slices of 0..n-1, each cutting an n x n x n table to about 2**20
-    entries; a single slice for n <= 101."""
-    step = max(1, 2 ** 20 // (n * n))
+def _slabs(n: int, width: int | None = None) -> list:
+    """Slices of 0..n-1, each cutting an n x width x width table (width n
+    by default) to about 2**20 entries; a single slice for n = width <= 101."""
+    width = n if width is None else width
+    step = max(1, 2 ** 20 // (width * width))
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
@@ -496,13 +497,23 @@ def _member_row(n: int, members) -> np.ndarray:
     return row
 
 
+def _prime_filter_rows(lat: FiniteLattice, rows: np.ndarray) -> np.ndarray:
+    """For each row of a k x n membership matrix, whether its set contains
+    top, excludes bottom, is upward closed and meet-closed, and holds x or y
+    whenever it holds x | y.  The pair laws are read a slab of rows at a
+    time, so no k x n x n temporary exceeds about 2**20 entries."""
+    ok = rows[:, lat.top] & ~rows[:, lat.bot] & ~(_compose(rows, lat.leq) & ~rows).any(axis=1)
+    for s in _slabs(len(rows), lat.n):
+        x, y = rows[s, :, None], rows[s, None, :]
+        meets = ~(x & y) | rows[s][:, lat.meet]
+        prime = ~rows[s][:, lat.join] | x | y
+        ok[s] &= (meets & prime).all(axis=(1, 2))
+    return ok
+
+
 def is_prime_filter(lat: FiniteLattice, members) -> bool:
     """Upward-closed, meet-closed (so contains top), excludes bot, join-prime."""
-    s = _member_row(lat.n, members)
-    upward = (lat.leq[s] <= s).all()
-    meets = s[lat.meet[np.ix_(s, s)]].all()
-    prime = (s[lat.join] <= (s[:, None] | s[None, :])).all()
-    return bool(s[lat.top] and not s[lat.bot] and upward and meets and prime)
+    return bool(_prime_filter_rows(lat, _member_row(lat.n, members)[None])[0])
 
 
 def _prime_rows(lat: FiniteLattice) -> np.ndarray:
@@ -510,17 +521,16 @@ def _prime_rows(lat: FiniteLattice) -> np.ndarray:
 
     In a finite lattice every filter is principal (it contains the meet of
     its members), so the prime filters are exactly the principal filters of
-    join-prime elements.  Each row is re-checked against the primality
-    predicate, and on distributive lattices the count is cross-checked
-    against the number of join-irreducibles.
+    join-prime elements.  The rows are re-checked against the primality
+    predicate in one batch, and on distributive lattices the count is
+    cross-checked against the number of join-irreducibles.
     """
     return _kept(lat, _build_prime_rows)
 
 
 def _build_prime_rows(lat: FiniteLattice) -> np.ndarray:
     rows = _sorted_rows(lat.leq[_join_primes(lat)])
-    for f in _row_sets(rows):
-        ensure(is_prime_filter(lat, f), "enumerated set is not a prime filter")
+    ensure(_prime_filter_rows(lat, rows).all(), "enumerated set is not a prime filter")
     if is_distributive(lat):
         ensure(len(rows) == len(join_irreducibles(lat)),
                "prime filter count must match join-irreducibles on distributive lattices")

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from nablalg.algebra import AlgebraMorphism, check_morphism, classify
 from nablalg.lattice import _labeled_posets, _slabs, _subset, build_lattice, upset_lattice
 
 
@@ -63,6 +64,48 @@ def slabbed_associative(table):
     oracle: (a & b) & c against a & (b & c), one slab of first arguments at
     a time."""
     return all((table[table[s]] == table[s][:, table]).all() for s in _slabs(len(table)))
+
+
+def prime_filter_row_oracle(lat, s):
+    """The one-row prime-filter check the batched mask replaced, kept as its
+    oracle: the boolean row ``s`` holds top and not bottom, is upward closed
+    and meet-closed, and holds x or y whenever it holds x | y."""
+    upward = (lat.leq[s] <= s).all()
+    meets = s[lat.meet[np.ix_(s, s)]].all()
+    prime = (s[lat.join] <= (s[:, None] | s[None, :])).all()
+    return bool(s[lat.top] and not s[lat.bot] and upward and meets and prime)
+
+
+def embeddings_between(a0, a1):
+    """Every embedding of a0 into a1, by a scan of the injective maps."""
+    found = []
+    for image in itertools.permutations(range(a1.n), a0.n):
+        m = AlgebraMorphism(a0, a1, tuple(image),
+                            preserves_heyting=classify(a0).H and classify(a1).H)
+        rep = check_morphism(m)
+        if rep.ok and rep.injective:
+            found.append(m)
+    return found
+
+
+def amalgamation_spans(catalog, limit=24):
+    """Up to ``limit`` spans (a0, a1, a2, f1, f2) of normal distributive
+    catalog algebras, a0 of 2 or 3 elements and a1, a2 of at most 4, each
+    leg the first embedding found."""
+    nd = [a for a in catalog if classify(a).has("N", "D")]
+    spans = []
+    for a0 in (a for a in nd if 2 <= a.n <= 3):
+        for a1 in (a for a in nd if a.n <= 4):
+            embs1 = embeddings_between(a0, a1)
+            if not embs1:
+                continue
+            for a2 in (a for a in nd if a.n <= 4):
+                embs2 = embeddings_between(a0, a2)
+                if embs2:
+                    spans.append((a0, a1, a2, embs1[0], embs2[0]))
+                    if len(spans) == limit:
+                        return spans
+    return spans
 
 
 def assert_inclusion_lattice(lat, rows):

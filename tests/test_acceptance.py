@@ -48,7 +48,7 @@ from nablalg.kripke import (
 )
 from nablalg.lattice import all_lattices, build_lattice
 
-from conftest import boolean_square, chain, chain_matrix, order_from_covers
+from conftest import amalgamation_spans, boolean_square, chain, chain_matrix, order_from_covers
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -368,17 +368,6 @@ def test_criterion_7_counterexample_regression():
 # --- 8: amalgamation of embedding spans ------------------------------------------
 
 
-def _embeddings_between(a0, a1):
-    found = []
-    for image in itertools.permutations(range(a1.n), a0.n):
-        m = AlgebraMorphism(a0, a1, tuple(image),
-                            preserves_heyting=classify(a0).H and classify(a1).H)
-        rep = check_morphism(m)
-        if rep.ok and rep.injective:
-            found.append(m)
-    return found
-
-
 def test_criterion_8_amalgamation(catalog):
     t0 = time.time()
     b2 = gen_heyting(chain(2))
@@ -390,37 +379,20 @@ def test_criterion_8_amalgamation(catalog):
         tuple(res.g2.map[v] for v in special_f.map)
     assert classify(res.b).has("N", "D", "R", "L", "Fa")
 
-    nd = [a for a in catalog if classify(a).has("N", "D")]
-    spans = 0
-    for a0 in (a for a in nd if 2 <= a.n <= 3):
-        for a1 in (a for a in nd if a.n <= 4):
-            embs1 = _embeddings_between(a0, a1)
-            if not embs1:
-                continue
-            for a2 in (a for a in nd if a.n <= 4):
-                embs2 = _embeddings_between(a0, a2)
-                if not embs2:
-                    continue
-                f1, f2 = embs1[0], embs2[0]
-                shared = (classify(a0).flags() & classify(a1).flags()
-                          & classify(a2).flags()) & {"R", "L", "Fa"}
-                out = amalgamate_algebras(a0, a1, a2, f1, f2)
-                assert tuple(out.g1.map[v] for v in f1.map) == \
-                    tuple(out.g2.map[v] for v in f2.map)
-                for m in (out.g1, out.g2):
-                    rep = check_morphism(m)
-                    assert rep.ok and rep.injective
-                assert shared <= classify(out.b).flags()
-                spans += 1
-                if spans >= 24:
-                    break
-            if spans >= 24:
-                break
-        if spans >= 24:
-            break
-    assert spans + 1 >= 21
+    spans = amalgamation_spans(catalog)
+    for a0, a1, a2, f1, f2 in spans:
+        shared = (classify(a0).flags() & classify(a1).flags()
+                  & classify(a2).flags()) & {"R", "L", "Fa"}
+        out = amalgamate_algebras(a0, a1, a2, f1, f2)
+        assert tuple(out.g1.map[v] for v in f1.map) == \
+            tuple(out.g2.map[v] for v in f2.map)
+        for m in (out.g1, out.g2):
+            rep = check_morphism(m)
+            assert rep.ok and rep.injective
+        assert shared <= classify(out.b).flags()
+    assert len(spans) + 1 >= 21
     _report(8, "amalgamation of spans", True,
-            f"{spans + 1} spans, {time.time() - t0:.1f}s")
+            f"{len(spans) + 1} spans, {time.time() - t0:.1f}s")
 
 
 # --- 9: inequality and derived-fact suites ----------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from nablalg.cli import main
+from nablalg.gallery import gen_heyting
 from nablalg.serialize import SIZE_MAX, algebra_to_json, dumps, frame_to_json, lattice_to_json
 
 from conftest import chain
@@ -169,6 +171,25 @@ def test_amalgamate_span(tmp_path, capsys, b2, h3):
     assert code == 0
     assert len(out["b"]["nabla"]) == 6
     assert set(out["intermediate"]["frames"]) == {"k0", "k1", "k2", "pullback"}
+
+
+# sha256 of the stdout of `nablalg amalgamate` on the 2-chain into two
+# Heyting 3-chains (amalgam of 6 elements) and into two 5-chains (70), with
+# the legs composed through the upset algebras of the legs' prime frames
+AMALGAMATE_STDOUT_SHA256 = {
+    3: "064ab0c29fa52cc74d2a01b836679d7dd21d21ec6563bf123d385a8563991ac1",
+    5: "f5d523e22e78e762ba53e8ac267c11abf257adc0f3507ec4151c46899ee69258",
+}
+
+
+@pytest.mark.parametrize("k", sorted(AMALGAMATE_STDOUT_SHA256))
+def test_amalgamate_stdout_matches_the_composite_route(tmp_path, capsys, b2, k):
+    hk = gen_heyting(chain(k))
+    span = {"kind": "span", "a0": algebra_to_json(b2), "a1": algebra_to_json(hk),
+            "a2": algebra_to_json(hk), "f1": [0, k - 1], "f2": [0, k - 1], "heyting": True}
+    assert main(["amalgamate", write(tmp_path, "span.json", span)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == AMALGAMATE_STDOUT_SHA256[k]
 
 
 def test_gen_trivial_and_heyting(tmp_path, capsys):

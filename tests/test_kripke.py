@@ -39,7 +39,7 @@ from nablalg.kripke import (
 )
 from nablalg.lattice import all_upsets, build_lattice, prime_filters
 
-from conftest import boolean_square, chain, chain_matrix
+from conftest import amalgamation_spans, boolean_square, chain, chain_matrix
 
 
 def one_point_frame():
@@ -640,6 +640,37 @@ def test_amalgamate_algebras_x1_identity_span(x1):
     assert algebra_iso(res.b, x1) is not None
 
 
+def chain_spans():
+    """The 2-chain into Heyting chains of (4, 4), (4, 5) and (3, 11)
+    elements at their bounds, with ``heyting`` true and false."""
+    b2 = gen_heyting(chain(2))
+    for a, b in ((4, 4), (4, 5), (3, 11)):
+        for heyting in (True, False):
+            a1, a2 = gen_heyting(chain(a)), gen_heyting(chain(b))
+            yield (b2, a1, a2, AlgebraMorphism(b2, a1, (0, a - 1), preserves_heyting=heyting),
+                   AlgebraMorphism(b2, a2, (0, b - 1), preserves_heyting=heyting), heyting)
+
+
+def test_legs_match_the_composite_route(full_catalog):
+    """Each leg read off the prime-filter rows is the route it stands for:
+    the preimage map along the projection after the membership embedding,
+    in map and Heyting claim.  Runs every check of those stages, and that
+    the embedding lands where the preimage map starts."""
+    spans = [(*span, False) for span in amalgamation_spans(full_catalog)]
+    claims = set()
+    for a0, a1, a2, f1, f2, heyting in spans + list(chain_spans()):
+        res = amalgamate_algebras(a0, a1, a2, f1, f2, heyting=heyting)
+        for leg, alg, proj in ((res.g1, a1, res.projections[0]),
+                               (res.g2, a2, res.projections[1])):
+            up = inverse_image_morphism(proj)
+            emb = canonical_frame_embedding(alg)
+            assert tables_equal(emb.target, up.source) and up.target is res.b
+            want = compose_morphisms(up, emb)
+            assert (leg.map, leg.preserves_heyting) == (want.map, want.preserves_heyting)
+            claims.add(leg.preserves_heyting)
+    assert len(spans) == 24 and claims == {True, False}
+
+
 # --- built once ----------------------------------------------------------------
 
 
@@ -690,14 +721,14 @@ def test_amalgamation_builds_each_frame_and_upset_algebra_once(monkeypatch):
     f2 = AlgebraMorphism(a0, a2, (0, 4), preserves_heyting=True)
     res = amalgamate_algebras(a0, a1, a2, f1, f2, heyting=True)
     assert res.b.n == 70
-    assert built == {"frames": 3, "upsets": 3}
+    assert built == {"frames": 3, "upsets": 1}
 
 
 def test_amalgamation_builds_each_morphism_report_once(monkeypatch):
     """Reports are kept on the morphism: one amalgamation builds one report
-    for each of its 8 algebra morphisms (the legs, the two preimage maps on
-    upsets, the membership embeddings and the composites) and 4 frame
-    morphisms (the prime preimage maps and the projections), though the legs
+    for each of its 4 algebra morphisms (the input embeddings f1, f2 and the
+    legs g1, g2, read off the prime-filter rows) and 4 frame morphisms (the
+    prime preimage maps and the projections), though the input embeddings
     and the projections are required valid at several stages."""
     checked = {"algebra": [], "frame": []}
 
@@ -715,7 +746,7 @@ def test_amalgamation_builds_each_morphism_report_once(monkeypatch):
     f1 = AlgebraMorphism(a0, a1, (0, 2), preserves_heyting=True)
     f2 = AlgebraMorphism(a0, a2, (0, 3), preserves_heyting=True)
     res = amalgamate_algebras(a0, a1, a2, f1, f2, heyting=True)
-    for kind, count in (("algebra", 8), ("frame", 4)):
+    for kind, count in (("algebra", 4), ("frame", 4)):
         assert len(checked[kind]) == len({id(m) for m in checked[kind]}) == count
-    assert {id(m) for m in (f1, f2, res.g1, res.g2)} <= {id(m) for m in checked["algebra"]}
+    assert {id(m) for m in (f1, f2, res.g1, res.g2)} == {id(m) for m in checked["algebra"]}
     assert {id(m) for m in res.projections} <= {id(m) for m in checked["frame"]}

@@ -26,6 +26,7 @@ from nablalg.lattice import (
     _greatest,
     _join_primes,
     _order_iso,
+    _prime_filter_rows,
     _row_keys,
     _signatures,
     _slabs,
@@ -59,6 +60,7 @@ from conftest import (
     lattice_law_failures,
     order_from_covers,
     pentagon,
+    prime_filter_row_oracle,
     product_order,
     relabeled,
     slabbed_associative,
@@ -623,6 +625,31 @@ def test_prime_predicates_match_oracles(small_lattices):
         assert join_irreducibles(lat) == [
             a for a in range(lat.n)
             if a != lat.bot and not any(lat.join[x, y] == a for x in below[a] for y in below[a])]
+
+
+def test_prime_filter_mask_matches_the_row_check(six_lattices):
+    """The batched mask agrees with the one-row check it replaced on every
+    subset of every lattice of at most 6 elements, and across slabs on the
+    upsets of the 120-chain and seeded sets of its elements."""
+    for lat in six_lattices:
+        rows = (np.arange(2 ** lat.n)[:, None] >> np.arange(lat.n) & 1).astype(bool)
+        assert _prime_filter_rows(lat, rows).tolist() == [
+            prime_filter_row_oracle(lat, s) for s in rows]
+    lat = chain(120)
+    rng = np.random.default_rng(5)
+    rows = np.vstack([_upset_rows(lat.leq), rng.random((40, lat.n)) < 0.9])
+    assert len(_slabs(len(rows), lat.n)) > 1
+    got = _prime_filter_rows(lat, rows)
+    assert got.tolist() == [prime_filter_row_oracle(lat, s) for s in rows]
+    assert got.sum() == lat.n - 1
+
+
+def test_prime_rows_refuse_a_non_join_prime(monkeypatch):
+    """The atoms of M3 are join-irreducible but not join-prime: a patched
+    ``_join_primes`` that admits them fails the batched check."""
+    monkeypatch.setattr(lattice, "_join_primes", join_irreducibles)
+    with pytest.raises(CrossCheckError, match="enumerated set is not a prime filter"):
+        prime_filters(diamond())
 
 
 def test_one_element_lattice_has_no_prime_filter():

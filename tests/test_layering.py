@@ -138,8 +138,6 @@ ENSURES = {
         "membership image must be an upset of the prime frame",
         "membership map must be an embedding",
         "membership map must be onto for finite carriers",
-        "pipeline stage mismatch on the first leg",
-        "pipeline stage mismatch on the second leg",
         "preimage map must be an algebra morphism",
         "preimage of a prime filter must be prime",
         "preimage of an upset must be an upset",
@@ -150,6 +148,7 @@ ENSURES = {
         "pullback must inherit the shared flag class",
         "pullback of normal frames must be normal",
         "pullback witness must be the componentwise witness pair",
+        "pulled-back membership row must be an upset of the pullback",
         "reflexivity must match w <= pi(w) on normal frames",
         "relation characterizations disagree on prime filters",
         "relation image of an upset must be an upset",

@@ -202,11 +202,14 @@ def _check_derived_laws(alg: NablaAlgebra) -> None:
 def derive_arrow(lat: FiniteLattice, nabla):
     """The unique arrow residuating the given nabla, or None when there is none.
 
-    Searches max{c : nabla(c) & a <= b} per pair, in the coordinates
-    J(arrow(a, b)) = {j in J : nabla(j) & a <= b}, and then re-validates the
-    full adjunction with ``lattice._residuated``; the re-check matters
-    because an arbitrary nabla table can admit all the maxima yet break
-    residuation (for instance when it is not order-preserving).
+    Searches max{c : nabla(c) & a <= b} per pair with ``lattice._residual``:
+    past ``CUBE_MAX`` elements, on a distributive lattice, as box(a -> b) from
+    the kept Heyting table, for box the right adjoint of nabla, O(n^2);
+    elsewhere in the coordinates J(arrow(a, b)) = {j in J : nabla(j) & a <= b}.
+    It then re-validates the full adjunction with ``lattice._residuated``; the
+    re-check matters because an arbitrary nabla table can admit all the
+    maxima (or a box) yet break residuation (for instance when it is not
+    order-preserving).
     """
     nab = _indices(nabla, (lat.n,), lat.n, "nabla table")
     arrow, found = _residual(lat, nab)

@@ -286,12 +286,16 @@ class Verdict:
 
 def _orbits(table: np.ndarray) -> np.ndarray:
     """orbits[x, v]: v is x after some number of steps of ``table``, zero
-    included; an orbit has at most n points, so n - 1 steps reach them all."""
-    idx = cur = np.arange(len(table))
-    orbits = np.eye(len(table), dtype=bool)
-    for _ in range(len(table) - 1):
-        cur = table[cur]
-        orbits[idx, cur] = True
+    included; an orbit has at most n points, so n - 1 steps reach them all.
+
+    By pointer doubling: after k rounds ``orbits`` holds the points 0 to
+    2^k - 1 steps on and ``step`` is the 2^k-th power of ``table``, so
+    ceil(log2 n) rounds reach n - 1 steps."""
+    n = len(table)
+    orbits, step = np.eye(n, dtype=bool), table
+    for _ in range((n - 1).bit_length()):
+        orbits |= orbits[step]
+        step = step[step]
     return orbits
 
 

@@ -14,7 +14,7 @@ and every inclusion test of membership matrices through its dual ``_subset``.
 
 Lattices, algebras and frames are immutable, and what is derived from one
 of them is computed once and kept on it by one helper, ``_kept``: here the
-distributivity witness, the Heyting table and the prime filters.
+distributivity verdict and witness, the Heyting table and the prime filters.
 
 Order facts are decided without the n^3 table of all triples, mostly on
 the covering relation ``covers`` (the strict order minus its square, found
@@ -30,8 +30,8 @@ by the product that also checks transitivity); see Davey & Priestley,
   lies below x or y and so equals one of them: it is join-irreducible;
 - a finite lattice is distributive iff every join-irreducible is
   join-prime, that is iff a -> (join-irreducibles below a) preserves binary
-  joins; ``distributivity_witness`` decides so, and scans the triples for
-  the first witness only when the test fails;
+  joins; ``is_distributive`` decides so, and ``distributivity_witness``
+  scans the triples for the first witness only on a lattice that fails;
 - a map is monotone iff it is monotone on covering pairs, the order being
   their reflexive-transitive closure; ``_monotone`` checks nabla and arrow
   so.
@@ -61,11 +61,9 @@ bits, O(n^2 |J|) work replaces the n^3 cubes of candidates:
   the order.  Only when the test fails does the cube ``_bound_table`` run,
   to name the first pair without a meet (or join);
 - the greatest c with nab(c) & a <= b has J(c) = {j : nab(j) & a <= b}, so
-  ``_residual`` looks that set up among the J(x); a set that is no J(x)
-  means no greatest c.  For nab the identity every set is found iff the
-  lattice is distributive: were j <= x | y with j below neither, the set
-  for (j, j's lower cover), the j' not above j, would contain J(x) and J(y)
-  but not j, and so be no J(z): that z would lie above x | y, so above j;
+  on a lattice without a Heyting table ``_residual`` looks that set up among
+  the J(x), one slab of first arguments at a time; a set that is no J(x)
+  means no greatest c;
 - the lookup finds meet[a, b] with J(meet[a, b]) = J(a) & J(b), and the
   rows embed the order, so the table is associative: (a & b) & c and
   a & (b & c) have the one row J(a) & J(b) & J(c).
@@ -76,12 +74,23 @@ own meet coordinates, and co-rows that reverse inclusion and are closed under
 intersection give its joins (``_family_lattice``): the complements of a family
 closed under union, or the upper bounds of the normal ideals.
 
+On a distributive lattice both residuals cost O(n^2), with no |J| factor
+(ibid. ch. 5 and 7).  The Heyting table follows from the covers
+(``_cover_heyting``): bottom -> b is top, an element with two lower covers is
+their join and (c1 | c2) -> b = (c1 -> b) & (c2 -> b), and a join-irreducible
+j with lower cover j* has j -> b = k(j) & (j* -> b) where j is not below b,
+for k(j) the greatest element not above j.  Every k(j) exists iff every
+join-irreducible is join-prime, that is iff the lattice is distributive.  The
+residual of a nabla is then arrow(a, b) = box(a -> b), for box the right
+adjoint of nabla (``_residual``).
+
 The meet and join tables come from the coordinates at every size; up to
-``CUBE_MAX`` elements the residual cube ``_greatest`` and the comparison of
-the adjunction's two sides on all triples cost less and run instead.  Every
-lookup of packed rows (here, and the ``_locate`` calls of the duality and the
-completion) is one function, ``_lookup``: from ``HASH_MIN`` queries on, each
-row costs O(1) in a collision-free hash table of the keys.
+``CUBE_MAX`` elements the cube ``_greatest`` gives the Heyting table and the
+residual, and the adjunction's two sides are compared on all triples, which
+costs less there.  Every lookup of packed rows (here, and the ``_locate``
+calls of the duality and the completion) is one function, ``_lookup``: from
+``HASH_MIN`` queries on, each row costs O(1) in a collision-free hash table of
+the keys.
 
 ``all_lattices`` grows lattices one atom at a time (class counts: OEIS
 A006966; Heitzig & Reinhold, *Counting finite lattices*, 2002).  Removing an
@@ -110,24 +119,28 @@ from .errors import (
     ensure,
 )
 
-# A valid algebra passes validation without an n^3 table, but the residual
-# search of `heyting_table` and `derive_arrow` is a (|J|, n, n) table, n^3 on
-# chains (`classify` of the Heyting 256-chain document peaks near 35 MB, of
-# the Boolean 2^8 near 6 MB), and the equational and implication checks, the
-# witness scans of failures and the congruence oracle form n^3 tables too.  So
+# A valid algebra passes validation and gets its Heyting table without an n^3
+# table (`classify` of the Heyting 256-chain document peaks near 6 MB), but
+# the residual search of `derive_arrow` on a lattice that is not distributive
+# is a (|J|, n, n) table formed a slab at a time, and the equational and
+# implication checks, the witness scans of failures and the congruence oracle
+# form n^3 tables; `build_lattice` itself takes 3.9 s on the 1024-chain.  So
 # larger documents are refused before any table is read, and no poset may have
 # more upsets than this; 256 admits the Boolean 2^8 and the 252-element amalgam
 # of a 2-chain into two 6-chains.
 SIZE_MAX = 256
 
-# Up to this many elements `_residual` searches the n^3 cube with `_greatest`
-# and `_residuated` compares the adjunction's two sides on all triples: on one
-# core the coordinates pay off from about 32 (Boolean) to 40 elements (chains)
-# and the Galois test from about 28, and forcing both onto them made
-# `algebra_from_json` 0.1-0.2 ms slower per catalog document.  The meet and
-# join tables come from the coordinates at every size, whose lookup decides
-# associativity too: without their cubes `build_lattice` went 280 -> 199 us per
-# catalog lattice (n <= 5), 287 -> 199 at 7 and 281 -> 206 at 8 elements.
+# Up to this many elements `_residual` searches the n^3 cube with `_greatest`,
+# for the Heyting table too, and `_residuated` compares the adjunction's two
+# sides on all triples: on one core the coordinates pay off from about 32
+# (Boolean) to 40 elements (chains) and the Galois test from about 28, and
+# forcing both onto them made `algebra_from_json` 0.1-0.2 ms slower per catalog
+# document; the Heyting recursion over lower covers took 22 us a lattice
+# against the cube's 16 us over the 78 lattices of at most 7 elements.  The
+# meet and join tables come from the coordinates at every size, whose lookup
+# decides associativity too: without their cubes `build_lattice` went 280 ->
+# 199 us per catalog lattice (n <= 5), 287 -> 199 at 7 and 281 -> 206 at 8
+# elements.
 CUBE_MAX = 12
 
 
@@ -149,11 +162,12 @@ def _subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ~_compose(a, ~np.swapaxes(b, -1, -2))
 
 
-def _slabs(n: int, width: int | None = None) -> list:
-    """Slices of 0..n-1, each cutting an n x width x width table (width n
-    by default) to about 2**20 entries; a single slice for n = width <= 101."""
-    width = n if width is None else width
-    step = max(1, 2 ** 20 // (width * width))
+def _slabs(n: int, row: int | None = None) -> list:
+    """Slices of 0..n-1, each cutting a table of n rows of ``row`` entries
+    (n^2 by default) to about 2**20 entries; a single slice for n <= 101 at
+    the default."""
+    row = n * n if row is None else row
+    step = max(1, 2 ** 20 // row)
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
@@ -239,10 +253,15 @@ def _intersection_table(rows: np.ndarray, rel: np.ndarray):
     rows that embed ``rel`` so give its meets (module docstring)."""
     packed = np.packbits(rows, axis=-1)
     keys = _keys(packed)
-    # the AND of two integer keys is the key of the intersection
-    common = (keys[:, None] & keys[None, :] if keys.dtype.kind == "u"
-              else _keys(packed[:, None] & packed[None, :]))
-    table, found = _lookup(keys, common)
+    if keys.dtype.kind == "u":
+        # the AND of two integer keys is the key of the intersection
+        table, found = _lookup(keys, keys[:, None] & keys[None, :])
+    else:
+        # byte-string keys, a slab of first rows at a time
+        table = np.empty((len(keys),) * 2, dtype=np.intp)
+        found = np.empty(table.shape, dtype=bool)
+        for s in _slabs(len(keys), packed.size):
+            table[s], found[s] = _lookup(keys, _keys(packed[s, None] & packed[None, :]))
     # row a lies inside row b, that is rows[a] & rows[b] = rows[a], iff a rel
     # b; read off the table, this also fails where two elements share a row,
     # since the lookup finds that row at one of them only
@@ -263,23 +282,52 @@ def _coordinate_bound_table(leq: np.ndarray, covers: tuple, lower: bool) -> np.n
 
 def _residual(lat: FiniteLattice, nab: np.ndarray):
     """``table[a, b]``, the greatest c with nab(c) & a <= b, and whether the
-    search found one for every pair.
+    search found one for every pair; a found table is the residual only if
+    nab(c) & a <= b iff c <= table[a, b], which the callers check with
+    ``_residuated``.
 
-    In coordinates, J(table[a, b]) = {j in J : nab(j) & a <= b}: a (|J|, n, n)
-    table instead of the (n, n, n) cube.  Each such set is looked up among the
-    J(x), and a pair whose set is no J(x) has no greatest c; a found x is the
-    greatest only if nab(x) & a <= b, which both callers check with
-    ``_residuated``.  Up to ``CUBE_MAX`` elements the cube ``_greatest`` costs
-    less and runs alone.
+    Up to ``CUBE_MAX`` elements the cube ``_greatest`` costs less and runs
+    alone.  Past it, on a lattice with a Heyting table ->, the residual is
+    box(a -> b) for box(b), the greatest c with nab(c) <= b: c <= box(a -> b)
+    iff nab(c) <= a -> b iff nab(c) & a <= b.  So box, O(n^2), then one
+    gather; a box can exist for a nabla with no residual (one that is not
+    monotone), which ``_residuated`` rejects.  Elsewhere the search runs in
+    coordinates, J(table[a, b]) = {j in J : nab(j) & a <= b}, a (|J|, n, n)
+    table formed one slab of first arguments at a time; each set is looked
+    up among the J(x), and a pair whose set is no J(x) has no greatest c.
     """
-    if lat.n <= CUBE_MAX:
+    n = lat.n
+    if n <= CUBE_MAX:
         table, found = _greatest(lat.leq, lat.leq[lat.meet[nab]])
         return table, bool(found.all())
-    irr = _irreducible(lat.covers, lat.n)
-    # cand[a, b, k]: nab(j_k) & a <= b; contiguous rows pack far faster
-    cand = np.ascontiguousarray(np.moveaxis(lat.leq[lat.meet[nab[irr]]], 0, -1))
-    table, found = _lookup(_row_keys(lat.leq[irr].T), _row_keys(cand))
-    return table, bool(found.all())
+    heyting = heyting_table(lat)
+    if heyting is not None:
+        box, found = _greatest(lat.leq, lat.leq[nab])
+        return box[heyting], bool(found.all())
+    irr = _irreducible(lat.covers, n)
+    keys = _row_keys(lat.leq[irr].T)
+    coords = lat.meet[nab[irr]]                     # [k, a]: nab(j_k) & a
+    table = np.empty((n, n), dtype=np.intp)
+    found = True
+    for s in _slabs(n, n * len(keys)):
+        # cand[k, a, b]: nab(j_k) & a <= b, a gather of whole rows
+        pos, hit = _lookup(keys, _keys(_pack_first_axis(lat.leq[coords[:, s]])))
+        table[s] = pos
+        found = found and bool(hit.all())
+    return table, found
+
+
+def _pack_first_axis(bits: np.ndarray) -> np.ndarray:
+    """``np.packbits`` of a boolean array along its first axis, the bytes put
+    last: eight shifted planes summed per byte, which costs less than packing
+    along a strided axis or than moving the axis first."""
+    rest = bits.shape[1:]
+    width = -(-len(bits) // 8)
+    planes = np.zeros((width * 8,) + rest, dtype=np.uint8)
+    planes[:len(bits)] = bits
+    shifts = np.arange(7, -1, -1, dtype=np.uint8).reshape((8,) + (1,) * len(rest))
+    packed = (planes.reshape((width, 8) + rest) << shifts).sum(axis=1, dtype=np.uint8)
+    return np.moveaxis(packed, 0, -1)
 
 
 def _at(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -420,16 +468,15 @@ def build_lattice(leq) -> FiniteLattice:
 def distributivity_witness(lat: FiniteLattice):
     """None when the distributive law holds; otherwise the first bad (a, b, c).
 
-    Decided by the join-irreducibles first: the lattice is distributive iff
-    each of them is join-prime, and every join-prime is join-irreducible.
-    Only a lattice that fails that test pays for the scan of all triples that
-    finds the lexicographically first witness.
+    Decided by ``is_distributive``; only a lattice that fails it pays for the
+    scan of all triples that finds the lexicographically first witness, and
+    only when the witness is asked for.
     """
     return _kept(lat, _build_distributivity_witness)
 
 
 def _build_distributivity_witness(lat: FiniteLattice):
-    if _join_primes(lat) == join_irreducibles(lat):
+    if is_distributive(lat):
         return None
     m, j = lat.meet, lat.join
     witness = None
@@ -444,7 +491,13 @@ def _build_distributivity_witness(lat: FiniteLattice):
 
 
 def is_distributive(lat: FiniteLattice) -> bool:
-    return distributivity_witness(lat) is None
+    """Whether every join-irreducible is join-prime, which holds iff the
+    lattice is distributive (every join-prime is join-irreducible)."""
+    return _kept(lat, _distributive)
+
+
+def _distributive(lat: FiniteLattice) -> bool:
+    return _join_primes(lat) == join_irreducibles(lat)
 
 
 def heyting_table(lat: FiniteLattice):
@@ -458,11 +511,51 @@ def heyting_table(lat: FiniteLattice):
 
 
 def _build_heyting_table(lat: FiniteLattice):
-    table, exists = _residual(lat, np.arange(lat.n))
+    if lat.n <= CUBE_MAX:
+        table, exists = _residual(lat, np.arange(lat.n))
+    else:
+        table, exists = _cover_heyting(lat)
     if exists:
         ensure(_residuated(lat, np.arange(lat.n), table), "pseudocomplement not residuated")
     ensure(exists == is_distributive(lat), "pseudocomplements exist iff distributive")
     return _freeze(table) if exists else None
+
+
+def _cover_heyting(lat: FiniteLattice):
+    """The Heyting table by recursion over lower covers, and whether it
+    exists; O(n^2) in all.
+
+    Row a is a -> -, and the rows are computed in order of increasing
+    down-set size: bottom -> b is top; an a with two lower covers c1, c2 is
+    their join, and (c1 | c2) -> b = (c1 -> b) & (c2 -> b); a
+    join-irreducible j with lower cover j* has j -> b = top where j <= b and
+    k(j) & (j* -> b) elsewhere, for k(j) the greatest element not above j.
+    For j not below b, c & j <= b iff j is not below c and c & j* <= b,
+    since c & j < j lies below j*.  Every k(j) exists iff every
+    join-irreducible is join-prime, that is iff the lattice is distributive
+    (module docstring); a missing one means no table.
+    """
+    n, leq, meet, top = lat.n, lat.leq, lat.meet, lat.top
+    irr = _irreducible(lat.covers, n)
+    kappa, found = _greatest(leq, ~leq[irr].T)
+    if not found.all():
+        return None, False
+    # the least and the greatest lower cover of each element: equal on J
+    lo, hi = lat.covers
+    first, last = np.full(n, n), np.full(n, -1)
+    np.minimum.at(first, hi, lo)
+    np.maximum.at(last, hi, lo)
+    kappa_of = np.zeros(n, dtype=np.intp)
+    kappa_of[irr] = kappa
+    table = np.empty((n, n), dtype=np.intp)
+    table[lat.bot] = top
+    first, last, kappa_of, single = first.tolist(), last.tolist(), kappa_of.tolist(), irr.tolist()
+    for a in np.argsort(leq.sum(axis=0), kind="stable")[1:].tolist():
+        if single[a]:
+            table[a] = np.where(leq[a], top, meet[kappa_of[a]].take(table[first[a]]))
+        else:
+            table[a] = _at(meet, table[first[a]], table[last[a]])
+    return table, True
 
 
 def join_irreducibles(lat: FiniteLattice) -> list[int]:
@@ -503,7 +596,7 @@ def _prime_filter_rows(lat: FiniteLattice, rows: np.ndarray) -> np.ndarray:
     whenever it holds x | y.  The pair laws are read a slab of rows at a
     time, so no k x n x n temporary exceeds about 2**20 entries."""
     ok = rows[:, lat.top] & ~rows[:, lat.bot] & ~(_compose(rows, lat.leq) & ~rows).any(axis=1)
-    for s in _slabs(len(rows), lat.n):
+    for s in _slabs(len(rows), lat.n ** 2):
         x, y = rows[s, :, None], rows[s, None, :]
         meets = ~(x & y) | rows[s][:, lat.meet]
         prime = ~rows[s][:, lat.join] | x | y

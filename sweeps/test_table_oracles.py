@@ -10,7 +10,9 @@ the other lattice laws, which ``build_lattice`` no longer checks.  On every
 distributive lattice the Heyting table, by either route, must equal the cube
 ``_greatest``, and the Galois test ``_residuated`` (``CUBE_MAX`` patched to 0
 so that it runs at 9 elements) must agree with the scan of all triples on the
-Heyting pair and on a copy with one arrow entry changed.  The upset lattice
+Heyting pair and on a copy with one arrow entry changed.  The recursion over
+lower covers, called directly on every lattice, must give the cube's table or
+find no table exactly where the cube does.  The upset lattice
 and the ideal lattice of every one of them, whose meets and joins
 ``_family_lattice`` looks up as intersections, must equal ``build_lattice``
 of their inclusion orders.
@@ -25,6 +27,7 @@ from nablalg.lattice import (
     _adjunction_sides,
     _bound_table,
     _build_heyting_table,
+    _cover_heyting,
     _family_lattice,
     _greatest,
     _residuated,
@@ -86,6 +89,21 @@ def test_heyting_tables_and_galois_test(monkeypatch, nine_lattices):
             assert bool((left == right).all()) == residuated
             assert _residuated(lat, idx, arr) == residuated
         monkeypatch.undo()
+
+
+def test_cover_recursion_matches_the_cube(nine_lattices):
+    """The Heyting table by recursion over lower covers, called directly:
+    the cube's table on the 26 distributive lattices, and a missing k(j) on
+    the 1,052 others."""
+    found = 0
+    for lat in nine_lattices:
+        want, exists = _greatest(lat.leq, lat.leq[lat.meet])
+        table, got = _cover_heyting(lat)
+        assert got == exists.all() == is_distributive(lat)
+        if got:
+            assert (table == want).all()
+        found += got
+    assert found == 26
 
 
 def test_family_lattices_match_the_inclusion_lattice(nine_lattices):

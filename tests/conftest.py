@@ -163,7 +163,8 @@ def closure_lattice(rng, k):
     under inclusion: a lattice, distributive or not."""
     fam = np.vstack([rng.random((int(rng.integers(2, 2 * k)), k)) < rng.uniform(0.3, 0.8),
                      np.ones((1, k), dtype=bool)])
-    size = 0
+    # distinct rows from the start, so an unchanged count means closed
+    fam, size = np.unique(fam, axis=0), 0
     while len(fam) != size:
         size = len(fam)
         fam = np.unique(np.vstack([fam, (fam[:, None] & fam[None]).reshape(-1, k)]), axis=0)
@@ -203,6 +204,13 @@ def seven_lattices():
     from nablalg.lattice import all_lattices
 
     return all_lattices(7)
+
+
+@pytest.fixture(scope="session")
+def eight_lattices():
+    from nablalg.lattice import all_lattices
+
+    return all_lattices(8)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ from nablalg.congruence import (
     Congruence,
     _congruence_closure,
     _modal_filter_rows,
+    _orbits,
     _power_criteria,
     all_congruences_oracle,
     all_modal_filters,
@@ -432,6 +433,28 @@ def test_power_criteria_match_orbit_loops():
             assert got == oracle_power_criteria(alg, table)
             seen.add(got)
     assert seen == set(itertools.product((True, False), repeat=2))
+
+
+def step_orbits(table):
+    """The former orbit walk, one step of ``table`` at a time for n - 1 steps."""
+    idx = cur = np.arange(len(table))
+    orbits = np.eye(len(table), dtype=bool)
+    for _ in range(len(table) - 1):
+        cur = table[cur]
+        orbits[idx, cur] = True
+    return orbits
+
+
+def test_orbits_by_doubling_match_the_step_walk():
+    """Random maps, cyclic shifts (one orbit of all n points, so n - 1 steps
+    are needed) and a path into a fixed point, on either side of each power
+    of two the doubling rounds reach."""
+    rng = np.random.default_rng(46)
+    for n in [*range(1, 41), 75, 130]:
+        maps = [rng.integers(0, n, n) for _ in range(3)]
+        maps += [(np.arange(n) + 1) % n, np.maximum(np.arange(n) - 1, 0)]
+        for table in maps:
+            assert (_orbits(table) == step_orbits(table)).all()
 
 
 def test_si_witness_matches_filter_oracle():

@@ -4,12 +4,13 @@ residuation against the n^3 cubes they replaced.
 The meet and join tables (``_coordinate_bound_table``) are found in
 coordinates at every size, and ``_bound_table`` runs only to name a pair
 without a meet or join; the tests compare the two directly.  Above
-``lattice.CUBE_MAX`` elements the Heyting table and ``derive_arrow``'s
-residual (``_residual``) are found in coordinates too, and the adjunction is
-decided by ``_residuated`` in O(n |covers| + n^2); up to it the cube
-``_greatest`` and the comparison of the adjunction's two sides run.  Each of
-those tests runs on both sides of that bound (``CUBE_MAX`` patched to 0 makes
-small inputs take the coordinate route).  All require equal tables and
+``lattice.CUBE_MAX`` elements the Heyting table comes from the recursion over
+lower covers (``_cover_heyting``), ``derive_arrow``'s residual (``_residual``)
+is box o Heyting on distributive lattices and is found in coordinates on the
+others, and the adjunction is decided by ``_residuated`` in
+O(n |covers| + n^2); up to it the cube ``_greatest`` and the comparison of the
+adjunction's two sides run.  Each of those tests runs on both sides of that
+bound (``CUBE_MAX`` patched to 0 makes small inputs take the routes past it).  All require equal tables and
 verdicts, the same exception class with the same witness, or None in the
 same cases.  The n^3 cross-checks that lemmas restate are kept here as
 oracles: the slabbed associativity scan, the cube residuation check of the
@@ -18,6 +19,7 @@ Heyting table, the full adjunction scan, and the full-range ``l_alt1`` and
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,9 +36,11 @@ from nablalg.lattice import (
     _bound_table,
     _build_heyting_table,
     _coordinate_bound_table,
+    _cover_heyting,
     _greatest,
     _irreducible,
     _lookup,
+    _pack_first_axis,
     _partial_order,
     _residuated,
     _row_keys,
@@ -51,6 +55,7 @@ from conftest import (
     diamond,
     larger_lattices,
     order_from_covers,
+    pentagon,
     product_order,
     random_poset,
     relabeled,
@@ -267,21 +272,113 @@ def test_former_checks_hold_on_the_catalog(seven_lattices, six_catalog):
 
 
 def test_heyting_residuation_check_is_independent_of_the_lookup(monkeypatch, seven_lattices):
-    """A Heyting table with one wrong entry, as a faulty lookup would give,
-    fails the residuation check on the join-irreducibles."""
+    """A Heyting table with one wrong entry, as a faulty cube search (up to
+    CUBE_MAX) or a faulty recursion over the covers (past it) would give,
+    fails the residuation check."""
     rng = np.random.default_rng(37)
     lats = [lat for lat in [*seven_lattices, *larger_lattices(rng)]
             if lat.n > 1 and is_distributive(lat)]
+    routes = set()
     for lat in lats[::3]:
         table = cube_heyting(lat)
         bad = table.copy()
         a, b = rng.integers(0, lat.n, 2)
         bad[a, b] = (table[a, b] + rng.integers(1, lat.n)) % lat.n
-        monkeypatch.setattr(lattice, "_residual", lambda lat, nab: (bad, True))
-        with pytest.raises(CrossCheckError, match="pseudocomplement not residuated"):
-            _build_heyting_table(fresh(lat))
-        monkeypatch.setattr(lattice, "_residual", lambda lat, nab: (table, True))
-        assert (_build_heyting_table(fresh(lat)) == table).all()
+        for out, fails in ((bad, True), (table, False)):
+            monkeypatch.setattr(lattice, "_residual", lambda lat, nab: (out, True))
+            monkeypatch.setattr(lattice, "_cover_heyting", lambda lat: (out, True))
+            if fails:
+                with pytest.raises(CrossCheckError, match="pseudocomplement not residuated"):
+                    _build_heyting_table(fresh(lat))
+            else:
+                assert (_build_heyting_table(fresh(lat)) == table).all()
+        routes.add(lat.n > CUBE_MAX)
+    assert routes == {False, True}
+
+
+# --- the recursion over lower covers and box o Heyting --------------------------
+
+
+def test_cover_recursion_matches_cube(eight_lattices):
+    """The recursion over lower covers, called directly, gives the cube's
+    table on every distributive lattice up to 8 elements (36), on the
+    distributive larger ones, the 140- and 256-chains and the Boolean 2^8;
+    on the 264 non-distributive lattices up to 8 elements, and on the larger
+    ones, some k(j) is missing."""
+    rng = np.random.default_rng(47)
+    others = [*larger_lattices(rng), build_lattice(chain_matrix(140)),
+              build_lattice(chain_matrix(256)), build_lattice(boolean_matrix(8))]
+    counts = Counter()
+    for source, lats in (("catalog", eight_lattices), ("others", others)):
+        for lat in lats:
+            table, exists = _cover_heyting(lat)
+            want = cube_heyting(lat)
+            assert exists == (want is not None) == is_distributive(lat)
+            if exists:
+                assert (table == want).all()
+            counts[source, exists] += 1
+    assert counts["catalog", True] == 36 and counts["catalog", False] == 264
+    assert counts["others", True] > 3 and counts["others", False] > 0
+
+
+def test_box_route_matches_cube_derive_arrow(monkeypatch):
+    """Past CUBE_MAX on distributive lattices derive_arrow is box o Heyting,
+    with no coordinate search: on the join-preserving nablas x -> x & c, step
+    nablas, one-entry perturbations of them and random tables it gives the
+    cube's arrow, or None in the same cases.  Some rejected nablas have a box,
+    as a non-monotone nabla can, and only the adjunction check refuses them."""
+
+    def no_coordinates(bits):
+        raise AssertionError("the coordinate search ran on a distributive lattice")
+
+    monkeypatch.setattr(lattice, "_pack_first_axis", no_coordinates)
+    rng = np.random.default_rng(48)
+    lats = [lat for lat in [*larger_lattices(rng), gen_xn(4).lat, build_lattice(boolean_matrix(6))]
+            if lat.n > CUBE_MAX and is_distributive(lat)]
+    seen = set()
+    for lat in lats:
+        nabs = [lat.meet[:, c] for c in rng.integers(0, lat.n, 2)]
+        nabs += [step_nabla(lat, *rng.integers(0, lat.n, 2)) for _ in range(2)]
+        nabs += [perturbed(nab, lat.n, rng) for nab in nabs] + [rng.integers(0, lat.n, lat.n)]
+        for nab in nabs:
+            want = cube_derive_arrow(lat, nab)
+            assert outcome(derive_arrow, fresh(lat), nab) == outcome(lambda: want)
+            seen.add((want is not None, bool(_greatest(lat.leq, lat.leq[nab])[1].all())))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_coordinate_residual_is_slabbed():
+    """derive_arrow on the 200-element N5 x 40-chain, not distributive, takes
+    the coordinate search, one slab of first arguments at a time: with step
+    nablas and perturbations of them it gives the cube's arrow, or None with
+    it, and a call on a fresh lattice peaks under 2 MB, where the whole
+    (|J|, n, n) candidate table is 1.6 MB and the search that formed it at
+    once, with a copy to move J last, peaked at 3.4 MB."""
+    lat = build_lattice(product_order(pentagon().leq, chain_matrix(40)))
+    j = int(_irreducible(lat.covers, lat.n).sum())
+    assert not is_distributive(lat) and len(_slabs(lat.n, lat.n * j)) > 1
+    rng = np.random.default_rng(49)
+    nabs = [step_nabla(lat, *rng.integers(0, lat.n, 2)) for _ in range(2)]
+    seen = set()
+    for nab in [*nabs, *(perturbed(nab, lat.n, rng) for nab in nabs)]:
+        want = cube_derive_arrow(lat, nab)
+        tracemalloc.start()
+        try:
+            got = outcome(derive_arrow, fresh(lat), nab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == outcome(lambda: want)
+        assert peak < 2 * 2 ** 20
+        seen.add(want is None)
+    assert seen == {False, True}
+
+
+def test_pack_first_axis_matches_packbits():
+    rng = np.random.default_rng(50)
+    for k in (0, 1, 7, 8, 9, 42, 64, 65, 130):
+        bits = rng.random((k, 3, 5)) < 0.5
+        assert (_pack_first_axis(bits) == np.moveaxis(np.packbits(bits, axis=0), 0, -1)).all()
 
 
 # --- residuation as a Galois connection ----------------------------------------
@@ -384,6 +481,20 @@ def test_validation_forms_no_cube(leq):
     tracemalloc.start()
     try:
         classify(build_algebra(alg.lat, alg.nabla, alg.arrow))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_heyting_chain_forms_no_cube():
+    """Building the 256-chain and its Heyting algebra peaks under 8 MB: the
+    table comes from the recursion over lower covers, where the former
+    (|J|, n, n) residual search alone was a 16 MB table."""
+    leq = chain_matrix(256)
+    tracemalloc.start()
+    try:
+        gen_heyting(build_lattice(leq))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -638,7 +638,7 @@ def test_prime_filter_mask_matches_the_row_check(six_lattices):
     lat = chain(120)
     rng = np.random.default_rng(5)
     rows = np.vstack([_upset_rows(lat.leq), rng.random((40, lat.n)) < 0.9])
-    assert len(_slabs(len(rows), lat.n)) > 1
+    assert len(_slabs(len(rows), lat.n ** 2)) > 1
     got = _prime_filter_rows(lat, rows)
     assert got.tolist() == [prime_filter_row_oracle(lat, s) for s in rows]
     assert got.sum() == lat.n - 1

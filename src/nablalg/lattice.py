@@ -14,7 +14,7 @@ and every inclusion test of membership matrices through its dual ``_subset``.
 
 Lattices, algebras and frames are immutable, and what is derived from one
 of them is computed once and kept on it by one helper, ``_kept``: here the
-distributivity verdict and witness, the Heyting table and the prime filters.
+distributivity witness, the Heyting table and the prime filters.
 
 Order facts are decided without the n^3 table of all triples, mostly on
 the covering relation ``covers`` (the strict order minus its square, found
@@ -30,8 +30,8 @@ by the product that also checks transitivity); see Davey & Priestley,
   lies below x or y and so equals one of them: it is join-irreducible;
 - a finite lattice is distributive iff every join-irreducible is
   join-prime, that is iff a -> (join-irreducibles below a) preserves binary
-  joins; ``is_distributive`` decides so, and ``distributivity_witness``
-  scans the triples for the first witness only on a lattice that fails;
+  joins; ``distributivity_witness`` decides so, and scans the triples for
+  the first witness only when the test fails;
 - a map is monotone iff it is monotone on covering pairs, the order being
   their reflexive-transitive closure; ``_monotone`` checks nabla and arrow
   so.
@@ -296,38 +296,32 @@ def _residual(lat: FiniteLattice, nab: np.ndarray):
     table formed one slab of first arguments at a time; each set is looked
     up among the J(x), and a pair whose set is no J(x) has no greatest c.
     """
-    n = lat.n
-    if n <= CUBE_MAX:
+    if lat.n <= CUBE_MAX:
         table, found = _greatest(lat.leq, lat.leq[lat.meet[nab]])
         return table, bool(found.all())
     heyting = heyting_table(lat)
     if heyting is not None:
         box, found = _greatest(lat.leq, lat.leq[nab])
         return box[heyting], bool(found.all())
+    return _coordinate_residual(lat, nab)
+
+
+def _coordinate_residual(lat: FiniteLattice, nab: np.ndarray):
+    """``_residual`` in coordinates, one slab of first arguments at a time."""
+    n = lat.n
     irr = _irreducible(lat.covers, n)
     keys = _row_keys(lat.leq[irr].T)
     coords = lat.meet[nab[irr]]                     # [k, a]: nab(j_k) & a
     table = np.empty((n, n), dtype=np.intp)
     found = True
     for s in _slabs(n, n * len(keys)):
-        # cand[k, a, b]: nab(j_k) & a <= b, a gather of whole rows
-        pos, hit = _lookup(keys, _keys(_pack_first_axis(lat.leq[coords[:, s]])))
+        # cand[k, a, b]: nab(j_k) & a <= b, a gather of whole rows packed along
+        # k; moving the bytes last is a view
+        packed = np.packbits(lat.leq[coords[:, s]], axis=0)
+        pos, hit = _lookup(keys, _keys(np.moveaxis(packed, 0, -1)))
         table[s] = pos
         found = found and bool(hit.all())
     return table, found
-
-
-def _pack_first_axis(bits: np.ndarray) -> np.ndarray:
-    """``np.packbits`` of a boolean array along its first axis, the bytes put
-    last: eight shifted planes summed per byte, which costs less than packing
-    along a strided axis or than moving the axis first."""
-    rest = bits.shape[1:]
-    width = -(-len(bits) // 8)
-    planes = np.zeros((width * 8,) + rest, dtype=np.uint8)
-    planes[:len(bits)] = bits
-    shifts = np.arange(7, -1, -1, dtype=np.uint8).reshape((8,) + (1,) * len(rest))
-    packed = (planes.reshape((width, 8) + rest) << shifts).sum(axis=1, dtype=np.uint8)
-    return np.moveaxis(packed, 0, -1)
 
 
 def _at(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -468,20 +462,24 @@ def build_lattice(leq) -> FiniteLattice:
 def distributivity_witness(lat: FiniteLattice):
     """None when the distributive law holds; otherwise the first bad (a, b, c).
 
-    Decided by ``is_distributive``; only a lattice that fails it pays for the
-    scan of all triples that finds the lexicographically first witness, and
-    only when the witness is asked for.
+    Decided by the join-irreducibles first: the lattice is distributive iff
+    each of them is join-prime, and every join-prime is join-irreducible.
+    Only a lattice that fails that test pays for the scan of all triples that
+    finds the lexicographically first witness.
     """
     return _kept(lat, _build_distributivity_witness)
 
 
 def _build_distributivity_witness(lat: FiniteLattice):
-    if is_distributive(lat):
+    if _join_primes(lat) == join_irreducibles(lat):
         return None
     m, j = lat.meet, lat.join
     witness = None
-    # a slab of first arguments at a time: a & (b | c) against (a & b) | (a & c)
-    for s in _slabs(lat.n):
+    # a slab of first arguments at a time: a & (b | c) against (a & b) | (a & c);
+    # each triple takes two intp gathers, so a slab holds about 2**15 triples
+    # (one first argument from 182 elements on) and the scan of the N5 x
+    # 40-chain peaks at 0.75 MB
+    for s in _slabs(lat.n, 32 * lat.n ** 2):
         bad = np.argwhere(m[s][:, j] != j[m[s][:, :, None], m[s][:, None, :]])
         if len(bad):
             witness = (int(bad[0, 0]) + s.start, int(bad[0, 1]), int(bad[0, 2]))
@@ -491,13 +489,7 @@ def _build_distributivity_witness(lat: FiniteLattice):
 
 
 def is_distributive(lat: FiniteLattice) -> bool:
-    """Whether every join-irreducible is join-prime, which holds iff the
-    lattice is distributive (every join-prime is join-irreducible)."""
-    return _kept(lat, _distributive)
-
-
-def _distributive(lat: FiniteLattice) -> bool:
-    return _join_primes(lat) == join_irreducibles(lat)
+    return distributivity_witness(lat) is None
 
 
 def heyting_table(lat: FiniteLattice):

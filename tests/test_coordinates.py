@@ -40,7 +40,6 @@ from nablalg.lattice import (
     _greatest,
     _irreducible,
     _lookup,
-    _pack_first_axis,
     _partial_order,
     _residuated,
     _row_keys,
@@ -328,10 +327,10 @@ def test_box_route_matches_cube_derive_arrow(monkeypatch):
     cube's arrow, or None in the same cases.  Some rejected nablas have a box,
     as a non-monotone nabla can, and only the adjunction check refuses them."""
 
-    def no_coordinates(bits):
+    def no_coordinates(lat, nab):
         raise AssertionError("the coordinate search ran on a distributive lattice")
 
-    monkeypatch.setattr(lattice, "_pack_first_axis", no_coordinates)
+    monkeypatch.setattr(lattice, "_coordinate_residual", no_coordinates)
     rng = np.random.default_rng(48)
     lats = [lat for lat in [*larger_lattices(rng), gen_xn(4).lat, build_lattice(boolean_matrix(6))]
             if lat.n > CUBE_MAX and is_distributive(lat)]
@@ -373,12 +372,6 @@ def test_coordinate_residual_is_slabbed():
         seen.add(want is None)
     assert seen == {False, True}
 
-
-def test_pack_first_axis_matches_packbits():
-    rng = np.random.default_rng(50)
-    for k in (0, 1, 7, 8, 9, 42, 64, 65, 130):
-        bits = rng.random((k, 3, 5)) < 0.5
-        assert (_pack_first_axis(bits) == np.moveaxis(np.packbits(bits, axis=0), 0, -1)).all()
 
 
 # --- residuation as a Galois connection ----------------------------------------

@@ -166,6 +166,7 @@ def build_algebra(lat: FiniteLattice, nabla, arrow) -> NablaAlgebra:
     adjunction forces and ``_residuated`` does not decide are re-derived as
     internal cross-checks; nabla's and arrow(a, -)'s monotonicity and
     detachment ``_residuated`` decides (up to ``CUBE_MAX``: they follow).
+    The same predicate decides ``derive_arrow``'s candidate.
     """
     nab, arr = _check_tables(lat, nabla, arrow)
     if not _residuated(lat, nab, arr):
@@ -202,20 +203,18 @@ def _check_derived_laws(alg: NablaAlgebra) -> None:
 def derive_arrow(lat: FiniteLattice, nabla):
     """The unique arrow residuating the given nabla, or None when there is none.
 
-    Searches max{c : nabla(c) & a <= b} per pair with ``lattice._residual``:
-    past ``CUBE_MAX`` elements, on a distributive lattice, as box(a -> b) from
-    the kept Heyting table, for box the right adjoint of nabla, O(n^2);
-    elsewhere in the coordinates J(arrow(a, b)) = {j in J : nabla(j) & a <= b}.
-    It then re-validates the full adjunction with ``lattice._residuated``; the
-    re-check matters because an arbitrary nabla table can admit all the
-    maxima (or a box) yet break residuation (for instance when it is not
-    order-preserving).
+    ``lattice._residual`` gives one candidate table at every size: where the
+    lattice has a Heyting table, box(a -> b) from the kept table, for box the
+    right adjoint of nabla, O(n^2); elsewhere the join of the
+    join-irreducibles j with nabla(j) & a <= b, O(n^2 |J|).  Then
+    ``lattice._residuated``, the predicate of ``build_algebra``, decides it:
+    the adjunction determines the arrow, so a candidate that passes is the
+    residual, and where there is none every candidate fails (a box can exist
+    for a nabla that is not order-preserving).
     """
     nab = _indices(nabla, (lat.n,), lat.n, "nabla table")
-    arrow, found = _residual(lat, nab)
-    if not found or not _residuated(lat, nab, arrow):
-        return None
-    return arrow
+    arrow = _residual(lat, nab)
+    return arrow if _residuated(lat, nab, arrow) else None
 
 
 EQUATIONAL_LAWS = {

@@ -90,7 +90,8 @@ def lu_closure(lat, members) -> frozenset:
 
 
 def is_normal_ideal(lat, members) -> bool:
-    return lu_closure(lat, members) == frozenset(members)
+    members = frozenset(members)
+    return lu_closure(lat, members) == members
 
 
 def _ideal_rows(lat):

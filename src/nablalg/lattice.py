@@ -50,8 +50,9 @@ Tables are found in join-irreducible coordinates (Birkhoff's representation,
 ibid. ch. 2 and 5).  In a finite lattice every x is the join of J(x), the
 join-irreducibles below it, so x -> J(x) is an order embedding, and
 J(a & b) = J(a) & J(b); dually M(x), the meet-irreducibles above x,
-embeds the dual order and M(a | b) = M(a) & M(b).  With the rows packed into
-bits, O(n^2 |J|) work replaces the n^3 cubes of candidates:
+embeds the dual order and M(a | b) = M(a) & M(b).  So O(n^2 |J|) work, the
+rows packed into bits where they are looked up, replaces the n^3 cubes of
+candidates:
 
 - a finite order has all binary meets iff x -> J(x) reflects the order and
   every J(a) & J(b) is some J(x), which is then a & b: it lies below a and
@@ -60,13 +61,13 @@ bits, O(n^2 |J|) work replaces the n^3 cubes of candidates:
   would both lie below y, and so would their join z), so the rows reflect
   the order.  Only when the test fails does the cube ``_bound_table`` run,
   to name the first pair without a meet (or join);
-- the greatest c with nab(c) & a <= b has J(c) = {j : nab(j) & a <= b}, so
-  on a lattice without a Heyting table ``_residual`` looks that set up among
-  the J(x), one slab of first arguments at a time; a set that is no J(x)
-  means no greatest c;
 - the lookup finds meet[a, b] with J(meet[a, b]) = J(a) & J(b), and the
   rows embed the order, so the table is associative: (a & b) & c and
-  a & (b & c) have the one row J(a) & J(b) & J(c).
+  a & (b & c) have the one row J(a) & J(b) & J(c);
+- where the greatest c with nab(c) & a <= b exists, j <= c iff
+  nab(j) & a <= b, so c is the join of those j; on a lattice without a
+  Heyting table ``_residual`` folds that join over J, one n x n table per j,
+  and ``_residuated`` decides whether the result is the residual.
 
 The first argument holds for any rows that embed the order
 (``_intersection_table``).  A family of sets closed under intersection is its
@@ -75,22 +76,23 @@ intersection give its joins (``_family_lattice``): the complements of a family
 closed under union, or the upper bounds of the normal ideals.
 
 On a distributive lattice both residuals cost O(n^2), with no |J| factor
-(ibid. ch. 5 and 7).  The Heyting table follows from the covers
-(``_cover_heyting``): bottom -> b is top, an element with two lower covers is
-their join and (c1 | c2) -> b = (c1 -> b) & (c2 -> b), and a join-irreducible
-j with lower cover j* has j -> b = k(j) & (j* -> b) where j is not below b,
-for k(j) the greatest element not above j.  Every k(j) exists iff every
-join-irreducible is join-prime, that is iff the lattice is distributive.  The
-residual of a nabla is then arrow(a, b) = box(a -> b), for box the right
-adjoint of nabla (``_residual``).
+(ibid. ch. 5 and 7).  Past ``CUBE_MAX`` the Heyting table follows from the
+covers (``_cover_heyting``): bottom -> b is top, an element with two lower
+covers is their join and (c1 | c2) -> b = (c1 -> b) & (c2 -> b), and a
+join-irreducible j with lower cover j* has j -> b = k(j) & (j* -> b) where j
+is not below b, for k(j) the greatest element not above j.  Every k(j)
+exists iff every join-irreducible is join-prime, that is iff the lattice is
+distributive.  The residual of a nabla is then arrow(a, b) = box(a -> b), for
+box the right adjoint of nabla (``_residual``).  The dependency runs one way: the residual
+reads the Heyting table, which never calls the residual.
 
-The meet and join tables come from the coordinates at every size; up to
-``CUBE_MAX`` elements the cube ``_greatest`` gives the Heyting table and the
-residual, and the adjunction's two sides are compared on all triples, which
-costs less there.  Every lookup of packed rows (here, and the ``_locate``
-calls of the duality and the completion) is one function, ``_lookup``: from
-``HASH_MIN`` queries on, each row costs O(1) in a collision-free hash table of
-the keys.
+The meet and join tables come from the coordinates at every size, and the
+residual from box o Heyting or the join over J at every size; up to
+``CUBE_MAX`` elements the cube ``_greatest`` gives the Heyting table, and the
+adjunction's two sides are compared on all triples, which costs less there.
+Every lookup of packed rows (here, and the ``_locate`` calls of the duality
+and the completion) is one function, ``_lookup``: from ``HASH_MIN`` queries
+on, each row costs O(1) in a collision-free hash table of the keys.
 
 ``all_lattices`` grows lattices one atom at a time (class counts: OEIS
 A006966; Heitzig & Reinhold, *Counting finite lattices*, 2002).  Removing an
@@ -119,28 +121,25 @@ from .errors import (
     ensure,
 )
 
-# A valid algebra passes validation and gets its Heyting table without an n^3
-# table (`classify` of the Heyting 256-chain document peaks near 6 MB), but
-# the residual search of `derive_arrow` on a lattice that is not distributive
-# is a (|J|, n, n) table formed a slab at a time, and the equational and
-# implication checks, the witness scans of failures and the congruence oracle
-# form n^3 tables; `build_lattice` itself takes 3.9 s on the 1024-chain.  So
-# larger documents are refused before any table is read, and no poset may have
-# more upsets than this; 256 admits the Boolean 2^8 and the 252-element amalgam
-# of a 2-chain into two 6-chains.
+# A valid algebra passes validation and gets its Heyting table and residual
+# without an n^3 table (`classify` of the Heyting 256-chain document peaks
+# near 6 MB), but the equational and implication checks, the witness scans of
+# failures and the congruence oracle form n^3 tables; `build_lattice` itself
+# takes 3.9 s on the 1024-chain.  So larger documents are refused before any
+# table is read, and no poset may have more upsets than this; 256 admits the
+# Boolean 2^8 and the 252-element amalgam of a 2-chain into two 6-chains.
 SIZE_MAX = 256
 
-# Up to this many elements `_residual` searches the n^3 cube with `_greatest`,
-# for the Heyting table too, and `_residuated` compares the adjunction's two
-# sides on all triples: on one core the coordinates pay off from about 32
-# (Boolean) to 40 elements (chains) and the Galois test from about 28, and
-# forcing both onto them made `algebra_from_json` 0.1-0.2 ms slower per catalog
-# document; the Heyting recursion over lower covers took 22 us a lattice
-# against the cube's 16 us over the 78 lattices of at most 7 elements.  The
-# meet and join tables come from the coordinates at every size, whose lookup
-# decides associativity too: without their cubes `build_lattice` went 280 ->
-# 199 us per catalog lattice (n <= 5), 287 -> 199 at 7 and 281 -> 206 at 8
-# elements.
+# Up to this many elements the Heyting table is the n^3 cube of `_greatest`
+# and `_residuated` compares the adjunction's two sides on all triples; these
+# are the only two uses of the bound.  On one core the Galois test pays off
+# from about 28 elements, and forcing it below 12 made `algebra_from_json`
+# 0.1-0.2 ms slower per catalog document; the Heyting recursion over lower
+# covers took 22 us a lattice against the cube's 16 us over the 78 lattices of
+# at most 7 elements.  The meet and join tables come from the coordinates at
+# every size, whose lookup decides associativity too: without their cubes
+# `build_lattice` went 280 -> 199 us per catalog lattice (n <= 5), 287 -> 199
+# at 7 and 281 -> 206 at 8 elements.
 CUBE_MAX = 12
 
 
@@ -280,48 +279,33 @@ def _coordinate_bound_table(leq: np.ndarray, covers: tuple, lower: bool) -> np.n
     return _bound_table(leq, lower) if table is None else table
 
 
-def _residual(lat: FiniteLattice, nab: np.ndarray):
-    """``table[a, b]``, the greatest c with nab(c) & a <= b, and whether the
-    search found one for every pair; a found table is the residual only if
-    nab(c) & a <= b iff c <= table[a, b], which the callers check with
-    ``_residuated``.
+def _residual(lat: FiniteLattice, nab: np.ndarray) -> np.ndarray:
+    """``table[a, b]``, the greatest c with nab(c) & a <= b wherever the
+    residual exists, by one of two routes at every size; the callers check
+    with ``_residuated`` that it does, and a table that passes is the
+    residual, since the adjunction determines it.
 
-    Up to ``CUBE_MAX`` elements the cube ``_greatest`` costs less and runs
-    alone.  Past it, on a lattice with a Heyting table ->, the residual is
-    box(a -> b) for box(b), the greatest c with nab(c) <= b: c <= box(a -> b)
-    iff nab(c) <= a -> b iff nab(c) & a <= b.  So box, O(n^2), then one
-    gather; a box can exist for a nabla with no residual (one that is not
-    monotone), which ``_residuated`` rejects.  Elsewhere the search runs in
-    coordinates, J(table[a, b]) = {j in J : nab(j) & a <= b}, a (|J|, n, n)
-    table formed one slab of first arguments at a time; each set is looked
-    up among the J(x), and a pair whose set is no J(x) has no greatest c.
+    On a lattice with a Heyting table ->, the residual is box(a -> b) for
+    box(b), the greatest c with nab(c) <= b: c <= box(a -> b) iff
+    nab(c) <= a -> b iff nab(c) & a <= b.  So box, O(n^2), then one gather; a
+    box can exist for a nabla with no residual (one that is not monotone),
+    which ``_residuated`` rejects.  Elsewhere it is the join ``_join_residual``.
     """
-    if lat.n <= CUBE_MAX:
-        table, found = _greatest(lat.leq, lat.leq[lat.meet[nab]])
-        return table, bool(found.all())
     heyting = heyting_table(lat)
-    if heyting is not None:
-        box, found = _greatest(lat.leq, lat.leq[nab])
-        return box[heyting], bool(found.all())
-    return _coordinate_residual(lat, nab)
+    if heyting is None:
+        return _join_residual(lat, nab)
+    return _greatest(lat.leq, lat.leq[nab])[0][heyting]
 
 
-def _coordinate_residual(lat: FiniteLattice, nab: np.ndarray):
-    """``_residual`` in coordinates, one slab of first arguments at a time."""
-    n = lat.n
-    irr = _irreducible(lat.covers, n)
-    keys = _row_keys(lat.leq[irr].T)
-    coords = lat.meet[nab[irr]]                     # [k, a]: nab(j_k) & a
-    table = np.empty((n, n), dtype=np.intp)
-    found = True
-    for s in _slabs(n, n * len(keys)):
-        # cand[k, a, b]: nab(j_k) & a <= b, a gather of whole rows packed along
-        # k; moving the bytes last is a view
-        packed = np.packbits(lat.leq[coords[:, s]], axis=0)
-        pos, hit = _lookup(keys, _keys(np.moveaxis(packed, 0, -1)))
-        table[s] = pos
-        found = found and bool(hit.all())
-    return table, found
+def _join_residual(lat: FiniteLattice, nab: np.ndarray) -> np.ndarray:
+    """``table[a, b]``, the join of the join-irreducibles j with
+    nab(j) & a <= b: where the residual exists, j <= arrow(a, b) iff
+    nab(j) & a <= b, and every element is the join of the join-irreducibles
+    below it.  One pass per j over an n x n table, O(n^2 |J|)."""
+    table = np.full((lat.n, lat.n), lat.bot, dtype=np.intp)
+    for j in join_irreducibles(lat):
+        table = np.where(lat.leq[lat.meet[nab[j]]], lat.join[j].take(table), table)
+    return table
 
 
 def _at(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -504,7 +488,8 @@ def heyting_table(lat: FiniteLattice):
 
 def _build_heyting_table(lat: FiniteLattice):
     if lat.n <= CUBE_MAX:
-        table, exists = _residual(lat, np.arange(lat.n))
+        table, found = _greatest(lat.leq, lat.leq[lat.meet])
+        exists = bool(found.all())
     else:
         table, exists = _cover_heyting(lat)
     if exists:

@@ -12,18 +12,25 @@ distributive lattice the Heyting table, by either route, must equal the cube
 so that it runs at 9 elements) must agree with the scan of all triples on the
 Heyting pair and on a copy with one arrow entry changed.  The recursion over
 lower covers, called directly on every lattice, must give the cube's table or
-find no table exactly where the cube does.  The upset lattice
+find no table exactly where the cube does.  ``derive_arrow`` must give the
+cube residual validated on all triples, or None in the same cases, by box o
+Heyting on the distributive lattices and by the join over J on the
+others, on both sides of ``CUBE_MAX``.  The upset lattice
 and the ideal lattice of every one of them, whose meets and joins
 ``_family_lattice`` looks up as intersections, must equal ``build_lattice``
 of their inclusion orders.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import nablalg.lattice as lattice
+from nablalg.algebra import derive_arrow
 from nablalg.completion import _ideal_rows
 from nablalg.lattice import (
+    FiniteLattice,
     _adjunction_sides,
     _bound_table,
     _build_heyting_table,
@@ -104,6 +111,51 @@ def test_cover_recursion_matches_the_cube(nine_lattices):
             assert (table == want).all()
         found += got
     assert found == 26
+
+
+def cube_derive_arrow(lat, nab):
+    """The cube residual, or None where some pair has no greatest c or the
+    adjunction fails on some triple."""
+    arrow, found = _greatest(lat.leq, lat.leq[lat.meet[nab]])
+    if not found.all():
+        return None
+    left, right = _adjunction_sides(lat, nab, arrow)
+    return arrow if (left == right).all() else None
+
+
+@pytest.mark.parametrize("cube_max", [lattice.CUBE_MAX, 0], ids=["default", "past-cube"])
+def test_derive_arrow_matches_the_cube_residual(monkeypatch, cube_max, nine_lattices):
+    """On every lattice of 9 elements, the meet nablas x -> x & c, a step
+    nabla (bottom below c, d elsewhere) and a one-entry perturbation of each:
+    derive_arrow gives the cube residual or None with it.  Box o Heyting
+    serves the 26 distributive lattices and the join route the 1,052 others,
+    and each route rejects some nablas."""
+    monkeypatch.setattr(lattice, "CUBE_MAX", cube_max)
+    calls, join_residual = [], lattice._join_residual
+    monkeypatch.setattr(lattice, "_join_residual",
+                        lambda lat, nab: calls.append(nab) or join_residual(lat, nab))
+    rng = np.random.default_rng(91)
+    seen = Counter()
+    for lat in nine_lattices:
+        # a copy with nothing kept, so that its Heyting table is built here
+        lat = FiniteLattice(lat.leq, lat.meet, lat.join, lat.bot, lat.top, lat.covers)
+        c, d = rng.integers(0, 9, 2)
+        nabs = [lat.meet[:, e] for e in range(9)] + [np.where(lat.leq[:, c], lat.bot, d)]
+        for nab in nabs[:]:
+            nab = nab.copy()
+            x = rng.integers(0, 9)
+            nab[x] = (nab[x] + rng.integers(1, 9)) % 9
+            nabs.append(nab)
+        route = "box" if is_distributive(lat) else "join"
+        for nab in nabs:
+            before = len(calls)
+            want, got = cube_derive_arrow(lat, nab), derive_arrow(lat, nab)
+            assert (got is None) == (want is None)
+            assert got is None or (got == want).all()
+            assert (len(calls) > before) == (route == "join")
+            seen[route, want is None] += 1
+    assert set(seen) == {(r, rejected) for r in ("box", "join") for rejected in (False, True)}
+    assert seen["box", False] + seen["box", True] == 26 * 20
 
 
 def test_family_lattices_match_the_inclusion_lattice(nine_lattices):

@@ -267,6 +267,16 @@ def test_lu_operators_three_chain():
     assert lu_closure(lat, set()) == frozenset({0})
 
 
+def test_is_normal_ideal_reads_an_iterator_once():
+    """Members given as an iterator or a generator are read once: the
+    closure and the comparison see the same set."""
+    lat = chain(3)
+    assert is_normal_ideal(lat, [0, 1])
+    assert is_normal_ideal(lat, iter([0, 1]))
+    assert is_normal_ideal(lat, (x for x in (0, 1)))
+    assert not is_normal_ideal(lat, iter([1]))
+
+
 @pytest.mark.parametrize("fn", [upper_bounds, lower_bounds, lu_closure, is_normal_ideal])
 @pytest.mark.parametrize("member", [-1, 3])
 def test_members_outside_the_carrier_are_refused(fn, member):

@@ -3,19 +3,20 @@ residuation against the n^3 cubes they replaced.
 
 The meet and join tables (``_coordinate_bound_table``) are found in
 coordinates at every size, and ``_bound_table`` runs only to name a pair
-without a meet or join; the tests compare the two directly.  Above
-``lattice.CUBE_MAX`` elements the Heyting table comes from the recursion over
-lower covers (``_cover_heyting``), ``derive_arrow``'s residual (``_residual``)
-is box o Heyting on distributive lattices and is found in coordinates on the
-others, and the adjunction is decided by ``_residuated`` in
-O(n |covers| + n^2); up to it the cube ``_greatest`` and the comparison of the
-adjunction's two sides run.  Each of those tests runs on both sides of that
-bound (``CUBE_MAX`` patched to 0 makes small inputs take the routes past it).  All require equal tables and
-verdicts, the same exception class with the same witness, or None in the
-same cases.  The n^3 cross-checks that lemmas restate are kept here as
-oracles: the slabbed associativity scan, the cube residuation check of the
-Heyting table, the full adjunction scan, and the full-range ``l_alt1`` and
-``fa_iv`` masks of ``classify``.
+without a meet or join; the tests compare the two directly.
+``derive_arrow``'s residual (``_residual``) is box o Heyting wherever the
+Heyting table exists and the join ``_join_residual`` elsewhere, at every
+size.  Above ``lattice.CUBE_MAX`` elements the Heyting table comes from the
+recursion over lower covers (``_cover_heyting``) and the adjunction is decided
+by ``_residuated`` in O(n |covers| + n^2); up to it the cube ``_greatest`` and
+the comparison of the adjunction's two sides run.  The tests of those run on
+both sides of that bound (``CUBE_MAX`` patched to 0 makes small inputs take
+the routes past it).  All require equal tables and verdicts, the same
+exception class with the same witness, or None in the same cases.  The n^3
+cross-checks that lemmas restate are kept here as oracles: the slabbed
+associativity scan, the cube residuation check of the Heyting table, the full
+adjunction scan, and the full-range ``l_alt1`` and ``fa_iv`` masks of
+``classify``.
 """
 
 import tracemalloc
@@ -152,12 +153,9 @@ def bound_table_orders(seed, seven_lattices):
 ALL_KINDS = {(big, kind) for big in (False, True) for kind in ("ok", "NoMeet", "NoJoin")}
 
 
-@BOTH_SIDES
-def test_bound_tables_match_cube(monkeypatch, cube_max, seven_lattices):
-    """The coordinate tables, at every size and on either side of
-    ``CUBE_MAX`` (which no longer routes them), equal the cube's, and a
-    failure names the cube's pair."""
-    monkeypatch.setattr(lattice, "CUBE_MAX", cube_max)
+def test_bound_tables_match_cube(seven_lattices):
+    """The coordinate tables, at every size, equal the cube's, and a failure
+    names the cube's pair."""
     kinds = set()
     for leq in bound_table_orders(31, seven_lattices):
         arr, covers = _partial_order(leq)
@@ -273,7 +271,8 @@ def test_former_checks_hold_on_the_catalog(seven_lattices, six_catalog):
 def test_heyting_residuation_check_is_independent_of_the_lookup(monkeypatch, seven_lattices):
     """A Heyting table with one wrong entry, as a faulty cube search (up to
     CUBE_MAX) or a faulty recursion over the covers (past it) would give,
-    fails the residuation check."""
+    fails the residuation check: the Galois test past CUBE_MAX, the
+    comparison of the adjunction's two sides up to it."""
     rng = np.random.default_rng(37)
     lats = [lat for lat in [*seven_lattices, *larger_lattices(rng)]
             if lat.n > 1 and is_distributive(lat)]
@@ -284,7 +283,7 @@ def test_heyting_residuation_check_is_independent_of_the_lookup(monkeypatch, sev
         a, b = rng.integers(0, lat.n, 2)
         bad[a, b] = (table[a, b] + rng.integers(1, lat.n)) % lat.n
         for out, fails in ((bad, True), (table, False)):
-            monkeypatch.setattr(lattice, "_residual", lambda lat, nab: (out, True))
+            monkeypatch.setattr(lattice, "_greatest", lambda order, cand: (out, out >= 0))
             monkeypatch.setattr(lattice, "_cover_heyting", lambda lat: (out, True))
             if fails:
                 with pytest.raises(CrossCheckError, match="pseudocomplement not residuated"):
@@ -322,15 +321,16 @@ def test_cover_recursion_matches_cube(eight_lattices):
 
 def test_box_route_matches_cube_derive_arrow(monkeypatch):
     """Past CUBE_MAX on distributive lattices derive_arrow is box o Heyting,
-    with no coordinate search: on the join-preserving nablas x -> x & c, step
-    nablas, one-entry perturbations of them and random tables it gives the
-    cube's arrow, or None in the same cases.  Some rejected nablas have a box,
-    as a non-monotone nabla can, and only the adjunction check refuses them."""
+    and the join route never runs: on the join-preserving nablas x -> x & c,
+    step nablas, one-entry perturbations of them and random tables it gives
+    the cube's arrow, or None in the same cases.  Some rejected nablas have a
+    box, as a non-monotone nabla can, and only the adjunction check refuses
+    them."""
 
-    def no_coordinates(lat, nab):
-        raise AssertionError("the coordinate search ran on a distributive lattice")
+    def no_join(lat, nab):
+        raise AssertionError("the join route ran on a distributive lattice")
 
-    monkeypatch.setattr(lattice, "_coordinate_residual", no_coordinates)
+    monkeypatch.setattr(lattice, "_join_residual", no_join)
     rng = np.random.default_rng(48)
     lats = [lat for lat in [*larger_lattices(rng), gen_xn(4).lat, build_lattice(boolean_matrix(6))]
             if lat.n > CUBE_MAX and is_distributive(lat)]
@@ -346,16 +346,17 @@ def test_box_route_matches_cube_derive_arrow(monkeypatch):
     assert seen == {(True, True), (False, True), (False, False)}
 
 
-def test_coordinate_residual_is_slabbed():
+def test_join_residual_on_the_pentagon_times_chain(monkeypatch):
     """derive_arrow on the 200-element N5 x 40-chain, not distributive, takes
-    the coordinate search, one slab of first arguments at a time: with step
-    nablas and perturbations of them it gives the cube's arrow, or None with
-    it, and a call on a fresh lattice peaks under 2 MB, where the whole
-    (|J|, n, n) candidate table is 1.6 MB and the search that formed it at
-    once, with a copy to move J last, peaked at 3.4 MB."""
+    the join route, one n x n table per join-irreducible: with step nablas
+    and perturbations of them it gives the cube's arrow, or None with it, and
+    a call on a fresh lattice peaks under 2 MB, where the (|J|, n, n)
+    candidate table of the former coordinate search alone was 1.6 MB."""
     lat = build_lattice(product_order(pentagon().leq, chain_matrix(40)))
-    j = int(_irreducible(lat.covers, lat.n).sum())
-    assert not is_distributive(lat) and len(_slabs(lat.n, lat.n * j)) > 1
+    assert not is_distributive(lat)
+    calls, join_residual = [], lattice._join_residual
+    monkeypatch.setattr(lattice, "_join_residual",
+                        lambda lat, nab: calls.append(nab) or join_residual(lat, nab))
     rng = np.random.default_rng(49)
     nabs = [step_nabla(lat, *rng.integers(0, lat.n, 2)) for _ in range(2)]
     seen = set()
@@ -370,7 +371,7 @@ def test_coordinate_residual_is_slabbed():
         assert got == outcome(lambda: want)
         assert peak < 2 * 2 ** 20
         seen.add(want is None)
-    assert seen == {False, True}
+    assert seen == {False, True} and len(calls) == 4
 
 
 

@@ -38,7 +38,6 @@ from .algebra import (
     AlgebraMorphism,
     LawReport,
     NablaAlgebra,
-    _violations,
     check_morphism,
     classify,
 )
@@ -50,7 +49,7 @@ from .errors import (
     Trivial,
     ensure,
 )
-from .lattice import _compose, _greatest, _member_row
+from .lattice import _compose, _greatest, _member_row, _violations
 
 ORACLE_BOUND = 10
 
@@ -382,25 +381,30 @@ def check_internal_cong_inequalities(alg: NablaAlgebra):
     _require_normal(alg)
     _require_distributive(alg)
     lat, arr, nab, box = alg.lat, alg.arrow, alg.nabla, alg.box
-    leq, meet, join = lat.leq, lat.meet, lat.join
-    lhs, arr_t = arr[:, :, None], arr.T
+    leq, meet, join, hey = lat.leq, lat.meet, lat.join, alg.heyting
+
+    def below(lhs, op, flip=False):
+        """[x, y, z]: lhs(x, y) <= arrow(op(x, z), op(y, z)), or with x and y
+        exchanged on the right when ``flip``; a slab of x at a time."""
+        def holds(s):
+            rows, cols = (op[None], op[s, None]) if flip else (op[s, None], op[None])
+            return leq[lhs[s, :, None], arr[rows, cols]]
+        return holds
+
     laws = [
-        ("meet-translation", leq[lhs, arr[meet[:, None, :], meet[None, :, :]]]),
-        ("join-translation", leq[lhs, arr[join[:, None, :], join[None, :, :]]]),
+        ("meet-translation", below(arr, meet)),
+        ("join-translation", below(arr, join)),
         ("nabla-distribution", leq[nab[arr], arr[nab[:, None], nab[None, :]]]),
-        ("second-arg-composition",
-         leq[box[arr][:, :, None], arr[arr_t[:, None, :], arr_t[None, :, :]]]),
-        ("first-arg-composition",
-         leq[box[arr][:, :, None], arr[arr[None, :, :], arr[:, None, :]]]),
+        # arrow(arrow(z, x), arrow(z, y)) and arrow(arrow(y, z), arrow(x, z))
+        ("second-arg-composition", below(box[arr], arr.T)),
+        ("first-arg-composition", below(box[arr], arr, flip=True)),
     ]
     if classify(alg).H:
-        hey = alg.heyting
-        hey_t = hey.T
         laws += [
-            ("heyting-second-arg", leq[lhs, arr[hey_t[:, None, :], hey_t[None, :, :]]]),
-            ("heyting-first-arg", leq[lhs, arr[hey[None, :, :], hey[:, None, :]]]),
+            ("heyting-second-arg", below(arr, hey.T)),
+            ("heyting-first-arg", below(arr, hey, flip=True)),
         ]
-    return LawReport(_violations(laws))
+    return LawReport(_violations(laws, alg.n))
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,6 @@ from .algebra import (
     NablaAlgebra,
     _FlagProfile,
     _indices,
-    _violations,
     build_algebra,
     check_morphism,
     classify,
@@ -76,6 +75,7 @@ from .lattice import (
     _locate,
     _prime_rows,
     _subset,
+    _violations,
     upset_lattice,
     validate_partial_order,
 )
@@ -118,7 +118,7 @@ def build_frame(leq, r) -> KripkeFrame:
     if failed:
         kp, lp = failed[0].witness
         # the first chain k' <= k, (k, l) in R, l <= l' in row-major (k, l)
-        k, l = (int(v) for v in np.argwhere(order[kp][:, None] & rel & order[:, lp])[0])
+        k, l = _violations([("chain", ~(order[kp][:, None] & rel & order[:, lp]))])[0].witness
         witness = (kp, k, l, lp)
         raise NotCompatible(f"relation not compatible with order at {witness}",
                             witness=witness)
@@ -134,8 +134,9 @@ def _detect_pi(order: np.ndarray, rel: np.ndarray):
     if not len(order):      # no column, and no candidate for _greatest to rank
         return np.zeros(0, dtype=np.int64), None
     pi, found = _greatest(order, rel)
-    if not found.all():
-        y = int(np.argmin(found))
+    missing = _violations([("column", found)])
+    if missing:
+        y, = missing[0].witness
         return None, ("no-column-maximum" if rel[:, y].any() else "empty-column", (y,))
     failed = _violations([
         ("witness-not-order-preserving", ~order | order[pi][:, pi]),

@@ -11,10 +11,15 @@ holds by construction.
 Every relational product of the library (transitivity, frame compatibility,
 relation images, congruence squarings) goes through one kernel, ``_compose``,
 and every inclusion test of membership matrices through its dual ``_subset``.
+Every first witness of the library, of a law report or of a failed
+construction, is found by one scan, ``_violations``: a law over triples is a
+function of a slice of its first variable, evaluated a slab of about
+``SCAN_SLAB`` entries at a time up to its first failing slab, so no law check
+holds an n^3 table.
 
 Lattices, algebras and frames are immutable, and what is derived from one
 of them is computed once and kept on it by one helper, ``_kept``: here the
-distributivity witness, the Heyting table and the prime filters.
+distributivity verdict and witness, the Heyting table and the prime filters.
 
 Order facts are decided without the n^3 table of all triples, mostly on
 the covering relation ``covers`` (the strict order minus its square, found
@@ -30,8 +35,11 @@ by the product that also checks transitivity); see Davey & Priestley,
   lies below x or y and so equals one of them: it is join-irreducible;
 - a finite lattice is distributive iff every join-irreducible is
   join-prime, that is iff a -> (join-irreducibles below a) preserves binary
-  joins; ``distributivity_witness`` decides so, and scans the triples for
-  the first witness only when the test fails;
+  joins; ``is_distributive`` decides so, and where the test fails checks on
+  the tables one failing triple, O(n^2): for j join-irreducible but not
+  join-prime and x, y two maximal elements not above j,
+  j & (x | y) = j != (j & x) | (j & y).  Only ``distributivity_witness``
+  scans the triples, for the lexicographically first witness;
 - a map is monotone iff it is monotone on covering pairs, the order being
   their reflexive-transitive closure; ``_monotone`` checks nabla and arrow
   so.
@@ -59,8 +67,8 @@ candidates:
   b, and every lower bound y has J(y) inside it.  Conversely, where all
   meets exist, a minimal z below x and not below y has one lower cover (two
   would both lie below y, and so would their join z), so the rows reflect
-  the order.  Only when the test fails does the cube ``_bound_table`` run,
-  to name the first pair without a meet (or join);
+  the order.  Only when the test fails are the pairs scanned, a slab of
+  first elements at a time, to name the first without a meet (or join);
 - the lookup finds meet[a, b] with J(meet[a, b]) = J(a) & J(b), and the
   rows embed the order, so the table is associative: (a & b) & c and
   a & (b & c) have the one row J(a) & J(b) & J(c);
@@ -123,11 +131,12 @@ from .errors import (
 
 # A valid algebra passes validation and gets its Heyting table and residual
 # without an n^3 table (`classify` of the Heyting 256-chain document peaks
-# near 6 MB), but the equational and implication checks, the witness scans of
-# failures and the congruence oracle form n^3 tables; `build_lattice` itself
-# takes 3.9 s on the 1024-chain.  So larger documents are refused before any
-# table is read, and no poset may have more upsets than this; 256 admits the
-# Boolean 2^8 and the 252-element amalgam of a 2-chain into two 6-chains.
+# near 6 MB).  The law reports and the witness scans of failures hold one slab
+# of `SCAN_SLAB` entries at a time, so they cost n^3 time, not memory: each law
+# report on the Heyting Boolean 2^8 takes 0.2-1.4 s and peaks under 2 MB.  So
+# larger documents are refused before any table is read, and no poset may have
+# more upsets than this; 256 admits the Boolean 2^8 and the 252-element
+# amalgam of a 2-chain into two 6-chains.
 SIZE_MAX = 256
 
 # Up to this many elements the Heyting table is the n^3 cube of `_greatest`
@@ -161,13 +170,64 @@ def _subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ~_compose(a, ~np.swapaxes(b, -1, -2))
 
 
-def _slabs(n: int, row: int | None = None) -> list:
+def _slabs(n: int, row: int | None = None, size: int = 2 ** 20) -> list:
     """Slices of 0..n-1, each cutting a table of n rows of ``row`` entries
-    (n^2 by default) to about 2**20 entries; a single slice for n <= 101 at
-    the default."""
+    (n^2 by default) to about ``size`` entries; a single slice for n <= 101 at
+    the defaults."""
     row = n * n if row is None else row
-    step = max(1, 2 ** 20 // row)
+    step = max(1, size // row)
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+# Entries per slab of a law that `_violations` evaluates by slabs: one first
+# argument a slab from 256 elements on, whose int64 temporaries (512 KB) stay
+# in cache.  On one core, against 2^18 entries, the equational and
+# implication reports on the Heyting 256-chain took 0.3 and 0.6 times as long
+# (medians of 3 runs), the other reports there and on the Heyting Boolean 2^8
+# 0.97-1.14 times; the tracemalloc peaks fell from 3.6-4.5 to 1.2-1.8 MB, and
+# naming the distributivity witness of the N5 x 40-chain took 16-22 ms against
+# 80-135 ms.  Every law of at most 40 elements is one slab.
+SCAN_SLAB = 2 ** 16
+
+
+@dataclass(frozen=True)
+class Violation:
+    law: str
+    witness: tuple
+
+    def to_json(self) -> dict:
+        return {"axiom": self.law, "witness": [int(v) for v in self.witness]}
+
+
+def _violations(laws, n: int = 0) -> tuple:
+    """The failing laws among ``(name, mask)`` and ``(name, mask, axes)``
+    entries: the one search for a first witness in the library.
+
+    A mask is true where its law holds.  It is an array (a 0-d mask states a
+    law without variables and fails with the witness ()), or a function of a
+    slice of its leading axis, of length ``n``, that returns those rows of a
+    mask of n^3 entries (or of n^2 entries that take n^3 to compute); such a
+    mask is evaluated a slab of about ``SCAN_SLAB`` entries at a time, up to
+    its first failing slab.  A failed law's witness is the first false entry
+    of its mask in row-major order, with its indices taken in ``axes`` order
+    when that is given (a law scanned c-major reports (a, b, c)).  A name
+    given several masks reports its first failing one.
+    """
+    found = {}
+    for name, mask, *axes in laws:
+        if name in found:
+            continue
+        parts = (((s.start, mask(s)) for s in _slabs(n, size=SCAN_SLAB)) if callable(mask)
+                 else [(0, mask)])
+        for start, part in parts:
+            part = np.asarray(part)
+            if not part.all():
+                first = np.unravel_index(int(part.argmin()), part.shape)
+                first = (first[0] + start,) + first[1:] if first else ()
+                order = axes[0] if axes else range(len(first))
+                found[name] = Violation(name, tuple(int(first[i]) for i in order))
+                break
+    return tuple(found.values())
 
 
 def validate_partial_order(leq) -> np.ndarray:
@@ -187,25 +247,20 @@ def _partial_order(leq):
     arr = np.asarray(leq, dtype=bool)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"order matrix must be square, got shape {arr.shape}")
-    diag = arr.diagonal()
-    if not diag.all():
-        i = int(np.flatnonzero(~diag)[0])
-        raise NotPartialOrder(f"not reflexive at {i}", witness=(i,))
     strict = arr.copy()
     np.fill_diagonal(strict, False)
-    sym = strict & strict.T
-    if sym.any():
-        i, j = (int(v) for v in np.argwhere(sym)[0])
-        raise NotPartialOrder(f"antisymmetry fails on ({i}, {j})", witness=(i, j))
     square = _compose(strict, strict)
-    bad = square & ~arr
-    if bad.any():
-        i, j = (int(v) for v in np.argwhere(bad)[0])
-        k = int(np.flatnonzero(arr[i] & arr[:, j])[0])
-        raise NotPartialOrder(
-            f"transitivity fails: {i} <= {k} <= {j} but not {i} <= {j}",
-            witness=(i, k, j),
-        )
+    # each law is named by the message of its failure
+    failed = _violations([("not reflexive at {0}", arr.diagonal()),
+                          ("antisymmetry fails on ({0}, {1})", ~(strict & strict.T)),
+                          ("transitivity fails: {0} <= {1} <= {2} but not {0} <= {2}",
+                           arr | ~square)])
+    if failed:
+        message, witness = failed[0].law, failed[0].witness
+        if message.startswith("transitivity"):
+            i, j = witness
+            witness = (i, int(np.flatnonzero(arr[i] & arr[:, j])[0]), j)
+        raise NotPartialOrder(message.format(*witness), witness=witness)
     lo, hi = np.nonzero(strict & ~square)
     return arr, (_freeze(lo), _freeze(hi))
 
@@ -224,19 +279,6 @@ def _greatest(order: np.ndarray, cand: np.ndarray):
     table = rank[cand[rank].argmax(axis=0)]
     found = cand.any(axis=0) & (cand <= order[:, table]).all(axis=0)
     return table, found
-
-
-def _bound_table(leq: np.ndarray, lower: bool) -> np.ndarray:
-    """All-pairs greatest lower bounds (``lower=True``) or least upper bounds."""
-    rel = leq if lower else leq.T
-    # bnd[x, a, b]: x is a common (lower/upper) bound of a and b
-    table, found = _greatest(rel, rel[:, :, None] & rel[:, None, :])
-    if not found.all():
-        a, b = (int(v) for v in np.argwhere(~found)[0])
-        if lower:
-            raise NoMeet(f"elements {a} and {b} have no meet", witness=(a, b))
-        raise NoJoin(f"elements {a} and {b} have no join", witness=(a, b))
-    return table
 
 
 def _irreducible(covers: tuple, n: int, lower: bool = True) -> np.ndarray:
@@ -272,11 +314,20 @@ def _intersection_table(rows: np.ndarray, rel: np.ndarray):
 def _coordinate_bound_table(leq: np.ndarray, covers: tuple, lower: bool) -> np.ndarray:
     """All-pairs meets (``lower=True``) or joins, looked up in the
     coordinates J(x) (for joins M(x), the meet-irreducibles above x); only
-    when the lookup fails does the cube ``_bound_table`` run, to name the
-    first pair without a meet (or join)."""
+    when the lookup fails are the pairs scanned, a slab of first elements at
+    a time, for the first one without a meet (or join)."""
     rel = leq if lower else leq.T
     table = _intersection_table(rel[_irreducible(covers, len(rel), lower)].T, rel)
-    return _bound_table(leq, lower) if table is None else table
+    if table is not None:
+        return table
+    # [a, b]: the common lower (upper) bounds x of a and b have a greatest one
+    failed = _violations([("bound", lambda s: _greatest(rel, rel[:, s, None] & rel[:, None, :])[1])],
+                         len(rel))
+    ensure(bool(failed), "the coordinate lookup must fail only where some pair has no bound")
+    a, b = failed[0].witness
+    if lower:
+        raise NoMeet(f"elements {a} and {b} have no meet", witness=(a, b))
+    raise NoJoin(f"elements {a} and {b} have no join", witness=(a, b))
 
 
 def _residual(lat: FiniteLattice, nab: np.ndarray) -> np.ndarray:
@@ -325,6 +376,8 @@ def _monotone(order: np.ndarray, covers: tuple, maps: np.ndarray) -> bool:
     transposed maps, which costs a fraction of gathering int64 columns, and
     about 2^14 pairs at a time, so that the temporaries stay in cache."""
     lo, hi = covers
+    # `_at` reads the order flat: one copy here, when it is a transposed view
+    order = np.ascontiguousarray(order)
     cols = maps.T.astype(np.int32, order="C")
     step = max(1, 2 ** 14 // cols.shape[1])
     for s in range(0, len(lo), step):
@@ -334,11 +387,12 @@ def _monotone(order: np.ndarray, covers: tuple, maps: np.ndarray) -> bool:
     return True
 
 
-def _adjunction_sides(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray,
-                      first: slice = slice(None)):
-    """``left[c, a, b]``: nab(c) & a <= b, and ``right[c, a, b]``: c <= arr(a, b),
-    for the first arguments a in ``first``; two n^3 tables for all of them."""
-    return lat.leq[lat.meet[nab, first]], lat.leq[:, arr[first]]
+def _adjunction(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray, s: slice) -> np.ndarray:
+    """[a, b, c], for the first arguments a in ``s``: nab(c) & a <= b iff
+    c <= arr(a, b).  Whole rows are gathered: leq[meet[a, nab(c)]] is
+    indexed [a, c, b], and the rows of the transposed order [a, b, c]."""
+    leq, leq_t = lat.leq, np.ascontiguousarray(lat.leq.T)
+    return leq[lat.meet[s][:, nab]].transpose(0, 2, 1) == leq_t[arr[s]]
 
 
 def _detachment(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray) -> np.ndarray:
@@ -362,8 +416,7 @@ def _residuated(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray) -> bool:
     adjunction are compared on all triples, which costs less there.
     """
     if lat.n <= CUBE_MAX:
-        left, right = _adjunction_sides(lat, nab, arr)
-        return bool((left == right).all())
+        return bool(_adjunction(lat, nab, arr, slice(None)).all())
     idx = np.arange(lat.n)
     # [a, c]: c <= arr(a, nab(c) & a)
     unit = _at(lat.leq, idx, _at(arr, idx[:, None], lat.meet[:, nab]))
@@ -446,34 +499,43 @@ def build_lattice(leq) -> FiniteLattice:
 def distributivity_witness(lat: FiniteLattice):
     """None when the distributive law holds; otherwise the first bad (a, b, c).
 
-    Decided by the join-irreducibles first: the lattice is distributive iff
-    each of them is join-prime, and every join-prime is join-irreducible.
-    Only a lattice that fails that test pays for the scan of all triples that
+    Decided by ``is_distributive``; only a lattice that fails that test, and
+    only when its witness is asked, pays for the scan of the triples that
     finds the lexicographically first witness.
     """
-    return _kept(lat, _build_distributivity_witness)
+    return None if is_distributive(lat) else _kept(lat, _build_distributivity_witness)
 
 
 def _build_distributivity_witness(lat: FiniteLattice):
-    if _join_primes(lat) == join_irreducibles(lat):
-        return None
-    m, j = lat.meet, lat.join
-    witness = None
-    # a slab of first arguments at a time: a & (b | c) against (a & b) | (a & c);
-    # each triple takes two intp gathers, so a slab holds about 2**15 triples
-    # (one first argument from 182 elements on) and the scan of the N5 x
-    # 40-chain peaks at 0.75 MB
-    for s in _slabs(lat.n, 32 * lat.n ** 2):
-        bad = np.argwhere(m[s][:, j] != j[m[s][:, :, None], m[s][:, None, :]])
-        if len(bad):
-            witness = (int(bad[0, 0]) + s.start, int(bad[0, 1]), int(bad[0, 2]))
-            break
-    ensure(witness is not None, "distributivity characterizations disagree")
-    return witness
+    m, j, idx = lat.meet, lat.join, np.arange(lat.n)
+    # [a, b, c]: a & (b | c) = (a & b) | (a & c); `is_distributive` checked a
+    # failing triple, so the scan finds one
+    return _violations([("distributive", lambda s: _at(m, idx[s, None, None], j)
+                         == _at(j, m[s, :, None], m[s, None, :]))], lat.n)[0].witness
 
 
 def is_distributive(lat: FiniteLattice) -> bool:
-    return distributivity_witness(lat) is None
+    """Whether each join-irreducible is join-prime (every join-prime is
+    join-irreducible), which on a finite lattice is the distributive law."""
+    return _kept(lat, _build_distributive)
+
+
+def _build_distributive(lat: FiniteLattice) -> bool:
+    irr, primes = join_irreducibles(lat), _join_primes(lat)
+    if primes == irr:
+        return True
+    # a join-irreducible j that is not join-prime, and x, y two maximal
+    # elements of the down-set of the z with j not below z: j <= x | y, while
+    # j & x and j & y lie below the one lower cover of j, so
+    # j & (x | y) = j != (j & x) | (j & y); the tables must show it.  Where
+    # no such j, x, y exist, bottom stands in for them and the check fails
+    j = min(set(irr) - set(primes), default=lat.bot)
+    outside = ~lat.leq[j]
+    maximal = np.flatnonzero(outside & ((lat.leq & outside).sum(axis=1) == 1)).tolist()
+    x, y = (maximal + [lat.bot] * 2)[:2]
+    m, jn = lat.meet, lat.join
+    ensure(m[j, jn[x, y]] != jn[m[j, x], m[j, y]], "distributivity characterizations disagree")
+    return False
 
 
 def heyting_table(lat: FiniteLattice):

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from nablalg.algebra import AlgebraMorphism, check_morphism, classify
-from nablalg.lattice import _labeled_posets, _slabs, _subset, build_lattice, upset_lattice
+from nablalg.errors import NoJoin, NoMeet
+from nablalg.lattice import (
+    _detachment,
+    _greatest,
+    _labeled_posets,
+    _slabs,
+    _subset,
+    build_lattice,
+    upset_lattice,
+)
 
 
 def order_from_covers(n, covers):
@@ -74,6 +83,134 @@ def prime_filter_row_oracle(lat, s):
     meets = s[lat.meet[np.ix_(s, s)]].all()
     prime = (s[lat.join] <= (s[:, None] | s[None, :])).all()
     return bool(s[lat.top] and not s[lat.bot] and upward and meets and prime)
+
+
+# --- whole-mask forms of the law checks ----------------------------------------
+# The library finds every first witness with the slabbed scan
+# `lattice._violations`; these are the forms it replaced, each of which holds
+# a whole n^3 mask (or cube of candidates) and reads its first false entry.
+
+
+def whole_mask_violations(laws):
+    """(name, witness) of the failing laws among ``(name, mask)`` and
+    ``(name, mask, axes)`` entries, as ``_violations`` read them before it
+    took masks by slabs: the first false entry of the whole mask, its
+    indices in ``axes`` order when given; a name's first failing mask."""
+    found = {}
+    for name, mask, *axes in laws:
+        mask = np.asarray(mask)
+        if name in found or mask.all():
+            continue
+        first = np.argwhere(~mask)[0]
+        if axes:
+            first = first[list(axes[0])]
+        found[name] = tuple(int(v) for v in first)
+    return list(found.items())
+
+
+def bound_table(leq, lower):
+    """The all-pairs meet (``lower``) or join cube, raising ``NoMeet`` or
+    ``NoJoin`` with the first pair that has none."""
+    rel = leq if lower else leq.T
+    # rel[:, a, b]: the common (lower/upper) bounds x of a and b
+    table, found = _greatest(rel, rel[:, :, None] & rel[:, None, :])
+    if not found.all():
+        a, b = (int(v) for v in np.argwhere(~found)[0])
+        if lower:
+            raise NoMeet(f"elements {a} and {b} have no meet", witness=(a, b))
+        raise NoJoin(f"elements {a} and {b} have no join", witness=(a, b))
+    return table
+
+
+def adjunction_sides(lat, nab, arr):
+    """``left[c, a, b]``: nab(c) & a <= b, and ``right[c, a, b]``: c <= arr(a, b)."""
+    return lat.leq[lat.meet[nab]], lat.leq[:, arr]
+
+
+def adjunction_failure(lat, nab, arr):
+    """The a-major first (a, b, c) where nab(c) & a <= b and c <= arr(a, b)
+    differ, with its direction, or None."""
+    left, right = adjunction_sides(lat, nab, arr)
+    bad = np.argwhere((left != right).transpose(1, 2, 0))
+    if not len(bad):
+        return None
+    a, b, c = (int(v) for v in bad[0])
+    return (a, b, c), "forward" if left[c, a, b] else "backward"
+
+
+def cube_distributivity_witness(lat):
+    """The first bad (a, b, c) of the whole n^3 distributivity cube, or None."""
+    lhs = lat.meet[np.arange(lat.n)[:, None, None], lat.join[None, :, :]]
+    rhs = lat.join[lat.meet[:, :, None], lat.meet[:, None, :]]
+    bad = np.argwhere(lhs != rhs)
+    return tuple(int(v) for v in bad[0]) if len(bad) else None
+
+
+def antitone_first(leq, arr):
+    """[a', a, b]: a' <= a implies arrow(a, b) <= arrow(a', b)."""
+    return ~leq[:, :, None] | leq[arr[None, :, :], arr[:, None, :]]
+
+
+def monotone_second(leq, arr):
+    """[a, b, b']: b <= b' implies arrow(a, b) <= arrow(a, b')."""
+    return ~leq[None, :, :] | leq[arr[:, :, None], arr[:, None, :]]
+
+
+def equational_violations(lat, nab, arr):
+    idx = np.arange(lat.n)
+    leq, meet = lat.leq, lat.meet
+    # inner[c, a, b] = arrow(nabla(c) & a, b)
+    inner = arr[meet[nab], :]
+    return whole_mask_violations([
+        ("meet-arrow-top", arr[meet, idx[:, None]] == lat.top),
+        ("nabla-meet", leq[nab[meet], meet[nab[:, None], nab[None, :]]]),
+        ("detachment", _detachment(lat, nab, arr)),
+        # scanned c-major, reported as (a, b, c)
+        ("shift", leq[meet[idx[:, None, None], inner], arr[None, :, :]], (1, 2, 0)),
+    ])
+
+
+def implication_violations(lat, arr):
+    """The failing implication laws, and the internalizing witnesses."""
+    idx = np.arange(lat.n)
+    leq, meet, join = lat.leq, lat.meet, lat.join
+    laws = whole_mask_violations([
+        ("antitone-first", antitone_first(leq, arr)),
+        ("monotone-second", monotone_second(leq, arr)),
+        ("reflexivity", arr[idx, idx] == lat.top),
+        ("transitivity", leq[meet[arr[:, :, None], arr[None, :, :]], arr[:, None, :]]),
+    ])
+    internalizing = whole_mask_violations([
+        ("meet", arr[idx[:, None, None], meet[None, :, :]]
+         == meet[arr[:, :, None], arr[:, None, :]]),
+        ("join", arr[join[:, :, None], idx[None, None, :]]
+         == meet[arr[:, None, :], arr[None, :, :]]),
+    ])
+    return laws, dict(internalizing)
+
+
+def internal_violations(alg, heyting):
+    """The failing compatibility inequalities, the Heyting ones when ``heyting``."""
+    lat, arr, nab, box = alg.lat, alg.arrow, alg.nabla, alg.box
+    leq, meet, join = lat.leq, lat.meet, lat.join
+    lhs, arr_t = arr[:, :, None], arr.T
+    laws = [
+        ("meet-translation", leq[lhs, arr[meet[:, None, :], meet[None, :, :]]]),
+        ("join-translation", leq[lhs, arr[join[:, None, :], join[None, :, :]]]),
+        ("nabla-distribution", leq[nab[arr], arr[nab[:, None], nab[None, :]]]),
+        ("second-arg-composition",
+         leq[box[arr][:, :, None], arr[arr_t[:, None, :], arr_t[None, :, :]]]),
+        ("first-arg-composition",
+         leq[box[arr][:, :, None], arr[arr[None, :, :], arr[:, None, :]]]),
+    ]
+    if heyting:
+        hey = alg.heyting
+        hey_t = hey.T
+        laws += [
+            ("heyting-second-arg", leq[lhs, arr[hey_t[:, None, :], hey_t[None, :, :]]]),
+            ("heyting-first-arg", leq[lhs, arr[hey[None, :, :], hey[:, None, :]]]),
+        ]
+    return whole_mask_violations(laws)
 
 
 def embeddings_between(a0, a1):

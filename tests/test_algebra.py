@@ -9,10 +9,8 @@ from nablalg.algebra import (
     AlgebraMorphism,
     NablaAlgebra,
     StrongAlgebraCandidate,
-    _antitone_first,
     _check_derived_laws,
     _monotone,
-    _monotone_second,
     algebra_iso,
     build_algebra,
     check_equational_axioms,
@@ -28,7 +26,7 @@ from nablalg.errors import AdjunctionFailure, CrossCheckError, NotDistributive, 
 from nablalg.gallery import gen_counterexample_cex3, gen_heyting, gen_trivial
 from nablalg.lattice import heyting_table
 
-from conftest import boolean_square, chain, pentagon
+from conftest import antitone_first, boolean_square, chain, monotone_second, pentagon
 
 
 # --- independent oracles -----------------------------------------------------
@@ -368,7 +366,7 @@ def test_cover_monotonicity_matches_full_masks(six_catalog, six_lattices):
         leq, covers = alg.lat.leq, alg.lat.covers
         assert _monotone(leq, covers, alg.nabla[None]) and _monotone(leq, covers, alg.arrow)
         assert _monotone(leq.T, covers, alg.arrow.T)
-        assert _monotone_second(leq, alg.arrow).all() and _antitone_first(leq, alg.arrow).all()
+        assert monotone_second(leq, alg.arrow).all() and antitone_first(leq, alg.arrow).all()
     seen = set()
     for lat, nab, arr in broken_tables(six_catalog, six_lattices, 23, 600):
         leq, covers = lat.leq, lat.covers
@@ -376,9 +374,9 @@ def test_cover_monotonicity_matches_full_masks(six_catalog, six_lattices):
             "nabla must be order-preserving":
                 ((~leq | leq[nab][:, nab]).all(), _monotone(leq, covers, nab[None])),
             "arrow must be order-preserving in its second argument":
-                (_monotone_second(leq, arr).all(), _monotone(leq, covers, arr)),
+                (monotone_second(leq, arr).all(), _monotone(leq, covers, arr)),
             "arrow must be antitone in its first argument":
-                (_antitone_first(leq, arr).all(), _monotone(leq.T, covers, arr.T)),
+                (antitone_first(leq, arr).all(), _monotone(leq.T, covers, arr.T)),
         }
         for message, (full, cover) in checks.items():
             assert full == cover

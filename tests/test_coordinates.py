@@ -2,8 +2,9 @@
 residuation against the n^3 cubes they replaced.
 
 The meet and join tables (``_coordinate_bound_table``) are found in
-coordinates at every size, and ``_bound_table`` runs only to name a pair
-without a meet or join; the tests compare the two directly.
+coordinates at every size, and only a failed lookup scans the pairs to name
+one without a meet or join; the tests compare both with the cube
+``bound_table`` of conftest.
 ``derive_arrow``'s residual (``_residual``) is box o Heyting wherever the
 Heyting table exists and the join ``_join_residual`` elsewhere, at every
 size.  Above ``lattice.CUBE_MAX`` elements the Heyting table comes from the
@@ -14,9 +15,9 @@ both sides of that bound (``CUBE_MAX`` patched to 0 makes small inputs take
 the routes past it).  All require equal tables and verdicts, the same
 exception class with the same witness, or None in the same cases.  The n^3
 cross-checks that lemmas restate are kept here as oracles: the slabbed
-associativity scan, the cube residuation check of the Heyting table, the full
-adjunction scan, and the full-range ``l_alt1`` and ``fa_iv`` masks of
-``classify``.
+associativity scan, the cube residuation check of the Heyting table, and the
+full-range ``l_alt1`` and ``fa_iv`` masks of ``classify``; the full
+adjunction scan is conftest's ``adjunction_failure``.
 """
 
 import tracemalloc
@@ -32,9 +33,8 @@ from nablalg.errors import AdjunctionFailure, CrossCheckError, NablalgError, NoM
 from nablalg.gallery import gen_heyting, gen_xn
 from nablalg.lattice import (
     CUBE_MAX,
+    SCAN_SLAB,
     FiniteLattice,
-    _adjunction_sides,
-    _bound_table,
     _build_heyting_table,
     _coordinate_bound_table,
     _cover_heyting,
@@ -50,6 +50,9 @@ from nablalg.lattice import (
 )
 
 from conftest import (
+    adjunction_failure,
+    adjunction_sides,
+    bound_table,
     bounded_candidates,
     chain_matrix,
     diamond,
@@ -88,18 +91,6 @@ def full_fa_iv(alg):
                  | leq[meet[:, None, :], idx[None, :, None]]).all())
 
 
-def scan_witness(lat, nab, arr):
-    """The former build_algebra scan over all triples: the a-major first
-    (a, b, c) where nabla(c) & a <= b and c <= arrow(a, b) differ, with its
-    direction, or None."""
-    left, right = _adjunction_sides(lat, nab, arr)
-    bad = np.argwhere((left != right).transpose(1, 2, 0))
-    if not len(bad):
-        return None
-    a, b, c = (int(v) for v in bad[0])
-    return (a, b, c), "forward" if left[c, a, b] else "backward"
-
-
 def cube_heyting(lat):
     table, found = _greatest(lat.leq, lat.leq[lat.meet])
     return table if found.all() else None
@@ -110,7 +101,7 @@ def cube_derive_arrow(lat, nab):
     arrow, found = _greatest(lat.leq, lat.leq[lat.meet[nab]])
     if not found.all():
         return None
-    left, right = _adjunction_sides(lat, nab, arrow)
+    left, right = adjunction_sides(lat, nab, arrow)
     return None if (left != right).any() else arrow
 
 
@@ -160,7 +151,7 @@ def test_bound_tables_match_cube(seven_lattices):
     for leq in bound_table_orders(31, seven_lattices):
         arr, covers = _partial_order(leq)
         for lower in (True, False):
-            want = outcome(_bound_table, arr, lower)
+            want = outcome(bound_table, arr, lower)
             assert outcome(_coordinate_bound_table, arr, covers, lower) == want
             kinds.add((len(arr) > 8, want[0]))
     assert kinds == ALL_KINDS
@@ -174,7 +165,7 @@ def test_build_lattice_outcomes_match_cube_route(monkeypatch, seven_lattices):
         got = outcome(lattice_tables, leq)
         with monkeypatch.context() as patch:
             patch.setattr(lattice, "_coordinate_bound_table",
-                          lambda arr, covers, lower: _bound_table(arr, lower))
+                          lambda arr, covers, lower: bound_table(arr, lower))
             assert outcome(lattice_tables, leq) == got
         kinds.add((len(leq) > 8, got[0]))
     assert kinds == ALL_KINDS
@@ -193,7 +184,7 @@ def test_equal_coordinate_rows_fall_back_to_the_cube():
     assert keys[3] == keys[4] and found.all()
     assert (table.diagonal() != np.arange(5)).any()
     with pytest.raises(NoMeet) as cube:
-        _bound_table(arr, lower=True)
+        bound_table(arr, lower=True)
     with pytest.raises(NoMeet) as e:
         build_lattice(leq)
     assert e.value.witness == cube.value.witness == (3, 4)
@@ -426,7 +417,7 @@ def test_residuated_matches_the_scan_on_the_catalog(monkeypatch, cube_max, six_c
     monkeypatch.setattr(lattice, "CUBE_MAX", cube_max)
     for alg in six_catalog:
         assert _residuated(alg.lat, alg.nabla, alg.arrow)
-        assert scan_witness(alg.lat, alg.nabla, alg.arrow) is None
+        assert adjunction_failure(alg.lat, alg.nabla, alg.arrow) is None
 
 
 @BOTH_SIDES
@@ -440,7 +431,7 @@ def test_residuated_matches_the_scan_on_perturbed_tables(monkeypatch, cube_max, 
     rng = np.random.default_rng(38)
     kinds = set()
     for lat, nab, arr in adjunction_tables([*seven_lattices, *larger_lattices(rng)], rng):
-        want = scan_witness(lat, nab, arr)
+        want = adjunction_failure(lat, nab, arr)
         assert _residuated(lat, nab, arr) == (want is None)
         try:
             build_algebra(lat, nab, arr)
@@ -498,14 +489,16 @@ def test_heyting_chain_forms_no_cube():
 def test_sliced_adjunction_witness_matches_the_scan():
     """One changed arrow entry on the Heyting Boolean 2^8: build_algebra names
     the witness and direction of the scan over all triples, and peaks under
-    16 MB, the size of one n^3 boolean table; the witnesses' first arguments
-    lie in the first slab and past it."""
+    16 MB, the size of one n^3 boolean table; the entries changed lie in
+    rows 0 and 200, and a changed arrow(a, b) breaks the adjunction only at
+    first argument a, so the witnesses lie in the first slab and past it."""
     alg = gen_heyting(build_lattice(boolean_matrix(8)))
     rng = np.random.default_rng(43)
     firsts = set()
-    for _ in range(2):
-        arr = perturbed(alg.arrow, alg.n, rng)
-        want = scan_witness(alg.lat, alg.nabla, arr)
+    for row in (0, 200):
+        arr = alg.arrow.copy()
+        arr[row] = perturbed(arr[row], alg.n, rng)
+        want = adjunction_failure(alg.lat, alg.nabla, arr)
         tracemalloc.start()
         try:
             with pytest.raises(AdjunctionFailure) as err:
@@ -515,7 +508,7 @@ def test_sliced_adjunction_witness_matches_the_scan():
             tracemalloc.stop()
         assert (err.value.witness, err.value.direction) == want
         assert peak < 16 * 2 ** 20
-        firsts.add(want[0][0] < _slabs(alg.n)[0].stop)
+        firsts.add(want[0][0] < _slabs(alg.n, size=SCAN_SLAB)[0].stop)
     assert firsts == {True, False}
 
 
@@ -707,7 +700,7 @@ def test_tables_on_the_hashed_route(monkeypatch):
         assert lat.n >= 40
         for lower in (True, False):
             table = _coordinate_bound_table(lat.leq, lat.covers, lower)
-            assert (table == _bound_table(lat.leq, lower)).all()
+            assert (table == bound_table(lat.leq, lower)).all()
         want = cube_heyting(lat)
         got = lattice.heyting_table(fresh(lat))
         assert (got is None) == (want is None)
@@ -719,4 +712,4 @@ def test_tables_on_the_hashed_route(monkeypatch):
             arr, covers = _partial_order(leq)
             for lower in (True, False):
                 assert (outcome(_coordinate_bound_table, arr, covers, lower)
-                        == outcome(_bound_table, arr, lower))
+                        == outcome(bound_table, arr, lower))

@@ -19,6 +19,7 @@ from nablalg.errors import (
 )
 import nablalg.lattice as lattice
 from nablalg.lattice import (
+    SCAN_SLAB,
     SIZE_MAX,
     FiniteLattice,
     _compose,
@@ -55,6 +56,7 @@ from conftest import (
     bounded_candidates,
     chain,
     chain_matrix,
+    cube_distributivity_witness,
     diamond,
     larger_lattices,
     lattice_law_failures,
@@ -146,14 +148,6 @@ def cube_associative(table):
                  == table[idx[:, None, None], table[None, :, :]]).all())
 
 
-def cube_distributivity_witness(lat):
-    """The first bad (a, b, c) of the whole n^3 distributivity cube, or None."""
-    lhs = lat.meet[np.arange(lat.n)[:, None, None], lat.join[None, :, :]]
-    rhs = lat.join[lat.meet[:, :, None], lat.meet[:, None, :]]
-    bad = np.argwhere(lhs != rhs)
-    return tuple(int(v) for v in bad[0]) if len(bad) else None
-
-
 def cube_join_irreducibles(lat):
     """The split cube: the non-bottom a that are no join of two x, y < a."""
     below = lat.leq.T & ~np.eye(lat.n, dtype=bool)          # below[a, x]: x < a
@@ -243,7 +237,7 @@ def test_sliced_distributivity_matches_cube_oracle(six_lattices):
     assert big.n == 140
     want = cube_distributivity_witness(big)
     # the first failing a lies past the first slab
-    assert want is not None and want[0] >= _slabs(big.n)[1].start
+    assert want is not None and want[0] >= _slabs(big.n, size=SCAN_SLAB)[1].start
     assert distributivity_witness(big) == want
     for lat in [*six_lattices, pentagon(), diamond(), chain(110)]:
         fresh = build_lattice(lat.leq)
@@ -283,10 +277,26 @@ def test_order_facts_match_cube_oracles(seven_lattices):
     assert verdicts == {True, False}
 
 
+def test_distributivity_verdict_scans_no_triples(monkeypatch):
+    """A lattice that is not distributive gets its verdict, and so no Heyting
+    table, from one failing triple checked on its tables; the scan of the
+    triples runs only when the witness is asked."""
+    scans, scan = [], lattice._build_distributivity_witness
+    monkeypatch.setattr(lattice, "_build_distributivity_witness",
+                        lambda lat: scans.append(lat) or scan(lat))
+    lat = m3_times_chain(28)
+    assert heyting_table(lat) is None and not is_distributive(lat)
+    assert not scans
+    a, b, c = distributivity_witness(lat)
+    assert lat.meet[a, lat.join[b, c]] != lat.join[lat.meet[a, b], lat.meet[a, c]]
+    assert scans == [lat]
+
+
 def test_distributivity_disagreement_is_a_cross_check_failure():
-    """The join-irreducible test reads only the order, the witness scan only
-    the meet and join tables: the pentagon with a meet table that is
-    constantly bottom fails the test and passes the scan."""
+    """The join-irreducible test reads only the order, the failing triple it
+    names is checked on the meet and join tables: the pentagon with a meet
+    table that is constantly bottom fails the test, and the triple holds
+    there."""
     lat = pentagon()
     broken = FiniteLattice(lat.leq.copy(), np.zeros_like(lat.meet), lat.join.copy(),
                            lat.bot, lat.top, lat.covers)

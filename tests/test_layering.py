@@ -2,7 +2,9 @@
 
 Every boolean relational product in the library goes through one kernel,
 ``lattice._compose``; this walks each module's syntax tree and fails on a
-matrix product anywhere else.  The same walk pins each module's ``ensure``
+matrix product anywhere else.  Likewise every first witness is found by one
+scan, ``lattice._violations``, and a search for a first false entry anywhere
+else fails.  The same walk pins each module's ``ensure``
 cross-checks by message, so none is dropped or moved unnoticed.  Results
 derived from a lattice, an algebra or a frame are kept by one helper,
 ``lattice._kept``, in the one private slot each class has; morphisms keep
@@ -67,6 +69,62 @@ def test_relational_products_only_in_the_kernel():
              if (name, scope) != KERNEL]
     assert not stray, f"matrix products outside lattice._compose: {stray}"
     assert [scope for scope, _ in found[KERNEL[0]]] == [KERNEL[1]]
+
+
+FIRST_FALSE_CALLS = {"argwhere", "argmin"}
+NONZERO_CALLS = {"nonzero", "flatnonzero"}
+SCAN = ("lattice.py", ("_violations",))
+
+
+def first_false_sites(source: str) -> list:
+    """(enclosing definitions, line) of every call to ``argwhere`` or
+    ``argmin``, by name or attribute, and of every ``nonzero`` or
+    ``flatnonzero`` of a negated (``~``) mask: the searches for a first
+    false entry."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            target = node.args[0] if node.args else getattr(func, "value", None)
+            negated = isinstance(target, ast.UnaryOp) and isinstance(target.op, ast.Invert)
+            if name in FIRST_FALSE_CALLS or (name in NONZERO_CALLS and negated):
+                sites.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
+def test_first_false_sites_are_found():
+    source = "\n".join([
+        "import numpy as np",
+        "def f(mask, rows):",
+        "    i = np.argwhere(~mask)[0]",
+        "    j = int(mask.argmin()), np.argmin(rows, axis=1)",
+        "    return np.flatnonzero(~mask)[0], (~mask).nonzero(), np.flatnonzero(mask)",
+        "class K:",
+        "    def g(self, mask):",
+        "        return np.nonzero(~mask), mask.argmax()",
+    ])
+    assert first_false_sites(source) == [(("f",), 3), (("f",), 4), (("f",), 4), (("f",), 5),
+                                         (("f",), 5), (("K", "g"), 8)]
+
+
+def test_first_witnesses_only_in_the_scan():
+    """Every first witness of the library, of a law report or of a failed
+    construction, is found by ``lattice._violations``, a slab of a lazy mask
+    at a time."""
+    src = Path(nablalg.__file__).parent
+    found = {path.name: first_false_sites(path.read_text()) for path in sorted(src.glob("*.py"))}
+    stray = [(name, scope, line) for name, sites in found.items() for scope, line in sites
+             if (name, scope) != SCAN]
+    assert not stray, f"first-false searches outside lattice._violations: {stray}"
+    assert [scope for scope, _ in found[SCAN[0]]] == [SCAN[1]]
 
 
 # Every `ensure` cross-check by module, as a multiset of messages (an f-string
@@ -167,6 +225,7 @@ ENSURES = {
         "prime filter count must match join-irreducibles on distributive lattices",
         "pseudocomplement not residuated",
         "pseudocomplements exist iff distributive",
+        "the coordinate lookup must fail only where some pair has no bound",
         "upset lattice must be distributive",
         "upset lattice must carry pseudocomplements",
         "upsets must be closed under intersection and union",

@@ -24,16 +24,23 @@ pullback of the prime frames; a leg, ``inverse_image_morphism`` after
 projection is a prime filter holding a, and is read off the prime-filter
 rows directly, so an amalgamation builds one upset algebra.
 
-Both functors work on boolean membership matrices: a family of upsets or of
-prime filters is one k x n matrix, row i holding set i.  nabla(U), the OR
-of U's R-rows, is one relational product; arrow(U, V), the worlds none of
-whose R-successors lies in U outside V, is one inclusion test, as are the
-prime frame's order and relation (the lattice module's ``_compose`` and
-``_subset``).  A computed set is looked up among the family's rows by its
-packed bits.  Each functor keeps its result on its immutable input through
-the lattice module's ``_kept``: the prime frame on the algebra and the upset
-algebra (with its upset family) on the frame, so a pipeline that meets an
-input again reuses what was built; nothing is cached at module level.
+Both functors work by their characterizations, with no product of a family
+against all pairs (Davey & Priestley, *Introduction to Lattices and Order*,
+ch. 5 and 7).  A family of upsets or of prime filters is one k x n boolean
+membership matrix, row i holding set i.  Upsets: nabla(U), the OR of U's
+R-rows, is one relational product (the lattice module's ``_compose``), and
+arrow(U, V) is the residual of nabla on the upset lattice, which
+``derive_arrow`` finds as box o Heyting.  Prime filters: each is [p) for a
+join-prime p, and the rest is the principal ideal (k(p)], k(p) the greatest
+element not above p (the lattice module's ``_primes``).  So the order, the
+relation and the definitional form are k x k tables read off the generators
+by gathers: P inside Q iff q <= p, (P, Q) in R iff q <= nabla(p), and the
+definitional form fails iff p <= arrow(q, k(q)).  A computed set is looked
+up among the family's rows by its packed bits.  Each functor keeps its
+result on its immutable input through the lattice module's ``_kept``: the
+prime frame on the algebra and the upset algebra (with its upset family) on
+the frame, so a pipeline that meets an input again reuses what was built;
+nothing is cached at module level.
 Morphism reports are kept on the morphism, so one amalgamation checks each
 of its morphisms once though several stages require them valid.
 """
@@ -54,6 +61,7 @@ from .algebra import (
     build_algebra,
     check_morphism,
     classify,
+    derive_arrow,
     tables_equal,
 )
 from .errors import (
@@ -74,7 +82,7 @@ from .lattice import (
     _kept,
     _locate,
     _prime_rows,
-    _subset,
+    _primes,
     _violations,
     upset_lattice,
     validate_partial_order,
@@ -180,10 +188,12 @@ def _build_frame_profile(frame: KripkeFrame) -> FrameProfile:
     witnesses.update((v.law, v.witness) for v in _violations([
         ("R", ~leq | r),
         ("L", ~r | leq),
-        # Fa: x has an R-predecessor y whose R-successors all lie in [x)
-        ("Fa", (r & _subset(r, leq)).any(axis=0)),
-        # Fu: x has an R-successor y whose R-predecessors all lie in (x]
-        ("Fu", (r.T & _subset(r.T, leq.T)).any(axis=0)),
+        # Fa: x has an R-predecessor y whose R-successors all lie in [x);
+        # they form an upset holding x, so some R-row is [x)
+        ("Fa", _locate(r, leq)[1]),
+        # Fu: x has an R-successor y whose R-predecessors all lie in (x];
+        # they form a down-set holding x, so some R-column is (x]
+        ("Fu", _locate(r.T, leq.T)[1]),
     ]))
     n_flag, r_flag, l_flag, fa_flag, fu_flag = (f not in witnesses for f in FRAME_FLAGS)
     profile = FrameProfile(N=n_flag, R=r_flag, L=l_flag, Fa=fa_flag, Fu=fu_flag,
@@ -268,17 +278,15 @@ def upset_algebra(frame: KripkeFrame) -> NablaAlgebra:
 def _build_upset_algebra(frame: KripkeFrame):
     """The frame's upset family and its upset algebra, built together."""
     fam = upset_lattice(frame.leq)
-    ups = fam.members
-    k, n = ups.shape
     # nabla(U): the worlds some member of U relates to, the OR of U's R-rows
-    nabla, found = _locate(ups, _compose(ups, frame.r))
+    nabla, found = _locate(fam.members, _compose(fam.members, frame.r))
     ensure(found.all(), "relation image of an upset must be an upset")
-    # arrow(U, V): the worlds x with no R-successor in U outside V, that is,
-    # U outside V lies inside the worlds x does not relate to
-    escape = (ups[:, None, :] & ~ups[None, :, :]).reshape(k * k, n)
-    arrow, found = _locate(ups, _subset(escape, ~frame.r))
-    ensure(found.all(), "arrow of upsets must be an upset")
-    alg = build_algebra(fam.lattice, nabla, arrow.reshape(k, k))
+    # arrow(U, V), the worlds whose R-successors in U lie in V, is an upset,
+    # and an upset W lies inside it iff nabla(W) & U lies in V: it is the
+    # residual of nabla
+    arrow = derive_arrow(fam.lattice, nabla)
+    ensure(arrow is not None, "the relation image on upsets must have a residual")
+    alg = build_algebra(fam.lattice, nabla, arrow)
     profile = classify(alg)
     ensure(profile.H, "upset algebras always carry the Heyting structure")
     fprof = frame_profile(frame)
@@ -317,28 +325,33 @@ def inverse_image_morphism(f: FrameMorphism) -> AlgebraMorphism:
 def prime_frame(alg: NablaAlgebra) -> KripkeFrame:
     """Prime filters under inclusion with the image-containment relation.
 
-    The relation is computed as "nabla image of P inside Q" and
-    cross-checked against the definitional detachment form; a mismatch is a
-    hard failure, not a report.  Built once per algebra and kept on it.
+    The relation is computed as "nabla image of P inside Q", q <= nabla(p)
+    for the generators [p) = P and [q) = Q, and cross-checked against the
+    definitional detachment form, p not below arrow(q, k(q)); a mismatch is a
+    hard failure, not a report.  Every table is k x k, O(k^2) for k prime
+    filters.  Built once per algebra and kept on it.
     """
     return _kept(alg, _build_prime_frame)
 
 
 def _build_prime_frame(alg: NablaAlgebra) -> KripkeFrame:
-    if not classify(alg).D:
+    aprof = classify(alg)
+    if not aprof.D:
         raise NotDistributive("prime filter frames need a distributive carrier")
-    primes = _prime_rows(alg.lat)
-    k, n = primes.shape
-    leq = _subset(primes, primes)
-    # rel[P, Q]: P lies inside the preimage of Q under nabla
-    rel = _subset(primes, primes[:, alg.nabla])
-    # definitional[P, Q]: every (a, b) with arrow(a, b) in P has b in Q or a outside Q
-    keep = (~primes[:, :, None] | primes[:, None, :]).reshape(k, n * n)
-    definitional = _subset(primes[:, alg.arrow].reshape(k, n * n), keep)
+    # P = [p) and Q = [q), the i-th and j-th prime filters, with k(q) the
+    # greatest element outside Q; every table is k x k, read off by gathers
+    gen, kappa = _primes(alg.lat)
+    above = alg.lat.leq[gen]                 # above[i, x]: p <= x, x in P
+    # P inside Q iff q <= p
+    leq = above[:, gen].T
+    # nabla maps P into Q iff q <= nabla(p), nabla being monotone
+    rel = above[:, alg.nabla[gen]].T
+    # no arrow(a, b) in P has a in Q and b outside Q: arrow is antitone in a
+    # and monotone in b, and P an upset, so (q, k(q)) is the pair to test
+    definitional = ~above[:, alg.arrow[gen, kappa]]
     ensure((rel == definitional).all(),
            "relation characterizations disagree on prime filters")
     frame = build_frame(leq, rel)
-    aprof = classify(alg)
     fprof = frame_profile(frame)
     for flag in FRAME_FLAGS:
         if getattr(aprof, flag):

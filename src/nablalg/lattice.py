@@ -19,7 +19,8 @@ holds an n^3 table.
 
 Lattices, algebras and frames are immutable, and what is derived from one
 of them is computed once and kept on it by one helper, ``_kept``: here the
-distributivity verdict and witness, the Heyting table and the prime filters.
+distributivity verdict and witness, the Heyting table and the generators of
+the prime filters.
 
 Order facts are decided without the n^3 table of all triples, mostly on
 the covering relation ``covers`` (the strict order minus its square, found
@@ -30,9 +31,10 @@ by the product that also checks transitivity); see Davey & Priestley,
   join of two strictly smaller elements has at least two, and an element
   with two lower covers is their join;
 - a is join-prime iff the x with a not below x, a down-set, are closed
-  under joins, that is iff they have a greatest element; ``_join_primes``
-  counts that for every element, O(n^2) in all.  A join-prime a = x | y
-  lies below x or y and so equals one of them: it is join-irreducible;
+  under joins, that is iff they have a greatest element k(a);
+  ``_join_primes`` counts that for every element, O(n^2) in all.  A
+  join-prime a = x | y lies below x or y and so equals one of them: it is
+  join-irreducible;
 - a finite lattice is distributive iff every join-irreducible is
   join-prime, that is iff a -> (join-irreducibles below a) preserves binary
   joins; ``is_distributive`` decides so, and where the test fails checks on
@@ -93,6 +95,13 @@ exists iff every join-irreducible is join-prime, that is iff the lattice is
 distributive.  The residual of a nabla is then arrow(a, b) = box(a -> b), for
 box the right adjoint of nabla (``_residual``).  The dependency runs one way: the residual
 reads the Heyting table, which never calls the residual.
+
+The same k serves three callers, found by one helper, ``_kappa``: the
+recursion above, the prime filters and the prime frame of ``kripke``.  In a
+finite lattice every prime filter is [p) for a join-prime p, and the
+elements outside it are the principal ideal (k(p)]; so each prime filter is
+checked by one comparison of rows, O(n), and ``_primes`` keeps the
+generators p and their k(p) on the lattice.
 
 The meet and join tables come from the coordinates at every size, and the
 residual from box o Heyting or the join over J at every size; up to
@@ -560,6 +569,13 @@ def _build_heyting_table(lat: FiniteLattice):
     return _freeze(table) if exists else None
 
 
+def _kappa(lat: FiniteLattice, elems) -> tuple:
+    """k(p) for each p of ``elems``, the greatest element not above p, and
+    where it exists: for p other than bottom, exactly where p is join-prime
+    (module docstring)."""
+    return _greatest(lat.leq, ~lat.leq[elems].T)
+
+
 def _cover_heyting(lat: FiniteLattice):
     """The Heyting table by recursion over lower covers, and whether it
     exists; O(n^2) in all.
@@ -576,22 +592,20 @@ def _cover_heyting(lat: FiniteLattice):
     """
     n, leq, meet, top = lat.n, lat.leq, lat.meet, lat.top
     irr = _irreducible(lat.covers, n)
-    kappa, found = _greatest(leq, ~leq[irr].T)
-    if not found.all():
+    kappa, found = _kappa(lat, slice(None))
+    if not found[irr].all():
         return None, False
     # the least and the greatest lower cover of each element: equal on J
     lo, hi = lat.covers
     first, last = np.full(n, n), np.full(n, -1)
     np.minimum.at(first, hi, lo)
     np.maximum.at(last, hi, lo)
-    kappa_of = np.zeros(n, dtype=np.intp)
-    kappa_of[irr] = kappa
     table = np.empty((n, n), dtype=np.intp)
     table[lat.bot] = top
-    first, last, kappa_of, single = first.tolist(), last.tolist(), kappa_of.tolist(), irr.tolist()
+    first, last, kappa, single = first.tolist(), last.tolist(), kappa.tolist(), irr.tolist()
     for a in np.argsort(leq.sum(axis=0), kind="stable")[1:].tolist():
         if single[a]:
-            table[a] = np.where(leq[a], top, meet[kappa_of[a]].take(table[first[a]]))
+            table[a] = np.where(leq[a], top, meet[kappa[a]].take(table[first[a]]))
         else:
             table[a] = _at(meet, table[first[a]], table[last[a]])
     return table, True
@@ -629,44 +643,55 @@ def _member_row(n: int, members) -> np.ndarray:
     return row
 
 
-def _prime_filter_rows(lat: FiniteLattice, rows: np.ndarray) -> np.ndarray:
-    """For each row of a k x n membership matrix, whether its set contains
-    top, excludes bottom, is upward closed and meet-closed, and holds x or y
-    whenever it holds x | y.  The pair laws are read a slab of rows at a
-    time, so no k x n x n temporary exceeds about 2**20 entries."""
-    ok = rows[:, lat.top] & ~rows[:, lat.bot] & ~(_compose(rows, lat.leq) & ~rows).any(axis=1)
-    for s in _slabs(len(rows), lat.n ** 2):
-        x, y = rows[s, :, None], rows[s, None, :]
-        meets = ~(x & y) | rows[s][:, lat.meet]
-        prime = ~rows[s][:, lat.join] | x | y
-        ok[s] &= (meets & prime).all(axis=(1, 2))
-    return ok
+def _principal_primes(lat: FiniteLattice, elems) -> tuple:
+    """k(p) for each p of ``elems``, and whether [p) is a prime filter:
+    whether the elements outside [p) are the principal ideal (k(p)], O(n) a
+    row.  A principal filter is upward closed and meet-closed; when the rest
+    is a nonempty ideal it misses bottom and holds x or y whenever it holds
+    x | y."""
+    kappa = _kappa(lat, elems)[0]
+    return kappa, (lat.leq[:, kappa].T == ~lat.leq[elems]).all(axis=1)
 
 
 def is_prime_filter(lat: FiniteLattice, members) -> bool:
-    """Upward-closed, meet-closed (so contains top), excludes bot, join-prime."""
-    return bool(_prime_filter_rows(lat, _member_row(lat.n, members)[None])[0])
+    """Upward-closed, meet-closed (so contains top), excludes bot, join-prime.
+
+    A finite filter is [p) for p its least member, so the set is a prime
+    filter iff it has a least member p, equals [p) and misses exactly
+    (k(p)]."""
+    row = _member_row(lat.n, members)
+    least = _greatest(lat.leq.T, row[:, None])[0]
+    return bool((lat.leq[least] == row).all() and _principal_primes(lat, least)[1][0])
 
 
-def _prime_rows(lat: FiniteLattice) -> np.ndarray:
-    """Membership matrix of the prime filters, ordered by (size, members).
+def _primes(lat: FiniteLattice) -> tuple:
+    """The generators of the prime filters and their k: the join-primes p,
+    ordered by (size, members) of [p), and k(p) for each.
 
     In a finite lattice every filter is principal (it contains the meet of
     its members), so the prime filters are exactly the principal filters of
-    join-prime elements.  The rows are re-checked against the primality
-    predicate in one batch, and on distributive lattices the count is
-    cross-checked against the number of join-irreducibles.
+    join-prime elements.  Each [p) is re-checked by its k(p), and on
+    distributive lattices the count is cross-checked against the number of
+    join-irreducibles.
     """
-    return _kept(lat, _build_prime_rows)
+    return _kept(lat, _build_primes)
 
 
-def _build_prime_rows(lat: FiniteLattice) -> np.ndarray:
-    rows = _sorted_rows(lat.leq[_join_primes(lat)])
-    ensure(_prime_filter_rows(lat, rows).all(), "enumerated set is not a prime filter")
+def _build_primes(lat: FiniteLattice) -> tuple:
+    # the sorted rows [p), and p as the least member of each
+    gen = _greatest(lat.leq.T, _sorted_rows(lat.leq[_join_primes(lat)]).T)[0]
+    kappa, prime = _principal_primes(lat, gen)
+    ensure(prime.all(), "enumerated set is not a prime filter")
     if is_distributive(lat):
-        ensure(len(rows) == len(join_irreducibles(lat)),
+        ensure(len(gen) == len(join_irreducibles(lat)),
                "prime filter count must match join-irreducibles on distributive lattices")
-    return _freeze(rows)
+    return _freeze(gen), _freeze(kappa)
+
+
+def _prime_rows(lat: FiniteLattice) -> np.ndarray:
+    """Membership matrix of the prime filters, ordered by (size, members):
+    row i is [p) for the i-th generator p of ``_primes``."""
+    return lat.leq[_primes(lat)[0]]
 
 
 def prime_filters(lat: FiniteLattice) -> list[frozenset]:

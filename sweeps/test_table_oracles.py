@@ -18,7 +18,11 @@ Heyting on the distributive lattices and by the join over J on the
 others, on both sides of ``CUBE_MAX``.  The upset lattice
 and the ideal lattice of every one of them, whose meets and joins
 ``_family_lattice`` looks up as intersections, must equal ``build_lattice``
-of their inclusion orders.
+of their inclusion orders.  On the 26 distributive ones, the prime frame's
+order, relation and definitional tables, read off the generators of the
+prime filters, must equal the inclusion products over the prime-filter rows
+(the definitional one the k x n^2 form), for the Heyting algebra and for a
+nabla other than the identity.
 """
 
 from collections import Counter
@@ -27,14 +31,17 @@ import numpy as np
 import pytest
 
 import nablalg.lattice as lattice
-from nablalg.algebra import derive_arrow
+from nablalg.algebra import build_algebra, derive_arrow
 from nablalg.completion import _ideal_rows
+from nablalg.gallery import gen_heyting
+from nablalg.kripke import prime_frame
 from nablalg.lattice import (
     FiniteLattice,
     _build_heyting_table,
     _cover_heyting,
     _family_lattice,
     _greatest,
+    _prime_rows,
     _residuated,
     _slabs,
     _subset,
@@ -180,3 +187,33 @@ def test_family_lattices_match_the_inclusion_lattice(nine_lattices):
             assert (got.leq == want.leq).all() and (got.bot, got.top) == (want.bot, want.top)
             assert (got.meet == want.meet).all() and (got.join == want.join).all()
             assert (rows[got.meet] == (rows[:, None] & rows[None])).all()
+
+
+def subset_prime_tables(alg):
+    """Order, relation and definitional relation of the prime frame by
+    inclusion tests over the prime-filter rows, as ``subset_prime_tables``
+    of the tests' conftest: P inside Q, P inside the nabla preimage of Q, and
+    every (a, b) with arrow(a, b) in P has b in Q or a outside Q (k x n^2)."""
+    primes = _prime_rows(alg.lat)
+    k, n = primes.shape
+    keep = (~primes[:, :, None] | primes[:, None, :]).reshape(k, n * n)
+    return (_subset(primes, primes), _subset(primes, primes[:, alg.nabla]),
+            _subset(primes[:, alg.arrow].reshape(k, n * n), keep))
+
+
+def test_prime_tables_match_the_inclusion_products(nine_lattices):
+    """On each distributive lattice of 9 elements, the Heyting algebra and
+    the algebra of the meet nabla x -> x & c, for c a coatom: the prime
+    frame's order and relation equal the inclusion products, and so does the
+    definitional table, which ``prime_frame`` requires to be the relation."""
+    distributive = [lat for lat in nine_lattices if is_distributive(lat)]
+    assert len(distributive) == 26
+    for lat in distributive:
+        coatom = max(np.flatnonzero(lat.leq[:, lat.top] & (np.arange(9) != lat.top)),
+                     key=lambda c: lat.leq[:, c].sum())
+        nab = lat.meet[:, coatom]
+        for alg in (gen_heyting(lat), build_algebra(lat, nab, derive_arrow(lat, nab))):
+            frame = prime_frame(alg)
+            leq, rel, definitional = subset_prime_tables(alg)
+            assert (frame.leq == leq).all()
+            assert (frame.r == rel).all() and (rel == definitional).all()

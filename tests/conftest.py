@@ -6,9 +6,11 @@ import pytest
 from nablalg.algebra import AlgebraMorphism, check_morphism, classify
 from nablalg.errors import NoJoin, NoMeet
 from nablalg.lattice import (
+    _compose,
     _detachment,
     _greatest,
     _labeled_posets,
+    _prime_rows,
     _slabs,
     _subset,
     build_lattice,
@@ -83,6 +85,39 @@ def prime_filter_row_oracle(lat, s):
     meets = s[lat.meet[np.ix_(s, s)]].all()
     prime = (s[lat.join] <= (s[:, None] | s[None, :])).all()
     return bool(s[lat.top] and not s[lat.bot] and upward and meets and prime)
+
+
+def prime_filter_rows(lat, rows):
+    """The batched prime-filter mask the check by k(p) replaced, kept as its
+    oracle: for each row of a k x n membership matrix, whether its set
+    contains top, excludes bottom, is upward closed and meet-closed, and
+    holds x or y whenever it holds x | y.  The pair laws are read a slab of
+    rows at a time, so no k x n x n temporary exceeds about 2**20 entries."""
+    ok = rows[:, lat.top] & ~rows[:, lat.bot] & ~(_compose(rows, lat.leq) & ~rows).any(axis=1)
+    for s in _slabs(len(rows), lat.n ** 2):
+        x, y = rows[s, :, None], rows[s, None, :]
+        meets = ~(x & y) | rows[s][:, lat.meet]
+        prime = ~rows[s][:, lat.join] | x | y
+        ok[s] &= (meets & prime).all(axis=(1, 2))
+    return ok
+
+
+def subset_prime_tables(alg):
+    """Order, relation and definitional relation of the prime frame by the
+    inclusion tests the gathers on the generators replaced, kept as their
+    oracle: P inside Q, P inside the nabla preimage of Q, and every (a, b)
+    with arrow(a, b) in P has b in Q or a outside Q.  The definitional form
+    is the k x n^2 product, taken a slab of first arguments a at a time."""
+    primes = _prime_rows(alg.lat)
+    k, n = primes.shape
+    leq = _subset(primes, primes)
+    rel = _subset(primes, primes[:, alg.nabla])
+    definitional = np.ones((k, k), dtype=bool)
+    for s in _slabs(n, max(k, 1) * n):
+        width = s.stop - s.start
+        keep = (~primes[:, s, None] | primes[:, None, :]).reshape(k, width * n)
+        definitional &= _subset(primes[:, alg.arrow[s]].reshape(k, width * n), keep)
+    return leq, rel, definitional
 
 
 # --- whole-mask forms of the law checks ----------------------------------------

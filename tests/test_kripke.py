@@ -1,4 +1,6 @@
 import itertools
+import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -23,7 +25,8 @@ from nablalg.errors import (
 )
 import nablalg.algebra as algebra
 import nablalg.kripke as kripke
-from nablalg.gallery import gen_heyting, gen_trivial
+from nablalg.cli import main
+from nablalg.gallery import gen_heyting, gen_trivial, gen_xn
 from nablalg.kripke import (
     FrameMorphism,
     amalgamate_algebras,
@@ -37,9 +40,16 @@ from nablalg.kripke import (
     prime_inverse_morphism,
     upset_algebra,
 )
-from nablalg.lattice import all_upsets, build_lattice, prime_filters
+from nablalg.lattice import CUBE_MAX, all_upsets, build_lattice, prime_filters
+from nablalg.serialize import dumps, frame_to_json
 
-from conftest import amalgamation_spans, boolean_square, chain, chain_matrix
+from conftest import (
+    amalgamation_spans,
+    boolean_square,
+    chain,
+    chain_matrix,
+    subset_prime_tables,
+)
 
 
 def one_point_frame():
@@ -378,15 +388,59 @@ def test_upset_algebra_flag_transport():
 
 
 def test_upset_algebra_matches_set_oracle():
+    """The upset algebra's order, nabla and arrow, the residual of nabla,
+    against direct set evaluation.  The frames cover both routes of the
+    Heyting table the residual reads, the cube up to ``CUBE_MAX`` upsets and
+    the recursion over lower covers past it, each with an R other than the
+    order."""
     rng = np.random.default_rng(20240517)
     frames = [random_frame(rng, n) for n in (0, 1, 1) + tuple(rng.integers(2, 6, 60))]
     assert any(k.pi is None for k in frames) and any(k.pi is not None for k in frames)
+    routes = set()
     for k in frames:
         alg = upset_algebra(k)
         leq, nabla, arrow = oracle_upset_algebra_tables(k)
         assert alg.lat.leq.tolist() == leq
         assert alg.nabla.tolist() == nabla
         assert alg.arrow.tolist() == arrow
+        if not (k.r == k.leq).all():
+            routes.add(alg.n > CUBE_MAX)
+    assert routes == {False, True}
+
+
+def fresh_two_chain_frame():
+    return build_frame(chain_matrix(2), np.ones((2, 2), dtype=bool))
+
+
+def corrupt_residual(monkeypatch):
+    """Change one entry of every residual candidate ``derive_arrow`` tests."""
+    residual = algebra._residual
+
+    def corrupted(lat, nab):
+        table = residual(lat, nab).copy()
+        table[-1, 0] = (table[-1, 0] + 1) % lat.n
+        return table
+
+    monkeypatch.setattr(algebra, "_residual", corrupted)
+
+
+def test_corrupted_upset_residual_is_a_cross_check_failure(monkeypatch):
+    """One changed entry of the residual on the upsets of a frame: no
+    residual passes the Galois test, a cross-check failure, not an
+    ``AdjunctionFailure`` of the input."""
+    corrupt_residual(monkeypatch)
+    with pytest.raises(CrossCheckError, match="the relation image on upsets must have a residual"):
+        upset_algebra(fresh_two_chain_frame())
+
+
+def test_corrupted_upset_residual_is_exit_three(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "frame.json"
+    path.write_text(dumps(frame_to_json(fresh_two_chain_frame())))
+    corrupt_residual(monkeypatch)
+    assert main(["upset-algebra", str(path)]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == {"error": "internal",
+                            "message": "the relation image on upsets must have a residual"}
 
 
 def test_inverse_image_of_collapse_embeds_booleans(b2, h3):
@@ -463,6 +517,60 @@ def test_prime_frame_matches_set_oracle(full_catalog):
         leq, image, definitional = oracle_prime_relations(alg)
         assert image == definitional
         assert k.leq.tolist() == leq and k.r.tolist() == image
+
+
+def boolean_matrix(k):
+    sets = np.arange(2 ** k)
+    return (sets[:, None] & ~sets[None, :]) == 0
+
+
+def test_prime_tables_match_the_inclusion_products(full_catalog):
+    """The prime frame's order and relation, read off the generators, equal
+    the inclusion tests over the prime-filter rows they replaced, and so does
+    the definitional table, which ``prime_frame`` requires to be the
+    relation, as the k x n^2 product; on every distributive catalog algebra,
+    gen_xn 1-6 and the Heyting 256-chain and Boolean 2^8."""
+    algebras = [alg for alg in full_catalog if classify(alg).D]
+    algebras += [gen_xn(i) for i in range(1, 7)]
+    algebras += [gen_heyting(build_lattice(leq)) for leq in (chain_matrix(256), boolean_matrix(8))]
+    for alg in algebras:
+        frame = prime_frame(alg)
+        leq, rel, definitional = subset_prime_tables(alg)
+        assert (frame.leq == leq).all()
+        assert (frame.r == rel).all() and (rel == definitional).all()
+
+
+def test_wrong_kappa_fails_the_relation_cross_check(monkeypatch):
+    """Generators whose last k(q) is moved to top, on fresh Heyting algebras:
+    the definitional form then has no pair with q, while q <= nabla(q), so
+    the two relation characterizations disagree."""
+    primes = kripke._primes
+
+    def wrong(lat):
+        gen, kappa = primes(lat)
+        kappa = kappa.copy()
+        kappa[-1] = lat.top
+        return gen, kappa
+
+    monkeypatch.setattr(kripke, "_primes", wrong)
+    for lat in (chain(3), boolean_square()):
+        with pytest.raises(CrossCheckError, match="relation characterizations disagree"):
+            prime_frame(gen_heyting(lat))
+
+
+def test_prime_frame_of_the_heyting_chain_holds_no_cube():
+    """prime_frame and canonical_frame_embedding on the Heyting 256-chain peak
+    under 8 MB under tracemalloc; the inclusion products they replaced peaked
+    at 176 MB there."""
+    alg = gen_heyting(build_lattice(chain_matrix(256)))
+    tracemalloc.start()
+    try:
+        assert prime_frame(alg).n == 255
+        assert canonical_frame_embedding(alg).target.n == 256
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_prime_inverse_of_bound_embedding(b2, h3):

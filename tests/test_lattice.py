@@ -26,8 +26,10 @@ from nablalg.lattice import (
     _family_lattice,
     _greatest,
     _join_primes,
+    _kappa,
     _order_iso,
-    _prime_filter_rows,
+    _principal_primes,
+    _primes,
     _row_keys,
     _signatures,
     _slabs,
@@ -63,6 +65,7 @@ from conftest import (
     order_from_covers,
     pentagon,
     prime_filter_row_oracle,
+    prime_filter_rows,
     product_order,
     relabeled,
     slabbed_associative,
@@ -365,7 +368,7 @@ def test_kept_builders_run_once_per_lattice(monkeypatch):
             return builder(lat)
         return run
 
-    names = ("_build_heyting_table", "_build_distributivity_witness", "_build_prime_rows")
+    names = ("_build_heyting_table", "_build_distributivity_witness", "_build_primes")
     for name in names:
         monkeypatch.setattr(lattice, name, counted(name, getattr(lattice, name)))
     for lat in (pentagon(), pentagon()):
@@ -638,28 +641,69 @@ def test_prime_predicates_match_oracles(small_lattices):
 
 
 def test_prime_filter_mask_matches_the_row_check(six_lattices):
-    """The batched mask agrees with the one-row check it replaced on every
-    subset of every lattice of at most 6 elements, and across slabs on the
-    upsets of the 120-chain and seeded sets of its elements."""
+    """``is_prime_filter``, which compares the set with [p) for its least
+    member p and its complement with (k(p)], agrees with the batched mask it
+    replaced and with the one-row check before that, on every subset of every
+    lattice of at most 6 elements, and on the upsets of the 120-chain and
+    seeded sets of its elements, which the batched mask reads across slabs."""
     for lat in six_lattices:
         rows = (np.arange(2 ** lat.n)[:, None] >> np.arange(lat.n) & 1).astype(bool)
-        assert _prime_filter_rows(lat, rows).tolist() == [
-            prime_filter_row_oracle(lat, s) for s in rows]
+        want = [prime_filter_row_oracle(lat, s) for s in rows]
+        assert prime_filter_rows(lat, rows).tolist() == want
+        assert [is_prime_filter(lat, np.flatnonzero(s)) for s in rows] == want
     lat = chain(120)
     rng = np.random.default_rng(5)
     rows = np.vstack([_upset_rows(lat.leq), rng.random((40, lat.n)) < 0.9])
     assert len(_slabs(len(rows), lat.n ** 2)) > 1
-    got = _prime_filter_rows(lat, rows)
-    assert got.tolist() == [prime_filter_row_oracle(lat, s) for s in rows]
-    assert got.sum() == lat.n - 1
+    want = prime_filter_rows(lat, rows)
+    assert want.tolist() == [prime_filter_row_oracle(lat, s) for s in rows]
+    assert [is_prime_filter(lat, np.flatnonzero(s)) for s in rows] == want.tolist()
+    assert want.sum() == lat.n - 1
+
+
+def test_kappa_check_matches_the_batched_mask(seven_lattices):
+    """[p) is a prime filter iff the elements outside it are (k(p)]: over
+    every principal filter of every lattice of at most 7 elements and of the
+    larger seeded ones, the check by k agrees with the batched mask, and k(p)
+    exists exactly at the join-primes; the kept generators are those p, in
+    the order of their filters' rows."""
+    lats = seven_lattices + larger_lattices(np.random.default_rng(8))
+    for lat in lats:
+        kappa, found = _kappa(lat, slice(None))
+        got, check = _principal_primes(lat, slice(None))
+        assert (got == kappa).all()
+        assert check.tolist() == prime_filter_rows(lat, lat.leq).tolist()
+        assert np.flatnonzero(check).tolist() == np.flatnonzero(found).tolist()
+        gen, kept = _primes(lat)
+        assert sorted(gen.tolist()) == np.flatnonzero(found).tolist()
+        assert (kept == kappa[gen]).all()
+        assert (lat.leq[gen] == _sorted_rows(lat.leq[gen])).all()
 
 
 def test_prime_rows_refuse_a_non_join_prime(monkeypatch):
     """The atoms of M3 are join-irreducible but not join-prime: a patched
-    ``_join_primes`` that admits them fails the batched check."""
+    ``_join_primes`` that admits them fails the check by k(p)."""
     monkeypatch.setattr(lattice, "_join_primes", join_irreducibles)
     with pytest.raises(CrossCheckError, match="enumerated set is not a prime filter"):
         prime_filters(diamond())
+
+
+def test_prime_rows_refuse_a_wrong_kappa(monkeypatch):
+    """A k helper that moves one k(p) to top, on a fresh Boolean square and
+    3-chain, fails the check of the prime filters; the join-primes, read
+    off where k exists, stay right."""
+    kappa = lattice._kappa
+
+    def wrong(lat, elems):
+        table, found = kappa(lat, elems)
+        table = table.copy()
+        table[-1] = lat.top
+        return table, found
+
+    monkeypatch.setattr(lattice, "_kappa", wrong)
+    for lat in (boolean_square(), chain(3)):
+        with pytest.raises(CrossCheckError, match="enumerated set is not a prime filter"):
+            prime_filters(lat)
 
 
 def test_one_element_lattice_has_no_prime_filter():

@@ -184,7 +184,6 @@ ENSURES = {
         "the opens must be closed under intersection and union",
     ],
     "kripke.py": [
-        "arrow of upsets must be an upset",
         "f'algebra flag {flag} must transfer to the prime frame'",
         "f'frame flag {flag} must transfer to the upset algebra'",
         "f'{name} must be an embedding'",
@@ -214,6 +213,7 @@ ENSURES = {
         "the amalgam must carry the shared flag class",
         "the amalgam must stay normal and distributive",
         "the amalgamation square must commute",
+        "the relation image on upsets must have a residual",
         "upset algebras always carry the Heyting structure",
         "witness characterization of frame morphisms disagrees with the clauses",
     ],

@@ -12,6 +12,13 @@ failure) and the equational laws (``check_equational_axioms``); they must
 agree on every input, which the test harness verifies exhaustively at small
 sizes.
 
+Each adjunction is decided once.  Tables from outside (a document, a caller,
+the completion's lifted pair) go through ``build_algebra``; a construction
+whose pair is already decided (``derive_arrow``'s residual of a nabla, the
+identity with the Heyting table, which the lattice module checks when it
+builds that table) hands it to ``_assemble``, the one constructor of a
+``NablaAlgebra``, which re-derives only the laws the adjunction forces.
+
 Every checker here, in ``kripke`` and in ``congruence`` states its laws as
 named boolean masks, true where the law holds, and ``lattice._violations``
 turns the failing ones into witnesses: the first false entry in row-major
@@ -121,17 +128,16 @@ def _check_tables(lat: FiniteLattice, nabla, arrow):
 
 
 def build_algebra(lat: FiniteLattice, nabla, arrow) -> NablaAlgebra:
-    """Validate the adjunction and derive ``box`` plus the optional Heyting table.
+    """Validate tables from outside: their shape and range, then the
+    adjunction, then ``_assemble``.
 
     The adjunction is decided by ``lattice._residuated``, in
     O(n |covers| + n^2) past ``CUBE_MAX`` elements; only a failure pays for
     the scan of the triples by ``_violations``, up to the first slab of first
     arguments that fails, which raises :class:`AdjunctionFailure` with the
-    lexicographically first bad (a, b, c).  On success the laws the
-    adjunction forces and ``_residuated`` does not decide are re-derived as
-    internal cross-checks; nabla's and arrow(a, -)'s monotonicity and
-    detachment ``_residuated`` decides (up to ``CUBE_MAX``: they follow).
-    The same predicate decides ``derive_arrow``'s candidate.
+    lexicographically first bad (a, b, c).  The same predicate decides
+    ``derive_arrow``'s candidate, so a library construction that has it
+    decided calls ``_assemble`` directly.
     """
     nab, arr = _check_tables(lat, nabla, arrow)
     if not _residuated(lat, nab, arr):
@@ -140,14 +146,17 @@ def build_algebra(lat: FiniteLattice, nabla, arrow) -> NablaAlgebra:
         a, b, c = failed[0].witness
         direction = "forward" if lat.leq[lat.meet[nab[c], a], b] else "backward"
         raise AdjunctionFailure(a, b, c, direction)
-    alg = NablaAlgebra(lat, nab.copy(), arr.copy())
-    _check_derived_laws(alg)
-    return alg
+    return _assemble(lat, nab.copy(), arr.copy())
 
 
-def _check_derived_laws(alg: NablaAlgebra) -> None:
-    lat, nab, arr, box = alg.lat, alg.nabla, alg.arrow, alg.box
-    leq = lat.leq
+def _assemble(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray) -> NablaAlgebra:
+    """The algebra of a pair whose adjunction is decided, which it takes
+    over (frozen, not copied), with the laws the adjunction forces and
+    ``_residuated`` does not decide re-derived as internal cross-checks.
+    Nabla's and arrow(a, -)'s monotonicity and detachment ``_residuated``
+    decides (up to ``CUBE_MAX``: they follow)."""
+    alg = NablaAlgebra(lat, nab, arr)
+    box, leq = alg.box, lat.leq
     # row b of arr.T is a -> arrow(a, b)
     ensure(_monotone(leq.T, lat.covers, arr.T), "arrow must be antitone in its first argument")
     ensure(int(nab[lat.bot]) == lat.bot, "nabla must send bottom to bottom")
@@ -157,6 +166,7 @@ def _check_derived_laws(alg: NablaAlgebra) -> None:
     idx = np.arange(lat.n)
     ensure(leq[nab[box], idx].all(), "nabla(box(a)) <= a must hold")
     ensure(leq[idx, box[nab]].all(), "a <= box(nabla(a)) must hold")
+    return alg
 
 
 def derive_arrow(lat: FiniteLattice, nabla):

@@ -225,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", action="store_true",
                         help="human-readable summary on stderr")
-    parser.add_argument("--format", choices=["json"], default="json",
-                        help="output format (json is the only v1 format)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("validate", "classify", "modal-filters", "congruences", "si", "simple",

@@ -23,6 +23,9 @@ completion directly:
   ub(I) & ub(J): the lattice module's ``_family_lattice`` looks the meets
   up among the ideals and the joins among their upper bounds, and fails
   unless every pairwise intersection is an ideal;
+- nabla is monotone, so with N = (g] the union of the principal ideals of
+  nabla over N is the ideal (nabla(g)], already closed: the lifted nabla is
+  one product and one lookup, with no closure;
 - N is a down-set and meet is monotone, so with M = (g] the defining set of
   arrow(M, N) is {x : nabla(x) & g in N}, one gather per pair of ideals.
 
@@ -138,9 +141,12 @@ def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
     emb_arr, emb_found = _locate(rows, lat.leq.T)
     gen = np.argsort(emb_arr)     # gen[i]: the element whose principal ideal is ideal i
 
-    # nabla(N): the closure of the OR of the principal ideals of nabla over N
+    # nabla(N): the join of the principal ideals of nabla over N, which for
+    # N = (g] is their union, the ideal (nabla(g)], nabla being monotone; so
+    # the union is located as it is, and a union that is not closed is found
+    # among no ideal
     image = _compose(rows, lat.leq.T[alg.nabla])
-    nab_tab, found = _locate(rows, _closure_rows(lat, image))
+    nab_tab, found = _locate(rows, image)
     ensure(found.all(), "lifted nabla must land on a normal ideal")
 
     # arrow((g], N) = {x : nabla(x) & g in N}: row (j, i) gathers ideal j at

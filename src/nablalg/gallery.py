@@ -10,6 +10,7 @@ from .algebra import (
     FLAG_NAMES,
     NablaAlgebra,
     StrongAlgebraCandidate,
+    _assemble,
     build_algebra,
     classify,
     derive_arrow,
@@ -56,7 +57,7 @@ def gen_xn(n: int) -> NablaAlgebra:
     ensure(found.all(), "shift preimages of opens must be open")
     arrow = derive_arrow(lat, nabla)
     ensure(arrow is not None, "shift preimage must admit a residuated arrow")
-    alg = build_algebra(lat, nabla, arrow)
+    alg = _assemble(lat, nabla, arrow)
     profile = classify(alg)
     ensure(profile.has("N", "H", "D"), "shift algebra must be normal distributive Heyting")
     power = np.arange(lat.n)
@@ -76,10 +77,11 @@ def gen_trivial(lat: FiniteLattice) -> NablaAlgebra:
 
 
 def gen_heyting(lat: FiniteLattice) -> NablaAlgebra:
-    """Identity nabla with the Heyting table as arrow; needs distributivity."""
+    """Identity nabla with the Heyting table as arrow; needs distributivity.
+    The lattice module decides that pair residuated when it builds the table."""
     if not is_distributive(lat):
         raise NotDistributive("identity dynamics need a distributive lattice")
-    return build_algebra(lat, np.arange(lat.n), heyting_table(lat))
+    return _assemble(lat, np.arange(lat.n), heyting_table(lat))
 
 
 def gen_counterexample_cex3() -> StrongAlgebraCandidate:
@@ -142,10 +144,11 @@ def enumerate_algebras(max_n: int, flags=None):
         raise OutOfRange(f"flags must be among {','.join(FLAG_NAMES)}, got {sorted(wanted)}")
     for lat in all_lattices(max_n):
         for nabla in _join_preserving_maps(lat):
-            arrow = derive_arrow(lat, np.array(nabla, dtype=np.int64))
+            nab = np.array(nabla, dtype=np.int64)
+            arrow = derive_arrow(lat, nab)
             if arrow is None:
                 continue
-            alg = build_algebra(lat, np.array(nabla, dtype=np.int64), arrow)
+            alg = _assemble(lat, nab, arrow)
             if wanted and not wanted <= classify(alg).flags():
                 continue
             yield alg

@@ -57,8 +57,8 @@ from .algebra import (
     Morphism,
     NablaAlgebra,
     _FlagProfile,
+    _assemble,
     _indices,
-    build_algebra,
     check_morphism,
     classify,
     derive_arrow,
@@ -286,7 +286,7 @@ def _build_upset_algebra(frame: KripkeFrame):
     # residual of nabla
     arrow = derive_arrow(fam.lattice, nabla)
     ensure(arrow is not None, "the relation image on upsets must have a residual")
-    alg = build_algebra(fam.lattice, nabla, arrow)
+    alg = _assemble(fam.lattice, nabla, arrow)
     profile = classify(alg)
     ensure(profile.H, "upset algebras always carry the Heyting structure")
     fprof = frame_profile(frame)
@@ -404,42 +404,29 @@ def prime_inverse_morphism(f: AlgebraMorphism) -> FrameMorphism:
 AMALGAMATION_FLAGS = frozenset({"R", "L", "Fa"})
 
 
-def _flag_class(carried: dict, flags, lacking: str) -> frozenset:
-    """The flag class an amalgamation must preserve.
-
-    ``carried`` maps each input's name to its flag set.  Without a request
-    the class is the amalgamation flags every input carries; a request must
-    lie inside {R, L, Fa} and be carried by every input, else ``lacking``
-    (formatted with the input's name) is raised.
-    """
-    if flags is None:
-        return frozenset.intersection(*carried.values()) & AMALGAMATION_FLAGS
-    cls = frozenset(flags)
-    if not cls <= AMALGAMATION_FLAGS:
-        raise FlagMismatch(
-            f"flag class must lie inside {sorted(AMALGAMATION_FLAGS)}, got {sorted(cls)}")
-    for name, have in carried.items():
-        if not cls <= have:
-            raise FlagMismatch(lacking.format(name=name))
-    return cls
-
-
 def amalgamate_frames(k0: KripkeFrame, k1: KripkeFrame, k2: KripkeFrame,
                       f: FrameMorphism, g: FrameMorphism, flags=None):
     """Pullback of two surjective frame morphisms onto a shared base.
 
     Worlds are the pairs agreeing on the base, order and relation are
     componentwise, and the normality witness is the pair of witnesses.
-    Flags in the requested class (a subset of {R, L, Fa}; fullness is
-    rejected up front) transfer to the pullback, and both projections are
-    surjective frame morphisms.
+    Flags in the class (without a request, the ones of {R, L, Fa} that every
+    frame carries; a request must lie inside {R, L, Fa}, so fullness is
+    rejected up front, and be carried by every frame) transfer to the
+    pullback, and both projections are surjective frame morphisms.
     """
-    profiles = {name: frame_profile(k) for name, k in (("k0", k0), ("k1", k1), ("k2", k2))}
-    for p in profiles.values():
-        if not p.N:
-            raise NotNormal("amalgamation needs normal frames")
-    cls = _flag_class({name: p.flags() for name, p in profiles.items()}, flags,
-                      "every frame must carry the requested flag class")
+    carried = [frame_profile(k).flags() for k in (k0, k1, k2)]
+    if not all("N" in have for have in carried):
+        raise NotNormal("amalgamation needs normal frames")
+    if flags is None:
+        cls = frozenset.intersection(*carried) & AMALGAMATION_FLAGS
+    else:
+        cls = frozenset(flags)
+        if not cls <= AMALGAMATION_FLAGS:
+            raise FlagMismatch(
+                f"flag class must lie inside {sorted(AMALGAMATION_FLAGS)}, got {sorted(cls)}")
+        if not all(cls <= have for have in carried):
+            raise FlagMismatch("every frame must carry the requested flag class")
     for name, m, tgt in (("first", f, k1), ("second", g, k2)):
         if not tables_equal(m.target, k0):
             raise InvalidMorphism(f"{name} leg must land in the shared base")
@@ -489,7 +476,7 @@ class AmalgamationResult:
 
 def amalgamate_algebras(a0: NablaAlgebra, a1: NablaAlgebra, a2: NablaAlgebra,
                         f1: AlgebraMorphism, f2: AlgebraMorphism,
-                        flags=None, heyting: bool = False) -> AmalgamationResult:
+                        heyting: bool = False) -> AmalgamationResult:
     """Complete a span of embeddings to a commuting square of embeddings.
 
     Pipeline: prime frames of the three algebras, preimage morphisms of the
@@ -503,17 +490,17 @@ def amalgamate_algebras(a0: NablaAlgebra, a1: NablaAlgebra, a2: NablaAlgebra,
     order (a_i, being distributive, carries the table).  Every stage re-validates its output; the final square
     is checked to commute exactly and to carry the shared flag class.
     """
-    carried = {}
+    carried = []
     for name, alg in (("a0", a0), ("a1", a1), ("a2", a2)):
         profile = classify(alg)
-        carried[name] = profile.flags()
+        carried.append(profile.flags())
         if not profile.N:
             raise NotNormal(f"{name} must be normal")
         if not profile.D:
             raise NotDistributive(f"{name} must be distributive")
         if heyting and not profile.H:
             raise FlagMismatch(f"{name} must carry the Heyting structure")
-    cls = _flag_class(carried, flags, "{name} must carry the requested flag class")
+    cls = frozenset.intersection(*carried) & AMALGAMATION_FLAGS
     for name, m, tgt in (("f1", f1, a1), ("f2", f2, a2)):
         if not (tables_equal(m.source, a0) and tables_equal(m.target, tgt)):
             raise InvalidMorphism(f"{name} must map the shared algebra into its leg")

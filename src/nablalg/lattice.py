@@ -50,9 +50,10 @@ Residuation, nab(c) & a <= b iff c <= arr(a, b) for all a, b, c, is for each
 a a Galois connection between c -> nab(c) & a and b -> arr(a, b) (ibid.
 ch. 7), and ``_residuated`` decides it without the n^3 table of triples:
 both maps monotone (on covers), the counit a & nab(arr(a, b)) <= b and the
-unit c <= arr(a, nab(c) & a), O(n |covers| + n^2) in all.  It validates
-every algebra (``algebra.build_algebra``), ``derive_arrow``'s residual and
-the Heyting table, with nab the identity; ``classify`` restates its
+unit c <= arr(a, nab(c) & a), O(n |covers| + n^2) in all.  It decides the
+tables of ``algebra.build_algebra``, ``derive_arrow``'s residual and the
+Heyting table, with nab the identity, and every algebra has its pair decided
+by one of the three; ``classify`` restates its
 three-variable cross-checks over pairs by lemmas of the validated adjunction
 (see there).
 
@@ -448,9 +449,6 @@ class FiniteLattice:
         self.top = int(top)
         self.covers = covers
         self._kept = {}
-
-    def le(self, a: int, b: int) -> bool:
-        return bool(self.leq[a, b])
 
     def upset_of(self, a: int) -> frozenset:
         """Principal filter [a)."""

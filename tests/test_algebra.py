@@ -1,15 +1,16 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nablalg import algebra, lattice
 from nablalg.algebra import (
     AlgebraMorphism,
-    NablaAlgebra,
     StrongAlgebraCandidate,
-    _check_derived_laws,
+    _assemble,
     _monotone,
     algebra_iso,
     build_algebra,
@@ -21,10 +22,24 @@ from nablalg.algebra import (
     derive_arrow,
     identity_morphism,
     nabla_from_strong,
+    tables_equal,
 )
 from nablalg.errors import AdjunctionFailure, CrossCheckError, NotDistributive, ShapeError
-from nablalg.gallery import gen_counterexample_cex3, gen_heyting, gen_trivial
-from nablalg.lattice import heyting_table
+from nablalg.gallery import (
+    enumerate_algebras,
+    gen_counterexample_cex3,
+    gen_heyting,
+    gen_trivial,
+    gen_xn,
+)
+from nablalg.kripke import prime_frame, upset_algebra
+from nablalg.lattice import (
+    _residuated as residuated,
+    all_lattices,
+    build_lattice,
+    heyting_table,
+    is_distributive,
+)
 
 from conftest import antitone_first, boolean_square, chain, monotone_second, pentagon
 
@@ -204,6 +219,66 @@ def test_derive_arrow_roundtrip_on_catalog(small_catalog):
         assert again is not None and (again == alg.arrow).all()
 
 
+# --- one decision per adjunction ---------------------------------------------
+
+
+def assembled_sites(catalog):
+    """(name, build, derives) for each library construction that hands a
+    decided pair to ``_assemble``: ``gen_xn`` 1-6, ``gen_heyting`` on the
+    distributive lattices up to 5 elements, ``enumerate_algebras(5)`` and the
+    upset algebra of the prime frame of each distributive catalog algebra.
+    Every build starts from fresh lattices, so nothing is kept from an
+    earlier call, and returns the algebras it assembled; ``derives`` marks
+    the builds that call ``derive_arrow`` on the identity nabla."""
+    sites = [(f"gen_xn({k})", lambda k=k: [gen_xn(k)], False) for k in range(1, 7)]
+    sites += [(f"gen_heyting on {i}", lambda lat=lat: [gen_heyting(build_lattice(lat.leq))], False)
+              for i, lat in enumerate(all_lattices(5)) if is_distributive(lat)]
+    sites.append(("enumerate_algebras(5)", lambda: list(enumerate_algebras(5)), True))
+    for i, alg in enumerate(catalog):
+        if classify(alg).D:
+            sites.append((f"upset algebra of {i}", lambda alg=alg: [upset_algebra(prime_frame(
+                build_algebra(build_lattice(alg.lat.leq), alg.nabla, alg.arrow)))], True))
+    return sites
+
+
+def test_each_adjunction_is_decided_once(monkeypatch, full_catalog):
+    """``lattice._residuated``, counted in both namespaces that call it, by
+    lattice, nabla and arrow: no construction decides one pair twice.  The
+    one repeat left is ``derive_arrow`` on the identity nabla, whose pair
+    with the Heyting table that table's own cross-check decides first."""
+    decided = Counter()
+
+    def counted(lat, nab, arr):
+        decided[lat, nab.tobytes(), arr.tobytes()] += 1
+        return residuated(lat, nab, arr)
+
+    sites = assembled_sites(full_catalog)
+    monkeypatch.setattr(lattice, "_residuated", counted)
+    monkeypatch.setattr(algebra, "_residuated", counted)
+    total = 0
+    for name, build, derives in sites:
+        decided.clear()
+        build()
+        total += sum(decided.values())
+        twice = [(lat, np.frombuffer(nab, dtype=np.intp), arr, count)
+                 for (lat, nab, arr), count in decided.items() if count > 1]
+        for lat, nab, arr, count in twice:
+            assert derives and count == 2, f"{name} decides one pair {count} times"
+            assert (nab == np.arange(lat.n)).all() and arr == heyting_table(lat).tobytes()
+    assert total > len(sites)
+
+
+def test_assembled_algebras_pass_build_algebra(full_catalog):
+    """Each algebra ``_assemble`` takes from these constructions, validated
+    again from its tables, is the same algebra."""
+    seen = 0
+    for _, build, _ in assembled_sites(full_catalog):
+        for alg in build():
+            assert tables_equal(build_algebra(alg.lat, alg.nabla, alg.arrow), alg)
+            seen += 1
+    assert seen > len(full_catalog)
+
+
 # --- equational laws ---------------------------------------------------------
 
 
@@ -360,7 +435,7 @@ def test_cover_monotonicity_matches_full_masks(six_catalog, six_lattices):
     algebra up to 6 elements and on seeded tables that break them.  Nabla's
     monotonicity and arrow's in its second argument are decided with the
     adjunction (``lattice._residuated``), so of the three only antitonicity in
-    the first argument is re-checked by _check_derived_laws, and it reports
+    the first argument is re-checked by _assemble, and it reports
     exactly when that fails."""
     for alg in six_catalog:
         leq, covers = alg.lat.leq, alg.lat.covers
@@ -382,7 +457,7 @@ def test_cover_monotonicity_matches_full_masks(six_catalog, six_lattices):
             assert full == cover
             seen.add((message, bool(full)))
         try:
-            _check_derived_laws(NablaAlgebra(lat, nab, arr))
+            _assemble(lat, nab, arr)
             raised = None
         except CrossCheckError as err:
             raised = str(err)
@@ -512,8 +587,6 @@ def test_faithful_members_satisfy_top_and_heyting_facts(small_catalog):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_derived_arrows_always_validate(data):
-    from nablalg.lattice import all_lattices
-
     lats = all_lattices(4)
     lat = data.draw(st.sampled_from(lats))
     nabla = np.array(
@@ -532,8 +605,6 @@ def test_algebra_iso_finds_relabeled_copy():
     perm = np.array([2, 0, 1])
     inv = np.argsort(perm)
     leq = alg.lat.leq[np.ix_(perm, perm)]
-    from nablalg.lattice import build_lattice
-
     lat2 = build_lattice(leq)
     nab2 = np.array([inv[alg.nabla[perm[i]]] for i in range(3)])
     arr2 = np.array([[inv[alg.arrow[perm[i], perm[j]]] for j in range(3)] for i in range(3)])

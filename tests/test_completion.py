@@ -21,6 +21,7 @@ from nablalg.gallery import gen_heyting, gen_trivial, gen_xn
 from nablalg.kripke import build_frame, upset_algebra
 from nablalg.lattice import (
     FiniteLattice,
+    _compose,
     _family_lattice,
     _intersection_table,
     _locate,
@@ -243,6 +244,19 @@ def test_completion_matches_oracle_on_boolean_relation_image():
     alg = upset_algebra(build_frame(np.eye(5, dtype=bool), rng.random((5, 5)) < 0.4))
     assert alg.n == 32
     assert_matches_oracle(alg)
+
+
+def test_lifted_nabla_unions_are_closed(full_catalog):
+    """``dm_complete`` locates the union of the principal ideals of nabla
+    over each ideal (g] without closing it, since nabla is monotone and the
+    union is (nabla(g)]; the closure leaves every such union as it is, over
+    the catalog, ``gen_xn`` 1-6 and both 256-element Heyting algebras."""
+    algs = [*full_catalog, *(gen_xn(k) for k in range(1, 7)),
+            gen_heyting(boolean_256()), gen_heyting(chain(256))]
+    for alg in algs:
+        rows = _ideal_rows(alg.lat)[0]
+        union = _compose(rows, alg.lat.leq.T[alg.nabla])
+        assert (_closure_rows(alg.lat, union) == union).all()
 
 
 def test_row_closure_matches_subset_oracle(small_lattices):

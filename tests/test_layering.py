@@ -8,7 +8,8 @@ else fails.  The same walk pins each module's ``ensure``
 cross-checks by message, so none is dropped or moved unnoticed.  Results
 derived from a lattice, an algebra or a frame are kept by one helper,
 ``lattice._kept``, in the one private slot each class has; morphisms keep
-their reports the same way, in their one private field.  No module uses
+their reports the same way, in their one private field.  Every algebra is
+constructed in one place, ``algebra._assemble``.  No module uses
 ``numpy.random``, so every lookup and result is deterministic.
 """
 
@@ -306,6 +307,52 @@ def test_lattices_of_sets_come_from_the_family_constructor():
     src = Path(nablalg.__file__).parent
     found = {path.name: subset_lattice_sites(path.read_text()) for path in sorted(src.glob("*.py"))}
     assert not {name: lines for name, lines in found.items() if lines}
+
+
+ASSEMBLER = ("algebra.py", ("_assemble",))
+
+
+def call_sites(source: str, callee: str) -> list:
+    """(enclosing definitions, line) of every call to ``callee``, by name or
+    attribute."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == callee:
+                sites.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
+def test_call_sites_are_found():
+    source = "\n".join([
+        "def f(lat, nab, arr):",
+        "    return NablaAlgebra(lat, nab, arr), algebra.NablaAlgebra(lat, nab, arr)",
+        "class K:",
+        "    def g(self):",
+        "        return NablaAlgebra, build(NablaAlgebra)",
+    ])
+    assert call_sites(source, "NablaAlgebra") == [(("f",), 2), (("f",), 2)]
+
+
+def test_algebras_are_assembled_in_one_place():
+    """Every algebra of the library is constructed by ``algebra._assemble``,
+    which its callers reach with a pair whose adjunction is decided."""
+    src = Path(nablalg.__file__).parent
+    found = {path.name: call_sites(path.read_text(), "NablaAlgebra")
+             for path in sorted(src.glob("*.py"))}
+    stray = [(name, scope, line) for name, sites in found.items() for scope, line in sites
+             if (name, scope) != ASSEMBLER]
+    assert not stray, f"NablaAlgebra constructed outside algebra._assemble: {stray}"
+    assert [scope for scope, _ in found[ASSEMBLER[0]]] == [ASSEMBLER[1]]
 
 
 def test_structures_keep_results_in_one_slot():

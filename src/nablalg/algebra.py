@@ -12,12 +12,13 @@ failure) and the equational laws (``check_equational_axioms``); they must
 agree on every input, which the test harness verifies exhaustively at small
 sizes.
 
-Each adjunction is decided once.  Tables from outside (a document, a caller,
-the completion's lifted pair) go through ``build_algebra``; a construction
-whose pair is already decided (``derive_arrow``'s residual of a nabla, the
-identity with the Heyting table, which the lattice module checks when it
-builds that table) hands it to ``_assemble``, the one constructor of a
-``NablaAlgebra``, which re-derives only the laws the adjunction forces.
+Each adjunction is decided once.  Tables from outside (a document or a
+caller) go through ``build_algebra``; a construction whose pair is already
+decided (``derive_arrow``'s residual of a nabla, as the arrows of the upset
+algebra and of the completion are, or the identity with the Heyting table,
+which the lattice module checks when it builds that table) hands it to
+``_assemble``, the one constructor of a ``NablaAlgebra``, which re-derives
+only the laws the adjunction forces.
 
 Every checker here, in ``kripke`` and in ``congruence`` states its laws as
 named boolean masks, true where the law holds, and ``lattice._violations``
@@ -128,8 +129,8 @@ def _check_tables(lat: FiniteLattice, nabla, arrow):
 
 
 def build_algebra(lat: FiniteLattice, nabla, arrow) -> NablaAlgebra:
-    """Validate tables from outside: their shape and range, then the
-    adjunction, then ``_assemble``.
+    """Validate tables from outside, a document's or a caller's: their shape
+    and range, then the adjunction, then ``_assemble``.
 
     The adjunction is decided by ``lattice._residuated``, in
     O(n |covers| + n^2) past ``CUBE_MAX`` elements; only a failure pays for
@@ -137,7 +138,8 @@ def build_algebra(lat: FiniteLattice, nabla, arrow) -> NablaAlgebra:
     arguments that fails, which raises :class:`AdjunctionFailure` with the
     lexicographically first bad (a, b, c).  The same predicate decides
     ``derive_arrow``'s candidate, so a library construction that has it
-    decided calls ``_assemble`` directly.
+    decided, the upset algebra and the completion among them, calls
+    ``_assemble`` directly.
     """
     nab, arr = _check_tables(lat, nabla, arrow)
     if not _residuated(lat, nab, arr):

@@ -13,7 +13,7 @@ duality, a family of sets is one k x n boolean membership matrix (row i is
 set i): the closure of every row is two inclusion tests against the order
 (upper bounds, then lower bounds), each one product of the lattice module's
 boolean-relation kernel, and a computed set is looked up among the ideals by
-its packed bits.  Three facts of a finite lattice (ibid.) give the
+its packed bits.  Four facts of a finite lattice (ibid.) give the
 completion directly:
 
 - the normal ideals are the principal ideals, since (a] & (b] = (a & b]:
@@ -26,12 +26,14 @@ completion directly:
 - nabla is monotone, so with N = (g] the union of the principal ideals of
   nabla over N is the ideal (nabla(g)], already closed: the lifted nabla is
   one product and one lookup, with no closure;
-- N is a down-set and meet is monotone, so with M = (g] the defining set of
-  arrow(M, N) is {x : nabla(x) & g in N}, one gather per pair of ideals.
+- an ideal W lies inside arrow(M, N) iff nabla(W) & M lies inside N, so the
+  lifted arrow is the residual of the lifted nabla on the ideal lattice,
+  which ``derive_arrow`` finds and decides there.
 
-No table is shortcut to the identity: the ideals are formed as sets, every
-lifted nabla, arrow and box is a computed set located among them, and the
-embedding is checked to preserve and reflect the whole signature.
+No table is shortcut to the identity: the ideals are formed as sets, the
+lifted nabla and box are computed sets located among them, the lifted arrow
+is the residual of that nabla, and the embedding is checked to preserve and
+reflect the whole signature, the arrow with it.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ import numpy as np
 from .algebra import (
     AlgebraMorphism,
     NablaAlgebra,
-    build_algebra,
+    _assemble,
     check_morphism,
     classify,
+    derive_arrow,
 )
 from .errors import ensure
 from .lattice import (
@@ -54,7 +57,6 @@ from .lattice import (
     _locate,
     _member_row,
     _row_sets,
-    _slabs,
     _sorted_rows,
     _subset,
 )
@@ -126,11 +128,13 @@ class CompletedAlgebra:
 def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
     """Build the ideal-lattice algebra with the lifted pair and the embedding.
 
-    Every lifted table entry is a computed set located among the ideals; the
-    assembled algebra is re-validated; the embedding is checked to preserve
-    the signature (plus the Heyting table when present), to be injective,
-    to transport every property flag, and, the carrier being finite, to be
-    onto.
+    The lifted nabla and box are computed sets located among the ideals; the
+    lifted arrow is the residual of the lifted nabla, decided by
+    ``derive_arrow``, and a nabla without one is a library bug.  The box
+    formula is checked against the residual's box; the embedding is checked
+    to preserve the signature (plus the Heyting table when present), to be
+    injective, to transport every property flag, and, the carrier being
+    finite, to be onto.
     """
     lat, n = alg.lat, alg.n
     rows, ub = _ideal_rows(lat)
@@ -139,7 +143,6 @@ def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
     ensure(ideal_lat is not None,
            "normal ideals must be principal, with the upper-bound intersections as joins")
     emb_arr, emb_found = _locate(rows, lat.leq.T)
-    gen = np.argsort(emb_arr)     # gen[i]: the element whose principal ideal is ideal i
 
     # nabla(N): the join of the principal ideals of nabla over N, which for
     # N = (g] is their union, the ideal (nabla(g)], nabla being monotone; so
@@ -149,18 +152,11 @@ def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
     nab_tab, found = _locate(rows, image)
     ensure(found.all(), "lifted nabla must land on a normal ideal")
 
-    # arrow((g], N) = {x : nabla(x) & g in N}: row (j, i) gathers ideal j at
-    # meets[i], a slab of ideals N at a time, so no k x k x n table is held
-    meets = lat.meet[gen][:, alg.nabla]
-    arrow_tab = np.zeros((k, k), dtype=np.int64)
-    found = True
-    for s in _slabs(k):
-        pos, hit = _locate(rows, rows[s].take(meets, axis=1).reshape(-1, n))
-        arrow_tab[:, s] = pos.reshape(-1, k).T
-        found = found and hit.all()
-    ensure(found, "lifted arrow must land on a normal ideal")
-
-    completed = build_algebra(ideal_lat, nab_tab, arrow_tab)
+    # arrow is the residual of nabla on the ideal lattice, which
+    # `derive_arrow` finds and decides there
+    arrow_tab = derive_arrow(ideal_lat, nab_tab)
+    ensure(arrow_tab is not None, "the lifted nabla must have a residual")
+    completed = _assemble(ideal_lat, nab_tab, arrow_tab)
     box_tab, found = _locate(rows, rows[:, alg.nabla])
     ensure(found.all() and (completed.box == box_tab).all(),
            "lifted box must be the nabla preimage")

@@ -83,8 +83,8 @@ from .lattice import (
     _locate,
     _prime_rows,
     _primes,
+    _upset_family,
     _violations,
-    upset_lattice,
     validate_partial_order,
 )
 
@@ -277,7 +277,7 @@ def upset_algebra(frame: KripkeFrame) -> NablaAlgebra:
 
 def _build_upset_algebra(frame: KripkeFrame):
     """The frame's upset family and its upset algebra, built together."""
-    fam = upset_lattice(frame.leq)
+    fam = _upset_family(frame.leq)     # `build_frame` validated the order
     # nabla(U): the worlds some member of U relates to, the OR of U's R-rows
     nabla, found = _locate(fam.members, _compose(fam.members, frame.r))
     ensure(found.all(), "relation image of an upset must be an upset")
@@ -405,28 +405,19 @@ AMALGAMATION_FLAGS = frozenset({"R", "L", "Fa"})
 
 
 def amalgamate_frames(k0: KripkeFrame, k1: KripkeFrame, k2: KripkeFrame,
-                      f: FrameMorphism, g: FrameMorphism, flags=None):
+                      f: FrameMorphism, g: FrameMorphism):
     """Pullback of two surjective frame morphisms onto a shared base.
 
     Worlds are the pairs agreeing on the base, order and relation are
     componentwise, and the normality witness is the pair of witnesses.
-    Flags in the class (without a request, the ones of {R, L, Fa} that every
-    frame carries; a request must lie inside {R, L, Fa}, so fullness is
-    rejected up front, and be carried by every frame) transfer to the
-    pullback, and both projections are surjective frame morphisms.
+    The class, the flags of {R, L, Fa} that all three frames carry,
+    transfers to the pullback, and both projections are surjective frame
+    morphisms.
     """
     carried = [frame_profile(k).flags() for k in (k0, k1, k2)]
     if not all("N" in have for have in carried):
         raise NotNormal("amalgamation needs normal frames")
-    if flags is None:
-        cls = frozenset.intersection(*carried) & AMALGAMATION_FLAGS
-    else:
-        cls = frozenset(flags)
-        if not cls <= AMALGAMATION_FLAGS:
-            raise FlagMismatch(
-                f"flag class must lie inside {sorted(AMALGAMATION_FLAGS)}, got {sorted(cls)}")
-        if not all(cls <= have for have in carried):
-            raise FlagMismatch("every frame must carry the requested flag class")
+    cls = frozenset.intersection(*carried) & AMALGAMATION_FLAGS
     for name, m, tgt in (("first", f, k1), ("second", g, k2)):
         if not tables_equal(m.target, k0):
             raise InvalidMorphism(f"{name} leg must land in the shared base")
@@ -513,7 +504,7 @@ def amalgamate_algebras(a0: NablaAlgebra, a1: NablaAlgebra, a2: NablaAlgebra,
     k0, k1, k2 = prime_frame(a0), prime_frame(a1), prime_frame(a2)
     pf1 = prime_inverse_morphism(f1)
     pf2 = prime_inverse_morphism(f2)
-    pullback, p, q = amalgamate_frames(k0, k1, k2, pf1, pf2, flags=cls)
+    pullback, p, q = amalgamate_frames(k0, k1, k2, pf1, pf2)
 
     fam, b = _kept(pullback, _build_upset_algebra)
     legs = []

@@ -19,8 +19,8 @@ holds an n^3 table.
 
 Lattices, algebras and frames are immutable, and what is derived from one
 of them is computed once and kept on it by one helper, ``_kept``: here the
-distributivity verdict and witness, the Heyting table and the generators of
-the prime filters.
+distributivity verdict and witness, the join-primes, the Heyting table and
+the generators of the prime filters.
 
 Order facts are decided without the n^3 table of all triples, mostly on
 the covering relation ``covers`` (the strict order minus its square, found
@@ -529,7 +529,7 @@ def is_distributive(lat: FiniteLattice) -> bool:
 
 def _build_distributive(lat: FiniteLattice) -> bool:
     irr, primes = join_irreducibles(lat), _join_primes(lat)
-    if primes == irr:
+    if np.array_equal(primes, irr):
         return True
     # a join-irreducible j that is not join-prime, and x, y two maximal
     # elements of the down-set of the z with j not below z: j <= x | y, while
@@ -615,18 +615,23 @@ def join_irreducibles(lat: FiniteLattice) -> list[int]:
     return np.flatnonzero(_irreducible(lat.covers, lat.n)).tolist()
 
 
-def _join_primes(lat: FiniteLattice) -> list[int]:
-    """Non-bottom elements a for which a <= x | y forces a <= x or a <= y.
+def _join_primes(lat: FiniteLattice) -> np.ndarray:
+    """Non-bottom elements a for which a <= x | y forces a <= x or a <= y,
+    ascending and kept on the lattice.
 
     The x with a not below x form a down-set, which holds bottom unless a is
     bottom; a is join-prime iff that set is closed under joins, that is iff
     it has a greatest element: a member with as many elements below it as
     the set has.
     """
+    return _kept(lat, _build_join_primes)
+
+
+def _build_join_primes(lat: FiniteLattice) -> np.ndarray:
     outside = ~lat.leq                      # outside[a, x]: a is not below x
     size = outside.sum(axis=1)
     most = (outside * lat.leq.sum(axis=0)).max(axis=1)
-    return np.flatnonzero((most == size) & (size > 0)).tolist()
+    return _freeze(np.flatnonzero((most == size) & (size > 0)))
 
 
 def _member_row(n: int, members) -> np.ndarray:
@@ -889,7 +894,12 @@ class UpSetFamily:
 
 def upset_lattice(poset_leq) -> UpSetFamily:
     """Lattice of all upsets ordered by inclusion; meet is intersection, join union."""
-    rows = _upset_rows(validate_partial_order(poset_leq))
+    return _upset_family(validate_partial_order(poset_leq))
+
+
+def _upset_family(arr: np.ndarray) -> UpSetFamily:
+    """``upset_lattice`` of an order matrix already validated."""
+    rows = _upset_rows(arr)
     # ~U & ~V = ~(U | V): the complements give the joins, which are unions
     lat = _family_lattice(rows, ~rows)
     ensure(lat is not None, "upsets must be closed under intersection and union")

@@ -24,6 +24,7 @@ from nablalg.algebra import (
     nabla_from_strong,
     tables_equal,
 )
+from nablalg.completion import dm_complete
 from nablalg.errors import AdjunctionFailure, CrossCheckError, NotDistributive, ShapeError
 from nablalg.gallery import (
     enumerate_algebras,
@@ -225,11 +226,12 @@ def test_derive_arrow_roundtrip_on_catalog(small_catalog):
 def assembled_sites(catalog):
     """(name, build, derives) for each library construction that hands a
     decided pair to ``_assemble``: ``gen_xn`` 1-6, ``gen_heyting`` on the
-    distributive lattices up to 5 elements, ``enumerate_algebras(5)`` and the
-    upset algebra of the prime frame of each distributive catalog algebra.
-    Every build starts from fresh lattices, so nothing is kept from an
-    earlier call, and returns the algebras it assembled; ``derives`` marks
-    the builds that call ``derive_arrow`` on the identity nabla."""
+    distributive lattices up to 5 elements, ``enumerate_algebras(5)``, the
+    upset algebra of the prime frame of each distributive catalog algebra and
+    the completion of each catalog algebra.  Every build starts from fresh
+    lattices, so nothing is kept from an earlier call, and returns the
+    algebras it assembled; ``derives`` marks the builds that may call
+    ``derive_arrow`` on the identity nabla."""
     sites = [(f"gen_xn({k})", lambda k=k: [gen_xn(k)], False) for k in range(1, 7)]
     sites += [(f"gen_heyting on {i}", lambda lat=lat: [gen_heyting(build_lattice(lat.leq))], False)
               for i, lat in enumerate(all_lattices(5)) if is_distributive(lat)]
@@ -238,6 +240,8 @@ def assembled_sites(catalog):
         if classify(alg).D:
             sites.append((f"upset algebra of {i}", lambda alg=alg: [upset_algebra(prime_frame(
                 build_algebra(build_lattice(alg.lat.leq), alg.nabla, alg.arrow)))], True))
+    sites += [(f"completion of {i}", lambda alg=alg: [dm_complete(alg).algebra], True)
+              for i, alg in enumerate(catalog)]
     return sites
 
 

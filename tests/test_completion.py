@@ -1,10 +1,13 @@
+import json
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nablalg.algebra import classify, derive_arrow
+import nablalg.completion as completion
+from nablalg.algebra import build_algebra, classify, derive_arrow
+from nablalg.cli import main
 from nablalg.completion import (
     _bound_rows,
     _closure_rows,
@@ -32,6 +35,7 @@ from nablalg.lattice import (
     _subset,
     build_lattice,
 )
+from nablalg.serialize import algebra_to_json, dumps
 
 from conftest import assert_inclusion_lattice, chain, order_from_covers, subsets
 
@@ -122,6 +126,30 @@ def is_closure_join(lat, rows, join):
                for s in _slabs(len(rows)))
 
 
+def gather_arrow(alg):
+    """The lifted arrow by its defining sets, arrow((g], N) =
+    {x : nabla(x) & g in N}: row (j, i) gathers ideal j at nabla(-) & g_i, a
+    slab of ideals N at a time, and each set is located among the ideals."""
+    lat, n = alg.lat, alg.n
+    rows = _ideal_rows(lat)[0]
+    k = len(rows)
+    gen = np.argsort(_locate(rows, lat.leq.T)[0])     # gen[i]: the generator of ideal i
+    meets = lat.meet[gen][:, alg.nabla]
+    table = np.zeros((k, k), dtype=np.int64)
+    for s in _slabs(k):
+        pos, found = _locate(rows, rows[s].take(meets, axis=1).reshape(-1, n))
+        assert found.all()
+        table[:, s] = pos.reshape(-1, k).T
+    return table
+
+
+def coatom_meet_algebra(lat):
+    """The algebra of the meet nabla x -> x & c for a largest coatom c."""
+    coatoms = np.flatnonzero(lat.leq[:, lat.top] & (np.arange(lat.n) != lat.top))
+    nab = lat.meet[:, max(coatoms, key=lambda c: lat.leq[:, c].sum())]
+    return build_algebra(lat, nab, derive_arrow(lat, nab))
+
+
 def subset_arrow(alg, rows):
     """The lifted arrow over every member of M: row (j, x) holds the m with
     nabla(x) & m in ideal j, and arrow(M, N_j) is the x whose row holds M."""
@@ -205,10 +233,59 @@ def test_completion_peak_memory():
 
 
 def test_completion_of_the_heyting_chain_peak_memory():
-    """On the Heyting 256-chain one completion peaks under 8 MB: the Heyting
+    """On the Heyting 256-chain one completion peaks under 6 MB: the Heyting
     table of the ideal lattice comes from the recursion over lower covers,
-    where the former (|J|, n, n) residual search alone was a 16 MB table."""
-    assert completion_peak(gen_heyting(chain(256))) < 8 * 2 ** 20
+    where the former (|J|, n, n) residual search alone was a 16 MB table,
+    and the lifted arrow is its residual, with no k^2 sets gathered."""
+    assert completion_peak(gen_heyting(chain(256))) < 6 * 2 ** 20
+
+
+# --- the lifted arrow: the residual against the gather ---------------------
+
+
+def test_lifted_arrow_matches_the_gather(full_catalog):
+    """The residual of the lifted nabla is the gathered arrow over the
+    catalog and ``gen_xn`` 1-6."""
+    for alg in [*full_catalog, *(gen_xn(k) for k in range(1, 7))]:
+        assert (dm_complete(alg).algebra.arrow == gather_arrow(alg)).all()
+
+
+@pytest.mark.parametrize("make", [boolean_256, lambda: chain(256)], ids=["boolean", "chain"])
+def test_lifted_arrow_matches_the_gather_at_256(make):
+    """On the Boolean 2^8 and the 256-chain, whose ideals fill several slabs,
+    with the Heyting nabla and with the meet nabla x -> x & c of a coatom c."""
+    lat = make()
+    for alg in (gen_heyting(lat), coatom_meet_algebra(lat)):
+        assert (dm_complete(alg).algebra.arrow == gather_arrow(alg)).all()
+
+
+def test_missing_residual_is_a_library_bug(monkeypatch, tmp_path, capsys, x1):
+    """A lifted nabla without a residual fails a cross-check, so
+    ``nablalg dm-complete`` exits 3 rather than report an adjunction failure."""
+    monkeypatch.setattr(completion, "derive_arrow", lambda lat, nabla: None)
+    with pytest.raises(CrossCheckError, match="the lifted nabla must have a residual"):
+        dm_complete(x1)
+    path = tmp_path / "x1.json"
+    path.write_text(dumps(algebra_to_json(x1)))
+    assert main(["dm-complete", str(path)]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "error": "internal", "message": "the lifted nabla must have a residual"}
+
+
+def test_completion_locates_three_families(monkeypatch, full_catalog):
+    """``dm_complete`` looks up three families among the ideals, the
+    embedding, the lifted nabla and the lifted box, each of at most k rows."""
+    calls, locate = [], completion._locate
+
+    def counted(family, rows):
+        calls.append(len(rows))
+        return locate(family, rows)
+
+    monkeypatch.setattr(completion, "_locate", counted)
+    for alg in [*full_catalog, gen_heyting(boolean_256())]:
+        calls.clear()
+        dm_complete(alg)
+        assert len(calls) == 3 and max(calls) <= alg.n
 
 
 def assert_matches_oracle(alg):
@@ -365,8 +442,6 @@ def test_lifted_pair_is_unique(small_catalog):
     # over every alternative nabla on the ideal lattice, the arrow is forced
     # by residuation; requiring the embedding to be a morphism pins the pair
     import itertools
-
-    from nablalg.algebra import build_algebra
 
     for alg in small_catalog:
         if alg.n > 3:

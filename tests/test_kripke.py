@@ -18,7 +18,6 @@ from nablalg.algebra import (
 )
 from nablalg.errors import (
     CrossCheckError,
-    FlagMismatch,
     NotCompatible,
     NotKripkeMorphism,
     NotSurjective,
@@ -26,8 +25,9 @@ from nablalg.errors import (
 import nablalg.algebra as algebra
 import nablalg.kripke as kripke
 from nablalg.cli import main
-from nablalg.gallery import gen_heyting, gen_trivial, gen_xn
+from nablalg.gallery import enumerate_algebras, gen_heyting, gen_trivial, gen_xn
 from nablalg.kripke import (
+    AMALGAMATION_FLAGS,
     FrameMorphism,
     amalgamate_algebras,
     amalgamate_frames,
@@ -714,11 +714,19 @@ def test_amalgamate_frames_with_identity_leg():
     assert frames_isomorphic(pull, k1)
 
 
-def test_amalgamate_frames_rejects_fullness_request():
-    k = one_point_frame()
-    ident = FrameMorphism(k, k, (0,))
-    with pytest.raises(FlagMismatch):
-        amalgamate_frames(k, k, k, ident, ident, flags={"Fu"})
+def test_algebra_and_prime_frame_share_the_amalgamation_class():
+    """On each of the 330 normal distributive algebras of at most 6
+    elements, the flags of {R, L, Fa} that the algebra carries are those its
+    prime frame carries: ``amalgamate_frames`` finds on the prime frames the
+    class that ``amalgamate_algebras`` requires of the amalgam."""
+    seen = 0
+    for alg in enumerate_algebras(6):
+        profile = classify(alg)
+        if profile.has("N", "D"):
+            frame_class = frame_profile(prime_frame(alg)).flags() & AMALGAMATION_FLAGS
+            assert profile.flags() & AMALGAMATION_FLAGS == frame_class
+            seen += 1
+    assert seen == 330
 
 
 def test_amalgamate_frames_rejects_non_surjective():

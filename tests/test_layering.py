@@ -158,10 +158,10 @@ ENSURES = {
         "f'completion must keep flag {flag}'",
         "finite completion must be a bijection",
         "ideal family member fails the closure fixpoint",
-        "lifted arrow must land on a normal ideal",
         "lifted box must be the nabla preimage",
         "lifted nabla must land on a normal ideal",
         "normal ideals must be principal, with the upper-bound intersections as joins",
+        "the lifted nabla must have a residual",
     ],
     "congruence.py": [
         "alpha must produce a congruence",

@@ -6,19 +6,21 @@ The defining law is the adjunction
 
 ``box`` is the derived unary operation ``box(a) = arrow(top, a)``; it is the
 right adjoint of ``nabla``.  Two independent validators exist: the
-adjunction itself (``build_algebra``, decided as a Galois connection by
-``lattice._residuated``, with the scan of all triples naming the first
-failure) and the equational laws (``check_equational_axioms``); they must
-agree on every input, which the test harness verifies exhaustively at small
-sizes.
+adjunction itself (``build_algebra``, decided by ``_decided``, with the scan
+of all triples naming the first failure) and the equational laws
+(``check_equational_axioms``); they must agree on every input, which the
+test harness verifies exhaustively at small sizes.
 
-Each adjunction is decided once.  Tables from outside (a document or a
+Each adjunction is decided once, by ``_decided``.  A Heyting algebra is the
+nabla-algebra whose nabla is the identity, and a residual is unique, so the
+identity's pair is residuated iff its arrow is the Heyting table, which the
+lattice module decided when it built that table; every other pair
+``lattice._residuated`` decides.  Tables from outside (a document or a
 caller) go through ``build_algebra``; a construction whose pair is already
 decided (``derive_arrow``'s residual of a nabla, as the arrows of the upset
-algebra and of the completion are, or the identity with the Heyting table,
-which the lattice module checks when it builds that table) hands it to
-``_assemble``, the one constructor of a ``NablaAlgebra``, which re-derives
-only the laws the adjunction forces.
+algebra and of the completion are, or the identity with the Heyting table)
+hands it to ``_assemble``, the one constructor of a ``NablaAlgebra``, which
+re-derives only the laws the adjunction forces.
 
 Every checker here, in ``kripke`` and in ``congruence`` states its laws as
 named boolean masks, true where the law holds, and ``lattice._violations``
@@ -132,23 +134,36 @@ def build_algebra(lat: FiniteLattice, nabla, arrow) -> NablaAlgebra:
     """Validate tables from outside, a document's or a caller's: their shape
     and range, then the adjunction, then ``_assemble``.
 
-    The adjunction is decided by ``lattice._residuated``, in
-    O(n |covers| + n^2) past ``CUBE_MAX`` elements; only a failure pays for
-    the scan of the triples by ``_violations``, up to the first slab of first
-    arguments that fails, which raises :class:`AdjunctionFailure` with the
-    lexicographically first bad (a, b, c).  The same predicate decides
+    The adjunction is decided by ``_decided``: on the identity nabla by one
+    comparison with the Heyting table, elsewhere by ``lattice._residuated``
+    in O(n |covers| + n^2) past ``CUBE_MAX`` elements.  Only a failure pays
+    for the scan of the triples by ``_violations``, up to the first slab of
+    first arguments that fails, which raises :class:`AdjunctionFailure` with
+    the lexicographically first bad (a, b, c); a scan that finds none is a
+    cross-check failure of whichever route decided.  The same helper decides
     ``derive_arrow``'s candidate, so a library construction that has it
     decided, the upset algebra and the completion among them, calls
     ``_assemble`` directly.
     """
     nab, arr = _check_tables(lat, nabla, arrow)
-    if not _residuated(lat, nab, arr):
+    if not _decided(lat, nab, arr):
         failed = _violations([("residuation", lambda s: _adjunction(lat, nab, arr, s))], lat.n)
         ensure(bool(failed), "residuation characterizations disagree")
         a, b, c = failed[0].witness
         direction = "forward" if lat.leq[lat.meet[nab[c], a], b] else "backward"
         raise AdjunctionFailure(a, b, c, direction)
     return _assemble(lat, nab.copy(), arr.copy())
+
+
+def _decided(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray) -> bool:
+    """Whether nab(c) & a <= b iff c <= arr(a, b) for all a, b, c.  The
+    identity's residual is the Heyting table, decided when the lattice built
+    it, so that pair holds iff the table exists and is ``arr``; any other
+    pair ``_residuated`` decides."""
+    if nab.tolist() == list(range(lat.n)):
+        heyting = heyting_table(lat)
+        return heyting is not None and np.array_equal(heyting, arr)
+    return _residuated(lat, nab, arr)
 
 
 def _assemble(lat: FiniteLattice, nab: np.ndarray, arr: np.ndarray) -> NablaAlgebra:
@@ -178,14 +193,15 @@ def derive_arrow(lat: FiniteLattice, nabla):
     lattice has a Heyting table, box(a -> b) from the kept table, for box the
     right adjoint of nabla, O(n^2); elsewhere the join of the
     join-irreducibles j with nabla(j) & a <= b, O(n^2 |J|).  Then
-    ``lattice._residuated``, the predicate of ``build_algebra``, decides it:
-    the adjunction determines the arrow, so a candidate that passes is the
+    ``_decided``, the predicate of ``build_algebra``, decides it: the
+    adjunction determines the arrow, so a candidate that passes is the
     residual, and where there is none every candidate fails (a box can exist
-    for a nabla that is not order-preserving).
+    for a nabla that is not order-preserving).  On the identity nabla one
+    comparison with the Heyting table decides it.
     """
     nab = _indices(nabla, (lat.n,), lat.n, "nabla table")
     arrow = _residual(lat, nab)
-    return arrow if _residuated(lat, nab, arrow) else None
+    return arrow if _decided(lat, nab, arrow) else None
 
 
 EQUATIONAL_LAWS = {

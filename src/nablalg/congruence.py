@@ -15,8 +15,9 @@ filters are the [f) with nabla(f) = f, and the one table g[x], the
 greatest fixpoint of nabla below x, gives them all: the closure of a seed
 is [g[meet of the seed]), the algebra is simple iff g[x] = bot for every
 x != top, and subdirectly irreducible iff the join of those g[x] is not
-top.  g comes from the lattice module's greatest-element kernel, and every
-principal filter is re-checked against the full modal-filter predicate.
+top.  g comes from the lattice module's greatest-element kernel and is kept
+on the algebra, and every principal filter is re-checked against the full
+modal-filter predicate when g is built.
 
 A congruence oracle that never mentions filters keeps the two routes
 independently checkable.  While it computes, a congruence is an n x n
@@ -25,7 +26,7 @@ of relations to the least congruences containing them (images under nabla
 and the translations of meet, join and arrow, converse, one squaring per
 round by the lattice module's ``_compose``), and the blocks are read off
 each row's least member.  The power criteria of left and right algebras
-compose one orbit matrix with the order.
+compose one orbit matrix with the order, on one table per algebra.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (
     Trivial,
     ensure,
 )
-from .lattice import _compose, _greatest, _member_row, _violations
+from .lattice import _compose, _freeze, _greatest, _kept, _member_row, _violations
 
 ORACLE_BOUND = 10
 
@@ -129,13 +130,14 @@ def is_modal_filter(alg: NablaAlgebra, members) -> bool:
 
 
 def _greatest_fixpoints(alg: NablaAlgebra) -> np.ndarray:
-    """g[x]: the greatest fixpoint of nabla below x.
+    """g[x]: the greatest fixpoint of nabla below x, kept on the algebra
+    (``_kept(alg, _greatest_fixpoints)``).
 
     nabla fixes bottom and preserves joins, so the fixpoints below x have
     a join and it is again a fixpoint.  Every filter of a finite lattice is
     principal, and [a) is closed under nabla iff a <= nabla(a) and under box
-    iff nabla(a) <= a; that equivalence is re-checked on every element, row
-    a of ``leq`` being [a).
+    iff nabla(a) <= a; that equivalence is re-checked once per algebra, on
+    every element, row a of ``leq`` being [a).
     """
     lat = alg.lat
     fixed = alg.nabla == np.arange(alg.n)
@@ -143,7 +145,7 @@ def _greatest_fixpoints(alg: NablaAlgebra) -> np.ndarray:
            "principal modal filters must be the filters of nabla's fixpoints")
     g, found = _greatest(lat.leq, fixed[:, None] & lat.leq)
     ensure(found.all(), "the fixpoints of nabla below an element must have a greatest one")
-    return g
+    return _freeze(g)
 
 
 def modal_filter_closure(alg: NablaAlgebra, seed) -> ModalFilter:
@@ -152,7 +154,7 @@ def modal_filter_closure(alg: NablaAlgebra, seed) -> ModalFilter:
     _require_normal(alg)
     lat = alg.lat
     seed = np.flatnonzero(_member_row(alg.n, seed))
-    f = ModalFilter(alg, lat.upset_of(_greatest_fixpoints(alg)[lat.meet_all(seed)]))
+    f = ModalFilter(alg, lat.upset_of(_kept(alg, _greatest_fixpoints)[lat.meet_all(seed)]))
     ensure(is_modal_filter(alg, f.members), "closure must produce a modal filter")
     return f
 
@@ -164,7 +166,7 @@ def all_modal_filters(alg: NablaAlgebra) -> list:
     re-checked against the full predicate on every principal filter.
     """
     _require_normal(alg)
-    g = _greatest_fixpoints(alg)
+    g = _kept(alg, _greatest_fixpoints)
     out = [ModalFilter(alg, alg.lat.upset_of(a)) for a in range(alg.n) if g[a] == a]
     out.sort(key=lambda f: (len(f.members), tuple(sorted(f.members))))
     return out
@@ -308,6 +310,16 @@ def _power_criteria(alg: NablaAlgebra, table: np.ndarray) -> tuple:
             bool(_compose(orbits, alg.lat.leq)[others][:, others].all(axis=0).any()))
 
 
+def _power_verdicts(alg: NablaAlgebra, which: int) -> set:
+    """Verdict ``which`` of ``_power_criteria`` (0 simple, 1 subdirectly
+    irreducible) on nabla if the algebra is left, else on box if it is
+    right, else none; on an algebra both left and right, nabla = box = the
+    identity, so one table serves."""
+    profile = classify(alg)
+    tables = [alg.nabla] if profile.L else [alg.box] if profile.R else []
+    return {_power_criteria(alg, table)[which] for table in tables}
+
+
 def is_subdirectly_irreducible(alg: NablaAlgebra) -> Verdict:
     """True when some x != top lies in every modal filter generated by a y != top.
 
@@ -323,18 +335,15 @@ def is_subdirectly_irreducible(alg: NablaAlgebra) -> Verdict:
     lat = alg.lat
     others = np.arange(alg.n) != lat.top
     # the candidates: the x != top above the join of all g(y)
-    cand = lat.leq[lat.join_all(_greatest_fixpoints(alg)[others])] & others
+    cand = lat.leq[lat.join_all(_kept(alg, _greatest_fixpoints)[others])] & others
     flag = bool(cand.any())
     # canonical witness: the first maximal candidate (the second-largest
     # element in the Heyting special case)
     maximal = cand & ~(lat.leq & cand & ~np.eye(alg.n, dtype=bool)).any(axis=1)
     witness = int(maximal.argmax()) if flag else None
 
-    profile = classify(alg)
-    for flagged, table in ((profile.L, alg.nabla), (profile.R, alg.box)):
-        if flagged:
-            ensure(_power_criteria(alg, table)[1] == flag,
-                   "power criterion disagrees with closure-membership verdict")
+    ensure(_power_verdicts(alg, 1) <= {flag},
+           "power criterion disagrees with closure-membership verdict")
     return Verdict(flag, witness)
 
 
@@ -350,18 +359,14 @@ def is_simple(alg: NablaAlgebra) -> Verdict:
     _require_distributive(alg)
     top, bot = alg.lat.top, alg.lat.bot
     others = np.arange(alg.n) != top
-    failing = np.flatnonzero(others & (_greatest_fixpoints(alg) != bot))
+    failing = np.flatnonzero(others & (_kept(alg, _greatest_fixpoints) != bot))
     flag = not len(failing)
     witness = None if flag else int(failing[0])
 
     if 2 <= alg.n <= ORACLE_BOUND:
         count = len(all_congruences_oracle(alg))
         ensure((count == 2) == flag, "congruence count disagrees with simplicity verdict")
-    profile = classify(alg)
-    for flagged, table in ((profile.L, alg.nabla), (profile.R, alg.box)):
-        if flagged:
-            ensure(_power_criteria(alg, table)[0] == flag,
-                   "power criterion disagrees with simplicity verdict")
+    ensure(_power_verdicts(alg, 0) <= {flag}, "power criterion disagrees with simplicity verdict")
     return Verdict(flag, witness)
 
 

@@ -50,12 +50,13 @@ Residuation, nab(c) & a <= b iff c <= arr(a, b) for all a, b, c, is for each
 a a Galois connection between c -> nab(c) & a and b -> arr(a, b) (ibid.
 ch. 7), and ``_residuated`` decides it without the n^3 table of triples:
 both maps monotone (on covers), the counit a & nab(arr(a, b)) <= b and the
-unit c <= arr(a, nab(c) & a), O(n |covers| + n^2) in all.  It decides the
-tables of ``algebra.build_algebra``, ``derive_arrow``'s residual and the
-Heyting table, with nab the identity, and every algebra has its pair decided
-by one of the three; ``classify`` restates its
-three-variable cross-checks over pairs by lemmas of the validated adjunction
-(see there).
+unit c <= arr(a, nab(c) & a), O(n |covers| + n^2) in all.  It has two
+callers: ``_build_heyting_table``, for the identity with the Heyting table,
+and ``algebra._decided``, for every other pair of ``build_algebra`` and
+``derive_arrow``.  The identity's residual is the Heyting table, so
+``_decided`` settles that pair by comparison with the kept table, and no
+pair is decided twice; ``classify`` restates its three-variable
+cross-checks over pairs by lemmas of the validated adjunction (see there).
 
 Tables are found in join-irreducible coordinates (Birkhoff's representation,
 ibid. ch. 2 and 5).  In a finite lattice every x is the join of J(x), the
@@ -78,7 +79,7 @@ candidates:
 - where the greatest c with nab(c) & a <= b exists, j <= c iff
   nab(j) & a <= b, so c is the join of those j; on a lattice without a
   Heyting table ``_residual`` folds that join over J, one n x n table per j,
-  and ``_residuated`` decides whether the result is the residual.
+  and ``algebra._decided`` decides whether the result is the residual.
 
 The first argument holds for any rows that embed the order
 (``_intersection_table``).  A family of sets closed under intersection is its
@@ -342,9 +343,10 @@ def _coordinate_bound_table(leq: np.ndarray, covers: tuple, lower: bool) -> np.n
 
 def _residual(lat: FiniteLattice, nab: np.ndarray) -> np.ndarray:
     """``table[a, b]``, the greatest c with nab(c) & a <= b wherever the
-    residual exists, by one of two routes at every size; the callers check
-    with ``_residuated`` that it does, and a table that passes is the
-    residual, since the adjunction determines it.
+    residual exists, by one of two routes at every size; the caller,
+    ``algebra.derive_arrow``, checks with ``algebra._decided`` that it does,
+    and a table that passes is the residual, since the adjunction
+    determines it.
 
     On a lattice with a Heyting table ->, the residual is box(a -> b) for
     box(b), the greatest c with nab(c) <= b: c <= box(a -> b) iff

@@ -390,6 +390,21 @@ def test_failed_cross_check_is_exit_three(tmp_path, capsys, monkeypatch, x1):
                             "message": "right-condition characterizations disagree"}
 
 
+def test_wrong_heyting_table_is_exit_three(tmp_path, capsys, monkeypatch):
+    """validate decides the identity's pair by comparison with the Heyting
+    table; a table wrong in one entry contradicts the scan of the triples."""
+    import nablalg.algebra
+
+    alg = gen_heyting(chain(4))
+    wrong = alg.heyting.copy()
+    wrong[0, 0] = 2
+    monkeypatch.setattr(nablalg.algebra, "heyting_table", lambda lat: wrong)
+    code, out = run_json(capsys, "validate", write(tmp_path, "h4.json", algebra_to_json(alg)))
+    assert code == 3
+    assert out["error"] == {"error": "internal",
+                            "message": "residuation characterizations disagree"}
+
+
 def test_rejected_lattice_child_is_exit_three(capsys, monkeypatch):
     import nablalg.lattice
 

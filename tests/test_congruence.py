@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from nablalg import congruence
 from nablalg.algebra import AlgebraMorphism, NablaAlgebra, _build_profile, classify
 from nablalg.congruence import (
     Congruence,
@@ -433,6 +434,24 @@ def test_power_criteria_match_orbit_loops():
             assert got == oracle_power_criteria(alg, table)
             seen.add(got)
     assert seen == set(itertools.product((True, False), repeat=2))
+
+
+def test_power_criteria_once_on_left_and_right_algebras(monkeypatch):
+    """On a Heyting chain nabla = box = the identity, so the algebra is left
+    and right, and each verdict takes the power criteria of that one table."""
+    alg = gen_heyting(chain(5))
+    assert classify(alg).has("L", "R")
+    tables = []
+
+    def counted(alg, table):
+        tables.append(table)
+        return _power_criteria(alg, table)
+
+    monkeypatch.setattr(congruence, "_power_criteria", counted)
+    for verdict in (is_simple, is_subdirectly_irreducible):
+        tables.clear()
+        verdict(alg)
+        assert len(tables) == 1
 
 
 def step_orbits(table):

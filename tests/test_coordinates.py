@@ -446,11 +446,15 @@ def test_residuated_matches_the_scan_on_perturbed_tables(monkeypatch, cube_max, 
 
 def test_build_algebra_checks_the_criteria_agree(monkeypatch):
     """A Galois verdict that the scan contradicts is a cross-check failure,
-    not an adjunction failure."""
-    alg = gen_heyting(build_lattice(chain_matrix(CUBE_MAX + 4)))
+    not an adjunction failure: on a chain past ``CUBE_MAX``, the meet with
+    its coatom c, x -> x & c, and its residual."""
+    n = CUBE_MAX + 4
+    lat = build_lattice(chain_matrix(n))
+    nab = lat.meet[n - 2]
+    arr = derive_arrow(lat, nab)
     monkeypatch.setattr(algebra, "_residuated", lambda lat, nab, arr: False)
     with pytest.raises(CrossCheckError, match="residuation characterizations disagree"):
-        build_algebra(alg.lat, alg.nabla, alg.arrow)
+        build_algebra(lat, nab, arr)
 
 
 def boolean_matrix(k):

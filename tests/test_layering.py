@@ -9,7 +9,8 @@ cross-checks by message, so none is dropped or moved unnoticed.  Results
 derived from a lattice, an algebra or a frame are kept by one helper,
 ``lattice._kept``, in the one private slot each class has; morphisms keep
 their reports the same way, in their one private field.  Every algebra is
-constructed in one place, ``algebra._assemble``.  No module uses
+constructed in one place, ``algebra._assemble``, and every adjunction is
+decided in two: ``algebra._decided`` and the Heyting table's build.  No module uses
 ``numpy.random``, so every lookup and result is deterministic.
 """
 
@@ -353,6 +354,19 @@ def test_algebras_are_assembled_in_one_place():
              if (name, scope) != ASSEMBLER]
     assert not stray, f"NablaAlgebra constructed outside algebra._assemble: {stray}"
     assert [scope for scope, _ in found[ASSEMBLER[0]]] == [ASSEMBLER[1]]
+
+
+RESIDUATION_CALLERS = [("algebra.py", ("_decided",)), ("lattice.py", ("_build_heyting_table",))]
+
+
+def test_residuation_is_decided_in_two_places():
+    """``lattice._residuated`` is called by ``_build_heyting_table``, for the
+    identity with the Heyting table, and by ``algebra._decided``, for every
+    other pair, so no pair has a second route to its verdict."""
+    src = Path(nablalg.__file__).parent
+    found = [(path.name, scope) for path in sorted(src.glob("*.py"))
+             for scope, _ in call_sites(path.read_text(), "_residuated")]
+    assert found == RESIDUATION_CALLERS
 
 
 def test_structures_keep_results_in_one_slot():

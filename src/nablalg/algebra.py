@@ -48,6 +48,7 @@ from .errors import (
 from .lattice import (
     FiniteLattice,
     _adjunction,
+    _at,
     _detachment,
     _greatest,
     _kept,
@@ -56,6 +57,7 @@ from .lattice import (
     _residual,
     _residuated,
     _signatures,
+    _square,
     _violations,
     distributivity_witness,
     heyting_table,
@@ -93,7 +95,7 @@ def _indices(values, shape: tuple, bound: int, what: str) -> np.ndarray:
 
 def _preserves(f: np.ndarray, src_op: np.ndarray, tgt_op: np.ndarray) -> np.ndarray:
     """[a, b]: f(a op b) = f(a) op' f(b)."""
-    return f[src_op] == tgt_op[f[:, None], f[None, :]]
+    return f[src_op] == _square(tgt_op, f)
 
 
 class NablaAlgebra:
@@ -235,8 +237,8 @@ def check_equational_axioms(lat: FiniteLattice, nabla, arrow) -> LawReport:
         return leq.ravel().take(pos)
 
     return LawReport(_violations([
-        ("meet-arrow-top", arr[meet, idx[:, None]] == lat.top),
-        ("nabla-meet", leq[nab[meet], meet[nab[:, None], nab[None, :]]]),
+        ("meet-arrow-top", _at(arr, meet, idx[:, None]) == lat.top),
+        ("nabla-meet", _at(leq, nab[meet], _square(meet, nab))),
         ("detachment", _detachment(lat, nab, arr)),
         # scanned c-major, reported as (a, b, c)
         ("shift", shift, (1, 2, 0)),
@@ -319,32 +321,39 @@ def _build_profile(alg: NablaAlgebra) -> PropertyProfile:
     n_flag, r_flag, l_flag, fa_flag, fu_flag = (
         name not in witnesses for name in ("N", "R", "L", "Fa", "Fu"))
 
-    r_alt1 = bool(leq[meet[idx[:, None], arr], idx[None, :]].all())
+    # the flat tables and the row offsets of the pairs [a, -], formed once
+    # for every pair gather below (`lattice._at`)
+    leq_flat, meet_flat, rows = leq.ravel(), meet.ravel(), idx[:, None] * n
+
+    # [a, b]: a & arrow(a, b) <= b
+    r_alt1 = bool(_at(leq_flat, _at(meet_flat, rows, arr) * n, idx).all())
     r_alt2 = bool(leq[box, idx].all())
     ensure(r_flag == r_alt1 == r_alt2, "right-condition characterizations disagree")
 
     # c & a <= b implies c <= arrow(a, b), for all (c, a, b), is
     # c <= arrow(a, c & a) for all (a, c), indexed [a, c], as arrow is
     # monotone in its second argument (validated with the adjunction)
-    l_alt1 = bool(leq[idx[None, :], arr[idx[:, None], meet]].all())
+    l_alt1 = bool(_at(leq_flat, rows.T, _at(arr.ravel(), rows, meet)).all())
     l_alt2 = bool(leq[idx, box].all())
     ensure(l_flag == l_alt1 == l_alt2, "left-condition characterizations disagree")
 
-    fa_surj = len(set(int(v) for v in nab)) == n
-    fa_iii = bool((meet[idx[:, None], nab[arr]] == meet).all())
+    fa_surj = len(set(nab.tolist())) == n
+    fa_iii = bool((_at(meet_flat, rows, nab[arr]) == meet).all())
     # arrow(c, a) <= arrow(c, b) implies c & a <= b, for all (a, b, c), is
     # arrow(c, -) injective on the elements below c, as arrow(c, a) =
     # arrow(c, c & a) and arrow(c, -) preserves meets: arrow(c, a) <=
     # arrow(c, b) makes arrow(c, c & a & b) = arrow(c, c & a), and
     # injectivity then gives c & a <= b; conversely x, y <= c with one value
     # lie below each other.  One count of the pairs (c, arrow(c, x)), x <= c
-    fa_iv = bool(np.bincount((idx[:, None] * n + arr)[leq.T]).max() == 1)
-    fa_v = bool((~leq[box[:, None], box[None, :]] | leq).all())
+    fa_iv = bool(np.bincount((rows + arr)[leq.T]).max() == 1)
+    # box reflects the order
+    fa_v = bool((_square(leq, box) <= leq).all())
     ensure(fa_flag == fa_surj == fa_iii == fa_v, "faithfulness characterizations disagree")
     ensure(fa_flag == fa_iv, "faithfulness cancellation characterization disagrees")
 
-    fu_surj = len(set(int(v) for v in box)) == n
-    fu_emb = bool((~leq[nab[:, None], nab[None, :]] | leq).all())
+    fu_surj = len(set(box.tolist())) == n
+    # nabla reflects the order
+    fu_emb = bool((_square(leq, nab) <= leq).all())
     ensure(fu_flag == fu_surj == fu_emb, "fullness characterizations disagree")
 
     profile = PropertyProfile(D=d, H=h, N=n_flag, R=r_flag, L=l_flag,
@@ -389,18 +398,19 @@ def check_implication_axioms(cand: StrongAlgebraCandidate) -> ImplicationReport:
     leq, meet, join = lat.leq, lat.meet, lat.join
     violations = _violations([
         # [a', a, b]: a' <= a implies arrow(a, b) <= arrow(a', b)
-        ("antitone-first", lambda s: ~leq[s, :, None] | leq[arr[None], arr[s, None, :]]),
+        ("antitone-first", lambda s: ~leq[s, :, None] | _at(leq, arr[None], arr[s, None, :])),
         # [a, b, b']: b <= b' implies arrow(a, b) <= arrow(a, b')
-        ("monotone-second", lambda s: ~leq[None] | leq[arr[s, :, None], arr[s, None, :]]),
+        ("monotone-second", lambda s: ~leq[None] | _at(leq, arr[s, :, None], arr[s, None, :])),
         ("reflexivity", arr.diagonal() == lat.top),
         # [a, b, c]: arrow(a, b) & arrow(b, c) <= arrow(a, c)
-        ("transitivity", lambda s: leq[meet[arr[s, :, None], arr[None]], arr[s, None, :]]),
+        ("transitivity",
+         lambda s: _at(leq, _at(meet, arr[s, :, None], arr[None]), arr[s, None, :])),
     ], n)
     iw = {v.law: v.witness for v in _violations([
         # [a, b, c]: arrow(a, b & c) == arrow(a, b) & arrow(a, c)
-        ("meet", lambda s: arr[s][:, meet] == meet[arr[s, :, None], arr[s, None, :]]),
+        ("meet", lambda s: arr[s][:, meet] == _at(meet, arr[s, :, None], arr[s, None, :])),
         # [a, b, c]: arrow(a | b, c) == arrow(a, c) & arrow(b, c)
-        ("join", lambda s: arr[join[s]] == meet[arr[s, None, :], arr[None]]),
+        ("join", lambda s: arr[join[s]] == _at(meet, arr[s, None, :], arr[None])),
     ], n)}
     return ImplicationReport(violations, meet_internalizing="meet" not in iw,
                              join_internalizing="join" not in iw, internalizing_witnesses=iw)
@@ -502,7 +512,7 @@ def _build_morphism_report(m: AlgebraMorphism) -> MorphismReport:
         # the claim fails outright when either side lacks the Heyting table
         laws.append(("heyting", heyting_checked
                      and _preserves(f, src.heyting, tgt.heyting)))
-    return MorphismReport(_violations(laws), injective=len(set(int(v) for v in f)) == src.n,
+    return MorphismReport(_violations(laws), injective=len(set(f.tolist())) == src.n,
                           heyting_checked=heyting_checked)
 
 

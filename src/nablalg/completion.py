@@ -58,6 +58,7 @@ from .lattice import (
     _member_row,
     _row_sets,
     _sorted_rows,
+    _square,
     _subset,
 )
 
@@ -119,10 +120,17 @@ def normal_ideals(alg: NablaAlgebra) -> list:
 
 @dataclass(frozen=True)
 class CompletedAlgebra:
+    """The completion, its embedding, and the membership rows of its normal
+    ideals, which ``ideals`` turns into sets when it is read."""
+
     algebra: NablaAlgebra
-    ideals: tuple
     embedding: tuple
     morphism: AlgebraMorphism = field(compare=False, repr=False)
+    ideal_rows: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def ideals(self) -> tuple:
+        return tuple(NormalIdeal(self.morphism.source, m) for m in _row_sets(self.ideal_rows))
 
 
 def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
@@ -166,7 +174,7 @@ def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
                                preserves_heyting=profile.H)
     rep = check_morphism(morphism)
     ensure(emb_found.all() and rep.ok and rep.injective, "canonical embedding must be an embedding")
-    ensure((~lat.leq == ~ideal_lat.leq[emb_arr[:, None], emb_arr[None, :]]).all(),
+    ensure((lat.leq == _square(ideal_lat.leq, emb_arr)).all(),
            "canonical embedding must reflect order")
     lifted = classify(completed)
     for flag in ("H", "N", "R", "L", "Fa", "Fu"):
@@ -174,4 +182,4 @@ def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
             ensure(getattr(lifted, flag), f"completion must keep flag {flag}")
     ensure(k == n, "finite completion must be a bijection")
     return CompletedAlgebra(algebra=completed, embedding=morphism.map, morphism=morphism,
-                            ideals=tuple(NormalIdeal(alg, m) for m in _row_sets(rows)))
+                            ideal_rows=rows)

@@ -50,7 +50,7 @@ from .errors import (
     Trivial,
     ensure,
 )
-from .lattice import _compose, _freeze, _greatest, _kept, _member_row, _violations
+from .lattice import _at, _compose, _freeze, _greatest, _kept, _member_row, _square, _violations
 
 ORACLE_BOUND = 10
 
@@ -183,8 +183,8 @@ def is_congruence(alg: NablaAlgebra, blocks) -> bool:
     """Every map of ``_translations`` sends each element into the block of
     the image of the least element of its block."""
     b = np.asarray(blocks, dtype=np.int64)
-    maps = _translations(alg)
-    return bool((b[maps] == b[maps[:, _same_block(b).argmax(axis=1)]]).all())
+    images = b[_translations(alg)]
+    return bool((images == images.take(_same_block(b).argmax(axis=1), axis=1)).all())
 
 
 def congruence_from_filter(alg: NablaAlgebra, f: ModalFilter) -> Congruence:
@@ -193,7 +193,7 @@ def congruence_from_filter(alg: NablaAlgebra, f: ModalFilter) -> Congruence:
     _require_distributive(alg)
     memb = np.zeros(alg.n, dtype=bool)
     memb[sorted(f.members)] = True
-    rel = memb[alg.lat.meet[alg.arrow, alg.arrow.T]]
+    rel = memb[_at(alg.lat.meet, alg.arrow, alg.arrow.T)]
     ensure(bool(rel.diagonal().all()) and (rel == rel.T).all()
            and (rel >= _compose(rel, rel)).all(),
            "filter biimplication relation must be an equivalence")
@@ -393,13 +393,13 @@ def check_internal_cong_inequalities(alg: NablaAlgebra):
         exchanged on the right when ``flip``; a slab of x at a time."""
         def holds(s):
             rows, cols = (op[None], op[s, None]) if flip else (op[s, None], op[None])
-            return leq[lhs[s, :, None], arr[rows, cols]]
+            return _at(leq, lhs[s, :, None], _at(arr, rows, cols))
         return holds
 
     laws = [
         ("meet-translation", below(arr, meet)),
         ("join-translation", below(arr, join)),
-        ("nabla-distribution", leq[nab[arr], arr[nab[:, None], nab[None, :]]]),
+        ("nabla-distribution", _at(leq, nab[arr], _square(arr, nab))),
         # arrow(arrow(z, x), arrow(z, y)) and arrow(arrow(y, z), arrow(x, z))
         ("second-arg-composition", below(box[arr], arr.T)),
         ("first-arg-composition", below(box[arr], arr, flip=True)),

@@ -83,6 +83,7 @@ from .lattice import (
     _locate,
     _prime_rows,
     _primes,
+    _square,
     _upset_family,
     _violations,
     validate_partial_order,
@@ -147,7 +148,7 @@ def _detect_pi(order: np.ndarray, rel: np.ndarray):
         y, = missing[0].witness
         return None, ("no-column-maximum" if rel[:, y].any() else "empty-column", (y,))
     failed = _violations([
-        ("witness-not-order-preserving", ~order | order[pi][:, pi]),
+        ("witness-not-order-preserving", ~order | _square(order, pi)),
         ("witness-does-not-reproduce-relation", rel == order[:, pi]),
     ])
     if failed:
@@ -205,9 +206,9 @@ def _build_frame_profile(frame: KripkeFrame) -> FrameProfile:
                "reflexivity must match w <= pi(w) on normal frames")
         ensure(l_flag == bool(leq[pi, idx].all()),
                "sub-order must match pi(w) <= w on normal frames")
-        emb = bool((~leq[pi][:, pi] | leq).all())
+        emb = bool((_square(leq, pi) <= leq).all())
         ensure(fa_flag == emb, "faithfulness must match pi being an order embedding")
-        ensure(fu_flag == (len(set(int(v) for v in pi)) == n),
+        ensure(fu_flag == (len(set(pi.tolist())) == n),
                "fullness must match pi being surjective")
     return profile
 
@@ -239,8 +240,8 @@ def _build_frame_morphism_report(m: FrameMorphism) -> FrameMorphismReport:
     # hit[l, u]: f(l) = u, so composing with it takes images
     hit = f[:, None] == np.arange(tgt.n)
     laws = [
-        ("monotone", ~src.leq | tgt.leq[f][:, f]),
-        ("preserves-relation", ~src.r | tgt.r[f][:, f]),
+        ("monotone", ~src.leq | _square(tgt.leq, f)),
+        ("preserves-relation", ~src.r | _square(tgt.r, f)),
         # every R-successor of f(k) is the image of an R-successor of k
         ("lift-successors", ~tgt.r[f] | _compose(src.r, hit)),
         # every R-predecessor of f(k) lies below the image of an R-predecessor of k
@@ -261,7 +262,7 @@ def _build_frame_morphism_report(m: FrameMorphism) -> FrameMorphismReport:
         ensure((commutes and preimages) == relation_ok,
                "witness characterization of frame morphisms disagrees with the clauses")
 
-    return FrameMorphismReport(violations, surjective=len(set(int(v) for v in f)) == tgt.n,
+    return FrameMorphismReport(violations, surjective=len(set(f.tolist())) == tgt.n,
                                heyting_ok="lift-order" not in failed)
 
 

@@ -373,9 +373,28 @@ def _join_residual(lat: FiniteLattice, nab: np.ndarray) -> np.ndarray:
 
 def _at(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``table[rows, cols]``, broadcast, gathered as one take of flat
-    positions: on the Boolean 2^8 numpy does that in about half the time of
-    a two-index gather."""
-    return table.ravel().take(rows * table.shape[1] + cols)
+    positions: the one pair gather of the library (``tests/test_layering.py``
+    fails on a two-index gather with a broadcast index anywhere else).
+
+    A flat ``table``, ``t.ravel()`` of an n-column t, takes ``rows`` as row
+    offsets already formed, ``rows * n``: a caller that gathers from one
+    table several times forms both once, and each gather is then one add and
+    one take.  ``meet[idx[:, None], arr]`` that way took 1.26 against numpy's
+    1.03 us at n = 5 and 13.9 against 29.6 us at n = 96 (a 2-vCPU Xeon,
+    numpy 2.4, one thread, min of 3 timeit runs).  A square re-index by one
+    map, ``t[f][:, f]``, is no pair gather: ``_square`` does it in two takes.
+    """
+    if table.ndim == 2:
+        table, rows = table.ravel(), rows * table.shape[1]
+    return table.take(rows + cols)
+
+
+def _square(table: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``table[f][:, f]``, one row take and one column take: at n = 5 and
+    n = 96 that took 0.58 and 7.0 us against 1.23 and 35.4 us for numpy's
+    ``table[f[:, None], f[None, :]]`` and 2.09 and 15.3 us for ``_at`` of
+    ``f[:, None]`` and ``f`` (as for ``_at``, min of 3 timeit runs)."""
+    return table.take(f, axis=0).take(f, axis=1)
 
 
 def _monotone(order: np.ndarray, covers: tuple, maps: np.ndarray) -> bool:
@@ -810,9 +829,10 @@ def _fingerprint(words: list) -> np.ndarray:
 
 def _sorted_lookup(keys: np.ndarray, queries: np.ndarray):
     """``_lookup`` by sorting the keys once and binary-searching every query."""
-    order = np.argsort(keys)
-    pos = order[np.minimum(np.searchsorted(keys[order], queries), len(order) - 1)]
-    return pos, keys[pos] == queries
+    order = keys.argsort()
+    # a query past the last key clips to it, and is then not found
+    pos = order.take(keys.take(order).searchsorted(queries), mode="clip")
+    return pos, keys.take(pos) == queries
 
 
 def _lookup(keys: np.ndarray, queries: np.ndarray):

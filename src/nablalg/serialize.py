@@ -23,7 +23,7 @@ def lattice_to_json(lat: FiniteLattice) -> dict:
     return {
         "kind": "lattice",
         "n": lat.n,
-        "leq": [[bool(v) for v in row] for row in lat.leq],
+        "leq": lat.leq.tolist(),
     }
 
 
@@ -36,8 +36,8 @@ def algebra_to_json(alg: NablaAlgebra) -> dict:
     return {
         "kind": "nabla-algebra",
         "lattice": lattice_to_json(alg.lat),
-        "nabla": [int(v) for v in alg.nabla],
-        "arrow": [[int(v) for v in row] for row in alg.arrow],
+        "nabla": alg.nabla.tolist(),
+        "arrow": alg.arrow.tolist(),
     }
 
 
@@ -52,7 +52,7 @@ def strong_candidate_to_json(cand: StrongAlgebraCandidate) -> dict:
     return {
         "kind": "strong-candidate",
         "lattice": lattice_to_json(cand.lat),
-        "arrow": [[int(v) for v in row] for row in cand.arrow],
+        "arrow": np.asarray(cand.arrow, dtype=np.int64).tolist(),
     }
 
 
@@ -66,8 +66,8 @@ def frame_to_json(frame: KripkeFrame) -> dict:
     return {
         "kind": "kripke-frame",
         "n": frame.n,
-        "leq": [[bool(v) for v in row] for row in frame.leq],
-        "r": [[bool(v) for v in row] for row in frame.r],
+        "leq": frame.leq.tolist(),
+        "r": frame.r.tolist(),
     }
 
 
@@ -79,7 +79,7 @@ def frame_from_json(obj: dict) -> KripkeFrame:
 
 def morphism_to_json(m) -> dict:
     end_to_json = algebra_to_json if isinstance(m, AlgebraMorphism) else frame_to_json
-    return {"kind": "morphism", "map": [int(v) for v in m.map],
+    return {"kind": "morphism", "map": list(map(int, m.map)),
             "source": end_to_json(m.source), "target": end_to_json(m.target),
             "heyting": bool(m.preserves_heyting)}
 
@@ -122,7 +122,7 @@ def span_from_json(obj: dict):
 
 def completed_to_json(comp: CompletedAlgebra) -> dict:
     out = algebra_to_json(comp.algebra)
-    out["embedding"] = [int(v) for v in comp.embedding]
+    out["embedding"] = list(map(int, comp.embedding))
     return out
 
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nablalg.algebra import AlgebraMorphism, check_morphism, classify
+from nablalg.algebra import AlgebraMorphism, PropertyProfile, check_morphism, classify
 from nablalg.errors import NoJoin, NoMeet
 from nablalg.lattice import (
     _compose,
@@ -13,7 +13,10 @@ from nablalg.lattice import (
     _prime_rows,
     _slabs,
     _subset,
+    _violations,
     build_lattice,
+    distributivity_witness,
+    is_distributive,
     upset_lattice,
 )
 
@@ -307,6 +310,62 @@ def lattice_law_failures(lat):
         "bounds do not absorb": (m[lat.bot] == lat.bot).all() and (j[lat.top] == lat.top).all(),
     }
     return [name for name, holds in laws.items() if not holds]
+
+
+def oracle_profile(alg):
+    """``classify`` as the library computed it before its pair gathers went
+    through ``lattice._at``: every characterization by numpy's two-index
+    gathers, surjectivity by Python sets, the cross-checks as asserts."""
+    lat, nab, arr, box = alg.lat, alg.nabla, alg.arrow, alg.box
+    n, leq, meet = lat.n, lat.leq, lat.meet
+    idx = np.arange(n)
+    witnesses = {}
+
+    def preserves(f, src_op, tgt_op):
+        return f[src_op] == tgt_op[f[:, None], f[None, :]]
+
+    d = is_distributive(lat)
+    if not d:
+        witnesses["D"] = distributivity_witness(lat)
+    h = alg.heyting is not None
+    if not h:
+        witnesses["H"] = witnesses.get("D")
+
+    witnesses.update((v.law, v.witness) for v in _violations([
+        ("N", (nab == idx) | (idx != lat.top)),
+        ("N", preserves(nab, meet, meet)),
+        ("R", leq[idx, nab]),
+        ("L", leq[nab, idx]),
+        ("Fa", nab[box] == idx),
+        ("Fu", box[nab] == idx),
+    ]))
+    n_flag, r_flag, l_flag, fa_flag, fu_flag = (
+        name not in witnesses for name in ("N", "R", "L", "Fa", "Fu"))
+
+    r_alt1 = bool(leq[meet[idx[:, None], arr], idx[None, :]].all())
+    r_alt2 = bool(leq[box, idx].all())
+    assert r_flag == r_alt1 == r_alt2
+
+    l_alt1 = bool(leq[idx[None, :], arr[idx[:, None], meet]].all())
+    l_alt2 = bool(leq[idx, box].all())
+    assert l_flag == l_alt1 == l_alt2
+
+    fa_surj = len(set(int(v) for v in nab)) == n
+    fa_iii = bool((meet[idx[:, None], nab[arr]] == meet).all())
+    fa_iv = bool(np.bincount((idx[:, None] * n + arr)[leq.T]).max() == 1)
+    fa_v = bool((~leq[box[:, None], box[None, :]] | leq).all())
+    assert fa_flag == fa_surj == fa_iii == fa_v == fa_iv
+
+    fu_surj = len(set(int(v) for v in box)) == n
+    fu_emb = bool((~leq[nab[:, None], nab[None, :]] | leq).all())
+    assert fu_flag == fu_surj == fu_emb
+
+    if fa_flag:
+        assert int(nab[lat.top]) == lat.top
+        assert ((arr == lat.top) == leq).all()
+        assert alg.heyting is not None and (nab[arr] == alg.heyting).all()
+    return PropertyProfile(D=d, H=h, N=n_flag, R=r_flag, L=l_flag,
+                           Fa=fa_flag, Fu=fu_flag, witnesses=witnesses)
 
 
 def product_order(*leqs):

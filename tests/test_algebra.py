@@ -40,9 +40,19 @@ from nablalg.lattice import (
     build_lattice,
     heyting_table,
     is_distributive,
+    join_irreducibles,
 )
 
-from conftest import antitone_first, boolean_square, chain, monotone_second, pentagon
+from conftest import (
+    antitone_first,
+    boolean_square,
+    chain,
+    chain_matrix,
+    monotone_second,
+    oracle_profile,
+    pentagon,
+    product_order,
+)
 
 
 # --- independent oracles -----------------------------------------------------
@@ -406,6 +416,58 @@ def test_classify_trivial_on_pentagon_not_distributive():
 def test_classify_one_element():
     alg = gen_trivial(chain(1))
     assert classify(alg).flags() == frozenset({"D", "H", "N", "R", "L", "Fa", "Fu"})
+
+
+def assert_profile_matches_oracle(alg):
+    profile, want = classify(alg), oracle_profile(alg)
+    assert profile == want
+    assert profile.witnesses == want.witnesses
+
+
+def join_preserving_nablas(lat, rng, count):
+    """Seeded join-preserving maps of a distributive lattice: x & c for a few
+    c, and monotone maps of the join-irreducibles extended by joins (each
+    join-irreducible is join-prime, so the extension preserves joins)."""
+    irr = join_irreducibles(lat)
+    out = [lat.meet[int(c)] for c in rng.integers(0, lat.n, count)]
+    for _ in range(count):
+        f = {j: int(v) for j, v in zip(irr, rng.integers(0, lat.n, len(irr)))}
+        f = {j: lat.join_all(f[i] for i in irr if lat.leq[i, j]) for j in irr}
+        out.append(np.array([lat.join_all(f[j] for j in irr if lat.leq[j, x])
+                             for x in range(lat.n)], dtype=np.int64))
+    return out
+
+
+def test_classify_matches_oracle_on_six_catalog(six_catalog):
+    for alg in six_catalog:
+        assert_profile_matches_oracle(alg)
+
+
+def test_classify_matches_oracle_on_xn():
+    for n in range(1, 7):
+        assert_profile_matches_oracle(gen_xn(n))
+
+
+def test_classify_matches_oracle_on_large_heyting_algebras():
+    boolean8 = build_lattice(product_order(*[chain_matrix(2)] * 8))
+    for lat in (boolean8, chain(256)):
+        assert_profile_matches_oracle(gen_heyting(lat))
+
+
+@pytest.mark.parametrize("factors", [(2,) * 5, (2,) * 6, (6, 8), (8, 12), (50,), (75,)],
+                         ids=lambda f: "x".join(map(str, f)))
+def test_classify_matches_oracle_on_table_shapes(factors):
+    """The lattice shapes of the big-table benchmark, with the identity, the
+    trivial pair and seeded join-preserving nablas and their residuals."""
+    lat = build_lattice(product_order(*[chain_matrix(k) for k in factors]))
+    algs = [gen_heyting(lat), gen_trivial(lat)]
+    for nab in join_preserving_nablas(lat, np.random.default_rng(len(factors) * lat.n), 3):
+        algs.append(build_algebra(lat, nab, derive_arrow(lat, nab)))
+    flags = set()
+    for alg in algs:
+        assert_profile_matches_oracle(alg)
+        flags.add(classify(alg).flags())
+    assert len(flags) >= 3
 
 
 # --- implication axioms ------------------------------------------------------

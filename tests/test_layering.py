@@ -2,7 +2,8 @@
 
 Every boolean relational product in the library goes through one kernel,
 ``lattice._compose``; this walks each module's syntax tree and fails on a
-matrix product anywhere else.  Likewise every first witness is found by one
+matrix product anywhere else.  So does every broadcast pair gather, through
+``lattice._at``.  Likewise every first witness is found by one
 scan, ``lattice._violations``, and a search for a first false entry anywhere
 else fails.  The same walk pins each module's ``ensure``
 cross-checks by message, so none is dropped or moved unnoticed.  Results
@@ -71,6 +72,62 @@ def test_relational_products_only_in_the_kernel():
              if (name, scope) != KERNEL]
     assert not stray, f"matrix products outside lattice._compose: {stray}"
     assert [scope for scope, _ in found[KERNEL[0]]] == [KERNEL[1]]
+
+
+GATHER_KERNEL = ("lattice.py", ("_at",))
+
+
+def broadcast_gather_sites(source: str) -> list:
+    """(enclosing definitions, line) of every gather ``t[..., x, ...]`` whose
+    index tuple holds, anywhere inside an index, a subscript that broadcasts
+    with ``None``: the two-index pair gathers such as ``t[a[:, None], b]``.
+    Scatters (subscripts assigned to) are not gathers."""
+    def broadcasts(node):
+        if not isinstance(node, ast.Subscript):
+            return False
+        index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        return any(isinstance(e, ast.Constant) and e.value is None for e in index)
+
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.slice, ast.Tuple)
+                and any(broadcasts(sub) for e in node.slice.elts for sub in ast.walk(e))):
+            sites.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
+def test_broadcast_gather_sites_are_found():
+    source = "\n".join([
+        "def f(t, a, b, s):",
+        "    x = t[a[:, None], b] | t[a, b[None]]",
+        "    y = t[s, :, None] | t[a[s, None, :] * 2 + 1, b] | t[a][:, a] | t[a, b]",
+        "    t[a[:, None], b] = True",
+        "    return _at(t, a[:, None], b), t[a[None]]",
+        "class K:",
+        "    def g(self, t, a):",
+        "        return t[a, t[a[:, None], a]]",
+    ])
+    assert broadcast_gather_sites(source) == [(("f",), 2), (("f",), 2), (("f",), 3),
+                                              (("K", "g"), 8), (("K", "g"), 8)]
+
+
+def test_pair_gathers_only_in_the_kernel():
+    """Every broadcast pair gather of the library is one flat take in
+    ``lattice._at``; its callers pass broadcast indices as arguments."""
+    src = Path(nablalg.__file__).parent
+    found = {path.name: broadcast_gather_sites(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    stray = [(name, scope, line) for name, sites in found.items() for scope, line in sites
+             if (name, scope) != GATHER_KERNEL]
+    assert not stray, f"two-index broadcast gathers outside lattice._at: {stray}"
 
 
 FIRST_FALSE_CALLS = {"argwhere", "argmin"}

@@ -58,7 +58,6 @@ from .lattice import (
     _member_row,
     _row_sets,
     _sorted_rows,
-    _square,
     _subset,
 )
 
@@ -120,8 +119,10 @@ def normal_ideals(alg: NablaAlgebra) -> list:
 
 @dataclass(frozen=True)
 class CompletedAlgebra:
-    """The completion, its embedding, and the membership rows of its normal
-    ideals, which ``ideals`` turns into sets when it is read."""
+    """The completion, its embedding, and the read-only membership rows of
+    its normal ideals, which ``ideals`` turns into sets when it is read; the
+    ideals take no part in equality or the repr, which the algebra and the
+    embedding determine."""
 
     algebra: NablaAlgebra
     embedding: tuple
@@ -174,12 +175,13 @@ def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
                                preserves_heyting=profile.H)
     rep = check_morphism(morphism)
     ensure(emb_found.all() and rep.ok and rep.injective, "canonical embedding must be an embedding")
-    ensure((lat.leq == _square(ideal_lat.leq, emb_arr)).all(),
+    ensure((lat.leq == ideal_lat.leq[emb_arr][:, emb_arr]).all(),
            "canonical embedding must reflect order")
     lifted = classify(completed)
     for flag in ("H", "N", "R", "L", "Fa", "Fu"):
         if getattr(profile, flag):
             ensure(getattr(lifted, flag), f"completion must keep flag {flag}")
     ensure(k == n, "finite completion must be a bijection")
+    rows.setflags(write=False)
     return CompletedAlgebra(algebra=completed, embedding=morphism.map, morphism=morphism,
                             ideal_rows=rows)

@@ -83,7 +83,6 @@ from .lattice import (
     _locate,
     _prime_rows,
     _primes,
-    _square,
     _upset_family,
     _violations,
     validate_partial_order,
@@ -148,7 +147,7 @@ def _detect_pi(order: np.ndarray, rel: np.ndarray):
         y, = missing[0].witness
         return None, ("no-column-maximum" if rel[:, y].any() else "empty-column", (y,))
     failed = _violations([
-        ("witness-not-order-preserving", ~order | _square(order, pi)),
+        ("witness-not-order-preserving", ~order | order[pi][:, pi]),
         ("witness-does-not-reproduce-relation", rel == order[:, pi]),
     ])
     if failed:
@@ -206,7 +205,7 @@ def _build_frame_profile(frame: KripkeFrame) -> FrameProfile:
                "reflexivity must match w <= pi(w) on normal frames")
         ensure(l_flag == bool(leq[pi, idx].all()),
                "sub-order must match pi(w) <= w on normal frames")
-        emb = bool((_square(leq, pi) <= leq).all())
+        emb = bool((~leq[pi][:, pi] | leq).all())
         ensure(fa_flag == emb, "faithfulness must match pi being an order embedding")
         ensure(fu_flag == (len(set(pi.tolist())) == n),
                "fullness must match pi being surjective")
@@ -240,8 +239,8 @@ def _build_frame_morphism_report(m: FrameMorphism) -> FrameMorphismReport:
     # hit[l, u]: f(l) = u, so composing with it takes images
     hit = f[:, None] == np.arange(tgt.n)
     laws = [
-        ("monotone", ~src.leq | _square(tgt.leq, f)),
-        ("preserves-relation", ~src.r | _square(tgt.r, f)),
+        ("monotone", ~src.leq | tgt.leq[f][:, f]),
+        ("preserves-relation", ~src.r | tgt.r[f][:, f]),
         # every R-successor of f(k) is the image of an R-successor of k
         ("lift-successors", ~tgt.r[f] | _compose(src.r, hit)),
         # every R-predecessor of f(k) lies below the image of an R-predecessor of k

@@ -375,26 +375,11 @@ def _at(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``table[rows, cols]``, broadcast, gathered as one take of flat
     positions: the one pair gather of the library (``tests/test_layering.py``
     fails on a two-index gather with a broadcast index anywhere else).
-
-    A flat ``table``, ``t.ravel()`` of an n-column t, takes ``rows`` as row
-    offsets already formed, ``rows * n``: a caller that gathers from one
-    table several times forms both once, and each gather is then one add and
-    one take.  ``meet[idx[:, None], arr]`` that way took 1.26 against numpy's
-    1.03 us at n = 5 and 13.9 against 29.6 us at n = 96 (a 2-vCPU Xeon,
-    numpy 2.4, one thread, min of 3 timeit runs).  A square re-index by one
-    map, ``t[f][:, f]``, is no pair gather: ``_square`` does it in two takes.
-    """
-    if table.ndim == 2:
-        table, rows = table.ravel(), rows * table.shape[1]
-    return table.take(rows + cols)
-
-
-def _square(table: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """``table[f][:, f]``, one row take and one column take: at n = 5 and
-    n = 96 that took 0.58 and 7.0 us against 1.23 and 35.4 us for numpy's
-    ``table[f[:, None], f[None, :]]`` and 2.09 and 15.3 us for ``_at`` of
-    ``f[:, None]`` and ``f`` (as for ``_at``, min of 3 timeit runs)."""
-    return table.take(f, axis=0).take(f, axis=1)
+    ``meet[idx[:, None], arr]`` that way took 1.9-2.0 against numpy's 1.0 us
+    at n = 5, 3.1-3.4 against 4.1-4.3 us at n = 32 and 12.4-12.7 against
+    27.4-28.1 us at n = 96 (a 2-vCPU Xeon, numpy 2.4, one thread, min of 3
+    timeit runs in each of two processes)."""
+    return table.ravel().take(rows * table.shape[1] + cols)
 
 
 def _monotone(order: np.ndarray, covers: tuple, maps: np.ndarray) -> bool:

@@ -175,7 +175,7 @@ def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
                                preserves_heyting=profile.H)
     rep = check_morphism(morphism)
     ensure(emb_found.all() and rep.ok and rep.injective, "canonical embedding must be an embedding")
-    ensure((lat.leq == ideal_lat.leq[emb_arr][:, emb_arr]).all(),
+    ensure((lat.leq == ideal_lat.leq.take(emb_arr, axis=0).take(emb_arr, axis=1)).all(),
            "canonical embedding must reflect order")
     lifted = classify(completed)
     for flag in ("H", "N", "R", "L", "Fa", "Fu"):

@@ -371,14 +371,23 @@ def _join_residual(lat: FiniteLattice, nab: np.ndarray) -> np.ndarray:
     return table
 
 
+# From this many table entries `_at` gathers a pair as one take of flat
+# positions, and below it by numpy's two-index gather, whose fixed cost is
+# lower.  Gathering [a, arrow(a, b)] from an n x n table by the flat take
+# against numpy's gather took 1.9 against 0.9 us at n = 5, 2.3-2.4 against
+# 1.8 at n = 16, 2.7-2.8 against 2.8-2.9 at n = 24, 3.2 against 4.3 at n = 32
+# and 13.7-14.3 against 30.4-30.6 at n = 96 (one core of a 2-vCPU Xeon host,
+# numpy 2.4, min of 7 timeit runs in each of two processes).
+TAKE_MIN = 24 * 24
+
+
 def _at(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``table[rows, cols]``, broadcast, gathered as one take of flat
-    positions: the one pair gather of the library (``tests/test_layering.py``
-    fails on a two-index gather with a broadcast index anywhere else).
-    ``meet[idx[:, None], arr]`` that way took 1.9-2.0 against numpy's 1.0 us
-    at n = 5, 3.1-3.4 against 4.1-4.3 us at n = 32 and 12.4-12.7 against
-    27.4-28.1 us at n = 96 (a 2-vCPU Xeon, numpy 2.4, one thread, min of 3
-    timeit runs in each of two processes)."""
+    """``table[rows, cols]``, broadcast: the one pair gather of the library
+    (``tests/test_layering.py`` fails on a two-index gather with a broadcast
+    index anywhere else), one take of flat positions from ``TAKE_MIN``
+    table entries on."""
+    if table.size < TAKE_MIN:
+        return table[rows, cols]
     return table.ravel().take(rows * table.shape[1] + cols)
 
 

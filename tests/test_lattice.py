@@ -21,7 +21,9 @@ import nablalg.lattice as lattice
 from nablalg.lattice import (
     SCAN_SLAB,
     SIZE_MAX,
+    TAKE_MIN,
     FiniteLattice,
+    _at,
     _compose,
     _family_lattice,
     _greatest,
@@ -233,6 +235,16 @@ def test_slabs_cover_the_first_index_in_order():
         slabs = _slabs(n)
         assert len(slabs) == count
         assert np.concatenate([np.arange(n)[s] for s in slabs]).tolist() == list(range(n))
+
+
+def test_pair_gather_matches_numpy_on_both_sides_of_take_min():
+    rng = np.random.default_rng(3)
+    for n in (5, 23, 24, 40):
+        assert (n * n >= TAKE_MIN) == (n >= 24)
+        table = rng.integers(0, n, (n, n))
+        a, b, idx = rng.integers(0, n, (n, n)), rng.integers(0, n, (n, n)), np.arange(n)
+        for rows, cols in [(idx[:, None], a), (idx, b), (a, b), (a[:2, :, None], b[None])]:
+            assert np.array_equal(_at(table, rows, cols), table[rows, cols])
 
 
 def test_sliced_distributivity_matches_cube_oracle(six_lattices):

@@ -120,7 +120,7 @@ def test_broadcast_gather_sites_are_found():
 
 
 def test_pair_gathers_only_in_the_kernel():
-    """Every broadcast pair gather of the library is one flat take in
+    """Every broadcast pair gather of the library goes through
     ``lattice._at``; its callers pass broadcast indices as arguments."""
     src = Path(nablalg.__file__).parent
     found = {path.name: broadcast_gather_sites(path.read_text())

@@ -5,13 +5,17 @@
 Run from the repository root.  Each row times one call of a layer on an input
 built beforehand, untimed, from scratch (a fresh lattice, so nothing kept on
 it from an earlier run is reused), and reports the minimum over ``k`` runs in
-seconds.  The layers are ``build_lattice``, ``heyting_table``,
-``build_algebra``, ``classify``, ``dm_complete`` and ``prime_frame``; the
-inputs are the Boolean lattices 2^5 and 2^8, the 96- and 256-element chains,
-the 8 x 12 product of chains, and the algebras of at most 5 elements (the
-row is the mean per algebra of one pass over all 279, or for ``prime_frame``
-over the distributive ones).  Each sized lattice carries nabla(x) = x & c,
-c its element n // 2, with its residual as arrow.
+seconds at the reference host speed of ``perfbench/hostspeed.py``: each run
+is scaled by the median of three host-speed probes taken right after it, as
+the benchmark scales its request times, since other tenants of a shared host
+slow every layer alike for minutes at a time.  The layers are
+``build_lattice``, ``heyting_table``, ``build_algebra``, ``classify``,
+``dm_complete`` and ``prime_frame``; the inputs are the Boolean lattices 2^5
+and 2^8, the 96- and 256-element chains, the 8 x 12 product of chains, and
+the algebras of at most 5 elements (the row is the mean per algebra of one
+pass over all 279, or for ``prime_frame`` over the distributive ones).  Each
+sized lattice carries nabla(x) = x & c, c its element n // 2, with its
+residual as arrow.
 
 ``--src`` names the ``src`` directory whose ``nablalg`` is measured (this
 checkout's by default), so a second checkout of another revision gives the
@@ -32,6 +36,7 @@ for _var in THREAD_VARS:
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -40,6 +45,8 @@ from time import perf_counter  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from hostspeed import REF_S, probe  # noqa: E402
 
 
 def chain_order(n: int):
@@ -99,7 +106,8 @@ LAYERS = {
 
 
 def time_row(nl, layer: str, inputs: list, k: int) -> float:
-    """Minimum over k runs of one pass of ``layer`` over ``inputs``, per input."""
+    """Minimum over k runs of one pass of ``layer`` over ``inputs``, per input,
+    at the reference host speed."""
     setup, call = LAYERS[layer]
     best = float("inf")
     for _ in range(k):
@@ -107,7 +115,9 @@ def time_row(nl, layer: str, inputs: list, k: int) -> float:
         start = perf_counter()
         for arg in prepared:
             call(nl, arg)
-        best = min(best, (perf_counter() - start) / len(inputs))
+        took = perf_counter() - start
+        speed = REF_S / statistics.median(probe() for _ in range(3))
+        best = min(best, took * speed / len(inputs))
     return best
 
 
@@ -163,6 +173,7 @@ def main() -> None:
         "numpy": np.__version__,
         "threads": {var: os.environ[var] for var in THREAD_VARS},
         "k": args.k,
+        "host_probe_ref_s": REF_S,
         "rows": rows,
     }
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")

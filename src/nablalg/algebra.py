@@ -20,7 +20,14 @@ caller) go through ``build_algebra``; a construction whose pair is already
 decided (``derive_arrow``'s residual of a nabla, as the arrows of the upset
 algebra and of the completion are, or the identity with the Heyting table)
 hands it to ``_assemble``, the one constructor of a ``NablaAlgebra``, which
-re-derives only the laws the adjunction forces.
+re-derives only the laws the adjunction forces.  ``gen_trivial``'s pair,
+nabla = bottom and arrow = top, needs no decision.  Frames follow the same
+rule: ``kripke.build_frame`` validates tables from outside, and the prime
+frame and the pullback, frames by construction, go to the ``KripkeFrame``
+constructor, which finds the normality witness as ``NablaAlgebra`` derives
+its box.  So ``build_algebra`` and ``build_frame`` run only on the tables of
+a document, and ``build_algebra`` once more where ``nabla_from_strong``
+re-validates the algebra its adjoint search assembled.
 
 Every checker here, in ``kripke`` and in ``congruence`` states its laws as
 named boolean masks, true where the law holds, and ``lattice._violations``

@@ -41,11 +41,14 @@ from .algebra import (
     NablaAlgebra,
     check_morphism,
     classify,
+    tables_equal,
 )
 from .errors import (
+    InvalidMorphism,
     NotDistributive,
     NotEmbedding,
     NotNormal,
+    ShapeError,
     TooLarge,
     Trivial,
     ensure,
@@ -79,6 +82,7 @@ class Congruence:
 
     def refines(self, other: "Congruence") -> bool:
         """Inclusion of relations: every pair of self is a pair of other."""
+        _require_own(self.algebra, other)
         return bool((_same_block(self.blocks) <= _same_block(other.blocks)).all())
 
     def to_json(self) -> list:
@@ -94,6 +98,12 @@ def _same_block(blocks) -> np.ndarray:
 def canonical_blocks(raw) -> tuple:
     relabel = {}
     return tuple(relabel.setdefault(b, len(relabel)) for b in raw)
+
+
+def _require_own(alg: NablaAlgebra, part) -> None:
+    """``part``, a modal filter or a congruence, must be one of ``alg``."""
+    if not tables_equal(part.algebra, alg):
+        raise ShapeError("filter or congruence of an algebra with other tables")
 
 
 def _require_normal(alg: NablaAlgebra) -> None:
@@ -173,22 +183,26 @@ def all_modal_filters(alg: NablaAlgebra) -> list:
 
 
 def _translations(alg: NablaAlgebra) -> np.ndarray:
-    """nabla and every translation of meet, join and arrow, one map per row."""
+    """nabla and every translation of meet, join and arrow, one map per row;
+    kept on the algebra (``_kept(alg, _translations)``)."""
     lat = alg.lat
-    return np.concatenate([alg.nabla[None], lat.meet, lat.meet.T, lat.join, lat.join.T,
-                           alg.arrow, alg.arrow.T])
+    return _freeze(np.concatenate([alg.nabla[None], lat.meet, lat.meet.T, lat.join, lat.join.T,
+                                   alg.arrow, alg.arrow.T]))
 
 
 def is_congruence(alg: NablaAlgebra, blocks) -> bool:
     """Every map of ``_translations`` sends each element into the block of
     the image of the least element of its block."""
     b = np.asarray(blocks, dtype=np.int64)
-    images = b[_translations(alg)]
+    if b.shape != (alg.n,):
+        raise ShapeError(f"a block vector needs length {alg.n}")
+    images = b[_kept(alg, _translations)]
     return bool((images == images.take(_same_block(b).argmax(axis=1), axis=1)).all())
 
 
 def congruence_from_filter(alg: NablaAlgebra, f: ModalFilter) -> Congruence:
     """alpha: relate x and y when both arrows between them lie in the filter."""
+    _require_own(alg, f)
     _require_normal(alg)
     _require_distributive(alg)
     memb = np.zeros(alg.n, dtype=bool)
@@ -204,12 +218,12 @@ def congruence_from_filter(alg: NablaAlgebra, f: ModalFilter) -> Congruence:
 
 def filter_from_congruence(alg: NablaAlgebra, theta: Congruence) -> ModalFilter:
     """beta: the block of the top element."""
+    _require_own(alg, theta)
     _require_normal(alg)
     _require_distributive(alg)
     members = frozenset(np.flatnonzero(_same_block(theta.blocks)[alg.lat.top]).tolist())
-    f = ModalFilter(alg, members)
     ensure(is_modal_filter(alg, members), "beta must produce a modal filter")
-    return f
+    return ModalFilter(alg, members)
 
 
 def _congruence_closure(alg: NablaAlgebra, rels: np.ndarray) -> np.ndarray:
@@ -222,7 +236,7 @@ def _congruence_closure(alg: NablaAlgebra, rels: np.ndarray) -> np.ndarray:
     equivalence whose blocks each map into one block, so it is a congruence,
     and every pair added lies in any congruence containing the seed.
     """
-    maps = _translations(alg)
+    maps = _kept(alg, _translations)
     rels = rels | rels.transpose(0, 2, 1) | np.eye(alg.n, dtype=bool)
     live = np.arange(len(rels))
     while live.size:
@@ -439,6 +453,8 @@ def check_congruence_extension(sub: NablaAlgebra, big: NablaAlgebra,
     in the big algebra, and pull the induced congruence back; the
     restriction must be the congruence we started from.
     """
+    if not (tables_equal(inclusion.source, sub) and tables_equal(inclusion.target, big)):
+        raise InvalidMorphism("inclusion must map the subalgebra into the big algebra")
     rep = check_morphism(inclusion)
     if not rep.ok or not rep.injective:
         raise NotEmbedding("inclusion must be a validated embedding")

@@ -11,7 +11,6 @@ from .algebra import (
     NablaAlgebra,
     StrongAlgebraCandidate,
     _assemble,
-    build_algebra,
     classify,
     derive_arrow,
 )
@@ -70,10 +69,13 @@ def gen_xn(n: int) -> NablaAlgebra:
 
 
 def gen_trivial(lat: FiniteLattice) -> NablaAlgebra:
-    """Constant-bottom nabla with constant-top arrow; valid on any lattice."""
+    """Constant-bottom nabla with constant-top arrow; valid on any lattice.
+    The pair is residuated by construction: bot & a <= b and c <= top hold
+    for all a, b, c, so both sides of the adjunction are always true and
+    the pair goes to ``_assemble`` with nothing to decide."""
     nabla = np.full(lat.n, lat.bot, dtype=np.int64)
     arrow = np.full((lat.n, lat.n), lat.top, dtype=np.int64)
-    return build_algebra(lat, nabla, arrow)
+    return _assemble(lat, nabla, arrow)
 
 
 def gen_heyting(lat: FiniteLattice) -> NablaAlgebra:

@@ -24,6 +24,19 @@ pullback of the prime frames; a leg, ``inverse_image_morphism`` after
 projection is a prime filter holding a, and is read off the prime-filter
 rows directly, so an amalgamation builds one upset algebra.
 
+Each fact about a frame is decided once.  ``build_frame`` validates tables
+from outside, a document's or a caller's: the order is a partial order, and
+the relation has its shape and is compatible with it.  The prime frame and
+the pullback are frames by construction and go to the ``KripkeFrame``
+constructor directly.  The prime frame's order is q <= p on the generators
+of the prime filters, an order on them, and its relation q <= nabla(p) is
+compatible with it because nabla is monotone.  The pullback's order and
+relation are componentwise, so they inherit both facts from the frames
+they pair.  The constructor finds the normality witness of every frame.
+What a construction derives is still cross-checked where it is derived:
+the prime frame's two relation characterizations and its flag transfers,
+and the pullback's witness and flag class.
+
 Both functors work by their characterizations, with no product of a family
 against all pairs (Davey & Priestley, *Introduction to Lattices and Order*,
 ch. 5 and 7).  A family of upsets or of prime filters is one k x n boolean
@@ -92,18 +105,24 @@ FRAME_FLAGS = ("N", "R", "L", "Fa", "Fu")
 
 
 class KripkeFrame:
-    """Worlds 0..n-1 with order ``leq`` and compatible relation ``r``."""
+    """Worlds 0..n-1 with order ``leq`` and compatible relation ``r``.
+
+    The one constructor of a frame.  It takes over (frozen, not copied) a
+    pair whose order and compatibility are decided, and finds the normality
+    witness itself, as ``NablaAlgebra`` derives its box: ``build_frame``
+    hands it tables from outside once it has checked them, and the prime
+    frame and the pullback hand it tables that are a frame by construction.
+    """
 
     __slots__ = ("n", "leq", "r", "pi", "pi_failure", "_kept")
 
-    def __init__(self, leq, r, pi, pi_failure):
+    def __init__(self, leq: np.ndarray, r: np.ndarray):
         self.n = int(leq.shape[0])
         leq.setflags(write=False)
         r.setflags(write=False)
         self.leq = leq
         self.r = r
-        self.pi = pi
-        self.pi_failure = pi_failure
+        self.pi, self.pi_failure = _detect_pi(leq, r)
         self._kept = {}
 
     @property
@@ -116,7 +135,9 @@ class KripkeFrame:
 
 
 def build_frame(leq, r) -> KripkeFrame:
-    """Validate compatibility and detect the normality witness when it exists."""
+    """Validate tables from outside, a document's or a caller's: the order is
+    a partial order, the relation has its shape and is compatible with it;
+    then ``KripkeFrame``, which detects the normality witness."""
     order = validate_partial_order(leq)
     rel = np.asarray(r, dtype=bool)
     if rel.shape != order.shape:
@@ -130,8 +151,7 @@ def build_frame(leq, r) -> KripkeFrame:
         witness = (kp, k, l, lp)
         raise NotCompatible(f"relation not compatible with order at {witness}",
                             witness=witness)
-    pi, failure = _detect_pi(order, rel)
-    return KripkeFrame(order.copy(), rel.copy(), pi, failure)
+    return KripkeFrame(order.copy(), rel.copy())
 
 
 def _detect_pi(order: np.ndarray, rel: np.ndarray):
@@ -277,7 +297,7 @@ def upset_algebra(frame: KripkeFrame) -> NablaAlgebra:
 
 def _build_upset_algebra(frame: KripkeFrame):
     """The frame's upset family and its upset algebra, built together."""
-    fam = _upset_family(frame.leq)     # `build_frame` validated the order
+    fam = _upset_family(frame.leq)     # a partial order: checked or constructed
     # nabla(U): the worlds some member of U relates to, the OR of U's R-rows
     nabla, found = _locate(fam.members, _compose(fam.members, frame.r))
     ensure(found.all(), "relation image of an upset must be an upset")
@@ -351,7 +371,11 @@ def _build_prime_frame(alg: NablaAlgebra) -> KripkeFrame:
     definitional = ~above[:, alg.arrow[gen, kappa]]
     ensure((rel == definitional).all(),
            "relation characterizations disagree on prime filters")
-    frame = build_frame(leq, rel)
+    # a frame by construction: q <= p orders the prime filters, and for P'
+    # inside P and Q inside Q' (p <= p', q' <= q) nabla's monotonicity gives
+    # q' <= q <= nabla(p) <= nabla(p'), so the relation is compatible; the
+    # transposed gathers are laid out by rows, as the frame's row gathers read
+    frame = KripkeFrame(np.ascontiguousarray(leq), np.ascontiguousarray(rel))
     fprof = frame_profile(frame)
     for flag in FRAME_FLAGS:
         if getattr(aprof, flag):
@@ -433,7 +457,9 @@ def amalgamate_frames(k0: KripkeFrame, k1: KripkeFrame, k2: KripkeFrame,
     ys, zs = np.nonzero(np.asarray(f.map)[:, None] == np.asarray(g.map)[None, :])
     leq = k1.leq[np.ix_(ys, ys)] & k2.leq[np.ix_(zs, zs)]
     rel = k1.r[np.ix_(ys, ys)] & k2.r[np.ix_(zs, zs)]
-    pullback = build_frame(leq, rel)
+    # a frame by construction: order and relation are componentwise, so they
+    # inherit the order and the compatibility of k1 and k2 coordinatewise
+    pullback = KripkeFrame(leq, rel)
     pprof = frame_profile(pullback)
     ensure(pprof.N, "pullback of normal frames must be normal")
     windex = np.full((k1.n, k2.n), -1, dtype=np.int64)
@@ -510,7 +536,8 @@ def amalgamate_algebras(a0: NablaAlgebra, a1: NablaAlgebra, a2: NablaAlgebra,
     legs = []
     for alg, proj in ((a1, p), (a2, q)):
         # g(a): the pullback worlds whose projection is a prime filter holding a
-        out, found = _locate(fam.members, _prime_rows(alg.lat).T[:, np.asarray(proj.map)])
+        rows = _prime_rows(alg.lat).T[:, np.asarray(proj.map, dtype=np.intp)]
+        out, found = _locate(fam.members, rows)
         ensure(found.all(), "pulled-back membership row must be an upset of the pullback")
         # the composite's claim: the membership embedding claims H, which every
         # distributive a_i carries, and the preimage map claims what proj lifts

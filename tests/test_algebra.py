@@ -236,7 +236,8 @@ def test_derive_arrow_roundtrip_on_catalog(small_catalog):
 def assembled_sites(catalog):
     """(name, build) for each library construction that hands a decided pair
     to ``_assemble``: ``gen_xn`` 1-6, ``gen_heyting`` on the distributive
-    lattices up to 5 elements, ``enumerate_algebras(5)``, the upset algebra
+    lattices up to 5 elements, ``gen_trivial`` on every lattice up to 5
+    elements, ``enumerate_algebras(5)``, the upset algebra
     of the prime frame of each distributive catalog algebra and the
     completion of each catalog algebra.  Every build starts from fresh
     lattices, so nothing is kept from an earlier call, and returns the
@@ -244,6 +245,8 @@ def assembled_sites(catalog):
     sites = [(f"gen_xn({k})", lambda k=k: [gen_xn(k)]) for k in range(1, 7)]
     sites += [(f"gen_heyting on {i}", lambda lat=lat: [gen_heyting(build_lattice(lat.leq))])
               for i, lat in enumerate(all_lattices(5)) if is_distributive(lat)]
+    sites += [(f"gen_trivial on {i}", lambda lat=lat: [gen_trivial(build_lattice(lat.leq))])
+              for i, lat in enumerate(all_lattices(5))]
     sites.append(("enumerate_algebras(5)", lambda: list(enumerate_algebras(5))))
     for i, alg in enumerate(catalog):
         if classify(alg).D:

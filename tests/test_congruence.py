@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from nablalg import congruence
-from nablalg.algebra import AlgebraMorphism, NablaAlgebra, _build_profile, classify
+from nablalg.algebra import (
+    AlgebraMorphism,
+    NablaAlgebra,
+    _build_profile,
+    classify,
+    identity_morphism,
+)
 from nablalg.congruence import (
     Congruence,
     _congruence_closure,
@@ -24,7 +30,14 @@ from nablalg.congruence import (
     is_subdirectly_irreducible,
     modal_filter_closure,
 )
-from nablalg.errors import NotEmbedding, NotNormal, ShapeError, TooLarge, Trivial
+from nablalg.errors import (
+    InvalidMorphism,
+    NotEmbedding,
+    NotNormal,
+    ShapeError,
+    TooLarge,
+    Trivial,
+)
 from nablalg.gallery import enumerate_algebras, gen_heyting, gen_trivial, gen_xn
 
 from conftest import chain, subsets
@@ -611,3 +624,78 @@ def test_congruence_extension_restriction_matches_pair_loop():
 def test_congruence_extension_rejects_non_embedding(b2, h3):
     with pytest.raises(NotEmbedding):
         check_congruence_extension(b2, h3, AlgebraMorphism(b2, h3, (0, 0)))
+
+
+# --- structures of another algebra ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def chains234():
+    return [gen_heyting(chain(k)) for k in (2, 3, 4)]
+
+
+def test_extension_rejects_an_inclusion_into_another_algebra(chains234):
+    """An inclusion from h2 into h3 does not include h2 in h4."""
+    h2, h3, h4 = chains234
+    with pytest.raises(InvalidMorphism):
+        check_congruence_extension(h2, h4, AlgebraMorphism(h2, h3, (0, 2)))
+
+
+def test_extension_rejects_an_inclusion_from_another_algebra(chains234):
+    h2, h3, h4 = chains234
+    with pytest.raises(InvalidMorphism):
+        check_congruence_extension(h2, h3, identity_morphism(h4))
+
+
+def test_extension_accepts_an_inclusion_between_equal_tables(chains234):
+    h2, h3, _ = chains234
+    twin = gen_heyting(chain(3))
+    assert check_congruence_extension(h2, h3, AlgebraMorphism(h2, twin, (0, 2))).ok
+
+
+def test_beta_rejects_a_congruence_of_another_algebra(chains234):
+    """The identity congruence of h4 would read as the filter {2} of h3."""
+    _, h3, h4 = chains234
+    with pytest.raises(ShapeError, match="other tables"):
+        filter_from_congruence(h3, all_congruences_oracle(h4)[0])
+
+
+def test_alpha_rejects_a_filter_of_another_algebra(chains234):
+    _, h3, h4 = chains234
+    with pytest.raises(ShapeError, match="other tables"):
+        congruence_from_filter(h3, all_modal_filters(h4)[1])
+
+
+@pytest.mark.parametrize("blocks", [(0, 0), (0, 0, 1, 1)])
+def test_is_congruence_rejects_a_block_vector_of_another_length(chains234, blocks):
+    with pytest.raises(ShapeError, match="length 3"):
+        is_congruence(chains234[1], blocks)
+
+
+def test_refines_rejects_a_congruence_of_another_algebra(chains234):
+    _, h3, h4 = chains234
+    theta = all_congruences_oracle(h3)[0]
+    with pytest.raises(ShapeError, match="other tables"):
+        theta.refines(all_congruences_oracle(h4)[0])
+    twin = gen_heyting(chain(3))
+    assert theta.refines(all_congruences_oracle(twin)[-1])
+
+
+def test_translations_are_built_once_per_algebra(monkeypatch, full_catalog):
+    """The maps of ``_translations`` are kept on the algebra: the oracle and
+    ``is_simple``, which runs the oracle again and every closure of both,
+    build them once for each algebra."""
+    built = []
+    translations = congruence._translations
+
+    def counted(alg):
+        built.append(alg)
+        return translations(alg)
+
+    monkeypatch.setattr(congruence, "_translations", counted)
+    algs = [alg for alg in full_catalog if alg.n >= 4 and classify(alg).has("N", "D")][:8]
+    for alg in algs:
+        all_congruences_oracle(alg)
+        is_simple(alg)
+        assert not congruence._kept(alg, counted).flags.writeable
+    assert [id(a) for a in built] == [id(a) for a in algs]

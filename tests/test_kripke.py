@@ -41,13 +41,14 @@ from nablalg.kripke import (
     upset_algebra,
 )
 from nablalg.lattice import CUBE_MAX, all_upsets, build_lattice, prime_filters
-from nablalg.serialize import dumps, frame_to_json
+from nablalg.serialize import algebra_to_json, dumps, frame_to_json
 
 from conftest import (
     amalgamation_spans,
     boolean_square,
     chain,
     chain_matrix,
+    product_order,
     subset_prime_tables,
 )
 
@@ -756,15 +757,19 @@ def test_amalgamate_algebras_x1_identity_span(x1):
     assert algebra_iso(res.b, x1) is not None
 
 
+def heyting_chain_span(k1, k2, heyting):
+    """The Heyting 2-chain into the Heyting k1- and k2-chains at their bounds."""
+    a0, a1, a2 = gen_heyting(chain(2)), gen_heyting(chain(k1)), gen_heyting(chain(k2))
+    return (a0, a1, a2, AlgebraMorphism(a0, a1, (0, k1 - 1), preserves_heyting=heyting),
+            AlgebraMorphism(a0, a2, (0, k2 - 1), preserves_heyting=heyting))
+
+
 def chain_spans():
     """The 2-chain into Heyting chains of (4, 4), (4, 5) and (3, 11)
     elements at their bounds, with ``heyting`` true and false."""
-    b2 = gen_heyting(chain(2))
     for a, b in ((4, 4), (4, 5), (3, 11)):
         for heyting in (True, False):
-            a1, a2 = gen_heyting(chain(a)), gen_heyting(chain(b))
-            yield (b2, a1, a2, AlgebraMorphism(b2, a1, (0, a - 1), preserves_heyting=heyting),
-                   AlgebraMorphism(b2, a2, (0, b - 1), preserves_heyting=heyting), heyting)
+            yield (*heyting_chain_span(a, b, heyting), heyting)
 
 
 def test_legs_match_the_composite_route(full_catalog):
@@ -866,3 +871,102 @@ def test_amalgamation_builds_each_morphism_report_once(monkeypatch):
         assert len(checked[kind]) == len({id(m) for m in checked[kind]}) == count
     assert {id(m) for m in (f1, f2, res.g1, res.g2)} == {id(m) for m in checked["algebra"]}
     assert {id(m) for m in res.projections} <= {id(m) for m in checked["frame"]}
+
+
+# --- derived frames are assembled --------------------------------------------
+
+
+def assert_revalidates(frame):
+    """The oracle of a frame that a construction assembled: ``build_frame``
+    accepts its tables and finds the same frame and the same witness."""
+    again = build_frame(frame.leq, frame.r)
+    assert tables_equal(again, frame)
+    assert (again.pi is None) == (frame.pi is None)
+    assert frame.pi is None or np.array_equal(again.pi, frame.pi)
+    assert again.pi_failure == frame.pi_failure
+
+
+def test_prime_frames_pass_build_frame(six_catalog):
+    """The prime frame of every distributive algebra of at most 6 elements,
+    of gen_xn 1-6 and of the Heyting Boolean 2^8 and 256-chain."""
+    algs = [alg for alg in six_catalog if classify(alg).D]
+    algs += [gen_xn(k) for k in range(1, 7)]
+    algs += [gen_heyting(build_lattice(product_order(*[chain_matrix(2)] * 8))),
+             gen_heyting(chain(256))]
+    normal = set()
+    for alg in algs:
+        frame = prime_frame(alg)
+        assert_revalidates(frame)
+        normal.add(frame.pi is not None)
+    assert normal == {True, False}
+
+
+def test_pullbacks_pass_build_frame(full_catalog):
+    """Every frame of the criterion-8 spans' amalgamations and of the chain
+    spans 2 -> (k1, k2), 3 <= k1, k2 <= 6, with ``heyting`` true and false."""
+    spans = [(*span, False) for span in amalgamation_spans(full_catalog)]
+    spans.append((*heyting_chain_span(3, 3, True), True))
+    spans += [(*heyting_chain_span(k1, k2, heyting), heyting)
+              for k1, k2 in itertools.product(range(3, 7), repeat=2) for heyting in (True, False)]
+    for a0, a1, a2, f1, f2, heyting in spans:
+        res = amalgamate_algebras(a0, a1, a2, f1, f2, heyting=heyting)
+        for frame in res.frames.values():
+            assert_revalidates(frame)
+    assert len(spans) == 24 + 1 + 32
+
+
+def test_derived_frames_decide_no_order(monkeypatch):
+    """The prime frame and the pullback are frames by construction: neither
+    validates its order, while a frame from outside still does."""
+    calls = []
+    validate = kripke.validate_partial_order
+
+    def counted(leq):
+        calls.append(len(leq))
+        return validate(leq)
+
+    monkeypatch.setattr(kripke, "validate_partial_order", counted)
+    frame = prime_frame(gen_heyting(chain(4)))
+    res = amalgamate_algebras(*heyting_chain_span(4, 5, True), heyting=True)
+    assert frame.n == 3 and res.frames["pullback"].n == 12 and calls == []
+    build_frame(frame.leq, frame.r)
+    assert calls == [3]
+
+
+def test_one_element_identity_span_amalgamates(tmp_path, capsys):
+    """The one-element algebra's prime frames and pullback have no worlds, so
+    the legs gather on empty projections; the amalgam is that algebra."""
+    one = gen_heyting(chain(1))
+    for heyting in (True, False):
+        f = AlgebraMorphism(one, one, (0,), preserves_heyting=heyting)
+        res = amalgamate_algebras(one, one, one, f, f, heyting=heyting)
+        assert res.frames["pullback"].n == 0 and res.projections[0].map == ()
+        assert tables_equal(res.b, one) and res.g1.map == res.g2.map == (0,)
+        span = {"kind": "span", "a0": algebra_to_json(one), "a1": algebra_to_json(one),
+                "a2": algebra_to_json(one), "f1": [0], "f2": [0], "heyting": heyting}
+        path = tmp_path / "span.json"
+        path.write_text(dumps(span))
+        assert main(["amalgamate", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["b"], out["g1"], out["g2"]) == (algebra_to_json(one), [0], [0])
+
+
+def test_assembled_frames_keep_their_cross_checks(monkeypatch, tmp_path, capsys):
+    """A construction that goes wrong still ends in exit 3, not in an input
+    error: here the pullback of the 2-chain into two Heyting 4-chains, its
+    9 worlds given no normality witness."""
+    detect = kripke._detect_pi
+
+    def lost(order, rel):
+        return (None, ("empty-column", (0,))) if len(order) == 9 else detect(order, rel)
+
+    a0, a1, a2, _, _ = heyting_chain_span(4, 4, True)
+    span = {"kind": "span", "a0": algebra_to_json(a0), "a1": algebra_to_json(a1),
+            "a2": algebra_to_json(a2), "f1": [0, 3], "f2": [0, 3], "heyting": True}
+    path = tmp_path / "span.json"
+    path.write_text(dumps(span))
+    monkeypatch.setattr(kripke, "_detect_pi", lost)
+    assert main(["amalgamate", str(path)]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == {"error": "internal",
+                            "message": "pullback of normal frames must be normal"}

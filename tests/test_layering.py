@@ -11,7 +11,11 @@ derived from a lattice, an algebra or a frame are kept by one helper,
 ``lattice._kept``, in the one private slot each class has; morphisms keep
 their reports the same way, in their one private field.  Every algebra is
 constructed in one place, ``algebra._assemble``, and every adjunction is
-decided in two: ``algebra._decided`` and the Heyting table's build.  No module uses
+decided in two: ``algebra._decided`` and the Heyting table's build.  Frames
+are constructed in three: ``kripke.build_frame``, for tables from outside,
+and the prime frame and the pullback, frames by construction; ``build_frame``
+and ``build_algebra`` run only on the tables of a document, and
+``build_algebra`` also where ``nabla_from_strong`` re-validates its result.  No module uses
 ``numpy.random``, so every lookup and result is deterministic.
 """
 
@@ -413,6 +417,35 @@ def test_algebras_are_assembled_in_one_place():
     assert [scope for scope, _ in found[ASSEMBLER[0]]] == [ASSEMBLER[1]]
 
 
+def callers(callee: str) -> list:
+    """(module, enclosing definitions) of every call to ``callee`` in the
+    library, in module and line order."""
+    src = Path(nablalg.__file__).parent
+    return [(path.name, scope) for path in sorted(src.glob("*.py"))
+            for scope, _ in call_sites(path.read_text(), callee)]
+
+
+FRAME_CONSTRUCTORS = [("kripke.py", ("build_frame",)), ("kripke.py", ("_build_prime_frame",)),
+                      ("kripke.py", ("amalgamate_frames",))]
+
+
+def test_frames_are_constructed_in_three_places():
+    """``KripkeFrame`` is constructed by ``build_frame``, on tables from
+    outside once they are checked, and by the two constructions whose tables
+    are a frame by construction: the prime frame and the pullback."""
+    assert callers("KripkeFrame") == FRAME_CONSTRUCTORS
+
+
+def test_only_tables_from_outside_are_validated():
+    """``build_frame`` and ``build_algebra`` run on the tables of a document,
+    and ``build_algebra`` once more in ``nabla_from_strong``, which
+    re-validates the algebra its adjoint search assembles; every other
+    construction assembles what it has decided."""
+    assert callers("build_frame") == [("serialize.py", ("frame_from_json",))]
+    assert callers("build_algebra") == [("algebra.py", ("nabla_from_strong",)),
+                                        ("serialize.py", ("algebra_from_json",))]
+
+
 RESIDUATION_CALLERS = [("algebra.py", ("_decided",)), ("lattice.py", ("_build_heyting_table",))]
 
 
@@ -420,10 +453,7 @@ def test_residuation_is_decided_in_two_places():
     """``lattice._residuated`` is called by ``_build_heyting_table``, for the
     identity with the Heyting table, and by ``algebra._decided``, for every
     other pair, so no pair has a second route to its verdict."""
-    src = Path(nablalg.__file__).parent
-    found = [(path.name, scope) for path in sorted(src.glob("*.py"))
-             for scope, _ in call_sites(path.read_text(), "_residuated")]
-    assert found == RESIDUATION_CALLERS
+    assert callers("_residuated") == RESIDUATION_CALLERS
 
 
 def test_structures_keep_results_in_one_slot():

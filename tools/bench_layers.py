@@ -15,7 +15,9 @@ and 2^8, the 96- and 256-element chains, the 8 x 12 product of chains, and
 the algebras of at most 5 elements (the row is the mean per algebra of one
 pass over all 279, or for ``prime_frame`` over the distributive ones).  Each
 sized lattice carries nabla(x) = x & c, c its element n // 2, with its
-residual as arrow.
+residual as arrow.  The pipeline ``amalgamate_algebras`` runs on the spans
+of the Heyting 2-chain into two Heyting k-chains at their bounds, k = 4, 5
+and 6, with ``heyting`` true; their amalgams have 20, 70 and 252 elements.
 
 ``--src`` names the ``src`` directory whose ``nablalg`` is measured (this
 checkout's by default), so a second checkout of another revision gives the
@@ -83,6 +85,18 @@ def sized_inputs(nl):
     return out
 
 
+# span name -> (k1, k2): the Heyting 2-chain into the k1- and k2-chains
+SPANS = {f"chain-span-2->({k},{k})": (k, k) for k in (4, 5, 6)}
+
+
+def chain_span(nl, k1: int, k2: int) -> tuple:
+    """(a0, a1, a2, f1, f2) on fresh lattices, each leg an embedding at the
+    bounds that claims the Heyting table."""
+    a0, a1, a2 = (nl.gen_heyting(nl.build_lattice(chain_order(k))) for k in (2, k1, k2))
+    return (a0, a1, a2, nl.AlgebraMorphism(a0, a1, (0, k1 - 1), preserves_heyting=True),
+            nl.AlgebraMorphism(a0, a2, (0, k2 - 1), preserves_heyting=True))
+
+
 def catalog_inputs(nl, distributive: bool):
     return [(alg.lat.leq, alg.nabla, alg.arrow) for alg in nl.enumerate_algebras(5)
             if nl.is_distributive(alg.lat) or not distributive]
@@ -102,6 +116,8 @@ LAYERS = {
     "classify": (fresh_algebra, lambda nl, alg: nl.classify(alg)),
     "dm_complete": (fresh_algebra, lambda nl, alg: nl.dm_complete(alg)),
     "prime_frame": (fresh_algebra, lambda nl, alg: nl.prime_frame(alg)),
+    "amalgamate_algebras": (chain_span,
+                            lambda nl, span: nl.amalgamate_algebras(*span, heyting=True)),
 }
 
 
@@ -156,13 +172,15 @@ def main() -> None:
     sys.path.insert(0, str(args.src.resolve()))
     import nablalg as nl
 
-    inputs = sized_inputs(nl)
+    sized = sized_inputs(nl)
+    spans = {name: [ks] for name, ks in SPANS.items()}
     rows = {}
     for layer in LAYERS:
-        inputs["catalog-n<=5-mean"] = catalog_inputs(nl, distributive=layer == "prime_frame")
+        inputs = spans if layer == "amalgamate_algebras" else {
+            **sized, "catalog-n<=5-mean": catalog_inputs(nl, distributive=layer == "prime_frame")}
         for shape, inp in inputs.items():
             rows[f"{layer}/{shape}"] = time_row(nl, layer, inp, args.k)
-            print(f"{layer:>14} {shape:>18} {rows[f'{layer}/{shape}'] * 1e3:10.3f} ms",
+            print(f"{layer:>19} {shape:>19} {rows[f'{layer}/{shape}'] * 1e3:10.3f} ms",
                   file=sys.stderr)
 
     out = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -26,8 +26,7 @@ rule: ``kripke.build_frame`` validates tables from outside, and the prime
 frame and the pullback, frames by construction, go to the ``KripkeFrame``
 constructor, which finds the normality witness as ``NablaAlgebra`` derives
 its box.  So ``build_algebra`` and ``build_frame`` run only on the tables of
-a document, and ``build_algebra`` once more where ``nabla_from_strong``
-re-validates the algebra its adjoint search assembled.
+a document.
 
 Every checker here, in ``kripke`` and in ``congruence`` states its laws as
 named boolean masks, true where the law holds, and ``lattice._violations``
@@ -445,8 +444,8 @@ def nabla_from_strong(cand: StrongAlgebraCandidate) -> AdjointSearch:
     On a finite distributive lattice this holds exactly when box = arrow(top, -)
     preserves all meets and arrow(b, c) = box(b => c) for the Heyting table =>;
     the witness pair reports the first failure.  When the test passes, the
-    left adjoint of box is recovered by minimum search and the assembled
-    algebra is re-validated.
+    left adjoint of box is recovered by minimum search, its adjunction with
+    the arrow decided by ``_decided``, and the algebra assembled.
     """
     lat = cand.lat
     if not is_distributive(lat):
@@ -464,8 +463,8 @@ def nabla_from_strong(cand: StrongAlgebraCandidate) -> AdjointSearch:
     # box preserves meets, so {b : a <= box(b)} has a minimum: the adjoint value
     nabla, found = _greatest(lat.leq.T, lat.leq[:, box].T)
     ensure(found.all(), "meet-preserving box must admit a pointwise adjoint")
-    alg = build_algebra(lat, nabla, arr)
-    return AdjointSearch(True, nabla=alg.nabla)
+    ensure(_decided(lat, nabla, arr), "the recovered nabla must residuate the candidate arrow")
+    return AdjointSearch(True, nabla=_assemble(lat, nabla.copy(), arr.copy()).nabla)
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,21 @@ lattice carries a lifted modal pair,
 
 and the principal-ideal embedding preserves the whole signature.  As in the
 duality, a family of sets is one k x n boolean membership matrix (row i is
-set i): the closure of every row is two inclusion tests against the order
-(upper bounds, then lower bounds), each one product of the lattice module's
-boolean-relation kernel, and a computed set is looked up among the ideals by
-its packed bits.  Four facts of a finite lattice (ibid.) give the
-completion directly:
+set i), and a computed set is looked up among the ideals by its packed bits.
+The closure of a set, ``lu_closure``, is two inclusion tests against the
+order (upper bounds, then lower bounds), each one product of the lattice
+module's boolean-relation kernel; the completion computes none.  Four facts
+of a finite lattice (ibid.) give it directly:
 
 - the normal ideals are the principal ideals, since (a] & (b] = (a & b]:
-  the family is the rows of the order;
+  the family is the rows of the order, and ``is_normal_ideal`` asks
+  ``lattice._generator`` whether a set is (g] for its greatest member g;
 - ub(lu(S)) = ub(S), and a normal ideal is the lower bounds of its upper
   bounds, so the join of ideals I and J is the ideal whose upper bounds are
-  ub(I) & ub(J): the lattice module's ``_family_lattice`` looks the meets
-  up among the ideals and the joins among their upper bounds, and fails
-  unless every pairwise intersection is an ideal;
+  ub(I) & ub(J): the upper bounds of (g] are [g), read off the order, and
+  the lattice module's ``_family_lattice`` looks the meets up among the
+  ideals and the joins among their upper bounds, and fails unless every
+  pairwise intersection is an ideal;
 - nabla is monotone, so with N = (g] the union of the principal ideals of
   nabla over N is the ideal (nabla(g)], already closed: the lifted nabla is
   one product and one lookup, with no closure;
@@ -54,6 +56,8 @@ from .errors import ensure
 from .lattice import (
     _compose,
     _family_lattice,
+    _generator,
+    _greatest,
     _locate,
     _member_row,
     _row_sets,
@@ -95,25 +99,21 @@ def lu_closure(lat, members) -> frozenset:
 
 
 def is_normal_ideal(lat, members) -> bool:
-    members = frozenset(members)
-    return lu_closure(lat, members) == members
+    """A normal ideal of a finite lattice is a principal ideal (g]."""
+    return _generator(lat, members, lower=True)[1]
 
 
 def _ideal_rows(lat):
     """Membership matrices of the principal ideals, ordered by (size,
-    members), and of their upper bounds; every ideal must be the lower bounds
-    of its upper bounds."""
+    members), and of their upper bounds: those of (g] are [g)."""
     rows = _sorted_rows(lat.leq.T)
-    ub = _bound_rows(lat, rows, upper=True)
-    ensure((_bound_rows(lat, ub, upper=False) == rows).all(),
-           "ideal family member fails the closure fixpoint")
-    return rows, ub
+    return rows, lat.leq[_greatest(lat.leq, rows.T)[0]]
 
 
 def normal_ideals(alg: NablaAlgebra) -> list:
     """All intersections of principal ideals, canonically ordered: the
-    principal ideals, each checked closed (``dm_complete`` checks that no
-    intersection is missing)."""
+    principal ideals (``dm_complete`` checks that no intersection is
+    missing)."""
     return [NormalIdeal(alg, members) for members in _row_sets(_ideal_rows(alg.lat)[0])]
 
 

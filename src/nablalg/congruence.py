@@ -11,13 +11,19 @@ membership tests in generated modal filters.
 
 Every filter of a finite lattice is principal, and [a) is closed under
 nabla iff a <= nabla(a) and under box iff nabla(a) <= a.  So the modal
-filters are the [f) with nabla(f) = f, and the one table g[x], the
-greatest fixpoint of nabla below x, gives them all: the closure of a seed
-is [g[meet of the seed]), the algebra is simple iff g[x] = bot for every
-x != top, and subdirectly irreducible iff the join of those g[x] is not
-top.  g comes from the lattice module's greatest-element kernel and is kept
-on the algebra, and every principal filter is re-checked against the full
-modal-filter predicate when g is built.
+filters are the [f) with nabla(f) = f, which ``is_modal_filter`` checks on
+the least member f that ``lattice._generator`` reads off the set.  Since
+nabla(f) = f, f <= arrow(x, y) iff f & x <= y, so alpha([f)) relates x and
+y iff x & f = y & f: it is the kernel of x -> x & f, one column of the meet
+table.  alpha refuses a set that is not a modal filter of the algebra, and
+beta a block vector that is not a congruence of it.  The one table g[x],
+the greatest fixpoint of nabla below x, gives every modal filter: the
+closure of a seed is [g[meet of the seed]), the algebra is simple iff
+g[x] = bot for every x != top, and subdirectly irreducible iff the join of
+those g[x] is not top.  g comes from the lattice module's greatest-element
+kernel and is kept on the algebra.  The set-level definitions, the batched
+modal-filter predicate and the biimplication relation, are the test
+oracles of these routes.
 
 A congruence oracle that never mentions filters keeps the two routes
 independently checkable.  While it computes, a congruence is an n x n
@@ -53,7 +59,8 @@ from .errors import (
     Trivial,
     ensure,
 )
-from .lattice import _at, _compose, _freeze, _greatest, _kept, _member_row, _violations
+from .lattice import (_at, _compose, _freeze, _generator, _greatest, _kept, _member_row,
+                      _violations)
 
 ORACLE_BOUND = 10
 
@@ -116,27 +123,11 @@ def _require_distributive(alg: NablaAlgebra) -> None:
         raise NotDistributive("operation needs a distributive algebra")
 
 
-def _modal_filter_rows(alg: NablaAlgebra, rows: np.ndarray) -> np.ndarray:
-    """For each row of a k x n membership matrix, whether its set contains
-    top and is upward closed and closed under nabla, box and meet.
-
-    A nonempty upward-closed set is meet-closed iff it has exactly one
-    minimal member: two minimal members would have their meet outside, and
-    with one, m, the set is [m).  In an upward-closed set the minimal members
-    are those with no lower cover inside it.
-    """
-    lat = alg.lat
-    covers = np.zeros((alg.n, alg.n), dtype=bool)
-    covers[lat.covers] = True
-    minimal = rows & ~_compose(rows, covers)
-    return (rows[:, lat.top] & ~(_compose(rows, lat.leq) & ~rows).any(axis=1)
-            & (rows[:, alg.nabla] >= rows).all(axis=1) & (rows[:, alg.box] >= rows).all(axis=1)
-            & (minimal.sum(axis=1) == 1))
-
-
 def is_modal_filter(alg: NablaAlgebra, members) -> bool:
-    """Contains top, upward closed, closed under meet, nabla and box."""
-    return bool(_modal_filter_rows(alg, _member_row(alg.n, members)[None])[0])
+    """Contains top, upward closed, closed under meet, nabla and box: the
+    set is a principal filter [g) with nabla(g) = g."""
+    g, principal = _generator(alg.lat, members)
+    return principal and int(alg.nabla[g]) == g
 
 
 def _greatest_fixpoints(alg: NablaAlgebra) -> np.ndarray:
@@ -144,16 +135,9 @@ def _greatest_fixpoints(alg: NablaAlgebra) -> np.ndarray:
     (``_kept(alg, _greatest_fixpoints)``).
 
     nabla fixes bottom and preserves joins, so the fixpoints below x have
-    a join and it is again a fixpoint.  Every filter of a finite lattice is
-    principal, and [a) is closed under nabla iff a <= nabla(a) and under box
-    iff nabla(a) <= a; that equivalence is re-checked once per algebra, on
-    every element, row a of ``leq`` being [a).
-    """
-    lat = alg.lat
+    a join and it is again a fixpoint."""
     fixed = alg.nabla == np.arange(alg.n)
-    ensure((_modal_filter_rows(alg, lat.leq) == fixed).all(),
-           "principal modal filters must be the filters of nabla's fixpoints")
-    g, found = _greatest(lat.leq, fixed[:, None] & lat.leq)
+    g, found = _greatest(alg.lat.leq, fixed[:, None] & alg.lat.leq)
     ensure(found.all(), "the fixpoints of nabla below an element must have a greatest one")
     return _freeze(g)
 
@@ -170,11 +154,8 @@ def modal_filter_closure(alg: NablaAlgebra, seed) -> ModalFilter:
 
 
 def all_modal_filters(alg: NablaAlgebra) -> list:
-    """Every modal filter, ordered by (size, members).
-
-    These are the principal filters of nabla's fixpoints; the equivalence is
-    re-checked against the full predicate on every principal filter.
-    """
+    """Every modal filter, ordered by (size, members): the principal
+    filters of nabla's fixpoints."""
     _require_normal(alg)
     g = _kept(alg, _greatest_fixpoints)
     out = [ModalFilter(alg, alg.lat.upset_of(a)) for a in range(alg.n) if g[a] == a]
@@ -201,17 +182,17 @@ def is_congruence(alg: NablaAlgebra, blocks) -> bool:
 
 
 def congruence_from_filter(alg: NablaAlgebra, f: ModalFilter) -> Congruence:
-    """alpha: relate x and y when both arrows between them lie in the filter."""
+    """alpha: relate x and y when both arrows between them lie in the
+    filter.  The filter is [g) with nabla(g) = g, and g <= arrow(x, y) iff
+    nabla(g) & x <= y, so both arrows lie in it iff x & g = y & g:
+    alpha([g)) is the kernel of x -> x & g."""
     _require_own(alg, f)
     _require_normal(alg)
     _require_distributive(alg)
-    memb = np.zeros(alg.n, dtype=bool)
-    memb[sorted(f.members)] = True
-    rel = memb[_at(alg.lat.meet, alg.arrow, alg.arrow.T)]
-    ensure(bool(rel.diagonal().all()) and (rel == rel.T).all()
-           and (rel >= _compose(rel, rel)).all(),
-           "filter biimplication relation must be an equivalence")
-    theta = Congruence(alg, canonical_blocks(rel.argmax(axis=1)))
+    g, principal = _generator(alg.lat, f.members)
+    if not (principal and alg.nabla[g] == g):
+        raise ShapeError("members must form a modal filter of the algebra")
+    theta = Congruence(alg, canonical_blocks(alg.lat.meet[:, g].tolist()))
     ensure(is_congruence(alg, theta.blocks), "alpha must produce a congruence")
     return theta
 
@@ -221,6 +202,8 @@ def filter_from_congruence(alg: NablaAlgebra, theta: Congruence) -> ModalFilter:
     _require_own(alg, theta)
     _require_normal(alg)
     _require_distributive(alg)
+    if not is_congruence(alg, theta.blocks):
+        raise ShapeError("blocks must form a congruence of the algebra")
     members = frozenset(np.flatnonzero(_same_block(theta.blocks)[alg.lat.top]).tolist())
     ensure(is_modal_filter(alg, members), "beta must produce a modal filter")
     return ModalFilter(alg, members)

@@ -258,11 +258,13 @@ def _build_frame_morphism_report(m: FrameMorphism) -> FrameMorphismReport:
     f = _indices(m.map, (src.n,), tgt.n, "map")
     # hit[l, u]: f(l) = u, so composing with it takes images
     hit = f[:, None] == np.arange(tgt.n)
+    # [k, u]: u is the image of an R-successor of k
+    lifted = _compose(src.r, hit)
     laws = [
         ("monotone", ~src.leq | tgt.leq[f][:, f]),
         ("preserves-relation", ~src.r | tgt.r[f][:, f]),
         # every R-successor of f(k) is the image of an R-successor of k
-        ("lift-successors", ~tgt.r[f] | _compose(src.r, hit)),
+        ("lift-successors", ~tgt.r[f] | lifted),
         # every R-predecessor of f(k) lies below the image of an R-predecessor of k
         ("lift-predecessors", ~tgt.r[:, f].T | _compose(src.r.T, tgt.leq.T[f])),
     ]
@@ -274,8 +276,9 @@ def _build_frame_morphism_report(m: FrameMorphism) -> FrameMorphismReport:
 
     if "monotone" not in failed and src.pi is not None and tgt.pi is not None:
         commutes = bool((f[src.pi] == tgt.pi[f]).all())
-        # {lp : f(k) <= pi(lp)} against the images of {l : k <= pi(l)}
-        preimages = bool((tgt.leq[f][:, tgt.pi] == _compose(src.leq[:, src.pi], hit)).all())
+        # {lp : f(k) <= pi(lp)} against the images of {l : k <= pi(l)}, the
+        # R-successors of k: `_detect_pi` found src.leq[:, src.pi] = src.r
+        preimages = bool((tgt.leq[f][:, tgt.pi] == lifted).all())
         relation_ok = failed.isdisjoint(
             {"preserves-relation", "lift-successors", "lift-predecessors"})
         ensure((commutes and preimages) == relation_ok,

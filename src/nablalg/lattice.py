@@ -103,7 +103,11 @@ recursion above, the prime filters and the prime frame of ``kripke``.  In a
 finite lattice every prime filter is [p) for a join-prime p, and the
 elements outside it are the principal ideal (k(p)]; so each prime filter is
 checked by one comparison of rows, O(n), and ``_primes`` keeps the
-generators p and their k(p) on the lattice.
+generators p and their k(p) on the lattice.  Any filter of a finite lattice
+is [g) for its least member g, and any ideal (g] for its greatest, so one
+helper, ``_generator``, reads a set's g and whether the set is [g) (or (g]),
+O(n^2): ``is_prime_filter`` then checks k(g), ``congruence.is_modal_filter``
+nabla(g) = g, and ``completion.is_normal_ideal`` takes the principal ideals.
 
 The meet and join tables come from the coordinates at every size, and the
 residual from box o Heyting or the join over J at every size; up to
@@ -650,15 +654,28 @@ def _build_join_primes(lat: FiniteLattice) -> np.ndarray:
 
 
 def _member_row(n: int, members) -> np.ndarray:
-    """The boolean row of length n that marks ``members``; a member outside
-    0..n-1 raises ``ShapeError``, where numpy would wrap a negative one around."""
-    idx = np.fromiter(members, dtype=np.intp)
-    outside = idx[(idx < 0) | (idx >= n)]
-    if len(outside):
-        raise ShapeError(f"member {outside[0]} is not an element index 0..{n - 1}")
+    """The boolean row of length n that marks ``members``, read once.  A
+    member that is not an integer in 0..n-1 raises ``ShapeError``, where
+    numpy would wrap a negative one around, read True, 1.7 and '1' as 1 and
+    overflow on 2**70."""
+    idx = list(members)
+    for m in idx:
+        if not (type(m) is int or isinstance(m, np.integer)) or not 0 <= m < n:
+            raise ShapeError(f"member {m!r} is not an element index 0..{n - 1}")
     row = np.zeros(n, dtype=bool)
     row[idx] = True
     return row
+
+
+def _generator(lat: FiniteLattice, members, lower: bool = False) -> tuple:
+    """(g, principal): g the least member of the set (with ``lower``, the
+    greatest), and whether the set is the principal filter [g) (the
+    principal ideal (g]).  A finite filter or ideal is principal, generated
+    by the meet (join) of its members, so this decides whether the set is
+    one; the empty set is neither."""
+    row = _member_row(lat.n, members)
+    g = int(_greatest(lat.leq if lower else lat.leq.T, row[:, None])[0][0])
+    return g, bool(((lat.leq[:, g] if lower else lat.leq[g]) == row).all())
 
 
 def _principal_primes(lat: FiniteLattice, elems) -> tuple:
@@ -674,12 +691,10 @@ def _principal_primes(lat: FiniteLattice, elems) -> tuple:
 def is_prime_filter(lat: FiniteLattice, members) -> bool:
     """Upward-closed, meet-closed (so contains top), excludes bot, join-prime.
 
-    A finite filter is [p) for p its least member, so the set is a prime
-    filter iff it has a least member p, equals [p) and misses exactly
-    (k(p)]."""
-    row = _member_row(lat.n, members)
-    least = _greatest(lat.leq.T, row[:, None])[0]
-    return bool((lat.leq[least] == row).all() and _principal_primes(lat, least)[1][0])
+    A finite filter is [g) for g its least member, so the set is a prime
+    filter iff it is [g) and misses exactly (k(g)]."""
+    g, principal = _generator(lat, members)
+    return principal and bool(_principal_primes(lat, [g])[1][0])
 
 
 def _primes(lat: FiniteLattice) -> tuple:

@@ -412,6 +412,21 @@ def larger_lattices(rng):
     return [build_lattice(relabeled(leq, rng)) for leq in orders]
 
 
+def boolean_256():
+    sets = np.arange(256)
+    return build_lattice((sets[:, None] & ~sets[None, :]) == 0)
+
+
+def probe_rows(lat, rng, k=8):
+    """Distinct sets to try a predicate of principal filters or ideals on:
+    every principal filter and ideal, their complements, the empty and the
+    full set, and ``k`` random sets."""
+    principal = np.vstack([lat.leq, lat.leq.T])
+    empty = np.zeros((1, lat.n), dtype=bool)
+    rows = np.vstack([principal, ~principal, empty, ~empty, rng.random((k, lat.n)) < 0.5])
+    return np.unique(rows, axis=0)
+
+
 def subsets(universe):
     xs = sorted(universe)
     for r in range(len(xs) + 1):
@@ -471,6 +486,14 @@ def six_catalog():
     from nablalg.gallery import enumerate_algebras
 
     return list(enumerate_algebras(6))
+
+
+@pytest.fixture(scope="session")
+def six_catalog_and_xn(six_catalog):
+    """The six-element catalog and ``gen_xn`` 1-6."""
+    from nablalg.gallery import gen_xn
+
+    return [*six_catalog, *(gen_xn(k) for k in range(1, 7))]
 
 
 @pytest.fixture(scope="session")

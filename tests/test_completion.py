@@ -33,11 +33,17 @@ from nablalg.lattice import (
     _slabs,
     _sorted_rows,
     _subset,
-    build_lattice,
 )
 from nablalg.serialize import algebra_to_json, dumps
 
-from conftest import assert_inclusion_lattice, chain, order_from_covers, subsets
+from conftest import (
+    assert_inclusion_lattice,
+    boolean_256,
+    chain,
+    order_from_covers,
+    probe_rows,
+    subsets,
+)
 
 
 # --- independent oracles: closures, ideals and lifted tables over frozensets ---
@@ -86,11 +92,6 @@ def oracle_dm_complete(alg):
         "box": [index[frozenset(x for x in range(lat.n) if nab[x] in b)] for b in ideals],
         "embedding": tuple(index[lat.downset_of(x)] for x in range(lat.n)),
     }
-
-
-def boolean_256():
-    sets = np.arange(256)
-    return build_lattice((sets[:, None] & ~sets[None, :]) == 0)
 
 
 # --- the generic routes the characterizations replaced, kept as oracles ------
@@ -369,12 +370,36 @@ def test_is_normal_ideal_reads_an_iterator_once():
 
 
 @pytest.mark.parametrize("fn", [upper_bounds, lower_bounds, lu_closure, is_normal_ideal])
-@pytest.mark.parametrize("member", [-1, 3])
+@pytest.mark.parametrize("member", [-1, 3, True, 1.7, "1", 2 ** 70])
 def test_members_outside_the_carrier_are_refused(fn, member):
     """-1 would wrap around to the top of the 3-chain: ``lu_closure`` read
-    [-2] as {0, 1}."""
+    [-2] as {0, 1}; True, 1.7 and '1' were read as 1, and 2**70
+    overflowed."""
     with pytest.raises(ShapeError, match="is not an element index"):
         fn(chain(3), [member])
+
+
+def test_normal_ideal_predicate_matches_the_closure_fixpoint(six_catalog_and_xn):
+    """``is_normal_ideal`` against the sets the closure fixes, on every
+    principal filter and ideal, their complements, the empty and full sets
+    and eight random sets of each algebra's lattice of the six-element
+    catalog and gen_xn 1-6."""
+    rng = np.random.default_rng(29)
+    for alg in six_catalog_and_xn:
+        rows = probe_rows(alg.lat, rng)
+        got = [is_normal_ideal(alg.lat, np.flatnonzero(row).tolist()) for row in rows]
+        assert got == (_closure_rows(alg.lat, rows) == rows).all(axis=1).tolist()
+
+
+def test_ideal_rows_are_closure_fixpoints(six_catalog_and_xn):
+    """The upper bounds that ``_ideal_rows`` reads off the order are the
+    upper-bound product of each principal ideal, and each ideal is the lower
+    bounds of its upper bounds, on the lattices of the six-element catalog,
+    gen_xn 1-6 and both 256-element lattices."""
+    for lat in [*(alg.lat for alg in six_catalog_and_xn), boolean_256(), chain(256)]:
+        rows, ub = _ideal_rows(lat)
+        assert (ub == _bound_rows(lat, rows, upper=True)).all()
+        assert (_bound_rows(lat, ub, upper=False) == rows).all()
 
 
 def test_normal_ideals_three_chain(h3):

@@ -14,8 +14,8 @@ from nablalg.algebra import (
 from nablalg.congruence import (
     Congruence,
     _congruence_closure,
-    _modal_filter_rows,
     _orbits,
+    _same_block,
     _power_criteria,
     all_congruences_oracle,
     all_modal_filters,
@@ -32,6 +32,7 @@ from nablalg.congruence import (
 )
 from nablalg.errors import (
     InvalidMorphism,
+    NablalgError,
     NotEmbedding,
     NotNormal,
     ShapeError,
@@ -40,7 +41,9 @@ from nablalg.errors import (
 )
 from nablalg.gallery import enumerate_algebras, gen_heyting, gen_trivial, gen_xn
 
-from conftest import chain, subsets
+from nablalg.lattice import _compose
+
+from conftest import boolean_256, chain, probe_rows, subsets
 
 
 # --- independent oracles -----------------------------------------------------
@@ -64,6 +67,34 @@ def oracle_closure(alg, seed):
     for m in meets:
         out |= {y for y in range(alg.n) if alg.lat.leq[m, y]}
     return frozenset(out)
+
+
+def modal_filter_rows(alg, rows):
+    """For each row of a k x n membership matrix, whether its set contains
+    top and is upward closed and closed under nabla, box and meet: the
+    batched predicate that ``is_modal_filter`` replaced, kept as its oracle.
+
+    A nonempty upward-closed set is meet-closed iff it has exactly one
+    minimal member: two minimal members would have their meet outside, and
+    with one, m, the set is [m).  In an upward-closed set the minimal members
+    are those with no lower cover inside it.
+    """
+    lat = alg.lat
+    covers = np.zeros((alg.n, alg.n), dtype=bool)
+    covers[lat.covers] = True
+    minimal = rows & ~_compose(rows, covers)
+    return (rows[:, lat.top] & ~(_compose(rows, lat.leq) & ~rows).any(axis=1)
+            & (rows[:, alg.nabla] >= rows).all(axis=1) & (rows[:, alg.box] >= rows).all(axis=1)
+            & (minimal.sum(axis=1) == 1))
+
+
+def biimplication(alg, f):
+    """alpha(f) by its definition: [x, y] when arrow(x, y) & arrow(y, x)
+    lies in the filter, the relation that ``congruence_from_filter``
+    gathered before it read the kernel of x -> x & g."""
+    memb = np.zeros(alg.n, dtype=bool)
+    memb[sorted(f.members)] = True
+    return memb[alg.lat.meet[alg.arrow, alg.arrow.T]]
 
 
 def oracle_modal_filters(alg):
@@ -167,6 +198,11 @@ def normal_distributive_algebras():
     return algs + [gen_xn(k) for k in range(1, 5)] + [gen_heyting(chain(k)) for k in (2, 7, 30)]
 
 
+def heyting_256():
+    """The Heyting Boolean 2^8 and 256-chain."""
+    return [gen_heyting(boolean_256()), gen_heyting(chain(256))]
+
+
 # --- closure -----------------------------------------------------------------
 
 
@@ -188,9 +224,10 @@ def test_closure_empty_seed_gives_top_only(x1, h3, b4):
 
 
 @pytest.mark.parametrize("fn", [is_modal_filter, modal_filter_closure])
-@pytest.mark.parametrize("member", [-1, 3])
+@pytest.mark.parametrize("member", [-1, 3, True, 1.7, "1", 2 ** 70])
 def test_members_outside_the_carrier_are_refused(h3, fn, member):
-    """-1 would wrap around to the top of the 3-chain."""
+    """-1 would wrap around to the top of the 3-chain; True, 1.7 and '1'
+    were read as 1, and 2**70 overflowed."""
     with pytest.raises(ShapeError, match="is not an element index"):
         fn(h3, [member])
 
@@ -254,8 +291,63 @@ def test_modal_filter_rows_match_definition(full_catalog):
                 and all(alg.nabla[x] in s and alg.box[x] in s for x in s)
                 and all(lat.meet[x, y] in s for x in s for y in s)
                 for s in sets]
-        assert _modal_filter_rows(alg, rows).tolist() == want
+        assert modal_filter_rows(alg, rows).tolist() == want
         assert [is_modal_filter(alg, s) for s in sets] == want
+
+
+def test_modal_filter_predicate_matches_the_batched_definition(six_catalog_and_xn):
+    """``is_modal_filter`` against the batched definition on every principal
+    filter and ideal, their complements, the empty and full sets and eight
+    random sets of each algebra of the six-element catalog and gen_xn 1-6."""
+    rng = np.random.default_rng(29)
+    count = 0
+    for alg in six_catalog_and_xn:
+        rows = probe_rows(alg.lat, rng)
+        got = [is_modal_filter(alg, np.flatnonzero(row).tolist()) for row in rows]
+        assert got == modal_filter_rows(alg, rows).tolist()
+        count += len(rows)
+    assert count > 40000
+
+
+def test_principal_modal_filters_are_the_fixpoint_filters(six_catalog_and_xn):
+    """[a) is a modal filter iff nabla(a) = a, by the batched definition on
+    the rows of the order."""
+    for alg in [*six_catalog_and_xn, *heyting_256()]:
+        fixed = alg.nabla == np.arange(alg.n)
+        assert (modal_filter_rows(alg, alg.lat.leq) == fixed).all()
+
+
+def test_alpha_is_the_biimplication_relation(six_catalog_and_xn):
+    """On every modal filter of every normal distributive algebra of the
+    six-element catalog and gen_xn 1-6, and of the Heyting Boolean 2^8 and
+    256-chain, the biimplication relation is an equivalence and its blocks
+    are those of ``congruence_from_filter``: a relation equals the kernel
+    of a map only if it is an equivalence."""
+    count = 0
+    for alg in [*six_catalog_and_xn, *heyting_256()]:
+        if not classify(alg).has("N", "D"):
+            continue
+        for f in all_modal_filters(alg):
+            assert (biimplication(alg, f) == _same_block(congruence_from_filter(alg, f).blocks)).all()
+            count += 1
+    assert count == 973 + 2 * 256
+
+
+@pytest.mark.parametrize("members", [{-1}, {2, 4}, {4, 9}])
+def test_alpha_refuses_a_set_that_is_no_modal_filter(members):
+    """{-1}, read as the top, and {2, 4}, which is no upset, were given the
+    identity congruence, and 9 raised IndexError."""
+    alg = gen_xn(2)
+    with pytest.raises(NablalgError):
+        congruence_from_filter(alg, congruence.ModalFilter(alg, frozenset(members)))
+
+
+@pytest.mark.parametrize("blocks", [(0, 0, 0), (0, 1, 1, 1, 1)])
+def test_beta_refuses_blocks_that_are_no_congruence(blocks):
+    alg = gen_xn(2)
+    assert not (len(blocks) == alg.n and is_congruence(alg, blocks))
+    with pytest.raises(NablalgError):
+        filter_from_congruence(alg, Congruence(alg, blocks))
 
 
 def test_modal_filters_match_subset_oracle(small_catalog):

@@ -724,9 +724,10 @@ def test_one_element_lattice_has_no_prime_filter():
     assert prime_filters(chain(1)) == []
 
 
-@pytest.mark.parametrize("member", [-1, 3])
+@pytest.mark.parametrize("member", [-1, 3, True, 1.7, "1", 2 ** 70])
 def test_prime_filter_members_outside_the_carrier_are_refused(member):
-    """-1 would wrap around to the top of the 3-chain and pass as [2)."""
+    """-1 would wrap around to the top of the 3-chain and pass as [2); True,
+    1.7 and '1' were read as 1, and 2**70 overflowed."""
     with pytest.raises(ShapeError, match="is not an element index"):
         is_prime_filter(chain(3), [member])
 

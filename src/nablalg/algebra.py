@@ -35,8 +35,12 @@ order.  A law over triples is a function of a slice of its first variable,
 which ``_violations`` evaluates a slab at a time up to its first failure, so
 no report holds an n^3 table: the equational and implication laws, the
 internalizing flags, the compatibility inequalities of ``congruence`` and the
-scan that names an ``AdjunctionFailure``.  Index tables from callers are
-checked for shape and range by ``_indices``.
+scan that names an ``AdjunctionFailure``.  The masks are the one statement
+of each checker's laws, and its docstring lists their formulas.  Index
+tables and maps from callers are read by ``lattice._indices``, which checks
+shape and range and refuses entries that numpy does not read as integers.
+The seven flags are listed once, in ``FLAG_NAMES``; a frame carries the
+last five and a completion keeps the last six.
 """
 
 from __future__ import annotations
@@ -45,18 +49,14 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import (
-    AdjunctionFailure,
-    NotDistributive,
-    ShapeError,
-    ensure,
-)
+from .errors import AdjunctionFailure, NotDistributive, ensure
 from .lattice import (
     FiniteLattice,
     _adjunction,
     _at,
     _detachment,
     _greatest,
+    _indices,
     _kept,
     _monotone,
     _order_iso,
@@ -85,17 +85,6 @@ class LawReport:
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
         out.update(ok=self.ok, violations=[v.to_json() for v in self.violations])
         return out
-
-
-def _indices(values, shape: tuple, bound: int, what: str) -> np.ndarray:
-    """``values`` as an int64 array of ``shape`` with entries in 0..bound-1."""
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.shape != shape:
-        want = f"length {shape[0]}" if len(shape) == 1 else f"shape {shape}"
-        raise ShapeError(f"{what} must have {want}")
-    if arr.size and (arr.min() < 0 or arr.max() >= bound):
-        raise ShapeError(f"{what} entries out of range")
-    return arr
 
 
 def _preserves(f: np.ndarray, src_op: np.ndarray, tgt_op: np.ndarray) -> np.ndarray:
@@ -214,16 +203,13 @@ def derive_arrow(lat: FiniteLattice, nabla):
     return arrow if _decided(lat, nab, arrow) else None
 
 
-EQUATIONAL_LAWS = {
-    "meet-arrow-top": "arrow(a & b, a) = top",
-    "nabla-meet": "nabla(a & b) <= nabla(a) & nabla(b)",
-    "detachment": "a & nabla(arrow(a, b)) <= b",
-    "shift": "c & arrow(nabla(c) & a, b) <= arrow(a, b)",
-}
-
-
 def check_equational_axioms(lat: FiniteLattice, nabla, arrow) -> LawReport:
-    """Evaluate the four equational laws over all tuples.
+    """Evaluate the four equational laws over all tuples, each a named mask:
+
+        meet-arrow-top   arrow(a & b, a) = top
+        nabla-meet       nabla(a & b) <= nabla(a) & nabla(b)
+        detachment       a & nabla(arrow(a, b)) <= b
+        shift            c & arrow(nabla(c) & a, b) <= arrow(a, b)
 
     The laws axiomatize exactly the algebras accepted by ``build_algebra``;
     the harness checks that equivalence with zero discrepancies.
@@ -326,8 +312,7 @@ def _build_profile(alg: NablaAlgebra) -> PropertyProfile:
         ("Fa", nab[box] == idx),
         ("Fu", box[nab] == idx),
     ]))
-    n_flag, r_flag, l_flag, fa_flag, fu_flag = (
-        name not in witnesses for name in ("N", "R", "L", "Fa", "Fu"))
+    n_flag, r_flag, l_flag, fa_flag, fu_flag = (name not in witnesses for name in FLAG_NAMES[2:])
 
     # [a, b]: a & arrow(a, b) <= b
     r_alt1 = bool(_at(leq, _at(meet, idx[:, None], arr), idx).all())
@@ -379,14 +364,6 @@ class StrongAlgebraCandidate:
     arrow: np.ndarray
 
 
-IMPLICATION_LAWS = {
-    "antitone-first": "a' <= a implies arrow(a, b) <= arrow(a', b)",
-    "monotone-second": "b <= b' implies arrow(a, b) <= arrow(a, b')",
-    "reflexivity": "arrow(a, a) = top",
-    "transitivity": "arrow(a, b) & arrow(b, c) <= arrow(a, c)",
-}
-
-
 @dataclass(frozen=True)
 class ImplicationReport(LawReport):
     meet_internalizing: bool
@@ -395,8 +372,17 @@ class ImplicationReport(LawReport):
 
 
 def check_implication_axioms(cand: StrongAlgebraCandidate) -> ImplicationReport:
-    """Order behavior, internal reflexivity and transitivity, plus the two
-    internalization flags (meet in the second argument, join in the first)."""
+    """Order behavior, internal reflexivity and transitivity, each a named
+    mask, plus the two internalization flags (meet in the second argument,
+    join in the first):
+
+        antitone-first    a' <= a implies arrow(a, b) <= arrow(a', b)
+        monotone-second   b <= b' implies arrow(a, b) <= arrow(a, b')
+        reflexivity       arrow(a, a) = top
+        transitivity      arrow(a, b) & arrow(b, c) <= arrow(a, c)
+        meet              arrow(a, b & c) = arrow(a, b) & arrow(a, c)
+        join              arrow(a | b, c) = arrow(a, c) & arrow(b, c)
+    """
     lat, n = cand.lat, cand.lat.n
     arr = _indices(cand.arrow, (n, n), n, "arrow table")
     leq, meet, join = lat.leq, lat.meet, lat.join

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    FLAG_NAMES,
     AlgebraMorphism,
     NablaAlgebra,
     _assemble,
@@ -178,7 +179,7 @@ def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
     ensure((lat.leq == ideal_lat.leq.take(emb_arr, axis=0).take(emb_arr, axis=1)).all(),
            "canonical embedding must reflect order")
     lifted = classify(completed)
-    for flag in ("H", "N", "R", "L", "Fa", "Fu"):
+    for flag in FLAG_NAMES[1:]:
         if getattr(profile, flag):
             ensure(getattr(lifted, flag), f"completion must keep flag {flag}")
     ensure(k == n, "finite completion must be a bijection")

@@ -16,7 +16,11 @@ the least member f that ``lattice._generator`` reads off the set.  Since
 nabla(f) = f, f <= arrow(x, y) iff f & x <= y, so alpha([f)) relates x and
 y iff x & f = y & f: it is the kernel of x -> x & f, one column of the meet
 table.  alpha refuses a set that is not a modal filter of the algebra, and
-beta a block vector that is not a congruence of it.  The one table g[x],
+beta a block vector that is not a congruence of it; every block vector from
+a caller is read by the lattice module's ``_indices``, which refuses
+entries that numpy does not read as integers.  The bijection, both verdicts
+and the inequality suite need a normal distributive algebra, one check
+(normality first); the closures need only normality.  The one table g[x],
 the greatest fixpoint of nabla below x, gives every modal filter: the
 closure of a seed is [g[meet of the seed]), the algebra is simple iff
 g[x] = bot for every x != top, and subdirectly irreducible iff the join of
@@ -59,8 +63,8 @@ from .errors import (
     Trivial,
     ensure,
 )
-from .lattice import (_at, _compose, _freeze, _generator, _greatest, _kept, _member_row,
-                      _violations)
+from .lattice import (_at, _compose, _freeze, _generator, _greatest, _indices, _kept,
+                      _member_row, _violations)
 
 ORACLE_BOUND = 10
 
@@ -90,10 +94,16 @@ class Congruence:
     def refines(self, other: "Congruence") -> bool:
         """Inclusion of relations: every pair of self is a pair of other."""
         _require_own(self.algebra, other)
-        return bool((_same_block(self.blocks) <= _same_block(other.blocks)).all())
+        mine, theirs = (_same_block(_blocks(self.algebra, t.blocks)) for t in (self, other))
+        return bool((mine <= theirs).all())
 
     def to_json(self) -> list:
         return [int(b) for b in self.blocks]
+
+
+def _blocks(alg: NablaAlgebra, blocks) -> np.ndarray:
+    """A block vector of ``alg`` read by ``lattice._indices``: n integers."""
+    return _indices(blocks, (alg.n,), None, "block vector")
 
 
 def _same_block(blocks) -> np.ndarray:
@@ -118,7 +128,10 @@ def _require_normal(alg: NablaAlgebra) -> None:
         raise NotNormal("operation needs a normal algebra (nabla preserving finite meets)")
 
 
-def _require_distributive(alg: NablaAlgebra) -> None:
+def _require_normal_distributive(alg: NablaAlgebra) -> None:
+    """The precondition of the bijection, the verdicts and the inequalities;
+    normality is checked first."""
+    _require_normal(alg)
     if not classify(alg).D:
         raise NotDistributive("operation needs a distributive algebra")
 
@@ -174,9 +187,7 @@ def _translations(alg: NablaAlgebra) -> np.ndarray:
 def is_congruence(alg: NablaAlgebra, blocks) -> bool:
     """Every map of ``_translations`` sends each element into the block of
     the image of the least element of its block."""
-    b = np.asarray(blocks, dtype=np.int64)
-    if b.shape != (alg.n,):
-        raise ShapeError(f"a block vector needs length {alg.n}")
+    b = _blocks(alg, blocks)
     images = b[_kept(alg, _translations)]
     return bool((images == images.take(_same_block(b).argmax(axis=1), axis=1)).all())
 
@@ -187,8 +198,7 @@ def congruence_from_filter(alg: NablaAlgebra, f: ModalFilter) -> Congruence:
     nabla(g) & x <= y, so both arrows lie in it iff x & g = y & g:
     alpha([g)) is the kernel of x -> x & g."""
     _require_own(alg, f)
-    _require_normal(alg)
-    _require_distributive(alg)
+    _require_normal_distributive(alg)
     g, principal = _generator(alg.lat, f.members)
     if not (principal and alg.nabla[g] == g):
         raise ShapeError("members must form a modal filter of the algebra")
@@ -200,11 +210,11 @@ def congruence_from_filter(alg: NablaAlgebra, f: ModalFilter) -> Congruence:
 def filter_from_congruence(alg: NablaAlgebra, theta: Congruence) -> ModalFilter:
     """beta: the block of the top element."""
     _require_own(alg, theta)
-    _require_normal(alg)
-    _require_distributive(alg)
-    if not is_congruence(alg, theta.blocks):
+    _require_normal_distributive(alg)
+    b = _blocks(alg, theta.blocks)
+    if not is_congruence(alg, b):
         raise ShapeError("blocks must form a congruence of the algebra")
-    members = frozenset(np.flatnonzero(_same_block(theta.blocks)[alg.lat.top]).tolist())
+    members = frozenset(np.flatnonzero(b == b[alg.lat.top]).tolist())
     ensure(is_modal_filter(alg, members), "beta must produce a modal filter")
     return ModalFilter(alg, members)
 
@@ -325,8 +335,7 @@ def is_subdirectly_irreducible(alg: NablaAlgebra) -> Verdict:
     (resp. right) algebras the verdict is cross-checked against the
     nabla-power (resp. box-power) criterion.
     """
-    _require_normal(alg)
-    _require_distributive(alg)
+    _require_normal_distributive(alg)
     if alg.n == 1:
         raise Trivial("verdict undefined on the one-element algebra")
     lat = alg.lat
@@ -352,8 +361,7 @@ def is_simple(alg: NablaAlgebra) -> Verdict:
     simple algebras) whenever the oracle bound allows, and against the
     power criteria on left / right algebras.
     """
-    _require_normal(alg)
-    _require_distributive(alg)
+    _require_normal_distributive(alg)
     top, bot = alg.lat.top, alg.lat.bot
     others = np.arange(alg.n) != top
     failing = np.flatnonzero(others & (_kept(alg, _greatest_fixpoints) != bot))
@@ -367,21 +375,20 @@ def is_simple(alg: NablaAlgebra) -> Verdict:
     return Verdict(flag, witness)
 
 
-INTERNAL_LAWS = {
-    "meet-translation": "arrow(x, y) <= arrow(x & z, y & z)",
-    "join-translation": "arrow(x, y) <= arrow(x | z, y | z)",
-    "nabla-distribution": "nabla(arrow(x, y)) <= arrow(nabla(x), nabla(y))",
-    "second-arg-composition": "box(arrow(x, y)) <= arrow(arrow(z, x), arrow(z, y))",
-    "first-arg-composition": "box(arrow(x, y)) <= arrow(arrow(y, z), arrow(x, z))",
-    "heyting-second-arg": "arrow(x, y) <= arrow(heyting(z, x), heyting(z, y))",
-    "heyting-first-arg": "arrow(x, y) <= arrow(heyting(y, z), heyting(x, z))",
-}
-
-
 def check_internal_cong_inequalities(alg: NablaAlgebra):
-    """The compatibility inequalities behind the filter/congruence bijection."""
-    _require_normal(alg)
-    _require_distributive(alg)
+    """The compatibility inequalities behind the filter/congruence bijection,
+    each a named mask; the two Heyting laws only where the Heyting table
+    exists:
+
+        meet-translation        arrow(x, y) <= arrow(x & z, y & z)
+        join-translation        arrow(x, y) <= arrow(x | z, y | z)
+        nabla-distribution      nabla(arrow(x, y)) <= arrow(nabla(x), nabla(y))
+        second-arg-composition  box(arrow(x, y)) <= arrow(arrow(z, x), arrow(z, y))
+        first-arg-composition   box(arrow(x, y)) <= arrow(arrow(y, z), arrow(x, z))
+        heyting-second-arg      arrow(x, y) <= arrow(heyting(z, x), heyting(z, y))
+        heyting-first-arg       arrow(x, y) <= arrow(heyting(y, z), heyting(x, z))
+    """
+    _require_normal_distributive(alg)
     lat, arr, nab, box = alg.lat, alg.arrow, alg.nabla, alg.box
     leq, meet, join, hey = lat.leq, lat.meet, lat.join, alg.heyting
 
@@ -444,8 +451,7 @@ def check_congruence_extension(sub: NablaAlgebra, big: NablaAlgebra,
     if sub.n > ORACLE_BOUND or big.n > ORACLE_BOUND:
         raise TooLarge(f"extension check bounded at {ORACLE_BOUND} elements")
     for alg in (sub, big):
-        _require_normal(alg)
-        _require_distributive(alg)
+        _require_normal_distributive(alg)
     fmap = inclusion.map
     cases = []
     for theta in all_congruences_oracle(sub):

@@ -65,13 +65,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    FLAG_NAMES,
     AlgebraMorphism,
     LawReport,
     Morphism,
     NablaAlgebra,
     _FlagProfile,
     _assemble,
-    _indices,
     check_morphism,
     classify,
     derive_arrow,
@@ -92,6 +92,7 @@ from .errors import (
 from .lattice import (
     _compose,
     _greatest,
+    _indices,
     _kept,
     _locate,
     _prime_rows,
@@ -101,7 +102,7 @@ from .lattice import (
     validate_partial_order,
 )
 
-FRAME_FLAGS = ("N", "R", "L", "Fa", "Fu")
+FRAME_FLAGS = FLAG_NAMES[2:]
 
 
 class KripkeFrame:

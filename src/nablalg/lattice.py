@@ -108,6 +108,9 @@ is [g) for its least member g, and any ideal (g] for its greatest, so one
 helper, ``_generator``, reads a set's g and whether the set is [g) (or (g]),
 O(n^2): ``is_prime_filter`` then checks k(g), ``congruence.is_modal_filter``
 nabla(g) = g, and ``completion.is_normal_ideal`` takes the principal ideals.
+Input is read without a cast: a member set by ``_member_row``, and every
+index table, map and block vector by ``_indices``; an entry that is not an
+integer raises ``ShapeError``.
 
 The meet and join tables come from the coordinates at every size, and the
 residual from box o Heyting or the join over J at every size; up to
@@ -665,6 +668,24 @@ def _member_row(n: int, members) -> np.ndarray:
     row = np.zeros(n, dtype=bool)
     row[idx] = True
     return row
+
+
+def _indices(values, shape: tuple, bound: int | None, what: str) -> np.ndarray:
+    """``values`` as an int64 array of ``shape`` with entries in 0..bound-1,
+    or any integers when ``bound`` is None: every index table, map and block
+    vector from a caller is read here.  An array that numpy does not read as
+    integers (bool, float, str, or object such as 2**70) raises
+    ``ShapeError``, where a cast would read True as 1 and 1.7 as 1."""
+    arr = np.asarray(values)
+    if arr.shape != shape:
+        want = f"length {shape[0]}" if len(shape) == 1 else f"shape {shape}"
+        raise ShapeError(f"{what} must have {want}")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ShapeError(f"{what} entries must be integers, not {arr.dtype.name}")
+    arr = arr.astype(np.int64, copy=False)
+    if bound is not None and arr.size and (arr.min() < 0 or arr.max() >= bound):
+        raise ShapeError(f"{what} entries out of range")
+    return arr
 
 
 def _generator(lat: FiniteLattice, members, lower: bool = False) -> tuple:

@@ -188,6 +188,28 @@ def test_shape_errors():
         build_algebra(lat, np.array([0, 5]), np.zeros((2, 2), dtype=int))
 
 
+@pytest.mark.parametrize("call", [
+    lambda h3: derive_arrow(h3.lat, [0, 1.5, 2.2]),
+    lambda h3: derive_arrow(h3.lat, ["0", "1", "2"]),
+    lambda h3: build_algebra(h3.lat, np.array([False, True, True]), h3.arrow),
+    lambda h3: build_algebra(h3.lat, [0, 2 ** 70, 2], h3.arrow),
+    lambda h3: build_algebra(h3.lat, h3.nabla, [[2, 2, 2], [0, 2, 2], [0, 1, 2 ** 70]]),
+    lambda h3: build_algebra(h3.lat, h3.nabla, h3.arrow.astype(float)),
+    lambda h3: check_equational_axioms(h3.lat, h3.nabla, h3.arrow + 0.25),
+    lambda h3: check_implication_axioms(StrongAlgebraCandidate(h3.lat, h3.arrow.astype(str))),
+    lambda h3: nabla_from_strong(StrongAlgebraCandidate(h3.lat, h3.arrow == 2)),
+    lambda h3: check_morphism(AlgebraMorphism(h3, h3, (0, 1.2, 2))),
+], ids=["derive-float", "derive-str", "build-bool-nabla", "build-2**70-nabla",
+        "build-2**70-arrow", "build-float-arrow", "equational-float", "implication-str",
+        "strong-bool", "morphism-float"])
+def test_index_tables_that_are_not_integers_are_refused(h3, call):
+    """A cast to int64 read 1.5 and 2.2 as 1 and 2, so derive_arrow returned
+    the identity's arrow and check_morphism accepted the map (0, 1.2, 2);
+    True read as 1, and 2**70 overflowed."""
+    with pytest.raises(ShapeError, match="must be integers"):
+        call(h3)
+
+
 def test_x1_fixture_tables():
     alg = make_x1()
     assert alg.box.tolist() == [1, 1, 2]

@@ -764,6 +764,22 @@ def test_is_congruence_rejects_a_block_vector_of_another_length(chains234, block
         is_congruence(chains234[1], blocks)
 
 
+@pytest.mark.parametrize("read", [
+    is_congruence,
+    lambda alg, blocks: filter_from_congruence(alg, Congruence(alg, blocks)),
+    lambda alg, blocks: Congruence(alg, blocks).refines(Congruence(alg, (0, 0, 0))),
+    lambda alg, blocks: Congruence(alg, (0, 1, 2)).refines(Congruence(alg, blocks)),
+], ids=["is_congruence", "beta", "refines-self", "refines-other"])
+@pytest.mark.parametrize("blocks", [(0, 1.9, 1.2), (False, True, True), ("0", "1", "1"),
+                                    (0, 2 ** 70, 2 ** 70)])
+def test_block_vectors_that_are_not_integers_are_refused(h3, read, blocks):
+    """is_congruence cast (0, 1.9, 1.2) to (0, 1, 1) while beta read the
+    top's block off the raw floats and returned {2}; every reader of a block
+    vector now refuses it."""
+    with pytest.raises(ShapeError, match="must be integers"):
+        read(h3, blocks)
+
+
 def test_refines_rejects_a_congruence_of_another_algebra(chains234):
     _, h3, h4 = chains234
     theta = all_congruences_oracle(h3)[0]

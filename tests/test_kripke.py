@@ -21,6 +21,7 @@ from nablalg.errors import (
     NotCompatible,
     NotKripkeMorphism,
     NotSurjective,
+    ShapeError,
 )
 import nablalg.algebra as algebra
 import nablalg.kripke as kripke
@@ -293,6 +294,13 @@ def test_broken_frame_morphism_reports_clause():
     assert not rep.ok
     assert {v.law for v in rep.violations} & {
         "preserves-relation", "lift-successors", "lift-predecessors"}
+
+
+@pytest.mark.parametrize("fmap", [(0, 0.5), (False, True), ("0", "1"), (0, 2 ** 70)])
+def test_frame_map_that_is_not_integers_is_refused(fmap):
+    """A cast to int64 read (0, 0.5) as the map (0, 0) and True as 1."""
+    with pytest.raises(ShapeError, match="must be integers"):
+        check_frame_morphism(FrameMorphism(two_chain_frame(), two_chain_frame(), fmap))
 
 
 def _mask_test_frames(full_catalog):

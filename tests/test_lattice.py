@@ -27,6 +27,7 @@ from nablalg.lattice import (
     _compose,
     _family_lattice,
     _greatest,
+    _indices,
     _join_primes,
     _kappa,
     _order_iso,
@@ -730,6 +731,27 @@ def test_prime_filter_members_outside_the_carrier_are_refused(member):
     1.7 and '1' were read as 1, and 2**70 overflowed."""
     with pytest.raises(ShapeError, match="is not an element index"):
         is_prime_filter(chain(3), [member])
+
+
+@pytest.mark.parametrize("values", [[0, 1.5, 2], [False, True, True], ["0", "1", "2"],
+                                    [0, 2 ** 70, 2], np.array([0, 1, 2], dtype=object)])
+def test_indices_refuse_entries_that_are_not_integers(values):
+    """Each would be cast to 0..2 by ``np.asarray(values, dtype=np.int64)``
+    (2**70 overflowed), with or without a bound."""
+    for bound in (3, None):
+        with pytest.raises(ShapeError, match="entries must be integers"):
+            _indices(values, (3,), bound, "map")
+
+
+def test_indices_check_shape_always_and_range_against_a_bound():
+    assert _indices(np.array([2, 0], dtype=np.uint8), (2,), 3, "map").dtype == np.int64
+    assert _indices([-5, 2 ** 40], (2,), None, "block vector").tolist() == [-5, 2 ** 40]
+    with pytest.raises(ShapeError, match="entries out of range"):
+        _indices([-1, 0], (2,), 3, "map")
+    with pytest.raises(ShapeError, match="must have length 2"):
+        _indices([0, 1, 2], (2,), None, "block vector")
+    with pytest.raises(ShapeError, match=r"must have shape \(2, 2\)"):
+        _indices([0, 1], (2, 2), 2, "arrow table")
 
 
 # --- upset lattices ----------------------------------------------------------

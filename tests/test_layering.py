@@ -15,7 +15,8 @@ decided in two: ``algebra._decided`` and the Heyting table's build.  Frames
 are constructed in three: ``kripke.build_frame``, for tables from outside,
 and the prime frame and the pullback, frames by construction; ``build_frame``
 and ``build_algebra`` run only on the tables of a document.  No module uses
-``numpy.random``, so every lookup and result is deterministic.
+``numpy.random``, so every lookup and result is deterministic, and every
+public constant a module defines is read somewhere in the library.
 """
 
 import ast
@@ -457,6 +458,49 @@ def test_structures_keep_results_in_one_slot():
         assert private == ["_kept"], f"{cls.__name__} has private slots {private}"
     private = [f.name for f in fields(Morphism) if f.name.startswith("_")]
     assert private == ["_kept"], f"Morphism has private fields {private}"
+
+
+def constants(source: str) -> tuple:
+    """(defined, read): the public UPPER_CASE names bound at module level,
+    and every name read, as a name or as an attribute."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        defined += [t.id for t in targets if isinstance(t, ast.Name)
+                    and t.id.isupper() and not t.id.startswith("_")]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return defined, read
+
+
+def test_constants_are_found():
+    source = "\n".join([
+        "from .lattice import SIZE_MAX",
+        "BOUND = 3",
+        "LAWS: dict = {}",
+        "_PRIVATE = 1",
+        "lower = 2",
+        "class K:",
+        "    FLAGS = ()",
+        "def f(n):",
+        "    TABLE = {}",
+        "    return n < BOUND and lattice.CUBE_MAX",
+    ])
+    defined, read = constants(source)
+    assert defined == ["BOUND", "LAWS"]
+    assert {"BOUND", "CUBE_MAX"} <= read and not {"SIZE_MAX", "LAWS", "TABLE"} & read
+
+
+def test_every_constant_is_read():
+    """A public constant of the library is read somewhere in it: a table
+    that nothing reads restates what the code already says."""
+    src = Path(nablalg.__file__).parent
+    found = [constants(path.read_text()) for path in sorted(src.glob("*.py"))]
+    read = set().union(*(names for _, names in found))
+    assert not [name for defined, _ in found for name in defined if name not in read]
 
 
 def random_sites(source: str) -> list:

@@ -17,10 +17,10 @@ identity's pair is residuated iff its arrow is the Heyting table, which the
 lattice module decided when it built that table; every other pair
 ``lattice._residuated`` decides.  Tables from outside (a document or a
 caller) go through ``build_algebra``; a construction whose pair is already
-decided (``derive_arrow``'s residual of a nabla, as the arrows of the upset
-algebra and of the completion are, or the identity with the Heyting table)
-hands it to ``_assemble``, the one constructor of a ``NablaAlgebra``, which
-re-derives only the laws the adjunction forces.  ``gen_trivial``'s pair,
+decided (``derive_arrow``'s residual of a nabla, as the upset algebra's
+arrow is, the completion's relabelling of a decided pair, or the identity
+with the Heyting table) hands it to ``_assemble``, the one constructor of a
+``NablaAlgebra``, which re-derives only the laws the adjunction forces.  ``gen_trivial``'s pair,
 nabla = bottom and arrow = top, needs no decision.  Frames follow the same
 rule: ``kripke.build_frame`` validates tables from outside, and the prime
 frame and the pullback, frames by construction, go to the ``KripkeFrame``
@@ -141,8 +141,8 @@ def build_algebra(lat: FiniteLattice, nabla, arrow) -> NablaAlgebra:
     the lexicographically first bad (a, b, c); a scan that finds none is a
     cross-check failure of whichever route decided.  The same helper decides
     ``derive_arrow``'s candidate, so a library construction that has it
-    decided, the upset algebra and the completion among them, calls
-    ``_assemble`` directly.
+    decided, the upset algebra among them, calls ``_assemble`` directly, as
+    the completion does with its relabelling of a decided pair.
     """
     nab, arr = _check_tables(lat, nabla, arrow)
     if not _decided(lat, nab, arr):

@@ -377,8 +377,8 @@ def is_simple(alg: NablaAlgebra) -> Verdict:
 
 def check_internal_cong_inequalities(alg: NablaAlgebra):
     """The compatibility inequalities behind the filter/congruence bijection,
-    each a named mask; the two Heyting laws only where the Heyting table
-    exists:
+    each a named mask; the algebra is distributive, so its Heyting table
+    exists and the two Heyting laws are always checked:
 
         meet-translation        arrow(x, y) <= arrow(x & z, y & z)
         join-translation        arrow(x, y) <= arrow(x | z, y | z)
@@ -407,12 +407,9 @@ def check_internal_cong_inequalities(alg: NablaAlgebra):
         # arrow(arrow(z, x), arrow(z, y)) and arrow(arrow(y, z), arrow(x, z))
         ("second-arg-composition", below(box[arr], arr.T)),
         ("first-arg-composition", below(box[arr], arr, flip=True)),
+        ("heyting-second-arg", below(arr, hey.T)),
+        ("heyting-first-arg", below(arr, hey, flip=True)),
     ]
-    if classify(alg).H:
-        laws += [
-            ("heyting-second-arg", below(arr, hey.T)),
-            ("heyting-first-arg", below(arr, hey, flip=True)),
-        ]
     return LawReport(_violations(laws, alg.n))
 
 

@@ -85,7 +85,7 @@ The first argument holds for any rows that embed the order
 (``_intersection_table``).  A family of sets closed under intersection is its
 own meet coordinates, and co-rows that reverse inclusion and are closed under
 intersection give its joins (``_family_lattice``): the complements of a family
-closed under union, or the upper bounds of the normal ideals.
+closed under union.
 
 On a distributive lattice both residuals cost O(n^2), with no |J| factor
 (ibid. ch. 5 and 7).  Past ``CUBE_MAX`` the Heyting table follows from the
@@ -117,8 +117,8 @@ residual from box o Heyting or the join over J at every size; up to
 ``CUBE_MAX`` elements the cube ``_greatest`` gives the Heyting table, and the
 adjunction's two sides are compared on all triples, which costs less there.
 Every lookup of packed rows (here, and the ``_locate`` calls of the duality
-and the completion) is one function, ``_lookup``: from ``HASH_MIN`` queries
-on, each row costs O(1) in a collision-free hash table of the keys.
+and the gallery) is one function, ``_lookup``: from ``HASH_MIN`` queries on,
+each row costs O(1) in a collision-free hash table of the keys.
 
 ``all_lattices`` grows lattices one atom at a time (class counts: OEIS
 A006966; Heitzig & Reinhold, *Counting finite lattices*, 2002).  Removing an
@@ -132,6 +132,7 @@ joins x != bottom in the least member of U above x.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -496,6 +497,31 @@ class FiniteLattice:
         return f"FiniteLattice(n={self.n})"
 
 
+def _renamed(table: np.ndarray, order: np.ndarray, rename: np.ndarray) -> np.ndarray:
+    """A square table with element order[i] renamed i: one row take and one
+    column take, and the entries renamed by ``rename``, the inverse of
+    ``order``."""
+    return rename[table.take(order, axis=0).take(order, axis=1)]
+
+
+def _relabel(lat: FiniteLattice, order: np.ndarray) -> tuple:
+    """(the lattice with element order[i] renamed i, the renaming).  The
+    covers are renamed and listed row-major, as ``_partial_order`` lists
+    them; a Heyting table kept on ``lat`` is renamed and kept on the result,
+    since an isomorphism carries the relative pseudocomplements over."""
+    rename = np.empty_like(order)
+    rename[order] = np.arange(lat.n)
+    lo, hi = rename[lat.covers[0]], rename[lat.covers[1]]
+    first = np.lexsort((hi, lo))
+    out = FiniteLattice(lat.leq.take(order, axis=0).take(order, axis=1),
+                        _renamed(lat.meet, order, rename), _renamed(lat.join, order, rename),
+                        rename[lat.bot], rename[lat.top], (_freeze(lo[first]), _freeze(hi[first])))
+    heyting = lat._kept.get(_build_heyting_table)
+    if heyting is not None:
+        out._kept[_build_heyting_table] = _freeze(_renamed(heyting, order, rename))
+    return out, rename
+
+
 def _kept(obj, build):
     """``build(obj)``, computed on the first call for ``obj`` and kept on it
     (a ``None`` result too); ``obj`` is a lattice, an algebra or a frame,
@@ -670,18 +696,29 @@ def _member_row(n: int, members) -> np.ndarray:
     return row
 
 
+def _holds_bool(values, depth: int) -> bool:
+    """Whether nested lists, tuples or arrays ``depth`` levels deep hold a
+    bool entry (a numpy bool, too: an array row yields numpy scalars)."""
+    for _ in range(depth - 1):
+        values = itertools.chain.from_iterable(values)
+    return not {bool, np.bool_}.isdisjoint(map(type, values))
+
+
 def _indices(values, shape: tuple, bound: int | None, what: str) -> np.ndarray:
     """``values`` as an int64 array of ``shape`` with entries in 0..bound-1,
     or any integers when ``bound`` is None: every index table, map and block
     vector from a caller is read here.  An array that numpy does not read as
-    integers (bool, float, str, or object such as 2**70) raises
-    ``ShapeError``, where a cast would read True as 1 and 1.7 as 1."""
+    integers (bool, float, str, or object such as 2**70), or a list or tuple
+    that holds a bool among integers, raises ``ShapeError``, where a cast
+    would read True as 1 and 1.7 as 1."""
     arr = np.asarray(values)
     if arr.shape != shape:
         want = f"length {shape[0]}" if len(shape) == 1 else f"shape {shape}"
         raise ShapeError(f"{what} must have {want}")
     if arr.size and arr.dtype.kind not in "iu":
         raise ShapeError(f"{what} entries must be integers, not {arr.dtype.name}")
+    if isinstance(values, (list, tuple)) and _holds_bool(values, len(shape)):
+        raise ShapeError(f"{what} entries must be integers, not bool")
     arr = arr.astype(np.int64, copy=False)
     if bound is not None and arr.size and (arr.min() < 0 or arr.max() >= bound):
         raise ShapeError(f"{what} entries out of range")
@@ -780,11 +817,17 @@ def _row_sets(rows: np.ndarray) -> list[frozenset]:
     return [frozenset(np.flatnonzero(row).tolist()) for row in rows]
 
 
+def _row_order(rows: np.ndarray) -> np.ndarray:
+    """The permutation that orders the rows of a membership matrix by (size,
+    members): after the size, the bytes of the packed rows are keys in turn,
+    complemented so that a member sorts first (eight columns a key)."""
+    packed = np.packbits(rows, axis=-1)
+    return np.lexsort([~col for col in packed.T[::-1]] + [rows.sum(axis=1)])
+
+
 def _sorted_rows(rows: np.ndarray) -> np.ndarray:
-    """The rows of a membership matrix ordered by (size, members): after the
-    size, the columns are keys in turn, members first."""
-    keys = [~col for col in rows.T[::-1]] + [rows.sum(axis=1)]
-    return rows[np.lexsort(keys)]
+    """The rows of a membership matrix ordered by (size, members)."""
+    return rows[_row_order(rows)]
 
 
 def _keys(packed: np.ndarray) -> np.ndarray:

@@ -26,17 +26,24 @@ nabla other than the identity.  The completion's arrow, the residual of the
 lifted nabla, must equal the lifted sets gathered element by element, for the
 Heyting algebra on the distributive lattices and for the meet nabla
 x -> x & c of a coatom c wherever ``derive_arrow`` finds its residual.
+Finally ``dm_complete``, which relabels the algebra by the order of its
+principal ideals, must equal the completion by sets of the tests'
+``completion_oracle``, array by array, on every algebra of
+``enumerate_algebras(6)``, on ``gen_xn(6)`` and on the Heyting Boolean 2^8
+and 256-chain.
 """
 
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nablalg.lattice as lattice
 from nablalg.algebra import build_algebra, derive_arrow
-from nablalg.completion import _ideal_rows, dm_complete
-from nablalg.gallery import gen_heyting
+from nablalg.completion import dm_complete
+from nablalg.gallery import enumerate_algebras, gen_heyting, gen_xn
 from nablalg.kripke import prime_frame
 from nablalg.lattice import (
     FiniteLattice,
@@ -53,6 +60,13 @@ from nablalg.lattice import (
     build_lattice,
     is_distributive,
     upset_lattice,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from completion_oracle import (  # noqa: E402
+    completion_differences,
+    ideal_family,
+    ideal_set_completion,
 )
 
 
@@ -185,7 +199,7 @@ def test_family_lattices_match_the_inclusion_lattice(nine_lattices):
     inclusion order, and meets are intersections."""
     for lat in nine_lattices:
         fam = upset_lattice(lat.leq)
-        ideals, ub = _ideal_rows(lat)
+        ideals, ub = ideal_family(lat)
         for got, rows in ((fam.lattice, fam.members), (_family_lattice(ideals, ub), ideals)):
             want = build_lattice(_subset(rows, rows))
             assert (got.leq == want.leq).all() and (got.bot, got.top) == (want.bot, want.top)
@@ -228,7 +242,7 @@ def gather_arrow(alg):
     tests: arrow((g], N) = {x : nabla(x) & g in N}, each set located among
     the ideals."""
     lat, n = alg.lat, alg.n
-    rows = _ideal_rows(lat)[0]
+    rows = ideal_family(lat)[0]
     k = len(rows)
     gen = np.argsort(_locate(rows, lat.leq.T)[0])     # gen[i]: the generator of ideal i
     sets = rows.take(lat.meet[gen][:, alg.nabla], axis=1)   # [j, i, x]: nabla(x) & g_i in N_j
@@ -255,3 +269,17 @@ def test_completion_arrow_matches_the_gather(nine_lattices):
             seen[kind] += 1
     # the meet nabla has a residual on the 26 distributive lattices and 5 others
     assert seen == {"heyting": 26, "meet": 31}
+
+
+def test_completion_matches_the_completion_by_sets():
+    """The relabelling against the completion by sets on every algebra of
+    at most 6 elements, ``gen_xn(6)`` and the two 256-element Heyting
+    algebras: order, tables, covers, bounds, the lifted pair, box and
+    Heyting table, embedding and ideal rows, with their dtypes."""
+    idx = np.arange(256)
+    algs = [*enumerate_algebras(6), gen_xn(6),
+            gen_heyting(build_lattice((idx[:, None] & ~idx[None, :]) == 0)),
+            gen_heyting(build_lattice(idx[:, None] <= idx[None, :]))]
+    assert len(algs) == 1986
+    for alg in algs:
+        assert completion_differences(dm_complete(alg), ideal_set_completion(alg)) == []

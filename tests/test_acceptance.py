@@ -48,6 +48,7 @@ from nablalg.kripke import (
 )
 from nablalg.lattice import all_lattices, build_lattice
 
+from completion_oracle import completion_differences, ideal_set_completion
 from conftest import amalgamation_spans, boolean_square, chain, chain_matrix, order_from_covers
 
 
@@ -275,6 +276,7 @@ def test_criterion_5_completion(catalog, fixture_algebras):
     unique = 0
     for alg in list(catalog) + fixture_algebras:
         comp = dm_complete(alg)
+        assert completion_differences(comp, ideal_set_completion(alg)) == []
         emb = np.array(comp.embedding)
         assert comp.algebra.n == alg.n and sorted(comp.embedding) == list(range(alg.n))
         assert (emb[alg.nabla] == comp.algebra.nabla[emb]).all()

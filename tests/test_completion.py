@@ -5,13 +5,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import completion_oracle
+import nablalg.algebra as algebra
 import nablalg.completion as completion
+import nablalg.gallery as gallery
+import nablalg.kripke as kripke
+import nablalg.lattice as lattice
 from nablalg.algebra import build_algebra, classify, derive_arrow
 from nablalg.cli import main
+from nablalg.algebra import MorphismReport
 from nablalg.completion import (
     _bound_rows,
     _closure_rows,
-    _ideal_rows,
     dm_complete,
     is_normal_ideal,
     lower_bounds,
@@ -23,6 +28,7 @@ from nablalg.errors import CrossCheckError, ShapeError
 from nablalg.gallery import gen_heyting, gen_trivial, gen_xn
 from nablalg.kripke import build_frame, upset_algebra
 from nablalg.lattice import (
+    Violation,
     FiniteLattice,
     _compose,
     _family_lattice,
@@ -36,6 +42,7 @@ from nablalg.lattice import (
 )
 from nablalg.serialize import algebra_to_json, dumps
 
+from completion_oracle import completion_differences, ideal_family, ideal_set_completion
 from conftest import (
     assert_inclusion_lattice,
     boolean_256,
@@ -132,7 +139,7 @@ def gather_arrow(alg):
     {x : nabla(x) & g in N}: row (j, i) gathers ideal j at nabla(-) & g_i, a
     slab of ideals N at a time, and each set is located among the ideals."""
     lat, n = alg.lat, alg.n
-    rows = _ideal_rows(lat)[0]
+    rows = ideal_family(lat)[0]
     k = len(rows)
     gen = np.argsort(_locate(rows, lat.leq.T)[0])     # gen[i]: the generator of ideal i
     meets = lat.meet[gen][:, alg.nabla]
@@ -173,7 +180,7 @@ def test_characterizations_match_the_generic_routes(make):
     arrow over every member of M."""
     alg = gen_heyting(make())
     lat = alg.lat
-    rows, ub = _ideal_rows(lat)
+    rows, ub = ideal_family(lat)
     assert len(_slabs(len(rows))) > 1
     assert (rows == fixpoint_ideal_rows(lat)).all()
     assert (ub == _bound_rows(lat, rows, upper=True)).all()
@@ -193,7 +200,7 @@ def test_ideal_lattice_matches_the_inclusion_lattice(make):
     and bounds, ``build_lattice`` of the ideals' inclusion order, and that
     lattice's joins are the joins of ideals."""
     lat = make()
-    rows, ub = _ideal_rows(lat)
+    rows, ub = ideal_family(lat)
     ideal_lat = _family_lattice(rows, ub)
     assert_inclusion_lattice(ideal_lat, rows)
     assert is_ideal_join(lat, rows, ideal_lat.join)
@@ -203,18 +210,18 @@ def test_ideals_of_a_meetless_order_are_refused():
     """Two tops above the same two atoms: the principal ideals of 3 and 4
     meet in {0, 1, 2}, which is no principal ideal, and their upper bounds
     have no common member.  Neither lookup finds a table, and the completion
-    refuses the family."""
+    by sets refuses the family."""
     leq, covers = _partial_order(order_from_covers(5, [(0, 1), (0, 2), (1, 3), (2, 3),
                                                       (1, 4), (2, 4)]))
     zeros = np.zeros((5, 5), dtype=np.int64)
     lat = FiniteLattice(leq, zeros, zeros, 0, 3, covers)
-    rows, ub = _ideal_rows(lat)
+    rows, ub = ideal_family(lat)
     inclusion = _subset(rows, rows)
     assert _intersection_table(rows, inclusion) is None
     assert _intersection_table(ub, inclusion.T) is None
     assert _family_lattice(rows, ub) is None
     with pytest.raises(CrossCheckError, match="normal ideals must be principal"):
-        dm_complete(SimpleNamespace(lat=lat, n=5))
+        ideal_set_completion(SimpleNamespace(lat=lat, n=5))
 
 
 def completion_peak(alg):
@@ -227,17 +234,15 @@ def completion_peak(alg):
 
 
 def test_completion_peak_memory():
-    """On the Heyting Boolean 2^8 one completion peaks under 6 MB: no
-    k x k x n table is held whole, and the intersections of the 256-bit ideal
-    and upper-bound rows are looked up a slab of rows at a time."""
+    """On the Heyting Boolean 2^8 one completion peaks under 6 MB: every
+    table is a relabelled n x n table, and no k x k x n table is formed."""
     assert completion_peak(gen_heyting(boolean_256())) < 6 * 2 ** 20
 
 
 def test_completion_of_the_heyting_chain_peak_memory():
     """On the Heyting 256-chain one completion peaks under 6 MB: the Heyting
-    table of the ideal lattice comes from the recursion over lower covers,
-    where the former (|J|, n, n) residual search alone was a 16 MB table,
-    and the lifted arrow is its residual, with no k^2 sets gathered."""
+    table is the input's relabelled, where the former (|J|, n, n) residual
+    search alone was a 16 MB table, and no k^2 sets are gathered."""
     assert completion_peak(gen_heyting(chain(256))) < 6 * 2 ** 20
 
 
@@ -260,33 +265,68 @@ def test_lifted_arrow_matches_the_gather_at_256(make):
         assert (dm_complete(alg).algebra.arrow == gather_arrow(alg)).all()
 
 
-def test_missing_residual_is_a_library_bug(monkeypatch, tmp_path, capsys, x1):
-    """A lifted nabla without a residual fails a cross-check, so
-    ``nablalg dm-complete`` exits 3 rather than report an adjunction failure."""
-    monkeypatch.setattr(completion, "derive_arrow", lambda lat, nabla: None)
+def test_missing_residual_is_a_library_bug(monkeypatch, x1):
+    """In the completion by sets, a lifted nabla without a residual fails a
+    cross-check."""
+    monkeypatch.setattr(completion_oracle, "derive_arrow", lambda lat, nabla: None)
     with pytest.raises(CrossCheckError, match="the lifted nabla must have a residual"):
+        ideal_set_completion(x1)
+
+
+def test_completion_cross_check_failure_exits_3(monkeypatch, tmp_path, capsys, x1):
+    """An embedding that fails its morphism check is a library bug, so
+    ``nablalg dm-complete`` exits 3 rather than report a failure of the
+    input."""
+    failed = MorphismReport((Violation("nabla", (0,)),), injective=True, heyting_checked=False)
+    monkeypatch.setattr(completion, "check_morphism", lambda m: failed)
+    with pytest.raises(CrossCheckError, match="canonical embedding must be an embedding"):
         dm_complete(x1)
     path = tmp_path / "x1.json"
     path.write_text(dumps(algebra_to_json(x1)))
     assert main(["dm-complete", str(path)]) == 3
     assert json.loads(capsys.readouterr().out)["error"] == {
-        "error": "internal", "message": "the lifted nabla must have a residual"}
+        "error": "internal", "message": "canonical embedding must be an embedding"}
 
 
 def test_completion_locates_three_families(monkeypatch, full_catalog):
-    """``dm_complete`` looks up three families among the ideals, the
+    """The completion by sets looks up three families among the ideals, the
     embedding, the lifted nabla and the lifted box, each of at most k rows."""
-    calls, locate = [], completion._locate
+    calls, locate = [], completion_oracle._locate
 
     def counted(family, rows):
         calls.append(len(rows))
         return locate(family, rows)
 
-    monkeypatch.setattr(completion, "_locate", counted)
+    monkeypatch.setattr(completion_oracle, "_locate", counted)
     for alg in [*full_catalog, gen_heyting(boolean_256())]:
         calls.clear()
-        dm_complete(alg)
+        ideal_set_completion(alg)
         assert len(calls) == 3 and max(calls) <= alg.n
+
+
+def test_completion_matches_the_completion_by_sets(full_catalog):
+    """The relabelled algebra is the completion by sets, array by array
+    (order, tables, covers, bounds, the lifted pair, box and Heyting table,
+    embedding and ideal rows, with their dtypes), on the catalog and
+    ``gen_xn`` 1-5."""
+    for alg in [*full_catalog, *(gen_xn(k) for k in range(1, 6))]:
+        assert completion_differences(dm_complete(alg), ideal_set_completion(alg)) == []
+
+
+def test_completion_runs_no_set_construction(monkeypatch, full_catalog):
+    """``dm_complete`` locates no set, builds no family lattice, derives no
+    residual and runs no Heyting recursion, wherever the library binds those
+    names: the relabelling needs none of them."""
+    def refused(*args):
+        raise AssertionError("the relabelling ran the set construction")
+
+    algs = [*full_catalog, gen_heyting(chain(96)), gen_heyting(boolean_256())]
+    for module in (algebra, completion, gallery, kripke, lattice):
+        for name in ("_family_lattice", "_locate", "derive_arrow", "_cover_heyting"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    for alg in algs:
+        dm_complete(alg)
 
 
 def assert_matches_oracle(alg):
@@ -332,7 +372,7 @@ def test_lifted_nabla_unions_are_closed(full_catalog):
     algs = [*full_catalog, *(gen_xn(k) for k in range(1, 7)),
             gen_heyting(boolean_256()), gen_heyting(chain(256))]
     for alg in algs:
-        rows = _ideal_rows(alg.lat)[0]
+        rows = ideal_family(alg.lat)[0]
         union = _compose(rows, alg.lat.leq.T[alg.nabla])
         assert (_closure_rows(alg.lat, union) == union).all()
 
@@ -392,12 +432,12 @@ def test_normal_ideal_predicate_matches_the_closure_fixpoint(six_catalog_and_xn)
 
 
 def test_ideal_rows_are_closure_fixpoints(six_catalog_and_xn):
-    """The upper bounds that ``_ideal_rows`` reads off the order are the
+    """The upper bounds that ``ideal_family`` reads off the order are the
     upper-bound product of each principal ideal, and each ideal is the lower
     bounds of its upper bounds, on the lattices of the six-element catalog,
     gen_xn 1-6 and both 256-element lattices."""
     for lat in [*(alg.lat for alg in six_catalog_and_xn), boolean_256(), chain(256)]:
-        rows, ub = _ideal_rows(lat)
+        rows, ub = ideal_family(lat)
         assert (ub == _bound_rows(lat, rows, upper=True)).all()
         assert (_bound_rows(lat, ub, upper=False) == rows).all()
 
@@ -500,7 +540,7 @@ def test_ideal_family_forms_no_cube():
     assert len(_slabs(lat.n)) > 1
     tracemalloc.start()
     try:
-        rows, ub = _ideal_rows(lat)
+        rows, ub = ideal_family(lat)
         ideal_lat = _family_lattice(rows, ub)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

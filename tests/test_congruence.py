@@ -630,8 +630,11 @@ def test_internal_inequalities_pass(x1, h3, b4):
 
 
 def test_internal_inequalities_on_catalog(small_catalog):
+    """Every algebra the checker accepts is normal and distributive, so its
+    Heyting table exists and both Heyting laws are checked."""
     for alg in small_catalog:
         if classify(alg).has("N", "D"):
+            assert classify(alg).H and alg.heyting is not None
             assert check_internal_cong_inequalities(alg).ok
 
 

@@ -31,9 +31,12 @@ from nablalg.lattice import (
     _join_primes,
     _kappa,
     _order_iso,
+    _build_heyting_table,
     _principal_primes,
     _primes,
+    _relabel,
     _row_keys,
+    _row_order,
     _signatures,
     _slabs,
     _sorted_rows,
@@ -57,6 +60,7 @@ from nablalg.lattice import (
 
 from conftest import (
     assert_inclusion_lattice,
+    boolean_256,
     boolean_square,
     bounded_candidates,
     chain,
@@ -734,13 +738,46 @@ def test_prime_filter_members_outside_the_carrier_are_refused(member):
 
 
 @pytest.mark.parametrize("values", [[0, 1.5, 2], [False, True, True], ["0", "1", "2"],
-                                    [0, 2 ** 70, 2], np.array([0, 1, 2], dtype=object)])
+                                    [0, 2 ** 70, 2], np.array([0, 1, 2], dtype=object),
+                                    [0, True, 2], (0, np.True_, 2)])
 def test_indices_refuse_entries_that_are_not_integers(values):
     """Each would be cast to 0..2 by ``np.asarray(values, dtype=np.int64)``
     (2**70 overflowed), with or without a bound."""
     for bound in (3, None):
         with pytest.raises(ShapeError, match="entries must be integers"):
             _indices(values, (3,), bound, "map")
+
+
+@pytest.mark.parametrize("width", [1, 5, 8, 13, 70])
+def test_row_order_matches_the_column_keys(width):
+    """The packed-byte keys order rows as the columns taken one key each,
+    members first, after the size; equal rows keep their order."""
+    rng = np.random.default_rng(width)
+    rows = rng.random((60, width)) < 0.5
+    rows[40:] = rows[:20]
+    want = np.lexsort([~col for col in rows.T[::-1]] + [rows.sum(axis=1)])
+    assert (_row_order(rows) == want).all()
+
+
+def test_relabel_matches_a_fresh_build(small_lattices):
+    """``_relabel`` by a seeded permutation gives the order, tables, covers
+    and bounds that ``build_lattice`` finds on the renamed order, and keeps
+    the renamed Heyting table, equal to the one built from scratch, exactly
+    where the lattice is distributive."""
+    rng = np.random.default_rng(31)
+    for lat in [*small_lattices, chain(96), boolean_256()]:
+        heyting_table(lat)
+        order = rng.permutation(lat.n)
+        got, rename = _relabel(lat, order)
+        assert (rename[order] == np.arange(lat.n)).all()
+        want = build_lattice(lat.leq[order][:, order])
+        for a, b in ((got.leq, want.leq), (got.meet, want.meet), (got.join, want.join),
+                     (got.covers[0], want.covers[0]), (got.covers[1], want.covers[1])):
+            assert a.dtype == b.dtype and (a == b).all()
+        assert (got.bot, got.top) == (want.bot, want.top)
+        fresh = heyting_table(want)
+        assert (_build_heyting_table in got._kept) == (fresh is not None)
+        assert fresh is None or (heyting_table(got) == fresh).all()
 
 
 def test_indices_check_shape_always_and_range_against_a_bound():

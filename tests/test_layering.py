@@ -219,11 +219,6 @@ ENSURES = {
         "canonical embedding must be an embedding",
         "canonical embedding must reflect order",
         "f'completion must keep flag {flag}'",
-        "finite completion must be a bijection",
-        "lifted box must be the nabla preimage",
-        "lifted nabla must land on a normal ideal",
-        "normal ideals must be principal, with the upper-bound intersections as joins",
-        "the lifted nabla must have a residual",
     ],
     "congruence.py": [
         "alpha must produce a congruence",

@@ -110,7 +110,9 @@ O(n^2): ``is_prime_filter`` then checks k(g), ``congruence.is_modal_filter``
 nabla(g) = g, and ``completion.is_normal_ideal`` takes the principal ideals.
 Input is read without a cast: a member set by ``_member_row``, and every
 index table, map and block vector by ``_indices``; an entry that is not an
-integer raises ``ShapeError``.
+integer raises ``ShapeError``.  A lattice renamed by a permutation
+(``_relabel``, which the completion uses) takes each table by one row take
+and one column take, its kept Heyting table with them.
 
 The meet and join tables come from the coordinates at every size, and the
 residual from box o Heyting or the join over J at every size; up to

@@ -5,15 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import completion_oracle
 import nablalg.algebra as algebra
 import nablalg.completion as completion
 import nablalg.gallery as gallery
 import nablalg.kripke as kripke
 import nablalg.lattice as lattice
-from nablalg.algebra import build_algebra, classify, derive_arrow
+from nablalg.algebra import MorphismReport, build_algebra, classify, derive_arrow
 from nablalg.cli import main
-from nablalg.algebra import MorphismReport
 from nablalg.completion import (
     _bound_rows,
     _closure_rows,
@@ -28,8 +26,8 @@ from nablalg.errors import CrossCheckError, ShapeError
 from nablalg.gallery import gen_heyting, gen_trivial, gen_xn
 from nablalg.kripke import build_frame, upset_algebra
 from nablalg.lattice import (
-    Violation,
     FiniteLattice,
+    Violation,
     _compose,
     _family_lattice,
     _intersection_table,
@@ -42,6 +40,7 @@ from nablalg.lattice import (
 )
 from nablalg.serialize import algebra_to_json, dumps
 
+import completion_oracle
 from completion_oracle import completion_differences, ideal_family, ideal_set_completion
 from conftest import (
     assert_inclusion_lattice,

@@ -24,6 +24,7 @@ from nablalg.lattice import (
     TAKE_MIN,
     FiniteLattice,
     _at,
+    _build_heyting_table,
     _compose,
     _family_lattice,
     _greatest,
@@ -31,7 +32,6 @@ from nablalg.lattice import (
     _join_primes,
     _kappa,
     _order_iso,
-    _build_heyting_table,
     _principal_primes,
     _primes,
     _relabel,

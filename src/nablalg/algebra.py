@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import AdjunctionFailure, NotDistributive, ensure
+from .errors import AdjunctionFailure, NotDistributive, ShapeError, ensure
 from .lattice import (
     FiniteLattice,
     _adjunction,
@@ -457,7 +457,9 @@ def nabla_from_strong(cand: StrongAlgebraCandidate) -> AdjointSearch:
 class Morphism:
     """Index map between two algebras or two frames; ``preserves_heyting`` is
     a claim to verify.  Its law report is kept on it, so ``map`` is frozen as
-    a tuple, and ``dataclasses.replace`` starts with nothing kept."""
+    a tuple, and ``dataclasses.replace`` starts with nothing kept.  A map
+    that numpy does not read as one row (a number, a dict, a set, a table)
+    raises ``ShapeError``, where ``tuple`` would read a dict as its keys."""
 
     source: object = field(compare=False, repr=False)
     target: object = field(compare=False, repr=False)
@@ -466,6 +468,8 @@ class Morphism:
     _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if np.ndim(self.map) != 1:
+            raise ShapeError("map must be a sequence or a 1-d array")
         object.__setattr__(self, "map", tuple(self.map))
 
 

@@ -136,9 +136,7 @@ def dm_complete(alg: NablaAlgebra) -> CompletedAlgebra:
     ensure(rep.ok and rep.injective, "canonical embedding must be an embedding")
     ensure((lat.leq == ideal_lat.leq.take(emb, axis=0).take(emb, axis=1)).all(),
            "canonical embedding must reflect order")
-    lifted = classify(completed)
-    for flag in FLAG_NAMES[1:]:
-        if getattr(profile, flag):
-            ensure(getattr(lifted, flag), f"completion must keep flag {flag}")
+    missing = profile.flags().intersection(FLAG_NAMES[1:]) - classify(completed).flags()
+    ensure(not missing, f"completion must keep flags {sorted(missing)}")
     return CompletedAlgebra(algebra=completed, embedding=morphism.map, morphism=morphism,
                             ideal_rows=_freeze(lat.leq.T[order]))

@@ -95,10 +95,6 @@ class NotSurjective(NablalgError):
     code = "not-surjective"
 
 
-class FlagMismatch(NablalgError):
-    code = "flag-mismatch"
-
-
 class Trivial(NablalgError):
     code = "trivial"
 

@@ -78,7 +78,6 @@ from .algebra import (
     tables_equal,
 )
 from .errors import (
-    FlagMismatch,
     InvalidMorphism,
     NotCompatible,
     NotDistributive,
@@ -311,13 +310,8 @@ def _build_upset_algebra(frame: KripkeFrame):
     arrow = derive_arrow(fam.lattice, nabla)
     ensure(arrow is not None, "the relation image on upsets must have a residual")
     alg = _assemble(fam.lattice, nabla, arrow)
-    profile = classify(alg)
-    ensure(profile.H, "upset algebras always carry the Heyting structure")
-    fprof = frame_profile(frame)
-    for flag in FRAME_FLAGS:
-        if getattr(fprof, flag):
-            ensure(getattr(profile, flag),
-                   f"frame flag {flag} must transfer to the upset algebra")
+    missing = frame_profile(frame).flags() - classify(alg).flags()
+    ensure(not missing, f"frame flags {sorted(missing)} must transfer to the upset algebra")
     return fam, alg
 
 
@@ -380,11 +374,8 @@ def _build_prime_frame(alg: NablaAlgebra) -> KripkeFrame:
     # q' <= q <= nabla(p) <= nabla(p'), so the relation is compatible; the
     # transposed gathers are laid out by rows, as the frame's row gathers read
     frame = KripkeFrame(np.ascontiguousarray(leq), np.ascontiguousarray(rel))
-    fprof = frame_profile(frame)
-    for flag in FRAME_FLAGS:
-        if getattr(aprof, flag):
-            ensure(getattr(fprof, flag),
-                   f"algebra flag {flag} must transfer to the prime frame")
+    missing = aprof.flags().intersection(FRAME_FLAGS) - frame_profile(frame).flags()
+    ensure(not missing, f"algebra flags {sorted(missing)} must transfer to the prime frame")
     return frame
 
 
@@ -519,8 +510,6 @@ def amalgamate_algebras(a0: NablaAlgebra, a1: NablaAlgebra, a2: NablaAlgebra,
             raise NotNormal(f"{name} must be normal")
         if not profile.D:
             raise NotDistributive(f"{name} must be distributive")
-        if heyting and not profile.H:
-            raise FlagMismatch(f"{name} must carry the Heyting structure")
     cls = frozenset.intersection(*carried) & AMALGAMATION_FLAGS
     for name, m, tgt in (("f1", f1, a1), ("f2", f2, a2)):
         if not (tables_equal(m.source, a0) and tables_equal(m.target, tgt)):

@@ -763,9 +763,7 @@ def _primes(lat: FiniteLattice) -> tuple:
 
     In a finite lattice every filter is principal (it contains the meet of
     its members), so the prime filters are exactly the principal filters of
-    join-prime elements.  Each [p) is re-checked by its k(p), and on
-    distributive lattices the count is cross-checked against the number of
-    join-irreducibles.
+    join-prime elements.  Each [p) is re-checked by its k(p).
     """
     return _kept(lat, _build_primes)
 
@@ -775,9 +773,6 @@ def _build_primes(lat: FiniteLattice) -> tuple:
     gen = _greatest(lat.leq.T, _sorted_rows(lat.leq[_join_primes(lat)]).T)[0]
     kappa, prime = _principal_primes(lat, gen)
     ensure(prime.all(), "enumerated set is not a prime filter")
-    if is_distributive(lat):
-        ensure(len(gen) == len(join_irreducibles(lat)),
-               "prime filter count must match join-irreducibles on distributive lattices")
     return _freeze(gen), _freeze(kappa)
 
 
@@ -1001,7 +996,6 @@ def _upset_family(arr: np.ndarray) -> UpSetFamily:
     lat = _family_lattice(rows, ~rows)
     ensure(lat is not None, "upsets must be closed under intersection and union")
     ensure(is_distributive(lat), "upset lattice must be distributive")
-    ensure(heyting_table(lat) is not None, "upset lattice must carry pseudocomplements")
     return UpSetFamily(lattice=lat, members=_freeze(rows))
 
 

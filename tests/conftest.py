@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,6 +122,18 @@ def subset_prime_tables(alg):
         keep = (~primes[:, s, None] | primes[:, None, :]).reshape(k, width * n)
         definitional &= _subset(primes[:, alg.arrow[s]].reshape(k, width * n), keep)
     return leq, rel, definitional
+
+
+def drop_flag(monkeypatch, module, name, flag, spare=None):
+    """Patch ``module.<name>``, its ``classify`` or ``frame_profile``, so that
+    the profile it gives of anything but ``spare`` has ``flag`` false."""
+    real = getattr(module, name)
+
+    def lossy(x):
+        profile = real(x)
+        return profile if x is spare else replace(profile, **{flag: False})
+
+    monkeypatch.setattr(module, name, lossy)
 
 
 # --- whole-mask forms of the law checks ----------------------------------------

@@ -671,6 +671,20 @@ def test_composite_reports_on_its_own_map(b2, h3):
     assert check_morphism(inner).ok and check_morphism(comp) is rep
 
 
+@pytest.mark.parametrize("fmap", [5, None, {0: 1, 1: 0}, {0, 1}, np.eye(2, dtype=np.int64)])
+def test_morphism_map_that_is_no_sequence_is_refused(b2, fmap):
+    """A map that is no sequence or 1-d array: ``tuple`` raised TypeError on a
+    number and read a dict or a set as its keys, in iteration order."""
+    with pytest.raises(ShapeError, match="map must be a sequence or a 1-d array"):
+        AlgebraMorphism(b2, b2, fmap)
+
+
+@pytest.mark.parametrize("fmap", [(0, 1), [0, 1], range(2), np.arange(2)])
+def test_morphism_map_as_any_sequence_is_read(b2, fmap):
+    m = AlgebraMorphism(b2, b2, fmap)
+    assert m.map == (0, 1) and check_morphism(m).ok
+
+
 # --- derived facts on the catalog ---------------------------------------------
 
 

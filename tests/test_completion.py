@@ -46,6 +46,7 @@ from conftest import (
     assert_inclusion_lattice,
     boolean_256,
     chain,
+    drop_flag,
     order_from_covers,
     probe_rows,
     subsets,
@@ -285,6 +286,15 @@ def test_completion_cross_check_failure_exits_3(monkeypatch, tmp_path, capsys, x
     assert main(["dm-complete", str(path)]) == 3
     assert json.loads(capsys.readouterr().out)["error"] == {
         "error": "internal", "message": "canonical embedding must be an embedding"}
+
+
+def test_lost_flag_fails_the_completion_transfer(monkeypatch):
+    """A completion without a flag of its input (D aside) is a cross-check
+    failure that names the flag."""
+    alg = gen_heyting(chain(3))
+    drop_flag(monkeypatch, completion, "classify", "H", spare=alg)
+    with pytest.raises(CrossCheckError, match=r"completion must keep flags \['H'\]"):
+        dm_complete(alg)
 
 
 def test_completion_locates_three_families(monkeypatch, full_catalog):

@@ -246,6 +246,18 @@ def test_closure_matches_word_oracle_on_catalog(small_catalog):
             assert got == oracle_closure(alg, seed)
 
 
+def test_closure_is_a_modal_filter(six_catalog):
+    """Oracle for the check ``modal_filter_closure`` dropped: [g) of a fixpoint
+    g is a modal filter, for every normal algebra of at most 6 elements and
+    every seed of at most 2 elements."""
+    for alg in six_catalog:
+        if not classify(alg).N:
+            continue
+        for k in range(3):
+            for seed in itertools.combinations(range(alg.n), k):
+                assert is_modal_filter(alg, modal_filter_closure(alg, seed).members)
+
+
 def test_closure_monotone_and_idempotent(x1, h3, b4):
     for alg in (x1, h3, b4):
         seeds = list(subsets(range(alg.n)))

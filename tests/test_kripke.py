@@ -41,7 +41,14 @@ from nablalg.kripke import (
     prime_inverse_morphism,
     upset_algebra,
 )
-from nablalg.lattice import CUBE_MAX, all_upsets, build_lattice, prime_filters
+from nablalg.lattice import (
+    CUBE_MAX,
+    all_upsets,
+    build_lattice,
+    heyting_table,
+    prime_filters,
+    upset_lattice,
+)
 from nablalg.serialize import algebra_to_json, dumps, frame_to_json
 
 from conftest import (
@@ -49,6 +56,7 @@ from conftest import (
     boolean_square,
     chain,
     chain_matrix,
+    drop_flag,
     product_order,
     subset_prime_tables,
 )
@@ -415,6 +423,38 @@ def test_upset_algebra_matches_set_oracle():
         if not (k.r == k.leq).all():
             routes.add(alg.n > CUBE_MAX)
     assert routes == {False, True}
+
+
+def test_upset_lattices_and_algebras_carry_the_heyting_table(full_catalog):
+    """Oracle for the Heyting checks the upset family and the upset algebra
+    dropped: the upset lattice is checked distributive, and the Heyting
+    table's build decides that it exists iff the lattice is distributive."""
+    frames, _ = _mask_test_frames(full_catalog)
+    for k in frames:
+        assert heyting_table(upset_lattice(k.leq).lattice) is not None
+        assert classify(upset_algebra(k)).H
+
+
+def test_lost_frame_flag_fails_the_upset_transfer(monkeypatch):
+    """An upset algebra without a flag its frame carries is a cross-check
+    failure that names the flag."""
+    frame = one_point_frame()
+    assert "Fu" in frame_profile(frame).flags()
+    drop_flag(monkeypatch, kripke, "classify", "Fu")
+    with pytest.raises(CrossCheckError,
+                       match=r"frame flags \['Fu'\] must transfer to the upset algebra"):
+        upset_algebra(frame)
+
+
+def test_lost_algebra_flag_fails_the_prime_frame_transfer(monkeypatch):
+    """A prime frame without a flag its algebra carries is a cross-check
+    failure that names the flag."""
+    alg = gen_heyting(chain(3))
+    assert classify(alg).L
+    drop_flag(monkeypatch, kripke, "frame_profile", "L")
+    with pytest.raises(CrossCheckError,
+                       match=r"algebra flags \['L'\] must transfer to the prime frame"):
+        prime_frame(alg)
 
 
 def fresh_two_chain_frame():

@@ -151,12 +151,19 @@ def machine() -> dict:
 
 
 def revision(src: Path) -> str:
+    """``git describe`` of the checkout holding ``src``, with ``-dirty`` only
+    when a tracked file under ``src`` differs from it: rows merged into
+    ``BENCH_layers.json`` leave the next run's label clean."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=src, capture_output=True, text=True,
+                              check=True).stdout.strip()
+
     try:
-        rev = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"],
-                             cwd=src, capture_output=True, text=True, check=True).stdout
+        rev = git("describe", "--always", "--abbrev=12")
+        dirty = git("status", "--porcelain", "--untracked-files=no", "--", ".")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
-    return rev.strip()
+    return rev + ("-dirty" if dirty else "")
 
 
 def main() -> None:
